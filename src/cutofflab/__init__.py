@@ -15,7 +15,6 @@ from .core import (
     TableHypothesis,
     cutoff_loss,
     empirical_cutoff_loss,
-    evaluate,
     is_realizable,
     sample_iid,
 )

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from . import core, dims
 from .errors import PreconditionError
@@ -60,7 +61,12 @@ class HardInstance:
 
 @dataclass(frozen=True)
 class InstanceFamily:
-    """Seeded generator over hard instances indexed by a random support vector."""
+    """Seeded generator over hard instances indexed by a random support vector.
+
+    Every drawn instance puts ``index_masses[i]`` on ``point(entries[i])``
+    with label 0, realized by ``witness(entries)``.  With ``pinned_first`` the
+    first entry is the fixed heavy index 1 and the rest come from 2..universe.
+    """
 
     theorem: str
     cls: object
@@ -71,13 +77,35 @@ class InstanceFamily:
     n_max: Optional[int]
     index_masses: IndexDistribution
     pinned_first: bool
+    point: Callable[[int], core.Point]
+    witness: Callable[[tuple[int, ...]], core.Hypothesis]
     params: dict = field(default_factory=dict)
 
     def draw_support(self, rng) -> SupportVector:
-        raise NotImplementedError
+        pinned = (1,) if self.pinned_first else ()
+        pool = list(range(len(pinned) + 1, self.universe + 1))
+        rest = core.sample_without_replacement(rng, pool, len(self.index_masses) - len(pinned))
+        return SupportVector((*pinned, *rest), pinned_first=self.pinned_first)
 
     def instance_for(self, support: SupportVector) -> HardInstance:
-        raise NotImplementedError
+        witness = self.witness(support.entries)
+        atoms = [
+            (self.point(a), core.ZERO, mass)
+            for a, mass in zip(support.entries, self.index_masses)
+        ]
+        distribution = core.FiniteDistribution.from_triples(atoms, witness)
+        return HardInstance(
+            theorem=self.theorem,
+            cls=self.cls,
+            distribution=distribution,
+            witness=witness,
+            gamma=self.gamma,
+            epsilon=self.epsilon,
+            d=self.d,
+            universe=self.universe,
+            n_max=self.n_max,
+            params=dict(self.params, support=support.entries),
+        )
 
     def draw_instance(self, rng) -> tuple[HardInstance, SupportVector]:
         support = self.draw_support(rng)
@@ -154,34 +182,7 @@ def thm1_instance(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Thm2Family(InstanceFamily):
-    def draw_support(self, rng) -> SupportVector:
-        rest = core.sample_without_replacement(rng, list(range(2, self.universe + 1)), self.d - 1)
-        return SupportVector((1, *rest), pinned_first=True)
-
-    def instance_for(self, support: SupportVector) -> HardInstance:
-        witness = self.cls.hypothesis(support.entries)
-        atoms = [
-            (core.Point.nat(a), core.ZERO, mass)
-            for a, mass in zip(support.entries, self.index_masses)
-        ]
-        distribution = core.FiniteDistribution.from_triples(atoms, witness)
-        return HardInstance(
-            theorem=self.theorem,
-            cls=self.cls,
-            distribution=distribution,
-            witness=witness,
-            gamma=self.gamma,
-            epsilon=self.epsilon,
-            d=self.d,
-            universe=self.universe,
-            n_max=self.n_max,
-            params=dict(self.params, support=support.entries),
-        )
-
-
-def thm2_family(gamma: Fraction, d: int, epsilon: Fraction, m_bound: int) -> Thm2Family:
+def thm2_family(gamma: Fraction, d: int, epsilon: Fraction, m_bound: int) -> InstanceFamily:
     """Cantor-class family: universe ceil(2 d m_bound + d/4 + 1), all labels 0,
     heavy index pinned to 1; n_max = floor(d / (128 eps))."""
     gamma, epsilon = Fraction(gamma), Fraction(epsilon)
@@ -194,7 +195,7 @@ def thm2_family(gamma: Fraction, d: int, epsilon: Fraction, m_bound: int) -> Thm
     universe = math.ceil(2 * d * m_bound + Fraction(d, 4) + 1)
     n_max = math.floor(Fraction(d) / (SAMPLE_DENOM * epsilon))
     cls = core.CantorClass(gamma, d, universe)
-    return Thm2Family(
+    return InstanceFamily(
         theorem="thm2",
         cls=cls,
         gamma=gamma,
@@ -204,6 +205,8 @@ def thm2_family(gamma: Fraction, d: int, epsilon: Fraction, m_bound: int) -> Thm
         n_max=n_max,
         index_masses=pinned_index_masses(d, epsilon),
         pinned_first=True,
+        point=core.Point.nat,
+        witness=cls.hypothesis,
         params={"m_bound": m_bound},
     )
 
@@ -231,41 +234,13 @@ def thm3_universe_size(n_prime: int, m_bound: int, epsilon: Fraction) -> int:
     return i * i
 
 
-@dataclass(frozen=True)
-class Thm3Family(InstanceFamily):
-    def draw_support(self, rng) -> SupportVector:
-        root = math.isqrt(self.universe)
-        entries = core.sample_without_replacement(rng, list(range(1, self.universe + 1)), root)
-        return SupportVector(tuple(entries))
-
-    def instance_for(self, support: SupportVector) -> HardInstance:
-        witness = self.cls.hypothesis(self.universe, support.entries)
-        atoms = [
-            (core.Point.pair(self.universe, a), core.ZERO, mass)
-            for a, mass in zip(support.entries, self.index_masses)
-        ]
-        distribution = core.FiniteDistribution.from_triples(atoms, witness)
-        return HardInstance(
-            theorem=self.theorem,
-            cls=self.cls,
-            distribution=distribution,
-            witness=witness,
-            gamma=self.gamma,
-            epsilon=self.epsilon,
-            d=None,
-            universe=self.universe,
-            n_max=self.n_max,
-            params=dict(self.params, support=support.entries),
-        )
-
-
 def thm3_family(
     gamma: Fraction,
     epsilon: Fraction,
     n_prime: int,
     m_bound: int,
     universe: Optional[int] = None,
-) -> Thm3Family:
+) -> InstanceFamily:
     """Sqrt-size split-class family with uniform mass on a random sqrt(k_u)-set.
 
     `universe` overrides the ascending-scan choice; it must still be a perfect
@@ -285,7 +260,7 @@ def thm3_family(
             f" k with (1 - {n_prime}/sqrt(k)) * (1 - {m_bound}/sqrt(k)) >= 1 - {epsilon}/2"
         )
     cls = core.SplitCantorClass(gamma, core.SQRT_SIZE, None, universe)
-    return Thm3Family(
+    return InstanceFamily(
         theorem="thm3",
         cls=cls,
         gamma=gamma,
@@ -295,6 +270,8 @@ def thm3_family(
         n_max=n_prime,
         index_masses=uniform_index_masses(root),
         pinned_first=False,
+        point=partial(core.Point.pair, universe),
+        witness=partial(cls.hypothesis, universe),
         params={"m_bound": m_bound, "n_prime": n_prime},
     )
 
@@ -304,37 +281,13 @@ def thm3_family(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Thm5Family(InstanceFamily):
-    def draw_support(self, rng) -> SupportVector:
-        entries = core.sample_without_replacement(
-            rng, list(range(1, self.universe + 1)), self.universe - self.d + 1
-        )
-        return SupportVector(tuple(entries))
-
-    def instance_for(self, support: SupportVector) -> HardInstance:
-        complement = [x for x in range(1, self.universe + 1) if x not in set(support.entries)]
-        witness = self.cls.hypothesis(self.universe, complement)
-        atoms = [
-            (core.Point.pair(self.universe, a), core.ZERO, mass)
-            for a, mass in zip(support.entries, self.index_masses)
-        ]
-        distribution = core.FiniteDistribution.from_triples(atoms, witness)
-        return HardInstance(
-            theorem=self.theorem,
-            cls=self.cls,
-            distribution=distribution,
-            witness=witness,
-            gamma=self.gamma,
-            epsilon=self.epsilon,
-            d=self.d,
-            universe=self.universe,
-            n_max=self.n_max,
-            params=dict(self.params, support=support.entries),
-        )
+def _complement_witness(cls, universe: int, entries) -> core.Hypothesis:
+    """Class member zero on every support entry: its members are the rest."""
+    support = set(entries)
+    return cls.hypothesis(universe, [x for x in range(1, universe + 1) if x not in support])
 
 
-def thm5_family(gamma: Fraction, d: int, epsilon: Fraction) -> Thm5Family:
+def thm5_family(gamma: Fraction, d: int, epsilon: Fraction) -> InstanceFamily:
     """Complement split-class family: k_u = ceil(d/(16 eps)), uniform mass
     1/(k_u - d + 1) on a random support, witness zero on all of it;
     n_max = floor((d/(32 eps)) ln(1/(64 e eps)))."""
@@ -350,7 +303,7 @@ def thm5_family(gamma: Fraction, d: int, epsilon: Fraction) -> Thm5Family:
     # transcendental ceiling: evaluated in double precision (documented)
     n_max = math.floor((d / (32 * float(epsilon))) * math.log(1 / (64 * math.e * float(epsilon))))
     cls = core.SplitCantorClass(gamma, core.D_MINUS_ONE_COMPLEMENT, d, universe)
-    return Thm5Family(
+    return InstanceFamily(
         theorem="thm5",
         cls=cls,
         gamma=gamma,
@@ -360,6 +313,8 @@ def thm5_family(gamma: Fraction, d: int, epsilon: Fraction) -> Thm5Family:
         n_max=n_max,
         index_masses=uniform_index_masses(support_size),
         pinned_first=False,
+        point=partial(core.Point.pair, universe),
+        witness=partial(_complement_witness, cls, universe),
         params={"support_size": support_size},
     )
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -47,17 +48,27 @@ def _parse_points(spec: str) -> tuple[core.Point, ...]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if "/" in chunk:
-            k, x = chunk.split("/")
-            points.append(core.Point.pair(int(k), int(x)))
-        elif ".." in chunk:
-            lo, hi = chunk.split("..")
-            points.extend(core.Point.nat(i) for i in range(int(lo), int(hi) + 1))
-        else:
-            points.append(core.Point.nat(int(chunk)))
+        try:
+            if "/" in chunk:
+                k, x = chunk.split("/")
+                points.append(core.Point.pair(int(k), int(x)))
+            elif ".." in chunk:
+                lo, hi = chunk.split("..")
+                points.extend(core.Point.nat(i) for i in range(int(lo), int(hi) + 1))
+            else:
+                points.append(core.Point.nat(int(chunk)))
+        except ValueError as exc:
+            raise ParseError(f"bad point {chunk!r} in {spec!r}") from exc
     if not points:
         raise ParseError(f"no points in {spec!r}")
     return tuple(points)
+
+
+def _parse_ints(spec: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in spec.split(","))
+    except ValueError as exc:
+        raise ParseError(f"bad integer list {spec!r}") from exc
 
 
 def _write_csv(rows, path):
@@ -234,7 +245,7 @@ def cmd_estimate(args) -> int:
         universe=None,
         n_max=None,
     )
-    est = mc.mc_expected_loss(learner, instance, n, trials, args.seed, threads=args.threads)
+    est = mc.mc_expected_loss(learner, instance, n, trials, args.seed)
     out = {
         "mean": est.mean,
         "stderr": est.stderr,
@@ -247,6 +258,22 @@ def cmd_estimate(args) -> int:
     return EXIT_PASS
 
 
+def _coerce(default, value, key: str):
+    """Coerce a replayed config value to the type of the runner's default."""
+    try:
+        if isinstance(default, Fraction):
+            return _rational(str(value))
+        if isinstance(default, tuple):
+            if not isinstance(value, list):
+                raise ParseError(f"config {key!r} must be a list, got {value!r}")
+            return tuple(_coerce(default[0], v, key) for v in value)
+        if isinstance(default, (int, float)):
+            return type(default)(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad config value {key}={value!r}") from exc
+    return value
+
+
 def cmd_reproduce(args) -> int:
     overrides = {}
     if args.replay:
@@ -255,22 +282,16 @@ def cmd_reproduce(args) -> int:
             tag = echoed["tag"]
             seed = int(echoed["seed"])
             config = echoed.get("config", {})
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad report file: {exc}") from exc
-        import inspect
-
-        accepted = set(inspect.signature(experiments.RUNNERS[tag]).parameters)
-        for key in ("gamma", "epsilon"):
-            if key in config and key in accepted:
-                overrides[key] = Fraction(str(config[key]))
-        for key in ("d", "universe", "n", "n_prime", "m_bound", "trials",
-                    "domain_size", "max_size", "classes", "max_vc"):
-            if key in config and key in accepted:
-                overrides[key] = int(config[key])
-        if "ns" in config and "ns" in accepted:
-            overrides["ns"] = tuple(int(v) for v in config["ns"])
-        if "delta" in config and "delta" in accepted:
-            overrides["delta"] = float(config["delta"])
+        if not isinstance(tag, str) or tag not in experiments.RUNNERS:
+            raise ParseError(f"unknown tag {tag!r}; choose from {', '.join(experiments.TAGS)}")
+        if not isinstance(config, dict):
+            raise ParseError("report config must be an object")
+        params = inspect.signature(experiments.RUNNERS[tag]).parameters
+        for key, param in params.items():
+            if key != "seed" and key in config:
+                overrides[key] = _coerce(param.default, config[key], key)
     else:
         tag = args.tag
         seed = args.seed
@@ -285,14 +306,18 @@ def cmd_reproduce(args) -> int:
         if args.trials is not None:
             overrides["trials"] = args.trials
         if args.n:
-            ns = tuple(int(v) for v in args.n.split(","))
+            ns = _parse_ints(args.n)
             if tag == "thm4":
                 overrides["ns"] = ns
             elif tag == "lemma-interp":
                 overrides["n"] = ns[0]
             elif tag == "thm3":
                 overrides["n_prime"] = ns[0]
-    report = experiments.reproduce(tag, seed=seed, threads=args.threads, **overrides)
+        params = inspect.signature(experiments.RUNNERS[tag]).parameters
+        unused = sorted(set(overrides) - set(params))
+        if unused:
+            raise ParseError(f"{tag} takes no --{', --'.join(unused)}")
+    report = experiments.reproduce(tag, seed=seed, **overrides)
     return _emit_report(report, args)
 
 
@@ -333,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("config")
     p_est.add_argument("--trials", type=int, default=1000)
     p_est.add_argument("--seed", type=int, default=0)
-    p_est.add_argument("--threads", type=int, default=1)
     p_est.set_defaults(fn=cmd_estimate)
 
     p_rep = sub.add_parser("reproduce", help="run one tagged quantitative check")
@@ -347,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--n", help="sample size(s), comma separated for thm4")
     p_rep.add_argument("--trials", type=int)
     p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--threads", type=int, default=1)
     p_rep.add_argument("--out", help="write result rows as CSV")
     p_rep.add_argument("--json", action="store_true")
     p_rep.add_argument("--replay", help="re-run from a report's config echo")

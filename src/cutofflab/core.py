@@ -248,11 +248,6 @@ Hypothesis = Union[TableHypothesis, CantorHypothesis, SplitCantorHypothesis]
 Predictor = Callable[[Point], Fraction]
 
 
-def evaluate(h: Hypothesis, x: Point) -> Fraction:
-    """Exact value of a hypothesis at a point (typed error off-domain)."""
-    return h.value_at(x)
-
-
 # ---------------------------------------------------------------------------
 # Hypothesis classes
 # ---------------------------------------------------------------------------

@@ -203,7 +203,6 @@ def run_thm2(
     m_bound=3,
     trials=4000,
     seed=0,
-    threads=1,
 ) -> Report:
     gamma, epsilon = Fraction(gamma), Fraction(epsilon)
     family = adversaries.thm2_family(gamma, d, epsilon, m_bound)
@@ -226,7 +225,7 @@ def run_thm2(
     learner = learners.InterpolatorAggregation(
         interp, learners.DisjointBlocks(m_bound), learners.Median()
     )
-    est = mc.mc_expected_loss(learner, family, n, trials, seed, threads=threads)
+    est = mc.mc_expected_loss(learner, family, n, trials, seed)
     mean_floor = float(2 * epsilon) - est.ci_halfwidth
     freq = est.exceed_fraction(epsilon)
     freq_floor = Fraction(1, 16) - Fraction(1, 50)
@@ -267,7 +266,6 @@ def run_thm3(
     universe=784,
     trials=1000,
     seed=0,
-    threads=1,
 ) -> Report:
     gamma, epsilon = Fraction(gamma), Fraction(epsilon)
     family = adversaries.thm3_family(gamma, epsilon, n_prime, m_bound, universe=universe)
@@ -289,7 +287,7 @@ def run_thm3(
     learner = learners.InterpolatorAggregation(
         interp, learners.DisjointBlocks(m_bound), learners.Median()
     )
-    est = mc.mc_expected_loss(learner, family, n, trials, seed, threads=threads)
+    est = mc.mc_expected_loss(learner, family, n, trials, seed)
     floor = float(core.ONE - epsilon / 2) - est.ci_halfwidth
     report.verdict("mean_above", est.mean >= floor, f"mean={est.mean:.5f} >= {floor:.5f}")
     report.rows.append(
@@ -315,6 +313,8 @@ def run_thm3(
 
 def thm4_instance_at(cls, witness, points, n: int, light_scale=Fraction(1)) -> adversaries.HardInstance:
     """Two-tier distribution with light mass light_scale/n per light point."""
+    if n < 1:
+        raise PreconditionError("need n >= 1")
     dist = adversaries.two_tier_distribution(witness, points, Fraction(light_scale) / n)
     return adversaries.HardInstance(
         theorem="thm4",
@@ -337,7 +337,6 @@ def run_thm4(
     ns=(32, 64, 128, 256, 512, 1024),
     trials=2000,
     seed=0,
-    threads=1,
     slope_range=(-1.3, -0.8),
     min_r_squared=0.9,
 ) -> Report:
@@ -365,7 +364,7 @@ def run_thm4(
     curve = []
     for i, n in enumerate(ns):
         instance = thm4_instance_at(cls, witness, points, n)
-        est = mc.mc_expected_loss(med, instance, n, trials, core.stream_seed(seed, i), threads=threads)
+        est = mc.mc_expected_loss(med, instance, n, trials, core.stream_seed(seed, i))
         curve.append((n, est.mean))
         report.rows.append(
             _row(
@@ -389,7 +388,6 @@ def run_thm4(
         top_n,
         trials,
         core.stream_seed(seed, len(ns)),
-        threads=threads,
     )
     lo, hi = slope_range
     report.verdict("slope", lo <= fit.slope <= hi, f"slope={fit.slope:.4f} in [{lo},{hi}]")
@@ -418,7 +416,6 @@ def run_thm5(
     epsilon=Fraction(1, 256),
     trials=4000,
     seed=0,
-    threads=1,
 ) -> Report:
     gamma, epsilon = Fraction(gamma), Fraction(epsilon)
     family = adversaries.thm5_family(gamma, d, epsilon)
@@ -437,7 +434,7 @@ def run_thm5(
         seed=seed,
     )
     learner = learners.ProperERM(family.cls, gamma)
-    est = mc.mc_expected_loss(learner, family, n, trials, seed, threads=threads)
+    est = mc.mc_expected_loss(learner, family, n, trials, seed)
     mean_floor = float(4 * epsilon / 3) - est.ci_halfwidth
     freq = est.exceed_fraction(epsilon)
     freq_floor = Fraction(1, 48) - Fraction(1, 100)
@@ -480,7 +477,6 @@ def run_lemma_interp(
     delta=0.1,
     trials=400,
     seed=0,
-    threads=1,
 ) -> Report:
     gamma = Fraction(gamma)
     report = Report(
@@ -502,9 +498,7 @@ def run_lemma_interp(
     points = tuple(core.Point.nat(i) for i in members)
     instance = thm4_instance_at(cls, witness, points, n)
     interp = partial(learners.generic_interpolator, cls)
-    est = mc.mc_expected_loss(
-        learners.SingleInterpolator(interp), instance, n, trials, seed, threads=threads
-    )
+    est = mc.mc_expected_loss(learners.SingleInterpolator(interp), instance, n, trials, seed)
     bound = mc.interpolator_envelope_bound(d, n, delta)
     ok, margin = mc.quantile_envelope_check(est.losses, delta, bound)
     report.verdict(
@@ -616,12 +610,8 @@ RUNNERS = {
 }
 
 
-def reproduce(tag: str, seed: int = 0, threads: int = 1, **overrides) -> Report:
+def reproduce(tag: str, seed: int = 0, **overrides) -> Report:
     """Run one tagged check with acceptance defaults plus overrides."""
     if tag not in RUNNERS:
         raise PreconditionError(f"unknown tag {tag!r}; choose from {', '.join(TAGS)}")
-    runner = RUNNERS[tag]
-    kwargs = dict(overrides, seed=seed)
-    if tag not in ("thm1", "lemma-disamb"):
-        kwargs["threads"] = threads
-    return runner(**kwargs)
+    return RUNNERS[tag](**overrides, seed=seed)

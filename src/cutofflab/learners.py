@@ -220,19 +220,6 @@ def interpolator_aggregation(
     return aggregate(rule, hypotheses)
 
 
-def median_of_three(
-    interpolator: Interpolator,
-    dist: core.FiniteDistribution,
-    n: int,
-    seed: int,
-    streams: tuple[int, int, int] = (1, 2, 3),
-) -> core.Predictor:
-    """Pointwise median of three interpolators trained on independent samples
-    (streams fix which three sub-draws of the seed are used)."""
-    samples = [core.sample_iid(dist, n, seed, s) for s in streams]
-    return aggregate(Median(), [interpolator(s) for s in samples])
-
-
 def proper_erm(cls, sample: core.TrainingSequence, gamma: Optional[Fraction] = None):
     """Consistent hypothesis if one exists (canonical order); otherwise the
     enumeration-first minimizer of the empirical cutoff loss."""
@@ -307,54 +294,3 @@ class ProperERM:
     def predictor(self, samples) -> core.Predictor:
         (sample,) = samples
         return proper_erm(self.cls, sample, self.gamma).value_at
-
-
-@dataclass(frozen=True)
-class FiniteAggregation:
-    """Select at most m_bound hypotheses from the class, then aggregate."""
-
-    selector: Callable[[core.TrainingSequence], Sequence[core.Hypothesis]]
-    rule: AggregationRule
-    m_bound: int
-
-    sample_arity = 1
-
-    def predictor(self, samples) -> core.Predictor:
-        (sample,) = samples
-        selected = tuple(self.selector(sample))[: self.m_bound]
-        if not selected:
-            raise PreconditionError("selector produced no hypotheses")
-        return aggregate(self.rule, selected)
-
-
-def first_m_consistent_selector(cls, m: int):
-    """Selector: the first m consistent hypotheses in enumeration order
-    (falls back to the first m overall when fewer are consistent)."""
-
-    def select(sample):
-        sample = tuple(sample)
-        consistent, others = [], []
-        for h in cls.hypotheses():
-            target = consistent if _agrees(h, sample) else others
-            if len(consistent) < m:
-                target.append(h)
-            if len(consistent) == m:
-                break
-        return (consistent + others)[:m]
-
-    def _agrees(h, sample):
-        try:
-            return all(h.value_at(ex.point) == ex.label for ex in sample)
-        except core.DomainMismatchError:
-            return False
-
-    return select
-
-
-def subsample_erm_selector(cls, partitioner: Partitioner):
-    """Selector: one generic interpolant per partition block."""
-
-    def select(sample):
-        return [generic_interpolator(cls, block) for block in partitioner.split(tuple(sample))]
-
-    return select

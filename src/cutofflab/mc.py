@@ -3,14 +3,13 @@
 Per-trial losses are exact rationals; only the aggregate mean / CI convert to
 floating point, which keeps Monte Carlo error cleanly separated from
 arithmetic error.  Trials are stream-indexed off the master seed, so results
-are identical under any execution order or worker count.
+are identical under any execution order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -119,7 +118,6 @@ def mc_expected_loss(
     n: int,
     trials: int,
     seed: int,
-    threads: int = 1,
 ) -> LossEstimate:
     """Monte Carlo mean of exact per-trial cutoff losses with a normal 95% CI.
 
@@ -129,13 +127,7 @@ def mc_expected_loss(
     """
     if trials < 30:
         raise PreconditionError("need at least 30 trials for the normal CI")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            losses = tuple(
-                pool.map(lambda t: _trial_loss(learner, source, n, seed, t), range(trials))
-            )
-    else:
-        losses = tuple(_trial_loss(learner, source, n, seed, t) for t in range(trials))
+    losses = tuple(_trial_loss(learner, source, n, seed, t) for t in range(trials))
     exact_mean = sum(losses, core.ZERO) / trials
     mean = float(exact_mean)
     var = sum((float(l) - mean) ** 2 for l in losses) / (trials - 1)

@@ -1,10 +1,14 @@
 """CLI subcommands, exit codes, CSV schema, report replay."""
 
+import contextlib
 import csv
+import inspect
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cutofflab import cli, core, experiments, serialize
 
@@ -226,3 +230,145 @@ class TestOigSubgraphs:
         assert rc == 0
         out = capsys.readouterr().out
         assert "subgraph_max_outdegree: 0" in out or "subgraph_max_outdegree: 1" in out
+
+
+def _replay(tmp_path, report) -> int:
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    return cli.main(["reproduce", "--replay", str(path), "--json"])
+
+
+class TestReplayRoundTrips:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["thm4", "--n", "32,64,128,256"],  # tuple of ints
+            ["lemma-interp", "--n", "256"],  # float delta
+        ],
+    )
+    def test_replay_reproduces_rows(self, tmp_path, capsys, argv):
+        rc = cli.main(["reproduce", *argv, "--trials", "30", "--seed", "2", "--json"])
+        assert rc in (0, 1)
+        report = json.loads(capsys.readouterr().out)
+        assert _replay(tmp_path, report) == rc
+        replayed = json.loads(capsys.readouterr().out)
+        assert replayed["rows"] == report["rows"]
+        assert replayed["verdicts"] == report["verdicts"]
+        assert replayed["config"] == report["config"]
+
+
+class TestParseBoundary:
+    @pytest.mark.parametrize("spec", ["a,b", "1/2/3", "1..x"])
+    def test_bad_point_spec_exits_2(self, cantor_file, spec):
+        assert cli.main(["dims", cantor_file, "--gamma", "1/2", "--pool", spec]) == 2
+        assert cli.main(["oig", cantor_file, "--gamma", "1/2", "--points", spec]) == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["thm2", "--universe", "5"], ["thm1", "--trials", "30"]]
+    )
+    def test_option_the_tag_does_not_take_exits_2(self, argv):
+        assert cli.main(["reproduce", *argv]) == 2
+
+    def test_non_integer_n_exits_2(self):
+        assert cli.main(["reproduce", "thm4", "--n", "a"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["thm4", "--n", "0,1,2,3"], ["lemma-interp", "--n", "0"]],
+    )
+    def test_zero_sample_size_exits_4(self, argv):
+        assert cli.main(["reproduce", *argv, "--trials", "30"]) == 4
+
+    def test_replayed_zero_sample_size_exits_4(self, tmp_path):
+        report = {"tag": "thm4", "seed": 0, "config": {"ns": [0, 1, 2, 3], "trials": 30}}
+        assert _replay(tmp_path, report) == 4
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            {"tag": "thm9", "seed": 0, "config": {}},
+            {"tag": ["thm1"], "seed": 0, "config": {}},
+            {"tag": "thm1", "seed": 0, "config": {"d": "x"}},
+            {"tag": "thm1", "seed": 0, "config": {"gamma": "1/0"}},
+            {"tag": "thm4", "seed": 0, "config": {"ns": "32,64"}},
+        ],
+    )
+    def test_malformed_replay_exits_2(self, tmp_path, report):
+        assert _replay(tmp_path, report) == 2
+
+    def test_threads_option_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["reproduce", "thm1", "--threads", "2"])
+        assert exc.value.code == 2
+
+
+# -- property: no input reaches a traceback ---------------------------------
+
+_number = st.integers(-2, 12).map(str)
+_chunk = st.one_of(
+    _number,
+    st.tuples(_number, _number).map("/".join),
+    st.tuples(_number, _number).map("..".join),
+    st.text(alphabet="0123456789/.-ax ", max_size=6),
+)
+_point_spec = st.lists(_chunk, min_size=1, max_size=5).map(",".join)
+
+#: Every runner parameter name, so each replayed config hits every runner.
+_REPLAY_KEYS = sorted(
+    {name for runner in experiments.RUNNERS.values()
+     for name in inspect.signature(runner).parameters} - {"seed"}
+)
+_bad_value = st.one_of(
+    st.text(alphabet="abcxyz", min_size=1, max_size=4),
+    st.integers(0, 9).map(lambda p: f"{p}/0"),
+    st.none(),
+    st.lists(st.sampled_from(["x", "1/0", None]), max_size=3),
+    st.dictionaries(st.just("k"), st.integers(), max_size=1),
+)
+_bad_report = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "tag": st.one_of(st.sampled_from([*experiments.TAGS, "thm9", ""]),
+                             st.integers(), st.none(), st.lists(st.just("thm1"), max_size=1)),
+            "seed": st.one_of(st.integers(0, 5), st.just("x"), st.none()),
+            "config": st.fixed_dictionaries({k: _bad_value for k in _REPLAY_KEYS}),
+        }
+    ),
+    st.lists(st.integers(), max_size=2),
+    st.text(max_size=5),
+    st.integers(),
+)
+
+
+def _quiet_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    serialize.dump_json(
+        serialize.class_to_json(core.CantorClass(F(1, 2), 2, 4)), path / "cantor24.json"
+    )
+    return path
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=_point_spec)
+def test_point_specs_never_escape(fuzz_dir, spec):
+    class_file = str(fuzz_dir / "cantor24.json")
+    for argv in (
+        # "--opt=value" so argparse never reads a leading "-" as an option
+        ["dims", class_file, "--gamma", "1/2", f"--pool={spec}"],
+        ["oig", class_file, "--gamma", "1/2", f"--points={spec}"],
+    ):
+        assert _quiet_main(argv) in (0, 2, 3, 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(report=_bad_report)
+def test_malformed_replays_exit_2(fuzz_dir, report):
+    path = fuzz_dir / "report.json"
+    path.write_text(json.dumps(report))
+    assert _quiet_main(["reproduce", "--replay", str(path)]) == 2

@@ -12,7 +12,6 @@ from fractions import Fraction as F
 import pytest
 
 from cutofflab import core, learners, mc, adversaries
-from cutofflab import experiments
 
 NAT = core.Point.nat
 PAIR = core.Point.pair
@@ -122,22 +121,11 @@ def test_nonzero_label_pins_unique_hypothesis_large_universe():
     assert cls.first_consistent(bad) is None
 
 
-def test_reproduce_reports_identical_across_thread_counts():
-    for threads in (1, 2, 4):
-        rep = experiments.run_thm2(
-            gamma=HALF, d=2, epsilon=F(1, 64), m_bound=3, trials=120, seed=21,
-            threads=threads,
-        )
-        rows = [r.as_csv() for r in rep.rows]
-        if threads == 1:
-            baseline = rows
-        else:
-            assert rows == baseline
-
-
-def test_mc_family_thread_identity_thm5():
+def test_mc_family_prefix_stable_thm5():
+    # trial t draws from stream t of the seed alone, so a longer run extends
+    # a shorter one instead of reshuffling it
     fam = adversaries.thm5_family(HALF, 4, F(1, 256))
     learner = learners.ProperERM(fam.cls, HALF)
-    seq = mc.mc_expected_loss(learner, fam, 5, 60, seed=8)
-    par = mc.mc_expected_loss(learner, fam, 5, 60, seed=8, threads=3)
-    assert seq.losses == par.losses
+    short = mc.mc_expected_loss(learner, fam, 5, 30, seed=8)
+    long = mc.mc_expected_loss(learner, fam, 5, 60, seed=8)
+    assert long.losses[:30] == short.losses

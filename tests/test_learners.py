@@ -198,10 +198,8 @@ class TestComposites:
             assert agg(NAT(i)) == sorted(h.value_at(NAT(i)) for h in hs)[1]
 
     def test_median_of_three_same_stream_collapses(self):
-        med = learners.median_of_three(
-            self.interp, self.dist, 5, seed=9, streams=(2, 2, 2)
-        )
         sample = core.sample_iid(self.dist, 5, 9, stream=2)
+        med = learners.MedianOfThree(self.interp).predictor((sample, sample, sample))
         single = self.interp(sample)
         for i in range(1, 7):
             assert med(NAT(i)) == single.value_at(NAT(i))
@@ -257,33 +255,3 @@ class TestProperErm:
     def test_empty_class_rejected(self):
         with pytest.raises(PreconditionError):
             learners.proper_erm(core.FiniteClass(()), (), HALF)
-
-
-class TestSelectors:
-    def test_first_m_consistent(self):
-        cls = core.CantorClass(HALF, 2, 4)
-        select = learners.first_m_consistent_selector(cls, 2)
-        sample = core.training_sequence([(NAT(1), 0)])
-        chosen = select(sample)
-        assert len(chosen) == 2
-        assert [sorted(h.members) for h in chosen] == [[1, 2], [1, 3]]
-
-    def test_subsample_erm_selector(self):
-        cls = core.CantorClass(HALF, 2, 4)
-        select = learners.subsample_erm_selector(cls, learners.DisjointBlocks(2))
-        sample = core.training_sequence([(NAT(1), 0), (NAT(2), 0)])
-        chosen = select(sample)
-        assert len(chosen) == 2
-        assert all(
-            core.empirical_cutoff_loss(h.value_at, block, F(0)) == 0
-            for h, block in zip(chosen, learners.DisjointBlocks(2).split(sample))
-        )
-
-    def test_finite_aggregation_learner(self):
-        cls = core.CantorClass(HALF, 2, 4)
-        learner = learners.FiniteAggregation(
-            learners.first_m_consistent_selector(cls, 3), learners.Mean(), 3
-        )
-        sample = core.training_sequence([(NAT(1), 0)])
-        predictor = learner.predictor((sample,))
-        assert predictor(NAT(1)) == 0
