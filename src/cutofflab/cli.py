@@ -259,7 +259,11 @@ def cmd_estimate(args) -> int:
 
 
 def _coerce(default, value, key: str):
-    """Coerce a replayed config value to the type of the runner's default."""
+    """Coerce a raw parameter value to the type of the runner's default.
+
+    Numbers are never rounded: an int parameter refuses a non-integral
+    number, and no number parameter takes a bool.
+    """
     try:
         if isinstance(default, Fraction):
             return _rational(str(value))
@@ -268,14 +272,23 @@ def _coerce(default, value, key: str):
                 raise ParseError(f"config {key!r} must be a list, got {value!r}")
             return tuple(_coerce(default[0], v, key) for v in value)
         if isinstance(default, (int, float)):
+            if isinstance(value, bool):
+                raise ValueError("bool is not a number")
+            if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
+                raise ValueError("not an integer")
             return type(default)(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad config value {key}={value!r}") from exc
     return value
 
 
+#: reproduce options that set the runner parameter of the same name
+_REPRODUCE_FLAGS = ("gamma", "epsilon", "d", "universe", "trials")
+#: the sample-size parameters --n may set; a runner takes at most one
+_SAMPLE_SIZES = ("ns", "n", "n_prime")
+
+
 def cmd_reproduce(args) -> int:
-    overrides = {}
     if args.replay:
         echoed = serialize.load_json(args.replay)
         try:
@@ -289,34 +302,21 @@ def cmd_reproduce(args) -> int:
         if not isinstance(config, dict):
             raise ParseError("report config must be an object")
         params = inspect.signature(experiments.RUNNERS[tag]).parameters
-        for key, param in params.items():
-            if key != "seed" and key in config:
-                overrides[key] = _coerce(param.default, config[key], key)
+        # derived keys such as thm4's slope are echoed but not replayed
+        raw = {key: config[key] for key in params if key != "seed" and key in config}
     else:
-        tag = args.tag
-        seed = args.seed
-        if args.gamma:
-            overrides["gamma"] = _rational(args.gamma)
-        if args.epsilon:
-            overrides["epsilon"] = _rational(args.epsilon)
-        if args.d is not None:
-            overrides["d"] = args.d
-        if args.universe is not None:
-            overrides["universe"] = args.universe
-        if args.trials is not None:
-            overrides["trials"] = args.trials
-        if args.n:
-            ns = _parse_ints(args.n)
-            if tag == "thm4":
-                overrides["ns"] = ns
-            elif tag == "lemma-interp":
-                overrides["n"] = ns[0]
-            elif tag == "thm3":
-                overrides["n_prime"] = ns[0]
+        tag, seed = args.tag, args.seed
         params = inspect.signature(experiments.RUNNERS[tag]).parameters
-        unused = sorted(set(overrides) - set(params))
+        raw = {key: getattr(args, key) for key in _REPRODUCE_FLAGS if getattr(args, key) is not None}
+        if args.n is not None:
+            key = next((k for k in _SAMPLE_SIZES if k in params), "n")
+            sizes = list(_parse_ints(args.n))
+            scalar = key in params and not isinstance(params[key].default, tuple)
+            raw[key] = sizes[0] if scalar and len(sizes) == 1 else sizes
+        unused = sorted(set(raw) - set(params))
         if unused:
             raise ParseError(f"{tag} takes no --{', --'.join(unused)}")
+    overrides = {key: _coerce(params[key].default, value, key) for key, value in raw.items()}
     report = experiments.reproduce(tag, seed=seed, **overrides)
     return _emit_report(report, args)
 
@@ -368,7 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument(
         "--universe", type=int, help="universe size; 0 = derive from the construction"
     )
-    p_rep.add_argument("--n", help="sample size(s), comma separated for thm4")
+    p_rep.add_argument(
+        "--n",
+        help="sample size: ns for thm4 (comma separated), n for lemma-interp, "
+        "n_prime for thm3; other tags take none",
+    )
     p_rep.add_argument("--trials", type=int)
     p_rep.add_argument("--seed", type=int, default=0)
     p_rep.add_argument("--out", help="write result rows as CSV")

@@ -188,6 +188,18 @@ class OneInclusionGraph:
 Orientation = dict[EdgeKey, Vertex]
 
 
+def _graph_on(points, vertices) -> OneInclusionGraph:
+    """One-inclusion graph on sorted vertices: an edge joins the vertices
+    that agree off one coordinate."""
+    edges: dict[EdgeKey, list[Vertex]] = {}
+    for v in vertices:
+        for i in range(len(points)):
+            edges.setdefault((i, v[:i] + v[i + 1 :]), []).append(v)
+    return OneInclusionGraph(
+        points, tuple(vertices), {k: tuple(sorted(ms)) for k, ms in edges.items()}
+    )
+
+
 def build_oig(cls, points, budget: int | None = None) -> OneInclusionGraph:
     points = tuple(points)
     if not points:
@@ -195,14 +207,7 @@ def build_oig(cls, points, budget: int | None = None) -> OneInclusionGraph:
     if len(set(points)) != len(points):
         raise PreconditionError("points must be distinct")
     vertices = sorted({vec for _, vec in _value_vectors(cls, points, budget)})
-    edges: dict[EdgeKey, list[Vertex]] = {}
-    for v in vertices:
-        for i in range(len(points)):
-            edges.setdefault((i, v[:i] + v[i + 1 :]), []).append(v)
-    graph = OneInclusionGraph(
-        points, tuple(vertices), {k: tuple(sorted(ms)) for k, ms in edges.items()}
-    )
-    return graph
+    return _graph_on(points, vertices)
 
 
 def induced_subgraph(graph: OneInclusionGraph, vertices) -> OneInclusionGraph:
@@ -218,13 +223,7 @@ def induced_subgraph(graph: OneInclusionGraph, vertices) -> OneInclusionGraph:
         raise PreconditionError(f"{len(missing)} vertices are not in the graph")
     if not kept:
         raise PreconditionError("subgraph needs at least one vertex")
-    edges: dict[EdgeKey, list[Vertex]] = {}
-    for v in kept:
-        for i in range(len(graph.points)):
-            edges.setdefault((i, v[:i] + v[i + 1 :]), []).append(v)
-    return OneInclusionGraph(
-        graph.points, tuple(kept), {k: tuple(sorted(ms)) for k, ms in edges.items()}
-    )
+    return _graph_on(graph.points, kept)
 
 
 def orient_smallest_value(graph: OneInclusionGraph) -> Orientation:

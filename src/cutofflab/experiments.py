@@ -8,6 +8,7 @@ all of them finish in minutes on a laptop and are deterministic per seed.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import time
 from dataclasses import dataclass, field
@@ -19,8 +20,6 @@ from . import partial as partial_concepts
 from .errors import PreconditionError
 
 __version__ = "0.1.0"
-
-TAGS = ("thm1", "thm2", "thm3", "thm4", "thm5", "lemma-interp", "lemma-disamb")
 
 CSV_HEADER = (
     "experiment",
@@ -120,15 +119,48 @@ def _row(tag, *, gamma="", epsilon="", d="", n="", trials="", mean="", ci=(None,
     )
 
 
-def _timed(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        start = time.perf_counter()
-        report = fn(*args, **kwargs)
-        report.wall_clock_s = round(time.perf_counter() - start, 3)
-        return report
+def _echo(default, value):
+    if isinstance(default, Fraction):
+        return str(value)
+    if isinstance(default, tuple):
+        return list(value)
+    return value
 
-    return wrapper
+
+def _runner(tag):
+    """Turn ``body(report, **params)`` into the timed check ``tag``.
+
+    The body's signature, minus its leading report, is the check's public
+    signature and the only place its parameters are stated: the call is bound
+    to it with defaults applied, Fraction parameters are made exact, and the
+    report's config echoes every parameter, so ``--replay`` reruns the same
+    check.  The body adds only the config keys it derives.
+    """
+
+    def decorate(body):
+        params = list(inspect.signature(body).parameters.values())[1:]
+        signature = inspect.Signature(params, return_annotation=Report)
+
+        @functools.wraps(body)
+        def run(*args, **kwargs):
+            start = time.perf_counter()
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            values = bound.arguments
+            config = {}
+            for param in params:
+                if isinstance(param.default, Fraction):
+                    values[param.name] = Fraction(values[param.name])
+                config[param.name] = _echo(param.default, values[param.name])
+            report = Report(tag, config, seed=values["seed"])
+            body(report, **values)
+            report.wall_clock_s = round(time.perf_counter() - start, 3)
+            return report
+
+        run.__signature__ = signature
+        return run
+
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +168,8 @@ def _timed(fn):
 # ---------------------------------------------------------------------------
 
 
-@_timed
-def run_thm1(gamma=Fraction(1, 2), d=2, universe=5, epsilon=Fraction(1, 32), seed=0) -> Report:
-    gamma, epsilon = Fraction(gamma), Fraction(epsilon)
-    report = Report(
-        "thm1",
-        {
-            "gamma": str(gamma),
-            "d": d,
-            "universe": universe,
-            "epsilon": str(epsilon),
-            "seed": seed,
-        },
-        seed=seed,
-    )
+@_runner("thm1")
+def run_thm1(report, gamma=Fraction(1, 2), d=2, universe=5, epsilon=Fraction(1, 32), seed=0):
     cls = core.CantorClass(gamma, d, universe)
     instance, cert = adversaries.thm1_instance(cls, gamma, epsilon)
     n = instance.n_max
@@ -187,7 +207,6 @@ def run_thm1(gamma=Fraction(1, 2), d=2, universe=5, epsilon=Fraction(1, 32), see
                 passed=ok_mean and ok_prob,
             )
         )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -195,32 +214,19 @@ def run_thm1(gamma=Fraction(1, 2), d=2, universe=5, epsilon=Fraction(1, 32), see
 # ---------------------------------------------------------------------------
 
 
-@_timed
+@_runner("thm2")
 def run_thm2(
+    report,
     gamma=Fraction(1, 2),
     d=2,
     epsilon=Fraction(1, 64),
     m_bound=3,
     trials=4000,
     seed=0,
-) -> Report:
-    gamma, epsilon = Fraction(gamma), Fraction(epsilon)
+):
     family = adversaries.thm2_family(gamma, d, epsilon, m_bound)
     n = family.n_max
-    report = Report(
-        "thm2",
-        {
-            "gamma": str(gamma),
-            "d": d,
-            "epsilon": str(epsilon),
-            "m_bound": m_bound,
-            "universe": family.universe,
-            "n": n,
-            "trials": trials,
-            "seed": seed,
-        },
-        seed=seed,
-    )
+    report.config.update(universe=family.universe, n=n)
     interp = partial(learners.generic_interpolator, family.cls)
     learner = learners.InterpolatorAggregation(
         interp, learners.DisjointBlocks(m_bound), learners.Median()
@@ -249,7 +255,6 @@ def run_thm2(
             passed=report.passed,
         )
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +262,9 @@ def run_thm2(
 # ---------------------------------------------------------------------------
 
 
-@_timed
+@_runner("thm3")
 def run_thm3(
+    report,
     gamma=Fraction(1, 2),
     epsilon=Fraction(1, 2),
     n_prime=4,
@@ -266,23 +272,10 @@ def run_thm3(
     universe=784,
     trials=1000,
     seed=0,
-) -> Report:
-    gamma, epsilon = Fraction(gamma), Fraction(epsilon)
+):
     family = adversaries.thm3_family(gamma, epsilon, n_prime, m_bound, universe=universe)
     n = n_prime
-    report = Report(
-        "thm3",
-        {
-            "gamma": str(gamma),
-            "epsilon": str(epsilon),
-            "n_prime": n_prime,
-            "m_bound": m_bound,
-            "universe": family.universe,
-            "trials": trials,
-            "seed": seed,
-        },
-        seed=seed,
-    )
+    report.config["universe"] = family.universe
     interp = partial(learners.generic_interpolator, family.cls)
     learner = learners.InterpolatorAggregation(
         interp, learners.DisjointBlocks(m_bound), learners.Median()
@@ -303,7 +296,6 @@ def run_thm3(
             passed=report.passed,
         )
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +321,18 @@ def thm4_instance_at(cls, witness, points, n: int, light_scale=Fraction(1)) -> a
     )
 
 
-@_timed
+def _colex_last_shattered(gamma, d, universe):
+    """Cantor class plus the witness and points of its colex-last shattered set."""
+    cls = core.CantorClass(gamma, d, universe)
+    # colex-last shattered set: the canonical interpolator's fill never lands
+    # on it, so unseen support points stay gamma-far.
+    members = tuple(range(universe - d + 1, universe + 1))
+    return cls, cls.hypothesis(members), tuple(core.Point.nat(i) for i in members)
+
+
+@_runner("thm4")
 def run_thm4(
+    report,
     gamma=Fraction(1, 2),
     d=4,
     universe=12,
@@ -339,26 +341,11 @@ def run_thm4(
     seed=0,
     slope_range=(-1.3, -0.8),
     min_r_squared=0.9,
-) -> Report:
-    gamma = Fraction(gamma)
-    report = Report(
-        "thm4",
-        {
-            "gamma": str(gamma),
-            "d": d,
-            "universe": universe,
-            "ns": list(ns),
-            "trials": trials,
-            "seed": seed,
-        },
-        seed=seed,
-    )
-    cls = core.CantorClass(gamma, d, universe)
-    # colex-last shattered set: the canonical interpolator's fill never lands
-    # on it, so unseen support points stay gamma-far.
-    members = tuple(range(universe - d + 1, universe + 1))
-    witness = cls.hypothesis(members)
-    points = tuple(core.Point.nat(i) for i in members)
+):
+    if len(slope_range) != 2:
+        raise PreconditionError(f"slope_range needs two bounds, got {slope_range!r}")
+    lo, hi = slope_range
+    cls, witness, points = _colex_last_shattered(gamma, d, universe)
     interp = partial(learners.generic_interpolator, cls)
     med = learners.MedianOfThree(interp)
     curve = []
@@ -376,7 +363,7 @@ def run_thm4(
                 trials=trials,
                 mean=f"{est.mean:.6g}",
                 ci=(est.ci_lo, est.ci_hi),
-                threshold="slope in [-1.3,-0.8]",
+                threshold=f"slope in [{lo},{hi}]",
                 passed=True,
             )
         )
@@ -389,7 +376,6 @@ def run_thm4(
         trials,
         core.stream_seed(seed, len(ns)),
     )
-    lo, hi = slope_range
     report.verdict("slope", lo <= fit.slope <= hi, f"slope={fit.slope:.4f} in [{lo},{hi}]")
     report.verdict(
         "r_squared", fit.r_squared >= min_r_squared, f"r2={fit.r_squared:.5f} >= {min_r_squared}"
@@ -399,9 +385,7 @@ def run_thm4(
         curve[-1][1] < single.mean,
         f"median@{top_n}={curve[-1][1]:.6g} < single@{top_n}={single.mean:.6g}",
     )
-    report.config["slope"] = fit.slope
-    report.config["r_squared"] = fit.r_squared
-    return report
+    report.config.update(slope=fit.slope, r_squared=fit.r_squared)
 
 
 # ---------------------------------------------------------------------------
@@ -409,30 +393,18 @@ def run_thm4(
 # ---------------------------------------------------------------------------
 
 
-@_timed
+@_runner("thm5")
 def run_thm5(
+    report,
     gamma=Fraction(1, 2),
     d=4,
     epsilon=Fraction(1, 256),
     trials=4000,
     seed=0,
-) -> Report:
-    gamma, epsilon = Fraction(gamma), Fraction(epsilon)
+):
     family = adversaries.thm5_family(gamma, d, epsilon)
     n = family.n_max
-    report = Report(
-        "thm5",
-        {
-            "gamma": str(gamma),
-            "d": d,
-            "epsilon": str(epsilon),
-            "universe": family.universe,
-            "n": n,
-            "trials": trials,
-            "seed": seed,
-        },
-        seed=seed,
-    )
+    report.config.update(universe=family.universe, n=n)
     learner = learners.ProperERM(family.cls, gamma)
     est = mc.mc_expected_loss(learner, family, n, trials, seed)
     mean_floor = float(4 * epsilon / 3) - est.ci_halfwidth
@@ -460,7 +432,6 @@ def run_thm5(
             passed=report.passed,
         )
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +439,9 @@ def run_thm5(
 # ---------------------------------------------------------------------------
 
 
-@_timed
+@_runner("lemma-interp")
 def run_lemma_interp(
+    report,
     gamma=Fraction(1, 2),
     d=2,
     universe=6,
@@ -477,25 +449,8 @@ def run_lemma_interp(
     delta=0.1,
     trials=400,
     seed=0,
-) -> Report:
-    gamma = Fraction(gamma)
-    report = Report(
-        "lemma-interp",
-        {
-            "gamma": str(gamma),
-            "d": d,
-            "universe": universe,
-            "n": n,
-            "delta": delta,
-            "trials": trials,
-            "seed": seed,
-        },
-        seed=seed,
-    )
-    cls = core.CantorClass(gamma, d, universe)
-    members = tuple(range(universe - d + 1, universe + 1))
-    witness = cls.hypothesis(members)
-    points = tuple(core.Point.nat(i) for i in members)
+):
+    cls, witness, points = _colex_last_shattered(gamma, d, universe)
     instance = thm4_instance_at(cls, witness, points, n)
     interp = partial(learners.generic_interpolator, cls)
     est = mc.mc_expected_loss(learners.SingleInterpolator(interp), instance, n, trials, seed)
@@ -519,7 +474,6 @@ def run_lemma_interp(
             passed=ok,
         )
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -544,19 +498,8 @@ def random_partial_class(rng, domain_size=10, max_size=40, max_vc=3, star_p=0.5)
             return cls
 
 
-@_timed
-def run_lemma_disamb(domain_size=10, max_size=40, classes=50, max_vc=3, seed=0) -> Report:
-    report = Report(
-        "lemma-disamb",
-        {
-            "domain_size": domain_size,
-            "max_size": max_size,
-            "classes": classes,
-            "max_vc": max_vc,
-            "seed": seed,
-        },
-        seed=seed,
-    )
+@_runner("lemma-disamb")
+def run_lemma_disamb(report, domain_size=10, max_size=40, classes=50, max_vc=3, seed=0):
     rng = core.rng_for(seed, 0)
     all_ok = True
     worst = ""
@@ -596,7 +539,6 @@ def run_lemma_disamb(domain_size=10, max_size=40, classes=50, max_vc=3, seed=0) 
             )
         )
     report.verdict("disambiguation_suite", all_ok, worst or f"all {classes} classes pass")
-    return report
 
 
 RUNNERS = {
@@ -608,6 +550,8 @@ RUNNERS = {
     "lemma-interp": run_lemma_interp,
     "lemma-disamb": run_lemma_disamb,
 }
+
+TAGS = tuple(RUNNERS)
 
 
 def reproduce(tag: str, seed: int = 0, **overrides) -> Report:

@@ -242,19 +242,37 @@ class TestReplayRoundTrips:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["thm4", "--n", "32,64,128,256"],  # tuple of ints
-            ["lemma-interp", "--n", "256"],  # float delta
+            ["thm4", "--n", "32,64,128,256", "--trials", "30"],  # tuple of ints
+            ["lemma-interp", "--n", "256", "--trials", "30"],  # float delta
+            ["thm1", "--epsilon", "1/16"],
+            ["thm2", "--trials", "30"],
+            ["thm3", "--n", "4", "--universe", "0", "--trials", "30"],
+            ["thm5", "--trials", "30"],
+            ["lemma-disamb"],
         ],
     )
     def test_replay_reproduces_rows(self, tmp_path, capsys, argv):
-        rc = cli.main(["reproduce", *argv, "--trials", "30", "--seed", "2", "--json"])
+        rc = cli.main(["reproduce", *argv, "--seed", "2", "--json"])
         assert rc in (0, 1)
         report = json.loads(capsys.readouterr().out)
+        params = inspect.signature(experiments.RUNNERS[report["tag"]]).parameters
+        assert set(params) <= set(report["config"])
         assert _replay(tmp_path, report) == rc
         replayed = json.loads(capsys.readouterr().out)
         assert replayed["rows"] == report["rows"]
         assert replayed["verdicts"] == report["verdicts"]
         assert replayed["config"] == report["config"]
+
+    def test_replay_keeps_a_failing_slope_range(self, tmp_path, capsys):
+        report = experiments.run_thm4(
+            ns=(32, 64, 128, 256), trials=30, seed=2, slope_range=(-0.5, 0.0)
+        ).to_json()
+        assert report["config"]["slope_range"] == [-0.5, 0.0]
+        assert _replay(tmp_path, report) == 1
+        replayed = json.loads(capsys.readouterr().out)
+        slope = [v for v in replayed["verdicts"] if v["name"] == "slope"]
+        assert slope == [v for v in report["verdicts"] if v["name"] == "slope"]
+        assert not slope[0]["pass"]
 
 
 class TestParseBoundary:
@@ -264,7 +282,14 @@ class TestParseBoundary:
         assert cli.main(["oig", cantor_file, "--gamma", "1/2", "--points", spec]) == 2
 
     @pytest.mark.parametrize(
-        "argv", [["thm2", "--universe", "5"], ["thm1", "--trials", "30"]]
+        "argv",
+        [
+            ["thm2", "--universe", "5"],
+            ["thm1", "--trials", "30"],
+            ["thm1", "--n", "5"],  # no sample-size parameter
+            ["thm3", "--n", "5,6"],  # one n_prime
+            ["lemma-interp", "--n", "5,6"],  # one n
+        ],
     )
     def test_option_the_tag_does_not_take_exits_2(self, argv):
         assert cli.main(["reproduce", *argv]) == 2
@@ -283,6 +308,10 @@ class TestParseBoundary:
         report = {"tag": "thm4", "seed": 0, "config": {"ns": [0, 1, 2, 3], "trials": 30}}
         assert _replay(tmp_path, report) == 4
 
+    def test_replayed_slope_range_needs_two_bounds(self, tmp_path):
+        report = {"tag": "thm4", "seed": 0, "config": {"slope_range": [-1], "trials": 30}}
+        assert _replay(tmp_path, report) == 4
+
     @pytest.mark.parametrize(
         "report",
         [
@@ -291,6 +320,8 @@ class TestParseBoundary:
             {"tag": "thm1", "seed": 0, "config": {"d": "x"}},
             {"tag": "thm1", "seed": 0, "config": {"gamma": "1/0"}},
             {"tag": "thm4", "seed": 0, "config": {"ns": "32,64"}},
+            {"tag": "thm1", "seed": 0, "config": {"d": 2.7}},  # no truncation
+            {"tag": "thm1", "seed": 0, "config": {"d": True}},
         ],
     )
     def test_malformed_replay_exits_2(self, tmp_path, report):
