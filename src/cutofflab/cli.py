@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import inspect
 import json
 import sys
@@ -189,7 +190,40 @@ def cmd_disambiguate(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
+#: estimate learner config names, mapped to the learners classes they build
+_RULES = {"median": learners.Median, "mean": learners.Mean}
+_PARTITIONS = {
+    "disjoint": learners.DisjointBlocks,
+    "windows": learners.OverlappingWindows,
+    "bootstrap": learners.Bootstrap,
+}
+
+
+def _rule_from_config(spec):
+    if isinstance(spec, dict) and "order" in spec:
+        return learners.OrderStatistic(_coerce(0, spec["order"], "order"))
+    if isinstance(spec, str) and spec in _RULES:
+        return _RULES[spec]()
+    raise ParseError(f"unknown rule {spec!r}")
+
+
+def _partition_from_config(spec):
+    """A partitioner whose fields are read, by name, from the config object."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in _PARTITIONS:
+        raise ParseError(f"unknown partition {spec!r}")
+    values = {}
+    for field in dataclasses.fields(_PARTITIONS[kind]):
+        if field.name in spec:
+            values[field.name] = _coerce(0, spec[field.name], field.name)
+        elif field.default is dataclasses.MISSING:
+            raise ParseError(f"{kind} partition needs {field.name!r}")
+    return _PARTITIONS[kind](**values)
+
+
 def _learner_from_config(config, cls, gamma):
+    if not isinstance(config, dict):
+        raise ParseError(f"learner config must be an object, got {config!r}")
     interp = bind(learners.generic_interpolator, cls)
     kind = config.get("learner")
     if kind == "median3":
@@ -199,38 +233,25 @@ def _learner_from_config(config, cls, gamma):
     if kind == "proper_erm":
         return learners.ProperERM(cls, gamma)
     if kind == "agg":
-        rule_name = config.get("rule", "median")
-        if isinstance(rule_name, dict) and "order" in rule_name:
-            rule = learners.OrderStatistic(int(rule_name["order"]))
-        elif rule_name == "median":
-            rule = learners.Median()
-        elif rule_name == "mean":
-            rule = learners.Mean()
-        else:
-            raise ParseError(f"unknown rule {rule_name!r}")
-        part = config.get("partition", {"kind": "disjoint", "m": 3})
-        if part.get("kind") == "disjoint":
-            partitioner = learners.DisjointBlocks(int(part["m"]))
-        elif part.get("kind") == "windows":
-            partitioner = learners.OverlappingWindows(int(part["m"]), int(part["width"]))
-        elif part.get("kind") == "bootstrap":
-            partitioner = learners.Bootstrap(
-                int(part["m"]), int(part["size"]), int(part.get("seed", 0))
-            )
-        else:
-            raise ParseError(f"unknown partition {part!r}")
-        return learners.InterpolatorAggregation(interp, partitioner, rule)
+        parts = {}
+        if "rule" in config:
+            parts["rule"] = _rule_from_config(config["rule"])
+        if "partition" in config:
+            parts["partitioner"] = _partition_from_config(config["partition"])
+        return learners.InterpolatorAggregation(interp, **parts)
     raise ParseError(f"unknown learner config {config!r}")
 
 
 def cmd_estimate(args) -> int:
     config = serialize.load_json(args.config)
+    if not isinstance(config, dict):
+        raise ParseError("estimate config must be an object")
     try:
         cls = serialize.class_from_json(config["class"])
         dist = serialize.distribution_from_json(config["distribution"])
         gamma = serialize.rational_from_str(config["gamma"])
-        n = int(config["n"])
-        trials = int(config.get("trials", args.trials))
+        n = _coerce(0, config["n"], "n")
+        trials = _coerce(0, config.get("trials", args.trials), "trials")
     except KeyError as exc:
         raise ParseError(f"estimate config missing key: {exc}") from exc
     learner = _learner_from_config(config.get("learner_config", config), cls, gamma)

@@ -1,9 +1,11 @@
 """Learners: interpolators, aggregation rules, partitioners, and composites.
 
-A learner consumes one or more training samples and produces a predictor
-(callable Point -> Fraction).  Proper rules return one of their inputs;
-interpolating rules stay inside the input range.  Everything is deterministic
-given its inputs and seeds.
+The learner classes at the end of this module are the learner interface: each
+declares its ``sample_arity`` and turns that many training samples into a
+predictor (callable Point -> Fraction) through ``predictor(samples)``.  An
+interpolator is a ``sample -> hypothesis`` fitter.  Proper rules (order
+statistics, the median) return one of their inputs; the mean stays inside the
+input range.  Everything is deterministic given its inputs and seeds.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ class OrderStatistic:
 
     rank: int
 
-    is_proper = True
-
     def combine(self, values: Sequence[Fraction]) -> Fraction:
         if not 1 <= self.rank <= len(values):
             raise PreconditionError(f"order statistic {self.rank} out of range for m={len(values)}")
@@ -41,11 +41,7 @@ class OrderStatistic:
 class Median:
     """Middle value of the sorted inputs; proper, requires odd arity."""
 
-    is_proper = True
-
     def combine(self, values: Sequence[Fraction]) -> Fraction:
-        if len(values) % 2 == 0:
-            raise PreconditionError("median aggregation needs an odd number of inputs")
         return sorted(values)[len(values) // 2]
 
 
@@ -53,35 +49,11 @@ class Median:
 class Mean:
     """Arithmetic mean; interpolating but not proper."""
 
-    is_proper = False
-
     def combine(self, values: Sequence[Fraction]) -> Fraction:
-        if not values:
-            raise PreconditionError("mean of an empty list")
         return sum(values, core.ZERO) / len(values)
 
 
-@dataclass(frozen=True)
-class Convex:
-    """Fixed convex combination; interpolating."""
-
-    weights: tuple[Fraction, ...]
-
-    is_proper = False
-
-    def __post_init__(self):
-        weights = tuple(Fraction(w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
-        if any(w < 0 for w in weights) or sum(weights, core.ZERO) != core.ONE:
-            raise PreconditionError("convex weights must be nonnegative and sum to 1")
-
-    def combine(self, values: Sequence[Fraction]) -> Fraction:
-        if len(values) != len(self.weights):
-            raise PreconditionError("weight/value length mismatch")
-        return sum((w * v for w, v in zip(self.weights, values)), core.ZERO)
-
-
-AggregationRule = OrderStatistic | Median | Mean | Convex
+AggregationRule = OrderStatistic | Median | Mean
 
 
 def aggregate(rule: AggregationRule, hypotheses: Sequence) -> core.Predictor:
@@ -149,7 +121,7 @@ class Bootstrap:
 
     m: int
     size: int
-    seed: int
+    seed: int = 0
 
     def split(self, sample: core.TrainingSequence):
         if self.m < 1 or self.size < 0:
@@ -208,42 +180,6 @@ def adversarial_interpolator(cert, sample: core.TrainingSequence) -> core.Hypoth
     return h
 
 
-def interpolator_aggregation(
-    interpolator: Interpolator,
-    partitioner: Partitioner,
-    rule: AggregationRule,
-    sample: core.TrainingSequence,
-) -> core.Predictor:
-    """Partition, interpolate per block, aggregate pointwise."""
-    blocks = partitioner.split(tuple(sample))
-    hypotheses = [interpolator(block) for block in blocks]
-    return aggregate(rule, hypotheses)
-
-
-def proper_erm(cls, sample: core.TrainingSequence, gamma: Optional[Fraction] = None):
-    """Consistent hypothesis if one exists (canonical order); otherwise the
-    enumeration-first minimizer of the empirical cutoff loss."""
-    sample = tuple(sample)
-    h = cls.first_consistent(sample)
-    if h is not None:
-        return h
-    if gamma is None:
-        gamma = cls.gamma
-    if gamma is None:
-        raise PreconditionError("ERM fallback needs a gamma (class carries none)")
-    best, best_loss = None, None
-    for candidate in cls.hypotheses():
-        try:
-            loss = core.empirical_cutoff_loss(candidate.value_at, sample, gamma)
-        except core.DomainMismatchError:
-            continue
-        if best_loss is None or loss < best_loss:
-            best, best_loss = candidate, loss
-    if best is None:
-        raise PreconditionError("empty hypothesis class")
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Learner objects (uniform interface for the estimators)
 # ---------------------------------------------------------------------------
@@ -273,19 +209,26 @@ class MedianOfThree:
 
 @dataclass(frozen=True)
 class InterpolatorAggregation:
+    """Partition, interpolate per block, aggregate pointwise."""
+
     interpolator: Interpolator
-    partitioner: Partitioner
-    rule: AggregationRule
+    partitioner: Partitioner = DisjointBlocks(3)
+    rule: AggregationRule = Median()
 
     sample_arity = 1
 
     def predictor(self, samples) -> core.Predictor:
         (sample,) = samples
-        return interpolator_aggregation(self.interpolator, self.partitioner, self.rule, sample)
+        blocks = self.partitioner.split(tuple(sample))
+        return aggregate(self.rule, [self.interpolator(block) for block in blocks])
 
 
 @dataclass(frozen=True)
 class ProperERM:
+    """Consistent hypothesis if one exists (canonical order); otherwise the
+    enumeration-first minimizer of the empirical cutoff loss at ``gamma``
+    (the class's own gamma when None)."""
+
     cls: object
     gamma: Optional[Fraction] = None
 
@@ -293,4 +236,21 @@ class ProperERM:
 
     def predictor(self, samples) -> core.Predictor:
         (sample,) = samples
-        return proper_erm(self.cls, sample, self.gamma).value_at
+        sample = tuple(sample)
+        h = self.cls.first_consistent(sample)
+        if h is not None:
+            return h.value_at
+        gamma = self.cls.gamma if self.gamma is None else self.gamma
+        if gamma is None:
+            raise PreconditionError("ERM fallback needs a gamma (class carries none)")
+        best, best_loss = None, None
+        for candidate in self.cls.hypotheses():
+            try:
+                loss = core.empirical_cutoff_loss(candidate.value_at, sample, gamma)
+            except core.DomainMismatchError:
+                continue
+            if best_loss is None or loss < best_loss:
+                best, best_loss = candidate, loss
+        if best is None:
+            raise PreconditionError("empty hypothesis class")
+        return best.value_at

@@ -35,11 +35,14 @@ def point_to_json(point: core.Point):
 def point_from_json(obj) -> core.Point:
     if not isinstance(obj, dict):
         raise ParseError(f"bad point {obj!r}")
-    if "nat" in obj:
-        return core.Point.nat(int(obj["nat"]))
-    if "pair" in obj:
-        k, x = obj["pair"]
-        return core.Point.pair(int(k), int(x))
+    try:
+        if "nat" in obj:
+            return core.Point.nat(int(obj["nat"]))
+        if "pair" in obj:
+            k, x = obj["pair"]
+            return core.Point.pair(int(k), int(x))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad point {obj!r}") from exc
     raise ParseError(f"bad point {obj!r}")
 
 

@@ -6,11 +6,12 @@ import inspect
 import io
 import json
 from fractions import Fraction as F
+from functools import partial as bind
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cutofflab import cli, core, experiments, serialize
+from cutofflab import adversaries, cli, core, experiments, learners, mc, serialize
 
 
 @pytest.fixture
@@ -87,28 +88,156 @@ class TestDisambiguate:
         assert cli.main(["disambiguate", str(infile)]) == 2
 
 
+def _estimate_config(**overrides):
+    cls = core.CantorClass(F(1, 2), 2, 6)
+    dist = core.FiniteDistribution.from_triples(
+        [(core.Point.nat(5), 0, F(3, 4)), (core.Point.nat(6), 0, F(1, 4))],
+        witness=cls.hypothesis({5, 6}),
+    )
+    config = {
+        "class": serialize.class_to_json(cls),
+        "distribution": serialize.distribution_to_json(dist),
+        "gamma": "1/2",
+        "n": 6,
+        "trials": 32,
+        "learner_config": {"learner": "median3"},
+    }
+    config.update(overrides)
+    return config
+
+
+def _generic(cls):
+    return bind(learners.generic_interpolator, cls)
+
+
+#: every learner config the README lists, with the learner it must build
+_README_LEARNERS = [
+    pytest.param(
+        {"learner": "single"},
+        lambda cls: learners.SingleInterpolator(_generic(cls)),
+        id="single",
+    ),
+    pytest.param(
+        {"learner": "median3"},
+        lambda cls: learners.MedianOfThree(_generic(cls)),
+        id="median3",
+    ),
+    pytest.param(
+        {"learner": "proper_erm"},
+        lambda cls: learners.ProperERM(cls, F(1, 2)),
+        id="proper_erm",
+    ),
+    pytest.param(
+        {"learner": "agg"},
+        lambda cls: learners.InterpolatorAggregation(
+            _generic(cls), learners.DisjointBlocks(3), learners.Median()
+        ),
+        id="agg-defaults",
+    ),
+    pytest.param(
+        {"learner": "agg", "rule": "median", "partition": {"kind": "disjoint", "m": 3}},
+        lambda cls: learners.InterpolatorAggregation(
+            _generic(cls), learners.DisjointBlocks(3), learners.Median()
+        ),
+        id="agg-median-disjoint",
+    ),
+    pytest.param(
+        {"learner": "agg", "rule": "mean", "partition": {"kind": "disjoint", "m": 2}},
+        lambda cls: learners.InterpolatorAggregation(
+            _generic(cls), learners.DisjointBlocks(2), learners.Mean()
+        ),
+        id="agg-mean-disjoint",
+    ),
+    pytest.param(
+        {
+            "learner": "agg",
+            "rule": {"order": 1},
+            "partition": {"kind": "windows", "m": 3, "width": 4},
+        },
+        lambda cls: learners.InterpolatorAggregation(
+            _generic(cls), learners.OverlappingWindows(3, 4), learners.OrderStatistic(1)
+        ),
+        id="agg-order-windows",
+    ),
+    pytest.param(
+        {
+            "learner": "agg",
+            "rule": {"order": 3},
+            "partition": {"kind": "bootstrap", "m": 3, "size": 2, "seed": 5},
+        },
+        lambda cls: learners.InterpolatorAggregation(
+            _generic(cls), learners.Bootstrap(3, 2, seed=5), learners.OrderStatistic(3)
+        ),
+        id="agg-order-bootstrap-seed",
+    ),
+    pytest.param(
+        {"learner": "agg", "partition": {"kind": "bootstrap", "m": 3, "size": 2}},
+        lambda cls: learners.InterpolatorAggregation(
+            _generic(cls), learners.Bootstrap(3, 2, seed=0), learners.Median()
+        ),
+        id="agg-bootstrap-no-seed",
+    ),
+]
+
+
+def _agg(**keys):
+    return _estimate_config(learner_config={"learner": "agg", **keys})
+
+
+def _one_atom_at(point):
+    return {"atoms": [{"point": point, "label": "0", "mass": "1"}]}
+
+
+def _run_estimate(tmp_path, config) -> int:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return cli.main(["estimate", str(path), "--seed", "3"])
+
+
 class TestEstimate:
     def test_config_run(self, tmp_path, capsys):
-        cls = core.CantorClass(F(1, 2), 2, 6)
-        witness = cls.hypothesis({5, 6})
-        dist = core.FiniteDistribution.from_triples(
-            [(core.Point.nat(5), 0, F(3, 4)), (core.Point.nat(6), 0, F(1, 4))],
-            witness=witness,
-        )
-        config = {
-            "class": serialize.class_to_json(cls),
-            "distribution": serialize.distribution_to_json(dist),
-            "gamma": "1/2",
-            "n": 2,
-            "trials": 64,
-            "learner_config": {"learner": "median3"},
-        }
-        path = tmp_path / "config.json"
-        serialize.dump_json(config, path)
-        assert cli.main(["estimate", str(path), "--seed", "3"]) == 0
+        assert _run_estimate(tmp_path, _estimate_config(n=2, trials=64)) == 0
         out = json.loads(capsys.readouterr().out)
         assert 0 <= out["mean"] <= 1
         assert out["trials"] == 64
+
+    @pytest.mark.parametrize(("learner_config", "build"), _README_LEARNERS)
+    def test_readme_learner_configs(self, tmp_path, capsys, learner_config, build):
+        config = _estimate_config(learner_config=learner_config)
+        assert _run_estimate(tmp_path, config) == 0
+        cls = serialize.class_from_json(config["class"])
+        dist = serialize.distribution_from_json(config["distribution"])
+        instance = adversaries.HardInstance(
+            "estimate", cls, dist, dist.witness, F(1, 2), None, None, None, None
+        )
+        direct = mc.mc_expected_loss(build(cls), instance, config["n"], config["trials"], 3)
+        assert json.loads(capsys.readouterr().out)["mean"] == direct.mean
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(_agg(partition="disjoint"), id="partition-not-object"),
+            pytest.param(_agg(partition={"kind": "disjoint"}), id="partition-missing-m"),
+            pytest.param(_agg(partition={"kind": "blocks", "m": 3}), id="unknown-partition"),
+            pytest.param(_agg(partition={"kind": "disjoint", "m": True}), id="bool-m"),
+            pytest.param(_agg(rule={"order": "x"}), id="order-not-a-number"),
+            pytest.param(_agg(rule={"order": 1.5}), id="order-not-integral"),
+            pytest.param(_agg(rule="max"), id="unknown-rule"),
+            pytest.param(_estimate_config(learner_config=[1]), id="learner-config-not-object"),
+            pytest.param(_estimate_config(n="x"), id="n-not-a-number"),
+            pytest.param(_estimate_config(n=2.7), id="n-not-integral"),
+            pytest.param(_estimate_config(trials="x"), id="trials-not-a-number"),
+            pytest.param([1, 2], id="config-not-object"),
+            pytest.param(
+                _estimate_config(distribution=_one_atom_at({"nat": "x"})), id="nat-not-a-number"
+            ),
+            pytest.param(
+                _estimate_config(distribution=_one_atom_at({"pair": [4]})), id="pair-of-one"
+            ),
+        ],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, config):
+        assert _run_estimate(tmp_path, config) == 2
 
 
 class TestReproduce:
@@ -403,3 +532,47 @@ def test_malformed_replays_exit_2(fuzz_dir, report):
     path = fuzz_dir / "report.json"
     path.write_text(json.dumps(report))
     assert _quiet_main(["reproduce", "--replay", str(path)]) == 2
+
+
+_junk = st.one_of(
+    st.integers(0, 6),
+    st.floats(0, 6),
+    st.sampled_from([float("inf"), float("nan")]),
+    st.text(alphabet="ax3.-/ ", max_size=2),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(0, 6), max_size=2),
+    st.dictionaries(st.sampled_from(["k", "m", "order"]), st.integers(0, 6), max_size=1),
+)
+
+
+def _mostly(valid):
+    """`valid` three times in four, any other JSON value otherwise."""
+    return st.integers(0, 3).flatmap(lambda k: valid if k else _junk)
+
+
+_small = _mostly(st.integers(0, 6))
+_rule = _mostly(
+    st.one_of(st.sampled_from(["median", "mean"]), st.fixed_dictionaries({"order": _small}))
+)
+_partition = _mostly(
+    st.fixed_dictionaries(
+        {"kind": _mostly(st.sampled_from(["disjoint", "windows", "bootstrap"]))},
+        optional={"m": _small, "width": _small, "size": _small, "seed": _small},
+    )
+)
+_learner_config = _mostly(
+    st.fixed_dictionaries(
+        {"learner": _mostly(st.sampled_from(["single", "median3", "proper_erm", "agg"]))},
+        optional={"rule": _rule, "partition": _partition},
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(learner_config=_learner_config, n=_small, trials=_mostly(st.integers(30, 32)))
+def test_estimate_configs_never_escape(fuzz_dir, learner_config, n, trials):
+    config = _estimate_config(learner_config=learner_config, n=n, trials=trials)
+    path = fuzz_dir / "estimate.json"
+    path.write_text(json.dumps(config))
+    assert _quiet_main(["estimate", str(path)]) in (0, 2, 3, 4)

@@ -112,10 +112,6 @@ class TestAggregationRules:
         with pytest.raises(PreconditionError):
             learners.aggregate(learners.Median(), hs)
 
-    def test_convex_weights_validated(self):
-        with pytest.raises(PreconditionError):
-            learners.Convex((F(1, 2), F(1, 3)))
-
     @given(
         st.lists(st.fractions(min_value=0, max_value=1), min_size=1, max_size=7),
         st.integers(min_value=0, max_value=6),
@@ -131,9 +127,6 @@ class TestAggregationRules:
             assert out in set(values)
         mean_out = learners.aggregate(learners.Mean(), hs)(NAT(1))
         assert min(values) <= mean_out <= max(values)
-        weights = [F(1, len(values))] * len(values)
-        conv_out = learners.aggregate(learners.Convex(tuple(weights)), hs)(NAT(1))
-        assert min(values) <= conv_out <= max(values)
 
 
 class TestPartitioners:
@@ -181,9 +174,9 @@ class TestComposites:
     def test_single_block_equals_single_interpolator(self):
         sample = core.sample_iid(self.dist, 4, 3)
         direct = self.interp(sample)
-        agg = learners.interpolator_aggregation(
-            self.interp, learners.DisjointBlocks(1), learners.Median(), sample
-        )
+        agg = learners.InterpolatorAggregation(
+            self.interp, learners.DisjointBlocks(1), learners.Median()
+        ).predictor((sample,))
         for i in range(1, 7):
             assert agg(NAT(i)) == direct.value_at(NAT(i))
 
@@ -191,9 +184,9 @@ class TestComposites:
         sample = core.sample_iid(self.dist, 6, 4)
         blocks = learners.DisjointBlocks(3).split(sample)
         hs = [self.interp(b) for b in blocks]
-        agg = learners.interpolator_aggregation(
-            self.interp, learners.DisjointBlocks(3), learners.Median(), sample
-        )
+        agg = learners.InterpolatorAggregation(
+            self.interp, learners.DisjointBlocks(3), learners.Median()
+        ).predictor((sample,))
         for i in range(1, 7):
             assert agg(NAT(i)) == sorted(h.value_at(NAT(i)) for h in hs)[1]
 
@@ -229,29 +222,27 @@ class TestProperErm:
     def test_realizable_gives_consistent(self):
         cls = core.CantorClass(HALF, 2, 5)
         sample = core.training_sequence([(NAT(3), 0)])
-        h = learners.proper_erm(cls, sample)
-        assert core.empirical_cutoff_loss(h.value_at, sample, F(0)) == 0
+        h = learners.ProperERM(cls).predictor((sample,))
+        assert core.empirical_cutoff_loss(h, sample, F(0)) == 0
 
     def test_thm5_class_avoids_observed_points(self):
         fam = adversaries.thm5_family(HALF, 4, F(1, 256))
         sample = core.training_sequence(
             [(PAIR(64, 10), 0), (PAIR(64, 20), 0), (PAIR(64, 30), 0)]
         )
-        h = learners.proper_erm(fam.cls, sample)
-        assert h.k == 64
-        assert not (h.members & {10, 20, 30})
-        # colex-first member set avoiding the observations
-        assert sorted(h.members) == [1, 2, 3]
+        h = learners.ProperERM(fam.cls).predictor((sample,))
+        # colex-first member set of block 64 avoiding the observations
+        nonzero = [x for x in range(1, 65) if h(PAIR(64, x)) != 0]
+        assert nonzero == [1, 2, 3]
 
     def test_fallback_picks_lower_loss(self):
-        pool = (NAT(1), NAT(2))
         h_good = core.TableHypothesis.from_dict({NAT(1): F(0), NAT(2): F(0)})
         h_bad = core.TableHypothesis.from_dict({NAT(1): F(1), NAT(2): F(1)})
         cls = core.FiniteClass((h_bad, h_good))
         sample = core.training_sequence([(NAT(1), 0), (NAT(2), F(1, 4))])
-        h = learners.proper_erm(cls, sample, HALF)
-        assert h == h_good
+        h = learners.ProperERM(cls, HALF).predictor((sample,))
+        assert [h(NAT(1)), h(NAT(2))] == [0, 0]
 
     def test_empty_class_rejected(self):
         with pytest.raises(PreconditionError):
-            learners.proper_erm(core.FiniteClass(()), (), HALF)
+            learners.ProperERM(core.FiniteClass(()), HALF).predictor(((),))
