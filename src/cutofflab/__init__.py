@@ -9,13 +9,11 @@ from .core import (
     FiniteDistribution,
     LabeledExample,
     Point,
-    Rational,
     SplitCantorClass,
     SplitCantorHypothesis,
     TableHypothesis,
     cutoff_loss,
     empirical_cutoff_loss,
-    is_realizable,
     sample_iid,
 )
 from .errors import (

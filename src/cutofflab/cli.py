@@ -13,7 +13,6 @@ import dataclasses
 import inspect
 import json
 import sys
-from fractions import Fraction
 from functools import partial as bind
 
 from . import adversaries, core, dims, experiments, learners, mc, serialize
@@ -32,13 +31,6 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_PRECONDITION = 4
-
-
-def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r} (use p/q)") from exc
 
 
 def _parse_points(spec: str) -> tuple[core.Point, ...]:
@@ -94,7 +86,7 @@ def _emit_report(report, args) -> int:
 
 def cmd_dims(args) -> int:
     cls = serialize.class_from_json(serialize.load_json(args.class_file))
-    gamma = _rational(args.gamma)
+    gamma = serialize.rational_from_str(args.gamma)
     pool = _parse_points(args.pool) if args.pool else cls.default_pool()
     dimension = dims.gamma_graph_dimension(cls, pool, gamma, args.cap_d)
     cert = dims.find_shattered_set(cls, pool, gamma, dimension) if dimension else None
@@ -133,7 +125,7 @@ def cmd_dims(args) -> int:
 
 def cmd_oig(args) -> int:
     cls = serialize.class_from_json(serialize.load_json(args.class_file))
-    gamma = _rational(args.gamma)
+    gamma = serialize.rational_from_str(args.gamma)
     points = _parse_points(args.points)
     graph = dims.build_oig(cls, points)
     orientation = dims.orient_smallest_value(graph)
@@ -201,7 +193,7 @@ _PARTITIONS = {
 
 def _rule_from_config(spec):
     if isinstance(spec, dict) and "order" in spec:
-        return learners.OrderStatistic(_coerce(0, spec["order"], "order"))
+        return learners.OrderStatistic(serialize.coerce(0, spec["order"], "order"))
     if isinstance(spec, str) and spec in _RULES:
         return _RULES[spec]()
     raise ParseError(f"unknown rule {spec!r}")
@@ -215,7 +207,7 @@ def _partition_from_config(spec):
     values = {}
     for field in dataclasses.fields(_PARTITIONS[kind]):
         if field.name in spec:
-            values[field.name] = _coerce(0, spec[field.name], field.name)
+            values[field.name] = serialize.coerce(0, spec[field.name], field.name)
         elif field.default is dataclasses.MISSING:
             raise ParseError(f"{kind} partition needs {field.name!r}")
     return _PARTITIONS[kind](**values)
@@ -250,8 +242,8 @@ def cmd_estimate(args) -> int:
         cls = serialize.class_from_json(config["class"])
         dist = serialize.distribution_from_json(config["distribution"])
         gamma = serialize.rational_from_str(config["gamma"])
-        n = _coerce(0, config["n"], "n")
-        trials = _coerce(0, config.get("trials", args.trials), "trials")
+        n = serialize.coerce(0, config["n"], "n")
+        trials = serialize.coerce(0, config.get("trials", args.trials), "trials")
     except KeyError as exc:
         raise ParseError(f"estimate config missing key: {exc}") from exc
     learner = _learner_from_config(config.get("learner_config", config), cls, gamma)
@@ -277,30 +269,6 @@ def cmd_estimate(args) -> int:
     }
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_PASS
-
-
-def _coerce(default, value, key: str):
-    """Coerce a raw parameter value to the type of the runner's default.
-
-    Numbers are never rounded: an int parameter refuses a non-integral
-    number, and no number parameter takes a bool.
-    """
-    try:
-        if isinstance(default, Fraction):
-            return _rational(str(value))
-        if isinstance(default, tuple):
-            if not isinstance(value, list):
-                raise ParseError(f"config {key!r} must be a list, got {value!r}")
-            return tuple(_coerce(default[0], v, key) for v in value)
-        if isinstance(default, (int, float)):
-            if isinstance(value, bool):
-                raise ValueError("bool is not a number")
-            if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
-                raise ValueError("not an integer")
-            return type(default)(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"bad config value {key}={value!r}") from exc
-    return value
 
 
 #: reproduce options that set the runner parameter of the same name
@@ -337,7 +305,9 @@ def cmd_reproduce(args) -> int:
         unused = sorted(set(raw) - set(params))
         if unused:
             raise ParseError(f"{tag} takes no --{', --'.join(unused)}")
-    overrides = {key: _coerce(params[key].default, value, key) for key, value in raw.items()}
+    overrides = {
+        key: serialize.coerce(params[key].default, value, key) for key, value in raw.items()
+    }
     report = experiments.reproduce(tag, seed=seed, **overrides)
     return _emit_report(report, args)
 

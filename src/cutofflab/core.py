@@ -3,8 +3,8 @@
 Everything that a strict comparison like |h(x) - y| > gamma touches is a
 `fractions.Fraction`, so every loss value, mass, and threshold comparison in
 the package is exact.  Randomness is counter-based: every draw derives from a
-64-bit master seed plus a stream index, so parallel trials are order
-independent and bit-reproducible.
+64-bit master seed plus a stream index, so trials are order independent
+and bit-reproducible.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (
     PreconditionError,
 )
 
-Rational = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -253,20 +252,75 @@ Predictor = Callable[[Point], Fraction]
 # ---------------------------------------------------------------------------
 
 
+def _budgeted(cls, budget: int | None) -> None:
+    """Refuse to enumerate `cls` past `budget` (default: enumeration_budget())."""
+    budget = enumeration_budget() if budget is None else budget
+    if cls.size() > budget:
+        raise BudgetExceededError(f"class of size {cls.size()} exceeds budget {budget}")
+
+
+def _value_of_rank(gamma: Fraction, rank: int) -> Fraction:
+    """Unique value of the member at 1-based enumeration position `rank`."""
+    return gamma + (ONE - gamma) / rank
+
+
+def _rank_of_value(gamma: Fraction, value: Fraction) -> Optional[int]:
+    """Inverse of `_value_of_rank`, or None when no rank carries `value`."""
+    step = value - gamma
+    if step <= ZERO:
+        return None
+    rank = (ONE - gamma) / step
+    return int(rank) if rank.denominator == 1 and rank >= 1 else None
+
+
+def _scan(
+    sample: TrainingSequence, on_domain: Callable[[Point], bool]
+) -> Optional[tuple[dict[Point, Fraction], list[Point], Optional[Fraction]]]:
+    """A sample's point -> label map, its zero-labelled points and its one
+    nonzero label (None if all are 0).  None when the sample contradicts
+    itself, leaves the domain, or carries two distinct nonzero labels."""
+    labels: dict[Point, Fraction] = {}
+    for ex in sample:
+        if labels.setdefault(ex.point, ex.label) != ex.label:
+            return None
+    zeros: list[Point] = []
+    value: Fraction | None = None
+    for point, label in labels.items():
+        if not on_domain(point):
+            return None
+        if label == ZERO:
+            zeros.append(point)
+        elif value is None:
+            value = label
+        elif value != label:
+            return None
+    return labels, zeros, value
+
+
+def _first_by_value(cls, sample: TrainingSequence):
+    """Colex-first member of a unique-value class matching the sample.
+
+    A nonzero label pins the member through its unique value; an all-zero
+    sample leaves the class's own fill rule to choose among the members that
+    vanish on the zero-labelled points.
+    """
+    scan = _scan(sample, cls._on_domain)
+    if scan is None:
+        return None
+    labels, zeros, value = scan
+    if value is None:
+        return cls._fill(zeros)
+    h = cls._from_value(value)
+    if h is None or any(h.value_at(p) != y for p, y in labels.items()):
+        return None
+    return h
+
+
 def _consistent(h, sample: TrainingSequence) -> bool:
     try:
         return all(h.value_at(ex.point) == ex.label for ex in sample)
     except DomainMismatchError:
         return False
-
-
-def _labels_by_point(sample: TrainingSequence) -> Optional[dict[Point, Fraction]]:
-    """Point -> label map, or None when the sample self-contradicts."""
-    seen: dict[Point, Fraction] = {}
-    for ex in sample:
-        if seen.setdefault(ex.point, ex.label) != ex.label:
-            return None
-    return seen
 
 
 @dataclass(frozen=True)
@@ -281,9 +335,7 @@ class FiniteClass:
         return len(self.hypotheses_list)
 
     def hypotheses(self, budget: int | None = None) -> Iterator[Hypothesis]:
-        budget = enumeration_budget() if budget is None else budget
-        if self.size() > budget:
-            raise BudgetExceededError(f"class of size {self.size()} exceeds budget {budget}")
+        _budgeted(self, budget)
         return iter(self.hypotheses_list)
 
     def first_consistent(self, sample: TrainingSequence) -> Optional[Hypothesis]:
@@ -320,56 +372,34 @@ class CantorClass:
     def size(self) -> int:
         return math.comb(self.universe, self.d)
 
-    def unique_value(self, members) -> Fraction:
-        return self.gamma + (ONE - self.gamma) / (colex_rank(members) + 1)
-
     def hypothesis(self, members) -> CantorHypothesis:
         members = frozenset(members)
         if len(members) != self.d or (members and max(members) > self.universe):
             raise PreconditionError(f"invalid member set {sorted(members)} for {self}")
-        return CantorHypothesis(members, self.unique_value(members))
+        return CantorHypothesis(members, _value_of_rank(self.gamma, colex_rank(members) + 1))
 
     def hypotheses(self, budget: int | None = None) -> Iterator[CantorHypothesis]:
-        budget = enumeration_budget() if budget is None else budget
-        if self.size() > budget:
-            raise BudgetExceededError(f"class of size {self.size()} exceeds budget {budget}")
+        _budgeted(self, budget)
         return (self.hypothesis(a) for a in iter_colex(self.universe, self.d))
 
+    def _on_domain(self, point: Point) -> bool:
+        return point.kind == "nat" and point.n <= self.universe
+
+    def _from_value(self, value: Fraction) -> Optional[CantorHypothesis]:
+        rank = _rank_of_value(self.gamma, value)
+        if rank is None or rank > self.size():
+            return None
+        return self.hypothesis(colex_unrank(rank - 1, self.d))
+
+    def _fill(self, zeros: list[Point]) -> Optional[CantorHypothesis]:
+        """Colex-smallest member set containing every zero-labelled point."""
+        indices = {p.n for p in zeros}
+        if len(indices) > self.d:
+            return None
+        return self.hypothesis(colex_min_superset(indices, self.d, self.universe))
+
     def first_consistent(self, sample: TrainingSequence) -> Optional[CantorHypothesis]:
-        labels = _labels_by_point(sample)
-        if labels is None:
-            return None
-        zeros: set[int] = set()
-        off_value: Fraction | None = None
-        off_points: set[int] = set()
-        for point, label in labels.items():
-            if point.kind != "nat" or point.n > self.universe:
-                return None
-            if label == ZERO:
-                zeros.add(point.n)
-            else:
-                if off_value is not None and off_value != label:
-                    return None
-                off_value = label
-                off_points.add(point.n)
-        if off_value is not None:
-            # the unique value pins the member set exactly
-            step = off_value - self.gamma
-            if step <= ZERO:
-                return None
-            rank = (ONE - self.gamma) / step
-            if rank.denominator != 1 or rank < 1:
-                return None
-            members = colex_unrank(int(rank) - 1, self.d)
-            if max(members) > self.universe:
-                return None
-            member_set = set(members)
-            if not zeros <= member_set or member_set & off_points:
-                return None
-            return self.hypothesis(members)
-        if len(zeros) > self.d:
-            return None
-        return self.hypothesis(colex_min_superset(zeros, self.d, self.universe))
+        return _first_by_value(self, sample)
 
     def default_pool(self) -> tuple[Point, ...]:
         return tuple(Point.nat(i) for i in range(1, self.universe + 1))
@@ -400,11 +430,8 @@ class SplitCantorClass:
         if self.variant == D_MINUS_ONE_COMPLEMENT:
             if self.size_param is None or self.size_param < 2:
                 raise PreconditionError("complement variant needs size_param d >= 2")
-        if self.universe_cap < self._first_block():
+        if next(self.blocks(), None) is None:
             raise PreconditionError("universe_cap below the first block")
-
-    def _first_block(self) -> int:
-        return 1 if self.variant == SQRT_SIZE else self.size_param - 1
 
     def blocks(self) -> Iterator[tuple[int, int]]:
         """(block k, zero/member set size within the block) pairs, ascending."""
@@ -418,65 +445,39 @@ class SplitCantorClass:
             for k in range(m, self.universe_cap + 1):
                 yield k, m
 
-    def member_size(self, k: int) -> int:
-        if self.variant == SQRT_SIZE:
-            i = math.isqrt(k)
-            if i * i != k:
-                raise PreconditionError(f"{k} is not a perfect-square block")
-            return i
-        return self.size_param - 1
-
-    def is_block(self, k: int) -> bool:
-        if k > self.universe_cap:
-            return False
-        if self.variant == SQRT_SIZE:
-            return math.isqrt(k) ** 2 == k
-        return k >= self.size_param - 1
+    def member_size(self, k: int) -> Optional[int]:
+        """Member-set size of block k, or None when k is not a block."""
+        return next((m for block, m in self.blocks() if block == k), None)
 
     def size(self) -> int:
         return sum(math.comb(k, m) for k, m in self.blocks())
 
-    def _block_offset(self, block: int) -> int:
-        offset = 0
-        for k, m in self.blocks():
-            if k == block:
-                return offset
-            offset += math.comb(k, m)
-        raise PreconditionError(f"{block} is not a block of {self}")
-
-    def unique_value(self, k: int, members) -> Fraction:
-        rank = self._block_offset(k) + colex_rank(members) + 1
-        return self.gamma + (ONE - self.gamma) / rank
-
     def hypothesis(self, k: int, members) -> SplitCantorHypothesis:
         members = frozenset(members)
-        if not self.is_block(k) or len(members) != self.member_size(k):
+        offset, m = 0, None  # offset: members of the blocks before k
+        for block, size in self.blocks():
+            if block == k:
+                m = size
+                break
+            offset += math.comb(block, size)
+        if m is None or len(members) != m or (members and max(members) > k):
             raise PreconditionError(f"invalid block/member set ({k}, {sorted(members)})")
-        if members and max(members) > k:
-            raise PreconditionError("members must lie inside the block")
         zero_on = "members" if self.variant == SQRT_SIZE else "complement"
-        return SplitCantorHypothesis(k, members, zero_on, self.unique_value(k, members))
+        value = _value_of_rank(self.gamma, offset + colex_rank(members) + 1)
+        return SplitCantorHypothesis(k, members, zero_on, value)
 
     def hypotheses(self, budget: int | None = None) -> Iterator[SplitCantorHypothesis]:
-        budget = enumeration_budget() if budget is None else budget
-        if self.size() > budget:
-            raise BudgetExceededError(f"class of size {self.size()} exceeds budget {budget}")
+        _budgeted(self, budget)
+        return (self.hypothesis(k, a) for k, m in self.blocks() for a in iter_colex(k, m))
 
-        def gen():
-            for k, m in self.blocks():
-                for members in iter_colex(k, m):
-                    yield self.hypothesis(k, members)
-
-        return gen()
+    def _on_domain(self, point: Point) -> bool:
+        return point.kind == "pair" and point.block <= self.universe_cap
 
     def _from_value(self, value: Fraction) -> Optional[SplitCantorHypothesis]:
-        step = value - self.gamma
-        if step <= ZERO:
+        rank = _rank_of_value(self.gamma, value)
+        if rank is None:
             return None
-        rank = (ONE - self.gamma) / step
-        if rank.denominator != 1 or rank < 1:
-            return None
-        remaining = int(rank) - 1
+        remaining = rank - 1
         for k, m in self.blocks():
             count = math.comb(k, m)
             if remaining < count:
@@ -484,60 +485,27 @@ class SplitCantorClass:
             remaining -= count
         return None
 
-    def first_consistent(self, sample: TrainingSequence) -> Optional[SplitCantorHypothesis]:
-        labels = _labels_by_point(sample)
-        if labels is None:
-            return None
-        zeros: list[Point] = []
-        off_value: Fraction | None = None
-        off_points: list[Point] = []
-        for point, label in labels.items():
-            if point.kind != "pair" or point.block > self.universe_cap:
-                return None
-            if label == ZERO:
-                zeros.append(point)
-            else:
-                if off_value is not None and off_value != label:
-                    return None
-                off_value = label
-                off_points.append(point)
-        if off_value is not None:
-            h = self._from_value(off_value)
-            if h is None or not _consistent(h, sample):
-                return None
-            return h
-        if not zeros:
-            # empty (or all off-domain-free) sample: first hypothesis overall
-            k, m = next(iter(self.blocks()))
-            return self.hypothesis(k, tuple(range(1, m + 1)))
-        block = zeros[0].block
-        if any(p.block != block for p in zeros) or not self.is_block(block):
+    def _fill(self, zeros: list[Point]) -> Optional[SplitCantorHypothesis]:
+        """First member vanishing on every zero-labelled point: all of them
+        must share one block (the first block when there are none)."""
+        block = zeros[0].block if zeros else next(self.blocks())[0]
+        m = self.member_size(block)
+        if m is None or any(p.block != block for p in zeros):
             return None
         indices = {p.index for p in zeros}
-        m = self.member_size(block)
         if self.variant == SQRT_SIZE:
             if len(indices) > m:
                 return None
             return self.hypothesis(block, colex_min_superset(indices, m, block))
         # complement variant: members must avoid every observed index
         free = [x for x in range(1, block + 1) if x not in indices]
-        if len(free) < m:
-            return None
-        return self.hypothesis(block, free[:m])
+        return self.hypothesis(block, free[:m]) if len(free) >= m else None
+
+    def first_consistent(self, sample: TrainingSequence) -> Optional[SplitCantorHypothesis]:
+        return _first_by_value(self, sample)
 
     def default_pool(self) -> tuple[Point, ...]:
-        pool = []
-        for k, _ in self.blocks():
-            pool.extend(Point.pair(k, x) for x in range(1, k + 1))
-        return tuple(pool)
-
-
-HypothesisClass = Union[FiniteClass, CantorClass, SplitCantorClass]
-
-
-def is_realizable(sample: TrainingSequence, cls: HypothesisClass) -> Optional[Hypothesis]:
-    """First class member (canonical enumeration) matching every example, if any."""
-    return cls.first_consistent(tuple(sample))
+        return tuple(Point.pair(k, x) for k, _ in self.blocks() for x in range(1, k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -598,16 +566,6 @@ def cutoff_loss(predictor: Predictor, dist: FiniteDistribution, gamma: Fraction)
     total = ZERO
     for atom in dist.atoms:
         if abs(predictor(atom.point) - atom.label) > gamma:
-            total += atom.mass
-    return total
-
-
-def cutoff_within(predictor: Predictor, dist: FiniteDistribution, gamma: Fraction) -> Fraction:
-    """Complementary mass, |prediction - label| <= gamma; partitions 1 exactly."""
-    gamma = Fraction(gamma)
-    total = ZERO
-    for atom in dist.atoms:
-        if abs(predictor(atom.point) - atom.label) <= gamma:
             total += atom.mass
     return total
 

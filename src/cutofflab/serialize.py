@@ -1,8 +1,8 @@
 """JSON-shaped serialization for classes, distributions, samples and learners.
 
-Rationals travel as "p/q" strings, points as {"nat": 3} or {"pair": [4, 2]}.
-All readers raise ParseError on malformed input so the CLI can map it to a
-stable exit code.
+Exact rationals travel as "p/q" strings, points as {"nat": 3} or {"pair": [4, 2]}.
+All readers raise ParseError on malformed input, a number they would have to
+round included, so the CLI can map it to a stable exit code.
 """
 
 from __future__ import annotations
@@ -23,7 +23,31 @@ def rational_from_str(text) -> Fraction:
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}") from exc
+        raise ParseError(f"bad rational {text!r} (use p/q)") from exc
+
+
+def coerce(default, value, key: str):
+    """Read a raw JSON or command-line value as the type of `default`.
+
+    Numbers are never rounded: an int refuses a non-integral number, and no
+    number takes a bool.  Raises ParseError for anything it cannot read.
+    """
+    try:
+        if isinstance(default, Fraction):
+            return rational_from_str(value)
+        if isinstance(default, tuple):
+            if not isinstance(value, list):
+                raise ParseError(f"{key!r} must be a list, got {value!r}")
+            return tuple(coerce(default[0], v, key) for v in value)
+        if isinstance(default, (int, float)):
+            if isinstance(value, bool):
+                raise ValueError("bool is not a number")
+            if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
+                raise ValueError("not an integer")
+            return type(default)(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad value {key}={value!r}") from exc
+    return value
 
 
 def point_to_json(point: core.Point):
@@ -37,10 +61,10 @@ def point_from_json(obj) -> core.Point:
         raise ParseError(f"bad point {obj!r}")
     try:
         if "nat" in obj:
-            return core.Point.nat(int(obj["nat"]))
+            return core.Point.nat(coerce(0, obj["nat"], "nat"))
         if "pair" in obj:
             k, x = obj["pair"]
-            return core.Point.pair(int(k), int(x))
+            return core.Point.pair(coerce(0, k, "pair"), coerce(0, x, "pair"))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad point {obj!r}") from exc
     raise ParseError(f"bad point {obj!r}")
@@ -75,13 +99,16 @@ def hypothesis_from_json(obj):
         kind = obj["kind"]
         if kind == "cantor_hypothesis":
             return core.CantorHypothesis(
-                frozenset(int(m) for m in obj["members"]), rational_from_str(obj["value"])
+                frozenset(coerce((0,), obj["members"], "members")),
+                rational_from_str(obj["value"]),
             )
         if kind == "split_cantor_hypothesis":
+            if obj["zero_on"] not in ("members", "complement"):
+                raise ParseError(f"zero_on {obj['zero_on']!r} is not 'members' or 'complement'")
             return core.SplitCantorHypothesis(
-                int(obj["k"]),
-                frozenset(int(m) for m in obj["members"]),
-                str(obj["zero_on"]),
+                coerce(0, obj["k"], "k"),
+                frozenset(coerce((0,), obj["members"], "members")),
+                obj["zero_on"],
                 rational_from_str(obj["value"]),
             )
         if kind == "table_hypothesis":
@@ -123,15 +150,17 @@ def class_from_json(obj):
         kind = obj["kind"]
         if kind == "cantor":
             return core.CantorClass(
-                rational_from_str(obj["gamma"]), int(obj["d"]), int(obj["universe"])
+                rational_from_str(obj["gamma"]),
+                coerce(0, obj["d"], "d"),
+                coerce(0, obj["universe"], "universe"),
             )
         if kind == "split_cantor":
             size_param = obj.get("size_param")
             return core.SplitCantorClass(
                 rational_from_str(obj["gamma"]),
                 str(obj["variant"]),
-                None if size_param is None else int(size_param),
-                int(obj["universe_cap"]),
+                None if size_param is None else coerce(0, size_param, "size_param"),
+                coerce(0, obj["universe_cap"], "universe_cap"),
             )
         if kind == "finite":
             return core.FiniteClass(tuple(hypothesis_from_json(h) for h in obj["hypotheses"]))

@@ -404,6 +404,24 @@ class TestReplayRoundTrips:
         assert not slope[0]["pass"]
 
 
+_CANTOR = {"kind": "cantor", "gamma": "1/2", "d": 2, "universe": 5}
+_DIMS_NAT = ["dims", "--gamma", "1/2", "--pool", "1..3"]
+_DIMS_PAIR = ["dims", "--gamma", "1/2", "--pool", "4/1,4/2"]
+
+
+def _finite_with(hypothesis):
+    return {"kind": "finite", "hypotheses": [hypothesis]}
+
+
+def _cantor_h(members):
+    return {"kind": "cantor_hypothesis", "members": members, "value": "3/4"}
+
+
+def _split_h(zero_on):
+    return {"kind": "split_cantor_hypothesis", "k": 4, "members": [1], "zero_on": zero_on,
+            "value": "3/4"}
+
+
 class TestParseBoundary:
     @pytest.mark.parametrize("spec", ["a,b", "1/2/3", "1..x"])
     def test_bad_point_spec_exits_2(self, cantor_file, spec):
@@ -455,6 +473,33 @@ class TestParseBoundary:
     )
     def test_malformed_replay_exits_2(self, tmp_path, report):
         assert _replay(tmp_path, report) == 2
+
+    @pytest.mark.parametrize(
+        ("argv", "data"),
+        [
+            pytest.param(_DIMS_NAT, {**_CANTOR, "d": 2.7}, id="cantor-d-not-integral"),
+            pytest.param(_DIMS_NAT, {**_CANTOR, "d": True}, id="cantor-d-bool"),
+            pytest.param(_DIMS_NAT, _finite_with(_cantor_h([1.9, 2])), id="member-not-integral"),
+            pytest.param(_DIMS_NAT, _finite_with(_cantor_h("12")), id="members-not-a-list"),
+            pytest.param(
+                _DIMS_PAIR,
+                {"kind": "split_cantor", "gamma": "1/2", "variant": "d_minus_one_complement",
+                 "size_param": 3.5, "universe_cap": 5},
+                id="size-param-not-integral",
+            ),
+            pytest.param(
+                ["estimate", "--seed", "3"],
+                _estimate_config(distribution=_one_atom_at({"nat": 5.9})),
+                id="nat-not-integral",
+            ),
+            pytest.param(_DIMS_PAIR, _finite_with(_split_h("membres")), id="zero-on-misspelt"),
+            pytest.param(_DIMS_PAIR, _finite_with(_split_h(7)), id="zero-on-not-a-string"),
+        ],
+    )
+    def test_file_value_it_would_round_or_misread_exits_2(self, tmp_path, argv, data):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        assert cli.main([argv[0], str(path), *argv[1:]]) == 2
 
     def test_threads_option_is_gone(self):
         with pytest.raises(SystemExit) as exc:

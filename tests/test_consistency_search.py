@@ -58,8 +58,28 @@ def random_sample(rng, cls, points, max_len=4):
             core.SplitCantorClass(F(1, 4), core.D_MINUS_ONE_COMPLEMENT, 3, 7),
             [PAIR(k, x) for k in range(2, 8) for x in range(1, k + 1)],
         ),
+        (core.CantorClass(HALF, 1, 3), [NAT(i) for i in range(1, 4)]),
+        (core.CantorClass(F(1, 3), 3, 3), [NAT(i) for i in range(1, 4)]),
+        (
+            # block 1 only; blocks 2 and 3 are inside the cap but not squares
+            core.SplitCantorClass(HALF, core.SQRT_SIZE, None, 3),
+            [PAIR(k, x) for k in range(1, 4) for x in range(1, k + 1)],
+        ),
+        (
+            core.SplitCantorClass(HALF, core.D_MINUS_ONE_COMPLEMENT, 2, 3),
+            [PAIR(k, x) for k in range(1, 4) for x in range(1, k + 1)],
+        ),
     ],
-    ids=["cantor26", "cantor37", "split_sqrt9", "split_comp37"],
+    ids=[
+        "cantor26",
+        "cantor37",
+        "split_sqrt9",
+        "split_comp37",
+        "cantor13",
+        "cantor33_one_member",
+        "split_sqrt3_block1_only",
+        "split_comp23_m1",
+    ],
 )
 def test_first_consistent_matches_enumeration(cls, points):
     rng = random.Random(99)
@@ -87,6 +107,11 @@ def test_unique_value_inversion_round_trip_large_blocks():
         members = tuple(sorted(rng.sample(range(1, block + 1), 3)))
         h = comp.hypothesis(block, members)
         assert comp._from_value(h.value) == h
+
+    cantor = core.CantorClass(HALF, 4, 5000)
+    for _ in range(20):
+        h = cantor.hypothesis(rng.sample(range(1, 5001), 4))
+        assert cantor._from_value(h.value) == h
 
 
 def test_large_universe_fit_is_colex_minimal_superset():

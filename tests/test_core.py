@@ -16,6 +16,8 @@ from cutofflab.errors import (
 
 NAT = core.Point.nat
 PAIR = core.Point.pair
+SQRT9 = core.SplitCantorClass(F(1, 2), core.SQRT_SIZE, None, 9)
+COMPLEMENT36 = core.SplitCantorClass(F(1, 2), core.D_MINUS_ONE_COMPLEMENT, 3, 6)
 
 
 def two_point_predictor(values):
@@ -94,8 +96,6 @@ class TestCutoffLoss:
         )
         p = two_point_predictor(values).value_at
         assert core.cutoff_loss(p, dist, lo) >= core.cutoff_loss(p, dist, hi)
-        for g in (lo, hi):
-            assert core.cutoff_loss(p, dist, g) + core.cutoff_within(p, dist, g) == 1
 
 
 class TestEmpiricalLoss:
@@ -209,13 +209,13 @@ class TestIsRealizable:
         sample = core.training_sequence(
             [(NAT(2), 0), (NAT(1), h.value), (NAT(4), 0)]
         )
-        found = core.is_realizable(sample, cls)
+        found = cls.first_consistent(sample)
         assert found == h
 
     def test_absent_on_conflicting_labels(self):
         cls = core.CantorClass(F(1, 2), 2, 5)
         sample = core.training_sequence([(NAT(1), 0), (NAT(1), F(3, 4))])
-        assert core.is_realizable(sample, cls) is None
+        assert cls.first_consistent(sample) is None
 
     def test_first_in_enumeration_matches_exhaustive_oracle(self):
         # oracle: scan all C(4,2) hypotheses explicitly
@@ -227,7 +227,7 @@ class TestIsRealizable:
             if all(h.value_at(ex.point) == ex.label for ex in sample):
                 oracle = h
                 break
-        found = core.is_realizable(sample, cls)
+        found = cls.first_consistent(sample)
         assert found == oracle
         assert 1 in found.members
 
@@ -235,7 +235,7 @@ class TestIsRealizable:
         cls = core.SplitCantorClass(F(1, 2), core.D_MINUS_ONE_COMPLEMENT, 3, 6)
         witness = cls.hypothesis(6, {5, 6})
         sample = core.training_sequence([(PAIR(6, 1), 0), (PAIR(6, 2), 0)])
-        found = core.is_realizable(sample, cls)
+        found = cls.first_consistent(sample)
         # oracle: first consistent hypothesis over the full enumeration
         oracle = next(
             h for h in cls.hypotheses()
@@ -291,12 +291,51 @@ class TestValidation:
         with pytest.raises(PreconditionError):
             core.Point.pair(4, 5)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: core.SplitCantorClass(F(1, 2), "cubes", None, 9),
+            lambda: core.SplitCantorClass(F(1, 2), core.D_MINUS_ONE_COMPLEMENT, None, 9),
+            lambda: core.SplitCantorClass(F(1, 2), core.D_MINUS_ONE_COMPLEMENT, 1, 9),
+            lambda: core.SplitCantorClass(F(1, 2), core.D_MINUS_ONE_COMPLEMENT, 4, 2),
+            lambda: core.SplitCantorClass(F(1, 2), core.SQRT_SIZE, None, 0),
+            lambda: SQRT9.hypothesis(2, {1}),
+            lambda: SQRT9.hypothesis(16, {1, 2, 3, 4}),
+            lambda: SQRT9.hypothesis(4, {1}),
+            lambda: SQRT9.hypothesis(4, {1, 5}),
+            lambda: COMPLEMENT36.hypothesis(1, {1}),
+        ],
+        ids=[
+            "unknown-variant",
+            "complement-size-param-none",
+            "complement-size-param-1",
+            "cap-below-first-block",
+            "sqrt-cap-0",
+            "non-square-block",
+            "block-above-cap",
+            "wrong-member-count",
+            "member-outside-block",
+            "complement-block-below-m",
+        ],
+    )
+    def test_split_class_preconditions(self, build):
+        with pytest.raises(PreconditionError):
+            build()
+
 
 class TestBudgetEnv:
-    def test_env_override(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            core.FiniteClass(tuple(core.CantorClass(F(1, 2), 2, 4).hypotheses())),
+            core.CantorClass(F(1, 2), 2, 5),
+            core.SplitCantorClass(F(1, 2), core.SQRT_SIZE, None, 4),
+        ],
+        ids=["finite", "cantor", "split"],
+    )
+    def test_env_override(self, monkeypatch, cls):
         monkeypatch.setenv("CUTOFFLAB_BUDGET", "5")
         assert core.enumeration_budget() == 5
-        cls = core.CantorClass(F(1, 2), 2, 5)
         with pytest.raises(core.BudgetExceededError):
             list(cls.hypotheses())
         monkeypatch.delenv("CUTOFFLAB_BUDGET")
