@@ -1,8 +1,8 @@
 """Hard-instance constructions for the lower-bound checks.
 
 Each builder packages a hypothesis class, a realizable distribution (or a
-seeded generator over support vectors, when the construction averages over a
-random support), the realizability witness, and the sample-size ceiling the
+seeded generator over random supports, when the construction averages over
+one), the realizability witness, and the sample-size ceiling the
 corresponding bound is stated at.  Universe sizes are re-verified by exact
 rational inequalities at construction time.
 """
@@ -10,7 +10,7 @@ rational inequalities at construction time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional
@@ -25,23 +25,7 @@ DIST_CONSTANT = 16
 SAMPLE_DENOM = 128
 
 
-@dataclass(frozen=True)
-class SupportVector:
-    """Distinct support indices; ``pinned_first`` marks constructions whose
-    first entry is the fixed heavy index."""
-
-    entries: tuple[int, ...]
-    pinned_first: bool = False
-
-    def __post_init__(self):
-        if len(set(self.entries)) != len(self.entries):
-            raise PreconditionError("support vector entries must be distinct")
-
-    def __len__(self):
-        return len(self.entries)
-
-
-#: Masses over 1-based indices into a support vector.
+#: Masses over the entries of a drawn support, in draw order.
 IndexDistribution = tuple[Fraction, ...]
 
 
@@ -56,15 +40,14 @@ class HardInstance:
     d: Optional[int]
     universe: Optional[int]
     n_max: Optional[int]
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class InstanceFamily:
-    """Seeded generator over hard instances indexed by a random support vector.
+    """Seeded generator over hard instances indexed by a random support.
 
-    Every drawn instance puts ``index_masses[i]`` on ``point(entries[i])``
-    with label 0, realized by ``witness(entries)``.  With ``pinned_first`` the
+    Every drawn instance puts ``index_masses[i]`` on ``point(support[i])``
+    with label 0, realized by ``witness(support)``.  With ``pinned_first`` the
     first entry is the fixed heavy index 1 and the rest come from 2..universe.
     """
 
@@ -79,20 +62,18 @@ class InstanceFamily:
     pinned_first: bool
     point: Callable[[int], core.Point]
     witness: Callable[[tuple[int, ...]], core.Hypothesis]
-    params: dict = field(default_factory=dict)
 
-    def draw_support(self, rng) -> SupportVector:
+    def draw_support(self, rng) -> tuple[int, ...]:
+        """The pinned heavy index, if any, then distinct entries drawn
+        without replacement."""
         pinned = (1,) if self.pinned_first else ()
         pool = list(range(len(pinned) + 1, self.universe + 1))
         rest = core.sample_without_replacement(rng, pool, len(self.index_masses) - len(pinned))
-        return SupportVector((*pinned, *rest), pinned_first=self.pinned_first)
+        return (*pinned, *rest)
 
-    def instance_for(self, support: SupportVector) -> HardInstance:
-        witness = self.witness(support.entries)
-        atoms = [
-            (self.point(a), core.ZERO, mass)
-            for a, mass in zip(support.entries, self.index_masses)
-        ]
+    def instance_for(self, support: tuple[int, ...]) -> HardInstance:
+        witness = self.witness(support)
+        atoms = [(self.point(a), core.ZERO, mass) for a, mass in zip(support, self.index_masses)]
         distribution = core.FiniteDistribution.from_triples(atoms, witness)
         return HardInstance(
             theorem=self.theorem,
@@ -104,12 +85,10 @@ class InstanceFamily:
             d=self.d,
             universe=self.universe,
             n_max=self.n_max,
-            params=dict(self.params, support=support.entries),
         )
 
-    def draw_instance(self, rng) -> tuple[HardInstance, SupportVector]:
-        support = self.draw_support(rng)
-        return self.instance_for(support), support
+    def draw_instance(self, rng) -> HardInstance:
+        return self.instance_for(self.draw_support(rng))
 
 
 def uniform_index_masses(count: int) -> IndexDistribution:
@@ -172,7 +151,6 @@ def thm1_instance(
         d=d,
         universe=None,
         n_max=n_max,
-        params={"heavy_mass": core.ONE - 4 * epsilon, "light_mass": light},
     )
     return instance, cert
 
@@ -207,7 +185,6 @@ def thm2_family(gamma: Fraction, d: int, epsilon: Fraction, m_bound: int) -> Ins
         pinned_first=True,
         point=core.Point.nat,
         witness=cls.hypothesis,
-        params={"m_bound": m_bound},
     )
 
 
@@ -272,7 +249,6 @@ def thm3_family(
         pinned_first=False,
         point=partial(core.Point.pair, universe),
         witness=partial(cls.hypothesis, universe),
-        params={"m_bound": m_bound, "n_prime": n_prime},
     )
 
 
@@ -315,64 +291,4 @@ def thm5_family(gamma: Fraction, d: int, epsilon: Fraction) -> InstanceFamily:
         pinned_first=False,
         point=partial(core.Point.pair, universe),
         witness=partial(_complement_witness, cls, universe),
-        params={"support_size": support_size},
     )
-
-
-# ---------------------------------------------------------------------------
-# Support-vector coupling
-# ---------------------------------------------------------------------------
-
-
-#: A drawn index sequence: 1-based positions into a SupportVector.
-IndexSequence = tuple[int, ...]
-
-
-def draw_index_sequence(
-    index_masses: IndexDistribution, n: int, seed: int, stream: int = 0
-) -> IndexSequence:
-    """n i.i.d. 1-based indices from the index distribution, seed-determined."""
-    index_atoms = [
-        (core.Point.nat(i + 1), core.ZERO, mass) for i, mass in enumerate(index_masses)
-    ]
-    index_dist = core.FiniteDistribution.from_triples(index_atoms)
-    return tuple(ex.point.n for ex in core.sample_iid(index_dist, n, seed, stream))
-
-
-def coupled_sample(
-    support: SupportVector,
-    index_masses: IndexDistribution,
-    n: int,
-    seed: int,
-    stream: int = 0,
-    block: Optional[int] = None,
-) -> core.TrainingSequence:
-    """Sample as (A_t, 0) pairs with t i.i.d. from the index distribution.
-
-    With `block` set, points are (block, A_t) pair points; otherwise nat
-    points.  The induced law equals i.i.d. sampling from the instance
-    distribution because the support entries are distinct.
-    """
-    if len(index_masses) != len(support.entries):
-        raise PreconditionError("index distribution length must match the support")
-    indices = draw_index_sequence(index_masses, n, seed, stream)
-    out = []
-    for t in indices:
-        value = support.entries[t - 1]
-        point = core.Point.nat(value) if block is None else core.Point.pair(block, value)
-        out.append(core.LabeledExample(point, core.ZERO))
-    return tuple(out)
-
-
-def missing_indices(support: SupportVector, sample: core.TrainingSequence) -> set[int]:
-    """1-based indices of support entries absent from the sample's points,
-    skipping the pinned heavy index when the construction has one."""
-    seen = set()
-    for ex in sample:
-        seen.add(ex.point.coords[-1])
-    start = 2 if support.pinned_first else 1
-    return {
-        i
-        for i in range(start, len(support.entries) + 1)
-        if support.entries[i - 1] not in seen
-    }

@@ -374,7 +374,8 @@ class CantorClass:
 
     def hypothesis(self, members) -> CantorHypothesis:
         members = frozenset(members)
-        if len(members) != self.d or (members and max(members) > self.universe):
+        in_range = not members or (min(members) >= 1 and max(members) <= self.universe)
+        if len(members) != self.d or not in_range:
             raise PreconditionError(f"invalid member set {sorted(members)} for {self}")
         return CantorHypothesis(members, _value_of_rank(self.gamma, colex_rank(members) + 1))
 
@@ -460,7 +461,8 @@ class SplitCantorClass:
                 m = size
                 break
             offset += math.comb(block, size)
-        if m is None or len(members) != m or (members and max(members) > k):
+        in_range = not members or (min(members) >= 1 and max(members) <= k)
+        if m is None or len(members) != m or not in_range:
             raise PreconditionError(f"invalid block/member set ({k}, {sorted(members)})")
         zero_on = "members" if self.variant == SQRT_SIZE else "complement"
         value = _value_of_rank(self.gamma, offset + colex_rank(members) + 1)

@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import core
 from .adversaries import HardInstance, InstanceFamily
@@ -28,7 +28,6 @@ class LossEstimate:
     ci_lo: float
     ci_hi: float
     trials: int
-    exact: Optional[Fraction] = None
     losses: tuple[Fraction, ...] = ()
 
     @property
@@ -101,7 +100,7 @@ def _trial_loss(learner, source, n: int, seed: int, trial: int) -> Fraction:
     base = core.stream_seed(seed, trial)
     if isinstance(source, InstanceFamily):
         rng = core.rng_for(base, 0)
-        instance, _ = source.draw_instance(rng)
+        instance = source.draw_instance(rng)
     else:
         instance = source
     samples = tuple(
@@ -122,7 +121,7 @@ def mc_expected_loss(
     """Monte Carlo mean of exact per-trial cutoff losses with a normal 95% CI.
 
     `source` is a fixed HardInstance or an InstanceFamily; families redraw
-    their support vector each trial (stream-separated), estimating the
+    their support each trial (stream-separated), estimating the
     support-averaged loss the constructions bound.
     """
     if trials < 30:

@@ -1,4 +1,4 @@
-"""JSON-shaped serialization for classes, distributions, samples and learners.
+"""JSON-shaped serialization for points, hypotheses, classes and distributions.
 
 Exact rationals travel as "p/q" strings, points as {"nat": 3} or {"pair": [4, 2]}.
 All readers raise ParseError on malformed input, a number they would have to
@@ -202,67 +202,6 @@ def distribution_from_json(obj) -> core.FiniteDistribution:
     return core.FiniteDistribution(
         atoms, None if witness is None else hypothesis_from_json(witness)
     )
-
-
-def sample_to_json(sample):
-    return [
-        {"point": point_to_json(ex.point), "label": rational_to_str(ex.label)}
-        for ex in sample
-    ]
-
-
-def sample_from_json(obj):
-    try:
-        return tuple(
-            core.LabeledExample(point_from_json(ex["point"]), rational_from_str(ex["label"]))
-            for ex in obj
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad sample record: {exc}") from exc
-
-
-def instance_to_json(instance):
-    """HardInstance record with its tag and all derived parameters, so an
-    experiment can be replayed from file."""
-    return {
-        "kind": "hard_instance",
-        "theorem_tag": instance.theorem,
-        "class": class_to_json(instance.cls),
-        "distribution": distribution_to_json(instance.distribution),
-        "witness": hypothesis_to_json(instance.witness),
-        "gamma": rational_to_str(instance.gamma),
-        "epsilon": None if instance.epsilon is None else rational_to_str(instance.epsilon),
-        "d": instance.d,
-        "universe": instance.universe,
-        "n_max": instance.n_max,
-        "params": {
-            k: rational_to_str(v) if isinstance(v, Fraction) else list(v) if isinstance(v, tuple) else v
-            for k, v in instance.params.items()
-        },
-    }
-
-
-def instance_from_json(obj):
-    from .adversaries import HardInstance
-
-    try:
-        return HardInstance(
-            theorem=str(obj["theorem_tag"]),
-            cls=class_from_json(obj["class"]),
-            distribution=distribution_from_json(obj["distribution"]),
-            witness=hypothesis_from_json(obj["witness"]),
-            gamma=rational_from_str(obj["gamma"]),
-            epsilon=None if obj.get("epsilon") is None else rational_from_str(obj["epsilon"]),
-            d=obj.get("d"),
-            universe=obj.get("universe"),
-            n_max=obj.get("n_max"),
-            params={
-                k: tuple(v) if isinstance(v, list) else v
-                for k, v in obj.get("params", {}).items()
-            },
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad instance record: {exc}") from exc
 
 
 def load_json(path):

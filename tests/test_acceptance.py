@@ -269,16 +269,17 @@ def test_criterion_9_oracle_agreement_and_coupling():
                 f"instance {idx}: |{est.mean:.5f} - {float(exact):.5f}| > 3se={tol:.5f}"
             )
 
-    # coupled-sampler pmf equals the product pmf on all support <= 4, n <= 3
+    # the index coupling's pmf equals the product pmf on all support <= 4, n <= 3
     from itertools import product as iproduct
 
     for d in (2, 3, 4):
         fam = adversaries.thm2_family(HALF, d, F(1, 64), 1)
-        inst, support = fam.draw_instance(core.rng_for(SEED, d))
+        support = fam.draw_support(core.rng_for(SEED, d))
+        inst = fam.instance_for(support)
         for n in (1, 2, 3):
             coupling = {}
             for t_vec in iproduct(range(d), repeat=n):
-                seq = tuple(support.entries[t] for t in t_vec)
+                seq = tuple(support[t] for t in t_vec)
                 w = math.prod((fam.index_masses[t] for t in t_vec), start=F(1))
                 coupling[seq] = coupling.get(seq, F(0)) + w
             direct = {}

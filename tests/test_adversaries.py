@@ -66,17 +66,18 @@ class TestThm2Family:
     def test_draws_are_pinned_distinct_and_realizable(self):
         fam = adversaries.thm2_family(HALF, 3, F(1, 64), 2)
         for t in range(20):
-            inst, support = fam.draw_instance(core.rng_for(5, t))
-            assert support.entries[0] == 1
-            assert len(set(support.entries)) == 3
-            assert all(2 <= e <= fam.universe for e in support.entries[1:])
+            support = fam.draw_support(core.rng_for(5, t))
+            inst = fam.instance_for(support)
+            assert support[0] == 1
+            assert len(set(support)) == 3
+            assert all(2 <= e <= fam.universe for e in support[1:])
             assert core.cutoff_loss(inst.witness, inst.distribution, HALF) == 0
 
     def test_zero_region_bound_and_aggregate_above_gamma(self):
         # any aggregation run touches <= d * m_bound zero points; the
         # interpolating aggregate exceeds gamma everywhere else in [k_u]
         fam = adversaries.thm2_family(HALF, 2, F(1, 64), 3)
-        inst, support = fam.draw_instance(core.rng_for(1, 0))
+        inst = fam.draw_instance(core.rng_for(1, 0))
         sample = core.sample_iid(inst.distribution, fam.n_max, 2)
         blocks = learners.DisjointBlocks(3).split(sample)
         interp = lambda s: learners.generic_interpolator(fam.cls, s)
@@ -118,8 +119,9 @@ class TestThm3Family:
     def test_draws_realizable(self):
         fam = adversaries.thm3_family(HALF, HALF, 4, 3, universe=729)
         for t in range(5):
-            inst, support = fam.draw_instance(core.rng_for(8, t))
-            assert len(set(support.entries)) == 27
+            support = fam.draw_support(core.rng_for(8, t))
+            inst = fam.instance_for(support)
+            assert len(set(support)) == 27
             assert core.cutoff_loss(inst.witness, inst.distribution, HALF) == 0
 
 
@@ -138,7 +140,7 @@ class TestThm5Family:
 
     def test_witness_zero_on_every_atom(self):
         fam = adversaries.thm5_family(HALF, 4, F(1, 256))
-        inst, support = fam.draw_instance(core.rng_for(2, 0))
+        inst = fam.draw_instance(core.rng_for(2, 0))
         for atom in inst.distribution.atoms:
             assert inst.witness.value_at(atom.point) == 0
 
@@ -153,7 +155,7 @@ class TestThm5Family:
         draws = 10_000
         for t in range(draws):
             support = fam.draw_support(core.rng_for(77, t))
-            counts[support.entries[0] - 1] += 1
+            counts[support[0] - 1] += 1
         expected = draws / fam.universe
         statistic = sum((c - expected) ** 2 / expected for c in counts)
         assert statistic < 92.0100
@@ -163,8 +165,8 @@ class TestCoupledSampling:
     def _coupling_pmf(self, support, masses, n):
         """Oracle: sum over index vectors mapping to each point sequence."""
         pmf = {}
-        for t_vec in product(range(len(support.entries)), repeat=n):
-            seq = tuple(support.entries[t] for t in t_vec)
+        for t_vec in product(range(len(support)), repeat=n):
+            seq = tuple(support[t] for t in t_vec)
             weight = math.prod((masses[t] for t in t_vec), start=F(1))
             pmf[seq] = pmf.get(seq, F(0)) + weight
         return pmf
@@ -173,7 +175,8 @@ class TestCoupledSampling:
     def test_law_equality_exhaustive(self, d):
         eps = F(1, 64)
         fam = adversaries.thm2_family(HALF, d, eps, 1)
-        inst, support = fam.draw_instance(core.rng_for(4, d))
+        support = fam.draw_support(core.rng_for(4, d))
+        inst = fam.instance_for(support)
         masses = fam.index_masses
         for n in (1, 2, 3):
             coupling = self._coupling_pmf(support, masses, n)
@@ -184,56 +187,20 @@ class TestCoupledSampling:
                 prod_pmf[seq] = prod_pmf.get(seq, F(0)) + weight
             assert coupling == prod_pmf
 
-    def test_heavy_only_indices(self):
-        support = adversaries.SupportVector((1, 9, 5), pinned_first=True)
-        masses = (F(1), F(0), F(0))
-        sample = adversaries.coupled_sample(support, masses, 4, seed=3)
-        assert all(ex.point == NAT(1) and ex.label == 0 for ex in sample)
-
-    def test_deterministic_under_seed(self):
-        support = adversaries.SupportVector((2, 7, 4))
-        masses = adversaries.uniform_index_masses(3)
-        a = adversaries.coupled_sample(support, masses, 6, seed=10, stream=1)
-        b = adversaries.coupled_sample(support, masses, 6, seed=10, stream=1)
-        assert a == b
-
-    def test_pair_point_mode(self):
-        support = adversaries.SupportVector((2, 7, 4))
-        masses = adversaries.uniform_index_masses(3)
-        sample = adversaries.coupled_sample(support, masses, 5, seed=1, block=9)
-        assert all(ex.point.kind == "pair" and ex.point.block == 9 for ex in sample)
-
 
 class TestMissingIndices:
-    def test_full_coverage_empty(self):
-        support = adversaries.SupportVector((1, 5, 9), pinned_first=True)
-        sample = core.training_sequence([(NAT(5), 0), (NAT(9), 0), (NAT(1), 0)])
-        assert adversaries.missing_indices(support, sample) == set()
-
-    def test_empty_sample_all_nonpinned(self):
-        support = adversaries.SupportVector((1, 5, 9), pinned_first=True)
-        assert adversaries.missing_indices(support, ()) == {2, 3}
-
-    def test_unpinned_counts_all(self):
-        support = adversaries.SupportVector((5, 9))
-        assert adversaries.missing_indices(support, ()) == {1, 2}
-
     def test_coupon_collector_regime(self):
-        # at n_max = 12 draws over 61 uniform indices, at least d = 4 indices
-        # stay unseen essentially always; require frequency >= 0.4
+        # n_max = 12 draws over 61 uniform atoms, sampled the way mc samples
+        # a trial, leave at least 61 - 12 >= d = 4 atoms unseen in every trial
         fam = adversaries.thm5_family(HALF, 4, F(1, 256))
-        hits = 0
-        trials = 2000
-        for t in range(trials):
-            rng = core.rng_for(13, t)
-            support = fam.draw_support(rng)
-            sample = adversaries.coupled_sample(
-                support, fam.index_masses, fam.n_max, seed=core.stream_seed(13, t),
-                stream=1, block=fam.universe,
+        for t in range(2000):
+            inst = fam.draw_instance(core.rng_for(13, t))
+            sample = core.sample_iid(
+                inst.distribution, fam.n_max, core.stream_seed(13, t), stream=1
             )
-            if len(adversaries.missing_indices(support, sample)) >= 4:
-                hits += 1
-        assert hits / trials >= 0.4
+            seen = {ex.point for ex in sample}
+            unseen = [a for a in inst.distribution.atoms if a.point not in seen]
+            assert len(unseen) >= fam.d
 
 
 class TestTwoTier:
@@ -254,37 +221,3 @@ class TestTwoTier:
         assert [a.mass for a in dist.atoms] == [F(3, 4), F(1, 8), F(1, 8)]
         for atom in dist.atoms:
             assert atom.label == witness.value_at(atom.point)
-
-
-class TestIndexSequence:
-    def test_draw_is_deterministic_and_in_range(self):
-        masses = adversaries.pinned_index_masses(3, F(1, 64))
-        a = adversaries.draw_index_sequence(masses, 20, seed=4, stream=2)
-        b = adversaries.draw_index_sequence(masses, 20, seed=4, stream=2)
-        assert a == b
-        assert all(1 <= t <= 3 for t in a)
-
-    def test_coupled_sample_follows_indices(self):
-        support = adversaries.SupportVector((1, 9, 5), pinned_first=True)
-        masses = adversaries.pinned_index_masses(3, F(1, 64))
-        indices = adversaries.draw_index_sequence(masses, 8, seed=6, stream=1)
-        sample = adversaries.coupled_sample(support, masses, 8, seed=6, stream=1)
-        assert tuple(ex.point.n for ex in sample) == tuple(
-            support.entries[t - 1] for t in indices
-        )
-
-
-class TestInstanceSerialization:
-    def test_roundtrip_with_tag_and_parameters(self):
-        from cutofflab import serialize
-
-        fam = adversaries.thm2_family(HALF, 2, F(1, 64), 3)
-        inst, _ = fam.draw_instance(core.rng_for(1, 0))
-        blob = serialize.instance_to_json(inst)
-        back = serialize.instance_from_json(blob)
-        assert back.theorem == "thm2"
-        assert back.cls == inst.cls
-        assert back.distribution == inst.distribution
-        assert back.witness == inst.witness
-        assert back.n_max == inst.n_max
-        assert back.params["support"] == inst.params["support"]

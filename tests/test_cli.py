@@ -306,12 +306,6 @@ class TestSerialization:
             == dist
         )
 
-    def test_sample_roundtrip(self):
-        sample = core.training_sequence(
-            [(core.Point.nat(1), F(1, 3)), (core.Point.pair(4, 2), 0)]
-        )
-        assert serialize.sample_from_json(serialize.sample_to_json(sample)) == sample
-
     def test_rational_strings(self):
         assert serialize.rational_to_str(F(1, 2)) == "1/2"
         assert serialize.rational_from_str("7/8") == F(7, 8)
@@ -621,3 +615,77 @@ def test_estimate_configs_never_escape(fuzz_dir, learner_config, n, trials):
     path = fuzz_dir / "estimate.json"
     path.write_text(json.dumps(config))
     assert _quiet_main(["estimate", str(path)]) in (0, 2, 3, 4)
+
+
+# Class files: each kind, with fields that are small, negative, floats, bools,
+# strings, null, typos or the wrong shape.
+_field = _mostly(st.integers(-2, 6))
+_rational = _mostly(st.sampled_from(["1/2", "1/3", "0", "1", "3/2", "-1/2", "1/0"]))
+_members = _mostly(st.lists(st.integers(-1, 6), max_size=4))
+_fuzz_point = st.one_of(
+    st.fixed_dictionaries({"nat": _field}),
+    st.fixed_dictionaries({"pair": _mostly(st.lists(_field, min_size=2, max_size=2))}),
+)
+_hypothesis_record = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.just("cantor_hypothesis"), "members": _members, "value": _rational}
+    ),
+    st.fixed_dictionaries(
+        {
+            "kind": st.just("split_cantor_hypothesis"),
+            "k": _field,
+            "members": _members,
+            "zero_on": _mostly(st.sampled_from(["members", "complement", "membres", "Members"])),
+            "value": _rational,
+        }
+    ),
+    st.fixed_dictionaries(
+        {
+            "kind": st.just("table_hypothesis"),
+            "entries": _mostly(st.lists(st.tuples(_fuzz_point, _rational), max_size=3)),
+            "default": _rational,
+        }
+    ),
+    st.fixed_dictionaries({"kind": st.sampled_from(["cantor", "hypothesis", ""])}),
+)
+_class_record = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.just("cantor"), "gamma": _rational, "d": _field, "universe": _field}
+    ),
+    st.fixed_dictionaries(
+        {
+            "kind": st.just("split_cantor"),
+            "gamma": _rational,
+            "variant": _mostly(
+                st.sampled_from(
+                    [core.SQRT_SIZE, core.D_MINUS_ONE_COMPLEMENT, "sqrt", "d_minus_one"]
+                )
+            ),
+            "size_param": _field,
+            "universe_cap": _field,
+        }
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.just("finite"), "hypotheses": _mostly(st.lists(_hypothesis_record, max_size=3))}
+    ),
+    st.fixed_dictionaries(
+        {"kind": _mostly(st.sampled_from(["cantr", "Cantor", "split", ""]))},
+        optional={"d": _field, "universe": _field},
+    ),
+    _junk,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(record=_class_record, points=st.sampled_from(["1,2,3", "4/1,4/2", "1,4/3"]))
+def test_class_files_never_escape(fuzz_dir, record, points):
+    class_file = fuzz_dir / "class.json"
+    class_file.write_text(json.dumps(record))
+    config_file = fuzz_dir / "class-estimate.json"
+    config_file.write_text(json.dumps(_estimate_config(**{"class": record})))
+    for argv in (
+        ["dims", str(class_file), "--gamma", "1/2"],
+        ["oig", str(class_file), "--gamma", "1/2", f"--points={points}"],
+        ["estimate", str(config_file)],
+    ):
+        assert _quiet_main(argv) in (0, 2, 3, 4), argv

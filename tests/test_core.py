@@ -304,6 +304,7 @@ class TestValidation:
             lambda: SQRT9.hypothesis(4, {1}),
             lambda: SQRT9.hypothesis(4, {1, 5}),
             lambda: COMPLEMENT36.hypothesis(1, {1}),
+            lambda: SQRT9.hypothesis(9, {0, 1, 2}),
         ],
         ids=[
             "unknown-variant",
@@ -316,11 +317,17 @@ class TestValidation:
             "wrong-member-count",
             "member-outside-block",
             "complement-block-below-m",
+            "member-below-one",
         ],
     )
     def test_split_class_preconditions(self, build):
         with pytest.raises(PreconditionError):
             build()
+
+    @pytest.mark.parametrize("members", [{0, 1}, {-1, 3}], ids=["zero", "negative"])
+    def test_cantor_member_below_one(self, members):
+        with pytest.raises(PreconditionError):
+            core.CantorClass(F(1, 2), 2, 5).hypothesis(members)
 
 
 class TestBudgetEnv:
