@@ -123,9 +123,10 @@ def two_tier_distribution(witness, points, light_mass: Fraction) -> core.FiniteD
 
 
 def thm1_instance(
-    cls, gamma: Fraction, epsilon: Fraction, pool=None, cap_d: int = dims.DEFAULT_POINT_CAP
+    cls, gamma: Fraction, epsilon: Fraction
 ) -> tuple[HardInstance, dims.ShatterCertificate]:
-    """Shattered set + witness + the 1-4eps / 4eps/(d-1) two-tier distribution.
+    """Shattered set from the class's default pool + witness + the
+    1-4eps / 4eps/(d-1) two-tier distribution.
 
     The worst-case interpolator for the instance is
     ``adversarial_interpolator`` applied to the returned certificate.
@@ -133,8 +134,8 @@ def thm1_instance(
     gamma, epsilon = Fraction(gamma), Fraction(epsilon)
     if not core.ZERO < epsilon < Fraction(1, 4):
         raise PreconditionError("need 0 < epsilon < 1/4")
-    pool = tuple(pool) if pool is not None else cls.default_pool()
-    d = dims.gamma_graph_dimension(cls, pool, gamma, cap_d)
+    pool = cls.default_pool()
+    d = dims.gamma_graph_dimension(cls, pool, gamma)
     if d < 2:
         raise PreconditionError(f"graph dimension must be >= 2, found {d}")
     cert = dims.find_shattered_set(cls, pool, gamma, d)

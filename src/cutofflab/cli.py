@@ -2,7 +2,8 @@
 
 Subcommands: dims, oig, disambiguate, estimate, reproduce.  Exit codes are
 stable API: 0 pass, 1 experiment fail, 2 parse error, 3 budget refusal,
-4 precondition violation.  CUTOFFLAB_BUDGET overrides search budgets.
+4 precondition violation.  CUTOFFLAB_BUDGET overrides the class-enumeration
+ceiling.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import csv
 import dataclasses
 import inspect
 import json
+import math
 import sys
 from functools import partial as bind
 
@@ -64,12 +66,19 @@ def _parse_ints(spec: str) -> tuple[int, ...]:
         raise ParseError(f"bad integer list {spec!r}") from exc
 
 
+def _open_out(path, **kwargs):
+    """An output file opened for writing; an unwritable path is a parse error."""
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(experiments.CSV_HEADER)
-        for row in rows:
-            writer.writerow(row.as_csv())
+    with _open_out(path, newline="") as fh:
+        writer = csv.DictWriter(fh, experiments.CSV_HEADER)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _emit_report(report, args) -> int:
@@ -101,16 +110,6 @@ def cmd_dims(args) -> int:
             "patterns": len(cert.pattern_witnesses),
         },
     }
-    if args.oig_points:
-        points = _parse_points(args.oig_points)
-        graph = dims.build_oig(cls, points)
-        orientation = dims.orient_smallest_value(graph)
-        out["oig"] = {
-            "points": len(points),
-            "vertices": len(graph.vertices),
-            "edges": len(graph.edges),
-            "max_gamma_outdegree": dims.max_gamma_outdegree(graph, orientation, gamma),
-        }
     if args.json:
         print(json.dumps(out, indent=2, sort_keys=True))
     else:
@@ -118,12 +117,12 @@ def cmd_dims(args) -> int:
         if cert is not None:
             points = ",".join(str(p) for p in cert.points)
             print(f"certificate: {len(cert.pattern_witnesses)} patterns on [{points}]")
-        if "oig" in out:
-            print(f"oig_max_gamma_outdegree: {out['oig']['max_gamma_outdegree']}")
     return EXIT_PASS
 
 
 def cmd_oig(args) -> int:
+    if args.subgraphs < 0:
+        raise ParseError(f"--subgraphs must be at least 0, got {args.subgraphs}")
     cls = serialize.class_from_json(serialize.load_json(args.class_file))
     gamma = serialize.rational_from_str(args.gamma)
     points = _parse_points(args.points)
@@ -164,10 +163,8 @@ def cmd_disambiguate(args) -> int:
     total = partial_concepts.disambiguate(cls)
     d = partial_concepts.partial_vc_dimension(cls)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open_out(args.out) as fh:
             fh.write(partial_concepts.write_rows(total))
-    import math
-
     if d >= 1:
         bound = partial_concepts.ln_disambiguation_bound(d, cls.domain_size)
         ok = math.log(total.size()) <= bound
@@ -324,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dims.add_argument("--gamma", required=True)
     p_dims.add_argument("--pool", default=None, help='points, e.g. "1..8" or "4/1,4/2"')
     p_dims.add_argument("--cap-d", type=int, default=dims.DEFAULT_POINT_CAP)
-    p_dims.add_argument("--oig-points", default=None)
     p_dims.add_argument("--json", action="store_true")
     p_dims.set_defaults(fn=cmd_dims)
 

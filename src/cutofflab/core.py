@@ -252,9 +252,9 @@ Predictor = Callable[[Point], Fraction]
 # ---------------------------------------------------------------------------
 
 
-def _budgeted(cls, budget: int | None) -> None:
-    """Refuse to enumerate `cls` past `budget` (default: enumeration_budget())."""
-    budget = enumeration_budget() if budget is None else budget
+def _budgeted(cls) -> None:
+    """Refuse to enumerate `cls` past enumeration_budget()."""
+    budget = enumeration_budget()
     if cls.size() > budget:
         raise BudgetExceededError(f"class of size {cls.size()} exceeds budget {budget}")
 
@@ -334,8 +334,8 @@ class FiniteClass:
     def size(self) -> int:
         return len(self.hypotheses_list)
 
-    def hypotheses(self, budget: int | None = None) -> Iterator[Hypothesis]:
-        _budgeted(self, budget)
+    def hypotheses(self) -> Iterator[Hypothesis]:
+        _budgeted(self)
         return iter(self.hypotheses_list)
 
     def first_consistent(self, sample: TrainingSequence) -> Optional[Hypothesis]:
@@ -379,8 +379,8 @@ class CantorClass:
             raise PreconditionError(f"invalid member set {sorted(members)} for {self}")
         return CantorHypothesis(members, _value_of_rank(self.gamma, colex_rank(members) + 1))
 
-    def hypotheses(self, budget: int | None = None) -> Iterator[CantorHypothesis]:
-        _budgeted(self, budget)
+    def hypotheses(self) -> Iterator[CantorHypothesis]:
+        _budgeted(self)
         return (self.hypothesis(a) for a in iter_colex(self.universe, self.d))
 
     def _on_domain(self, point: Point) -> bool:
@@ -468,8 +468,8 @@ class SplitCantorClass:
         value = _value_of_rank(self.gamma, offset + colex_rank(members) + 1)
         return SplitCantorHypothesis(k, members, zero_on, value)
 
-    def hypotheses(self, budget: int | None = None) -> Iterator[SplitCantorHypothesis]:
-        _budgeted(self, budget)
+    def hypotheses(self) -> Iterator[SplitCantorHypothesis]:
+        _budgeted(self)
         return (self.hypothesis(k, a) for k, m in self.blocks() for a in iter_colex(k, m))
 
     def _on_domain(self, point: Point) -> bool:

@@ -47,10 +47,10 @@ class ShatterCertificate:
         return len(self.pattern_witnesses) == 2 ** len(self.points)
 
 
-def _value_vectors(cls, points, budget=None):
+def _value_vectors(cls, points):
     """(hypothesis, restriction tuple) pairs over the given points."""
     out = []
-    for h in cls.hypotheses(budget):
+    for h in cls.hypotheses():
         try:
             out.append((h, tuple(h.value_at(x) for x in points)))
         except core.DomainMismatchError:
@@ -72,13 +72,7 @@ def _pattern_of(vec, witness_vec, gamma):
     return tuple(bits)
 
 
-def check_graph_shattered(
-    points,
-    cls,
-    witness,
-    gamma: Fraction,
-    point_cap: int = DEFAULT_POINT_CAP,
-) -> Optional[ShatterCertificate]:
+def check_graph_shattered(points, cls, witness, gamma: Fraction) -> Optional[ShatterCertificate]:
     """Certificate iff every one of the 2^d match/far patterns is realized.
 
     The witness must be a member of the class (it serves as the all-zeros
@@ -89,8 +83,8 @@ def check_graph_shattered(
     gamma = Fraction(gamma)
     if len(set(points)) != len(points):
         raise PreconditionError("shattering points must be distinct")
-    if len(points) > point_cap:
-        raise BudgetExceededError(f"{len(points)} points exceed the cap of {point_cap}")
+    if len(points) > DEFAULT_POINT_CAP:
+        raise BudgetExceededError(f"{len(points)} points exceed the cap of {DEFAULT_POINT_CAP}")
     if not points:
         return ShatterCertificate(points, witness, {(): witness})
     witness_vec = tuple(witness.value_at(x) for x in points)
@@ -110,12 +104,12 @@ def check_graph_shattered(
     return cert
 
 
-def find_shattered_set(cls, pool, gamma, size, point_cap=DEFAULT_POINT_CAP):
+def find_shattered_set(cls, pool, gamma, size):
     """First (in pool order, then enumeration order) shattered size-set."""
     pool = tuple(pool)
     gamma = Fraction(gamma)
-    if size > point_cap:
-        raise BudgetExceededError(f"size {size} exceeds the point cap {point_cap}")
+    if size > DEFAULT_POINT_CAP:
+        raise BudgetExceededError(f"size {size} exceeds the point cap {DEFAULT_POINT_CAP}")
     if size == 0:
         for h in cls.hypotheses():
             return check_graph_shattered((), cls, h, gamma)
@@ -149,6 +143,8 @@ def gamma_graph_dimension(cls, pool, gamma, cap_d: int = DEFAULT_POINT_CAP) -> i
     the true dimension may exceed the cap and we refuse, reporting cap_d as a
     certified lower bound.
     """
+    if cap_d < 1:
+        raise PreconditionError(f"the dimension search cap must be at least 1, got {cap_d}")
     pool = tuple(pool)
     gamma = Fraction(gamma)
     best = 0
@@ -156,7 +152,7 @@ def gamma_graph_dimension(cls, pool, gamma, cap_d: int = DEFAULT_POINT_CAP) -> i
         if find_shattered_set(cls, pool, gamma, d) is None:
             return best
         best = d
-    if best == min(cap_d, len(pool)) and best == cap_d and len(pool) > cap_d:
+    if best == cap_d < len(pool):
         raise BudgetExceededError(
             f"dimension is at least {best} but the search cap is {cap_d}",
             lower_bound=best,
@@ -200,13 +196,13 @@ def _graph_on(points, vertices) -> OneInclusionGraph:
     )
 
 
-def build_oig(cls, points, budget: int | None = None) -> OneInclusionGraph:
+def build_oig(cls, points) -> OneInclusionGraph:
     points = tuple(points)
     if not points:
         raise PreconditionError("one-inclusion graph needs at least one point")
     if len(set(points)) != len(points):
         raise PreconditionError("points must be distinct")
-    vertices = sorted({vec for _, vec in _value_vectors(cls, points, budget)})
+    vertices = sorted({vec for _, vec in _value_vectors(cls, points)})
     return _graph_on(points, vertices)
 
 
@@ -251,18 +247,14 @@ def max_gamma_outdegree(graph: OneInclusionGraph, orientation: Orientation, gamm
     return worst
 
 
-def exhaustive_orientation_min(
-    graph: OneInclusionGraph,
-    gamma,
-    multi_edge_cap: int = DEFAULT_MULTI_EDGE_CAP,
-) -> tuple[Orientation, int]:
+def exhaustive_orientation_min(graph: OneInclusionGraph, gamma) -> tuple[Orientation, int]:
     """Orientation minimizing the max gamma-out-degree, by product search."""
     gamma = Fraction(gamma)
     fixed = {k: ms[0] for k, ms in graph.edges.items() if len(ms) == 1}
     multi = [(k, ms) for k, ms in sorted(graph.edges.items()) if len(ms) > 1]
-    if len(multi) > multi_edge_cap:
+    if len(multi) > DEFAULT_MULTI_EDGE_CAP:
         raise BudgetExceededError(
-            f"{len(multi)} multi-member edges exceed the cap of {multi_edge_cap}"
+            f"{len(multi)} multi-member edges exceed the cap of {DEFAULT_MULTI_EDGE_CAP}"
         )
     combos = 1
     for _, ms in multi:

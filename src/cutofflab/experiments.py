@@ -15,11 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-from . import adversaries, core, learners, mc
+from . import __version__, adversaries, core, learners, mc
 from . import partial as partial_concepts
 from .errors import PreconditionError
-
-__version__ = "0.1.0"
 
 CSV_HEADER = (
     "experiment",
@@ -37,46 +35,13 @@ CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class Row:
-    experiment: str
-    theorem_tag: str
-    gamma: str
-    epsilon: str
-    d: str
-    n: str
-    trials: str
-    mean: str
-    ci_lo: str
-    ci_hi: str
-    threshold: str
-    passed: bool
-
-    def as_csv(self) -> list[str]:
-        return [
-            self.experiment,
-            self.theorem_tag,
-            self.gamma,
-            self.epsilon,
-            self.d,
-            self.n,
-            self.trials,
-            self.mean,
-            self.ci_lo,
-            self.ci_hi,
-            self.threshold,
-            "pass" if self.passed else "fail",
-        ]
-
-
 @dataclass
 class Report:
     tag: str
     config: dict
-    rows: list[Row] = field(default_factory=list)
+    rows: list[dict[str, str]] = field(default_factory=list)
     verdicts: list[tuple[str, bool, str]] = field(default_factory=list)
     wall_clock_s: float = 0.0
-    version: str = __version__
     seed: int = 0
 
     @property
@@ -90,33 +55,24 @@ class Report:
         return {
             "tag": self.tag,
             "config": self.config,
-            "rows": [dict(zip(CSV_HEADER, r.as_csv())) for r in self.rows],
+            "rows": self.rows,
             "verdicts": [
                 {"name": n, "pass": ok, "detail": d} for n, ok, d in self.verdicts
             ],
             "wall_clock_s": self.wall_clock_s,
-            "version": self.version,
+            "version": __version__,
             "seed": self.seed,
         }
 
 
 def _row(tag, *, gamma="", epsilon="", d="", n="", trials="", mean="", ci=(None, None),
-         threshold="", passed=True, experiment=None):
+         threshold="", passed=True, experiment=None) -> dict[str, str]:
+    """One result row: every CSV_HEADER column, in order, as text."""
     lo, hi = ci
-    return Row(
-        experiment=experiment or tag,
-        theorem_tag=tag,
-        gamma=str(gamma),
-        epsilon=str(epsilon),
-        d=str(d),
-        n=str(n),
-        trials=str(trials),
-        mean=str(mean),
-        ci_lo="" if lo is None else f"{lo:.6g}",
-        ci_hi="" if hi is None else f"{hi:.6g}",
-        threshold=str(threshold),
-        passed=passed,
-    )
+    values = (experiment or tag, tag, gamma, epsilon, d, n, trials, mean,
+              "" if lo is None else f"{lo:.6g}", "" if hi is None else f"{hi:.6g}",
+              threshold, "pass" if passed else "fail")
+    return dict(zip(CSV_HEADER, map(str, values), strict=True))
 
 
 def _echo(default, value):
@@ -303,11 +259,11 @@ def run_thm3(
 # ---------------------------------------------------------------------------
 
 
-def thm4_instance_at(cls, witness, points, n: int, light_scale=Fraction(1)) -> adversaries.HardInstance:
-    """Two-tier distribution with light mass light_scale/n per light point."""
+def thm4_instance_at(cls, witness, points, n: int) -> adversaries.HardInstance:
+    """Two-tier distribution with light mass 1/n per light point."""
     if n < 1:
         raise PreconditionError("need n >= 1")
-    dist = adversaries.two_tier_distribution(witness, points, Fraction(light_scale) / n)
+    dist = adversaries.two_tier_distribution(witness, points, Fraction(1, n))
     return adversaries.HardInstance(
         theorem="thm4",
         cls=cls,
@@ -481,7 +437,7 @@ def run_lemma_interp(
 # ---------------------------------------------------------------------------
 
 
-def random_partial_class(rng, domain_size=10, max_size=40, max_vc=3, star_p=0.5):
+def random_partial_class(rng, domain_size=10, max_size=40, max_vc=3):
     """Seeded random partial class with VC dimension capped by rejection."""
     while True:
         size = rng.randrange(1, max_size + 1)
@@ -489,7 +445,7 @@ def random_partial_class(rng, domain_size=10, max_size=40, max_vc=3, star_p=0.5)
         for _ in range(size):
             rows.append(
                 "".join(
-                    "*" if rng.random() < star_p else str(rng.randrange(2))
+                    "*" if rng.random() < 0.5 else str(rng.randrange(2))
                     for _ in range(domain_size)
                 )
             )

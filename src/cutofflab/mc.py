@@ -44,15 +44,11 @@ class LossEstimate:
 
 @dataclass(frozen=True)
 class ScalingFit:
-    points: tuple[tuple[int, float], ...]
     slope: float
-    intercept: float
     r_squared: float
 
 
-def exact_loss_distribution(
-    learner, instance: HardInstance, n: int, budget: int = DEFAULT_ORACLE_BUDGET
-) -> list[tuple[Fraction, Fraction]]:
+def exact_loss_distribution(learner, instance: HardInstance, n: int) -> list[tuple[Fraction, Fraction]]:
     """(probability, loss) pairs over every weighted sample tuple.
 
     Enumerates support^(n * arity) sequences, so the learner must be
@@ -62,7 +58,7 @@ def exact_loss_distribution(
     dist = instance.distribution
     arity = learner.sample_arity
     total_len = n * arity
-    if dist.support_size() ** total_len > budget:
+    if dist.support_size() ** total_len > DEFAULT_ORACLE_BUDGET:
         raise BudgetExceededError(
             f"oracle would enumerate {dist.support_size()}^{total_len} sequences"
         )
@@ -80,19 +76,15 @@ def exact_loss_distribution(
     return out
 
 
-def exact_expected_loss(
-    learner, instance: HardInstance, n: int, budget: int = DEFAULT_ORACLE_BUDGET
-) -> Fraction:
+def exact_expected_loss(learner, instance: HardInstance, n: int) -> Fraction:
     """Exact E[loss] by weighted enumeration of all sample sequences."""
-    pairs = exact_loss_distribution(learner, instance, n, budget)
+    pairs = exact_loss_distribution(learner, instance, n)
     return sum((w * l for w, l in pairs), core.ZERO)
 
 
-def exact_exceed_probability(
-    learner, instance: HardInstance, n: int, threshold, budget: int = DEFAULT_ORACLE_BUDGET
-) -> Fraction:
+def exact_exceed_probability(learner, instance: HardInstance, n: int, threshold) -> Fraction:
     threshold = Fraction(threshold)
-    pairs = exact_loss_distribution(learner, instance, n, budget)
+    pairs = exact_loss_distribution(learner, instance, n)
     return sum((w for w, l in pairs if l > threshold), core.ZERO)
 
 
@@ -158,10 +150,8 @@ def scaling_fit(points: Sequence[tuple[int, float]]) -> ScalingFit:
     sxx = sum((x - x_bar) ** 2 for x in xs)
     sxy = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
     syy = sum((y - y_bar) ** 2 for y in ys)
-    slope = sxy / sxx
-    intercept = y_bar - slope * x_bar
     r_squared = 1.0 if syy == 0 else (sxy * sxy) / (sxx * syy)
-    return ScalingFit(points, slope, intercept, r_squared)
+    return ScalingFit(sxy / sxx, r_squared)
 
 
 def interpolator_envelope_bound(d: int, n: int, delta: float) -> float:

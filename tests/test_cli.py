@@ -48,6 +48,24 @@ class TestDims:
             cli.main(["dims", cantor_file, "--gamma", "1/2", "--cap-d", "1"]) == 3
         )
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_exits_4(self, cantor_file, cap, capsys):
+        # the class has dimension 2: a cap below 1 must not report 0
+        assert cli.main(["dims", cantor_file, "--gamma", "1/2", "--cap-d", cap]) == 4
+        assert "graph_dim" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["dims", "--gamma", "1/2"], ["oig", "--gamma", "1/2", "--points", "1,2,3"]],
+    ids=["dims", "oig"],
+)
+def test_enumeration_budget_env_exits_3(cantor_file, monkeypatch, argv):
+    # CUTOFFLAB_BUDGET is the one setting of the enumeration ceiling; the
+    # Cantor (2, 5) class has 10 members
+    monkeypatch.setenv("CUTOFFLAB_BUDGET", "5")
+    assert cli.main([argv[0], cantor_file, *argv[1:]]) == 3
+
 
 class TestOig:
     def test_orientation_evidence(self, cantor_file, capsys):
@@ -58,6 +76,11 @@ class TestOig:
         out = capsys.readouterr().out
         assert "smallest_value_outdegree: 1" in out or "smallest_value_outdegree: 0" in out
         assert "min_outdegree" in out
+
+    def test_negative_subgraphs_exits_2(self, cantor_file, capsys):
+        argv = ["oig", cantor_file, "--gamma", "1/2", "--points", "1,2,3", "--subgraphs", "-3"]
+        assert cli.main(argv) == 2
+        assert "subgraph_max_outdegree" not in capsys.readouterr().out
 
 
 class TestDisambiguate:
@@ -280,6 +303,16 @@ class TestReproduce:
     def test_reproduce_requires_tag_or_replay(self):
         with pytest.raises(SystemExit):
             cli.main(["reproduce"])
+
+
+@pytest.mark.parametrize("command", ["disambiguate", "reproduce"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    rows = tmp_path / "rows.txt"
+    rows.write_text("010\n101\n")
+    argv = {"disambiguate": ["disambiguate", str(rows)], "reproduce": ["reproduce", "lemma-disamb"]}
+    target = tmp_path / "missing" / "out.csv"
+    assert cli.main([*argv[command], "--out", str(target)]) == 2
+    assert "cannot write" in capsys.readouterr().err
 
 
 class TestSerialization:

@@ -59,7 +59,7 @@ class TestShatterCertificates:
         witness = cls.hypothesis({1, 2})
         points = [NAT(i) for i in range(1, 15)]
         with pytest.raises(BudgetExceededError):
-            dims.check_graph_shattered(points, cls, witness, HALF, point_cap=12)
+            dims.check_graph_shattered(points, cls, witness, HALF)
 
 
 class TestGraphDimension:
@@ -104,6 +104,12 @@ class TestGraphDimension:
         with pytest.raises(BudgetExceededError) as err:
             dims.gamma_graph_dimension(cls, cls.default_pool(), HALF, cap_d=2)
         assert err.value.lower_bound == 2
+
+    @pytest.mark.parametrize("cap_d", [0, -1])
+    def test_cap_below_one_refused(self, cap_d):
+        cls = core.CantorClass(HALF, 2, 5)
+        with pytest.raises(PreconditionError):
+            dims.gamma_graph_dimension(cls, cls.default_pool(), HALF, cap_d=cap_d)
 
 
 class TestOneInclusionGraph:
