@@ -9,6 +9,7 @@ ceiling.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import inspect
@@ -74,17 +75,14 @@ def _open_out(path, **kwargs):
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_csv(rows, path):
-    with _open_out(path, newline="") as fh:
-        writer = csv.DictWriter(fh, experiments.CSV_HEADER)
-        writer.writeheader()
-        writer.writerows(rows)
+def _write_csv(rows, fh):
+    writer = csv.DictWriter(fh, experiments.CSV_HEADER)
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def _emit_report(report, args) -> int:
-    if getattr(args, "out", None):
-        _write_csv(report.rows, args.out)
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True, default=str))
     else:
         print(f"# {report.tag}  seed={report.seed}  wall_clock={report.wall_clock_s}s")
@@ -101,7 +99,6 @@ def cmd_dims(args) -> int:
     cert = dims.find_shattered_set(cls, pool, gamma, dimension) if dimension else None
     out = {
         "graph_dim": dimension,
-        "budget_exceeded": False,
         "certificate": None
         if cert is None
         else {
@@ -305,7 +302,11 @@ def cmd_reproduce(args) -> int:
     overrides = {
         key: serialize.coerce(params[key].default, value, key) for key, value in raw.items()
     }
-    report = experiments.reproduce(tag, seed=seed, **overrides)
+    # an unwritable --out is refused before the check runs, not after
+    with _open_out(args.out, newline="") if args.out else contextlib.nullcontext() as fh:
+        report = experiments.reproduce(tag, seed=seed, **overrides)
+        if fh is not None:
+            _write_csv(report.rows, fh)
     return _emit_report(report, args)
 
 

@@ -10,6 +10,7 @@ and bit-reproducible.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import os
 import random
@@ -280,7 +281,8 @@ def _scan(
     nonzero label (None if all are 0).  None when the sample contradicts
     itself, leaves the domain, or carries two distinct nonzero labels."""
     labels: dict[Point, Fraction] = {}
-    for ex in sample:
+    # a drawn sample repeats a few shared example objects, so each is read once
+    for ex in {id(ex): ex for ex in sample}.values():
         if labels.setdefault(ex.point, ex.label) != ex.label:
             return None
     zeros: list[Point] = []
@@ -551,12 +553,20 @@ class FiniteDistribution:
             tuple(Atom(p, Fraction(y), Fraction(m)) for p, y, m in triples), witness
         )
 
-    def cumulative(self) -> list[Fraction]:
-        out, total = [], ZERO
+    @functools.cached_property
+    def _thresholds(self) -> list[int]:
+        """ceil(cum_k * 2**64) for each cumulative mass cum_k, in integers."""
+        lcm = math.lcm(*(a.mass.denominator for a in self.atoms))
+        out, total = [], 0
         for atom in self.atoms:
-            total += atom.mass
-            out.append(total)
+            total += atom.mass.numerator * (lcm // atom.mass.denominator)
+            out.append(-((-total << 64) // lcm))
         return out
+
+    @functools.cached_property
+    def _examples(self) -> dict[int, LabeledExample]:
+        """Atom index -> the one example every sample shares, filled as drawn."""
+        return {}
 
     def support_size(self) -> int:
         return len(self.atoms)
@@ -619,17 +629,22 @@ def sample_iid(
 ) -> TrainingSequence:
     """n i.i.d. draws by inverse CDF over the exact cumulative masses.
 
-    The uniform variate is r / 2**64 for a 64-bit integer r, compared against
-    the exact cumulative fractions, so atom selection never rounds.
+    Each draw takes a 64-bit integer r, i.e. the uniform variate r / 2**64,
+    and picks the first atom k with r / 2**64 < cum_k.  For integer r that
+    holds exactly when r < ceil(cum_k * 2**64) = T_k, so bisecting r into the
+    integer thresholds T_k picks the atom the exact Fraction comparison
+    picks, and atom selection never rounds.  The masses sum to 1, so the last
+    threshold is 2**64 and every r lands on an atom.  Draws of one atom share
+    one LabeledExample object per distribution.
     """
     if n < 0:
         raise PreconditionError("sample size must be >= 0")
-    rng = rng_for(seed, stream)
-    cum = dist.cumulative()
-    out = []
-    for _ in range(n):
-        u = Fraction(rng.getrandbits(64), 1 << 64)
-        idx = bisect.bisect_right(cum, u)
-        atom = dist.atoms[min(idx, len(cum) - 1)]
-        out.append(LabeledExample(atom.point, atom.label))
-    return tuple(out)
+    getrandbits = rng_for(seed, stream).getrandbits
+    thresholds = dist._thresholds
+    drawn = [bisect.bisect_right(thresholds, getrandbits(64)) for _ in range(n)]
+    examples = dist._examples
+    for idx in set(drawn).difference(examples):
+        atom = dist.atoms[idx]
+        examples[idx] = LabeledExample(atom.point, atom.label)
+    # from a list, so the tuple is allocated at its final size
+    return tuple([examples[idx] for idx in drawn])

@@ -62,15 +62,15 @@ def exact_loss_distribution(learner, instance: HardInstance, n: int) -> list[tup
         raise BudgetExceededError(
             f"oracle would enumerate {dist.support_size()}^{total_len} sequences"
         )
+    # one example per atom, shared by every sequence, as sample_iid shares them
+    weighted = [(a.mass, core.LabeledExample(a.point, a.label)) for a in dist.atoms]
     out = []
-    for combo in itertools.product(dist.atoms, repeat=total_len):
-        weight = math.prod((a.mass for a in combo), start=core.ONE)
+    for combo in itertools.product(weighted, repeat=total_len):
+        weight = math.prod((mass for mass, _ in combo), start=core.ONE)
         if weight == core.ZERO:
             continue
-        samples = tuple(
-            tuple(core.LabeledExample(a.point, a.label) for a in combo[j * n : (j + 1) * n])
-            for j in range(arity)
-        )
+        examples = [ex for _, ex in combo]
+        samples = tuple(tuple(examples[j * n : (j + 1) * n]) for j in range(arity))
         predictor = learner.predictor(samples)
         out.append((weight, core.cutoff_loss(predictor, dist, instance.gamma)))
     return out

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import functools
 import inspect
 import io
 import json
@@ -47,6 +48,10 @@ class TestDims:
         assert (
             cli.main(["dims", cantor_file, "--gamma", "1/2", "--cap-d", "1"]) == 3
         )
+
+    def test_json_keys(self, cantor_file, capsys):
+        assert cli.main(["dims", cantor_file, "--gamma", "1/2", "--json"]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == {"graph_dim", "certificate"}
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_cap_below_one_exits_4(self, cantor_file, cap, capsys):
@@ -312,6 +317,19 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command):
     argv = {"disambiguate": ["disambiguate", str(rows)], "reproduce": ["reproduce", "lemma-disamb"]}
     target = tmp_path / "missing" / "out.csv"
     assert cli.main([*argv[command], "--out", str(target)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_unwritable_out_refused_before_the_check_runs(tmp_path, capsys, monkeypatch):
+    runner = experiments.RUNNERS["thm4"]
+
+    @functools.wraps(runner)  # keeps the signature the flags are read from
+    def must_not_run(**kwargs):
+        raise AssertionError("thm4 ran before --out was opened")
+
+    monkeypatch.setitem(experiments.RUNNERS, "thm4", must_not_run)
+    target = tmp_path / "missing" / "x.csv"
+    assert cli.main(["reproduce", "thm4", "--out", str(target)]) == 2
     assert "cannot write" in capsys.readouterr().err
 
 

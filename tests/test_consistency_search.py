@@ -154,3 +154,27 @@ def test_mc_family_prefix_stable_thm5():
     short = mc.mc_expected_loss(learner, fam, 5, 30, seed=8)
     long = mc.mc_expected_loss(learner, fam, 5, 60, seed=8)
     assert long.losses[:30] == short.losses
+
+
+@pytest.mark.parametrize(
+    "cls,point",
+    [
+        (core.CantorClass(HALF, 2, 6), NAT(3)),
+        (core.SplitCantorClass(HALF, core.SQRT_SIZE, None, 9), PAIR(4, 2)),
+    ],
+    ids=["cantor26", "split_sqrt9"],
+)
+def test_shared_and_repeated_examples_scan_alike(cls, point):
+    # the scan reads each distinct example object once; repeating one object,
+    # repeating equal objects and a contradicting duplicate must all give the
+    # brute-force answer
+    value = cls.first_consistent(()).value
+    zero = core.LabeledExample(point, F(0))
+    shared = (zero, zero, zero)
+    equal = tuple(core.LabeledExample(point, F(0)) for _ in range(3))
+    contradicting = (zero, zero, core.LabeledExample(point, value), zero)
+    for sample in (shared, equal):
+        assert cls.first_consistent(sample) == enumeration_first_consistent(cls, sample)
+        assert cls.first_consistent(sample) == cls.first_consistent((zero,))
+    assert enumeration_first_consistent(cls, contradicting) is None
+    assert cls.first_consistent(contradicting) is None

@@ -1,5 +1,6 @@
 """Core types: exact evaluation, losses, sampling, canonical enumeration."""
 
+import bisect
 import math
 from fractions import Fraction as F
 from itertools import combinations
@@ -171,6 +172,62 @@ class TestSampling:
         # |1/2 - 3/7| = 1/14 > 1/20, so exactly the second atom's mass counts
         values = {core.cutoff_loss(p, dist, F(1, 20)) for _ in range(5)}
         assert values == {F(5, 7)}
+
+    @pytest.mark.parametrize(
+        "masses",
+        [
+            [F(1, 3)] * 3,
+            [F(1, 3), F(0), F(1, 6), F(1, 2), F(0)],
+            [F(1, 2**64 + 3), F(1, 2**64), 1 - F(1, 2**64 + 3) - F(1, 2**64)],
+            [F(0), F(1, 1_000_003), F(0), F(1_000_002, 1_000_003)],
+        ],
+        ids=["thirds", "zero_mass_mid_and_end", "near_2_pow_minus_64", "zero_mass_first"],
+    )
+    def test_variates_at_thresholds_pick_the_exact_atom(self, masses, monkeypatch):
+        # feed the variates r = T_k - 1 and r = T_k, T_k = ceil(cum_k * 2**64),
+        # and compare with bisecting the exact cumulative masses at r / 2**64
+        cumulative = [sum(masses[: k + 1], F(0)) for k in range(len(masses))]
+        variates = []
+        for cum in cumulative:
+            threshold = math.ceil(cum * 2**64)
+            variates += [r for r in (threshold - 1, threshold) if 0 <= r < 2**64]
+        expected = [bisect.bisect_right(cumulative, F(r, 2**64)) for r in variates]
+        dist = core.FiniteDistribution.from_triples(
+            [(NAT(i + 1), 0, m) for i, m in enumerate(masses)]
+        )
+
+        class FixedVariates:
+            values = iter(variates)
+
+            def getrandbits(self, bits):
+                assert bits == 64
+                return next(self.values)
+
+        monkeypatch.setattr(core, "rng_for", lambda seed, stream: FixedVariates())
+        sample = core.sample_iid(dist, len(variates), seed=0)
+        assert [ex.point.n - 1 for ex in sample] == expected
+        assert all(masses[k] > 0 for k in expected)
+
+    @pytest.mark.parametrize(
+        "seed,stream,indices",
+        [
+            # atom indices drawn by the Fraction-comparison sampler; a sampler
+            # that consumes the RNG differently fails here
+            (0, 0, [3, 2, 3, 0, 3, 0, 0, 0, 3, 3, 2, 3]),
+            (1, 3, [3, 0, 3, 3, 0, 3, 0, 3, 0, 3, 0, 3]),
+            (2**64 - 1, 7, [3, 2, 3, 2, 3, 3, 0, 0, 0, 3, 2, 3]),
+            (302, 1, [0, 3, 3, 3, 3, 0, 0, 0, 0, 0, 0, 3, 2, 0, 3, 3, 3, 3, 0, 3]),
+        ],
+    )
+    def test_golden_draws(self, seed, stream, indices):
+        dist = core.FiniteDistribution.from_triples(
+            [(NAT(1), 0, F(1, 3)), (NAT(2), 0, F(0)), (NAT(3), 0, F(1, 6)),
+             (NAT(4), 0, F(1, 2)), (NAT(5), 0, F(0))]
+        )
+        sample = core.sample_iid(dist, len(indices), seed, stream)
+        assert [ex.point.n - 1 for ex in sample] == indices
+        # draws of one atom share one example object
+        assert len({id(ex) for ex in sample}) == len(set(indices))
 
 
 class TestCanonicalEnumeration:
