@@ -2,7 +2,10 @@
 
 Everything that a strict comparison like |h(x) - y| > gamma touches is a
 `fractions.Fraction`, so every loss value, mass, and threshold comparison in
-the package is exact.  Randomness is counter-based: every draw derives from a
+the package is exact.  A distribution also holds its masses as integers over
+one common denominator: validation, sampling thresholds and cutoff losses are
+integer arithmetic on that law, and a loss is still returned as an exact
+`Fraction`.  Randomness is counter-based: every draw derives from a
 64-bit master seed plus a stream index, so trials are order independent
 and bit-reproducible.
 """
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import os
 import random
@@ -49,9 +53,14 @@ def enumeration_budget() -> int:
     return value
 
 
+def _exact(value) -> Fraction:
+    """`value` as a Fraction, without a copy when it already is one."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 def ensure_unit(value: Fraction, what: str) -> Fraction:
-    value = Fraction(value)
-    if not ZERO <= value <= ONE:
+    value = _exact(value)
+    if not 0 <= value.numerator <= value.denominator:
         raise PreconditionError(f"{what} must lie in [0, 1], got {value}")
     return value
 
@@ -261,8 +270,10 @@ def _budgeted(cls) -> None:
 
 
 def _value_of_rank(gamma: Fraction, rank: int) -> Fraction:
-    """Unique value of the member at 1-based enumeration position `rank`."""
-    return gamma + (ONE - gamma) / rank
+    """Unique value gamma + (1 - gamma) / rank of the member at 1-based
+    enumeration position `rank`, as (p*rank + q - p) / (q*rank) for gamma = p/q."""
+    p, q = gamma.numerator, gamma.denominator
+    return Fraction(p * rank + q - p, q * rank)
 
 
 def _rank_of_value(gamma: Fraction, value: Fraction) -> Optional[int]:
@@ -525,15 +536,20 @@ class Atom:
 
     def __post_init__(self):
         object.__setattr__(self, "label", ensure_unit(self.label, "label"))
-        mass = Fraction(self.mass)
-        if mass < ZERO:
+        mass = _exact(self.mass)
+        if mass.numerator < 0:
             raise PreconditionError(f"mass must be >= 0, got {mass}")
         object.__setattr__(self, "mass", mass)
 
 
 @dataclass(frozen=True)
 class FiniteDistribution:
-    """Finite support over (point, label) pairs with masses summing to one."""
+    """Finite support over (point, label) pairs with masses summing to one.
+
+    The masses are held once more as integers over one common denominator:
+    atom k has mass _weights[k] / _denominator, the lcm of the masses'
+    denominators, so sums of masses are integer sums.
+    """
 
     atoms: tuple[Atom, ...]
     witness: Optional[Hypothesis] = None
@@ -541,27 +557,25 @@ class FiniteDistribution:
     def __post_init__(self):
         atoms = tuple(self.atoms)
         object.__setattr__(self, "atoms", atoms)
-        if sum((a.mass for a in atoms), ZERO) != ONE:
+        denominator = math.lcm(*(a.mass.denominator for a in atoms))
+        weights = tuple(a.mass.numerator * (denominator // a.mass.denominator) for a in atoms)
+        if sum(weights) != denominator:
             raise PreconditionError("atom masses must sum exactly to 1")
+        object.__setattr__(self, "_denominator", denominator)
+        object.__setattr__(self, "_weights", weights)
         points = [a.point for a in atoms]
         if len(set(points)) != len(points):
             raise PreconditionError("atom points must be distinct")
 
     @staticmethod
     def from_triples(triples, witness=None) -> "FiniteDistribution":
-        return FiniteDistribution(
-            tuple(Atom(p, Fraction(y), Fraction(m)) for p, y, m in triples), witness
-        )
+        return FiniteDistribution(tuple(Atom(p, y, m) for p, y, m in triples), witness)
 
     @functools.cached_property
     def _thresholds(self) -> list[int]:
         """ceil(cum_k * 2**64) for each cumulative mass cum_k, in integers."""
-        lcm = math.lcm(*(a.mass.denominator for a in self.atoms))
-        out, total = [], 0
-        for atom in self.atoms:
-            total += atom.mass.numerator * (lcm // atom.mass.denominator)
-            out.append(-((-total << 64) // lcm))
-        return out
+        denominator = self._denominator
+        return [-((-total << 64) // denominator) for total in itertools.accumulate(self._weights)]
 
     @functools.cached_property
     def _examples(self) -> dict[int, LabeledExample]:
@@ -573,13 +587,23 @@ class FiniteDistribution:
 
 
 def cutoff_loss(predictor: Predictor, dist: FiniteDistribution, gamma: Fraction) -> Fraction:
-    """Probability mass on which the prediction is more than gamma from the label."""
-    gamma = Fraction(gamma)
-    total = ZERO
-    for atom in dist.atoms:
-        if abs(predictor(atom.point) - atom.label) > gamma:
-            total += atom.mass
-    return total
+    """Probability mass on which the prediction is more than gamma from the label.
+
+    With prediction y, label l and gamma g as reduced fractions,
+    |y - l| > g holds exactly when |y_n l_d - l_n y_d| g_d > g_n y_d l_d
+    (every denominator is positive), and the erring masses are summed as
+    integer weights over the distribution's common denominator.
+    """
+    gamma = _exact(gamma)
+    g_n, g_d = gamma.numerator, gamma.denominator
+    total = 0
+    for atom, weight in zip(dist.atoms, dist._weights):
+        y, label = predictor(atom.point), atom.label
+        y_n, y_d = y.numerator, y.denominator
+        l_n, l_d = label.numerator, label.denominator
+        if abs(y_n * l_d - l_n * y_d) * g_d > g_n * y_d * l_d:
+            total += weight
+    return Fraction(total, dist._denominator)
 
 
 def empirical_cutoff_loss(predictor: Predictor, sample: TrainingSequence, gamma: Fraction) -> Fraction:

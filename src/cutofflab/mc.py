@@ -2,8 +2,9 @@
 
 Per-trial losses are exact rationals; only the aggregate mean / CI convert to
 floating point, which keeps Monte Carlo error cleanly separated from
-arithmetic error.  Trials are stream-indexed off the master seed, so results
-are identical under any execution order.
+arithmetic error.  Float sums go through `math.fsum`, which rounds correctly
+on every Python version.  Trials are stream-indexed off the master seed, so
+results are identical under any execution order.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def mc_expected_loss(
     losses = tuple(_trial_loss(learner, source, n, seed, t) for t in range(trials))
     exact_mean = sum(losses, core.ZERO) / trials
     mean = float(exact_mean)
-    var = sum((float(l) - mean) ** 2 for l in losses) / (trials - 1)
+    var = math.fsum((float(l) - mean) ** 2 for l in losses) / (trials - 1)
     stderr = math.sqrt(var / trials)
     half = 1.96 * stderr
     return LossEstimate(
@@ -145,11 +146,11 @@ def scaling_fit(points: Sequence[tuple[int, float]]) -> ScalingFit:
         )
     xs = [math.log(n) for n, _ in points]
     ys = [math.log(loss) for _, loss in points]
-    x_bar = sum(xs) / len(xs)
-    y_bar = sum(ys) / len(ys)
-    sxx = sum((x - x_bar) ** 2 for x in xs)
-    sxy = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
-    syy = sum((y - y_bar) ** 2 for y in ys)
+    x_bar = math.fsum(xs) / len(xs)
+    y_bar = math.fsum(ys) / len(ys)
+    sxx = math.fsum((x - x_bar) ** 2 for x in xs)
+    sxy = math.fsum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+    syy = math.fsum((y - y_bar) ** 2 for y in ys)
     r_squared = 1.0 if syy == 0 else (sxy * sxy) / (sxx * syy)
     return ScalingFit(sxy / sxx, r_squared)
 

@@ -99,6 +99,81 @@ class TestCutoffLoss:
         assert core.cutoff_loss(p, dist, lo) >= core.cutoff_loss(p, dist, hi)
 
 
+@st.composite
+def scored_distributions(draw):
+    """(distribution, predictions by atom, gamma): masses over denominators up
+    to 2**64 + 3 with zero masses among them, gamma down to multiples of
+    2**-70, and predictions exactly at label +- gamma among the others."""
+    denominator = draw(st.sampled_from([1, 3, 2**64, 2**64 + 3]) | st.integers(1, 2**64 + 3))
+    size = draw(st.integers(1, 6))
+    cuts = sorted(draw(st.lists(st.integers(0, denominator), min_size=size - 1, max_size=size - 1)))
+    weights = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, denominator])]
+    if draw(st.booleans()):
+        weights.insert(draw(st.integers(0, size)), 0)
+    gamma = draw(
+        st.integers(0, 2**70).map(lambda k: F(k, 2**70))
+        | st.fractions(min_value=0, max_value=1, max_denominator=10**6)
+    )
+    unit = st.fractions(min_value=0, max_value=1, max_denominator=2**66)
+    triples, predictions = [], {}
+    for i, w in enumerate(weights):
+        label = draw(unit)
+        triples.append((NAT(i + 1), label, F(w, denominator)))
+        predictions[NAT(i + 1)] = draw(st.sampled_from([label + gamma, label - gamma]) | unit)
+    return core.FiniteDistribution.from_triples(triples), predictions, gamma
+
+
+class TestIntegerLaw:
+    """Masses over one integer denominator give the Fraction results."""
+
+    @given(scored_distributions())
+    @settings(max_examples=300, deadline=None)
+    def test_cutoff_loss_equals_fraction_sum(self, case):
+        dist, predictions, gamma = case
+        loss = core.cutoff_loss(predictions.__getitem__, dist, gamma)
+        expected = sum(
+            (a.mass for a in dist.atoms if abs(predictions[a.point] - a.label) > gamma), F(0)
+        )
+        assert type(loss) is F and loss == expected
+
+    def test_predictions_at_label_plus_minus_gamma_do_not_err(self):
+        gamma = F(1, 2**70)
+        dist = core.FiniteDistribution.from_triples(
+            [(NAT(1), F(1, 3), F(1, 2**64 + 3)), (NAT(2), F(2, 3), F(2**64 + 2, 2**64 + 3))]
+        )
+        at_edge = {NAT(1): F(1, 3) + gamma, NAT(2): F(2, 3) - gamma}
+        assert core.cutoff_loss(at_edge.__getitem__, dist, gamma) == 0
+        past_edge = {NAT(1): F(1, 3) + 2 * gamma, NAT(2): F(2, 3)}
+        assert core.cutoff_loss(past_edge.__getitem__, dist, gamma) == F(1, 2**64 + 3)
+
+    @pytest.mark.parametrize("excess", [F(1, 2**70), -F(1, 2**70)])
+    def test_masses_off_one_by_2_pow_minus_70_are_refused(self, excess):
+        with pytest.raises(PreconditionError, match="^atom masses must sum exactly to 1$"):
+            core.FiniteDistribution.from_triples(
+                [(NAT(1), 0, F(1, 3)), (NAT(2), 0, F(2, 3) + excess)]
+            )
+
+    def test_unit_interval_edges(self):
+        assert core.ensure_unit(0, "x") == 0 and core.ensure_unit(F(1), "x") == 1
+        for value in (-F(1, 2**70), 1 + F(1, 2**70)):
+            with pytest.raises(PreconditionError, match="must lie in"):
+                core.ensure_unit(value, "x")
+
+    def test_negative_mass_is_refused(self):
+        with pytest.raises(PreconditionError, match="mass must be >= 0"):
+            core.Atom(NAT(1), F(0), -F(1, 2**70))
+
+    @given(
+        st.fractions(min_value=0, max_value=1, max_denominator=2**64).filter(lambda g: 0 < g < 1),
+        st.integers(1, 10**12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_value_of_rank_round_trips(self, gamma, rank):
+        value = core._value_of_rank(gamma, rank)
+        assert value == gamma + (1 - gamma) / rank
+        assert core._rank_of_value(gamma, value) == rank
+
+
 class TestEmpiricalLoss:
     def test_interpolator_on_own_sample(self):
         cls = core.CantorClass(F(1, 2), 2, 4)

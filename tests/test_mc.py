@@ -176,6 +176,21 @@ class TestScalingFit:
         fit = mc.scaling_fit(points)
         assert math.isclose(fit.slope, -2.0, abs_tol=1e-9)
 
+    def test_default_thm4_curve_fit_is_pinned(self):
+        # the median-of-three means `reproduce thm4` fits at its defaults;
+        # fsum makes the digits the same on every Python version
+        curve = [
+            (32, 0.0284375),
+            (64, 0.0146484375),
+            (128, 0.0072578125),
+            (256, 0.003482421875),
+            (512, 0.001744140625),
+            (1024, 0.0009189453125),
+        ]
+        fit = mc.scaling_fit(curve)
+        assert fit.slope == -1.0008079558855263
+        assert fit.r_squared == 0.9996584997936397
+
     def test_zero_losses_rejected(self):
         with pytest.raises(PreconditionError):
             mc.scaling_fit([(8, 0.1), (16, 0.0), (32, 0.01), (64, 0.001)])
