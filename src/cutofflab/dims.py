@@ -1,14 +1,22 @@
 """Brute-force combinatorial dimensions: graph shattering and one-inclusion graphs.
 
 Every search here is exhaustive within an explicit budget and refuses (typed
-error) rather than returning a truncated answer.  Certificates returned by the
-shattering search are re-verified by direct evaluation before they leave this
-module.
+error) rather than returning a truncated answer.  Every gamma must lie in (0, 1).
+
+The shattering search decides patterns on integers.  It restricts the class to
+the pool once, scales each pool point's values by the lcm of their
+denominators, and gives each witness two bitmasks per hypothesis over the
+pool: ``far`` marks |h - w| > gamma and ``near`` marks 0 < |h - w| <= gamma.
+A subset S of the pool, itself a bitmask, gets the pattern ``far & S`` from a
+hypothesis, or no pattern when ``near & S`` is nonzero.  Certificates are still
+re-verified in ``Fraction`` arithmetic, by direct evaluation, before they
+leave this module.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -47,6 +55,14 @@ class ShatterCertificate:
         return len(self.pattern_witnesses) == 2 ** len(self.points)
 
 
+def _read_gamma(gamma) -> Fraction:
+    """gamma as a Fraction, refused outside (0, 1) as the classes refuse it."""
+    gamma = Fraction(gamma)
+    if not 0 < gamma < 1:
+        raise PreconditionError("gamma must lie in (0, 1)")
+    return gamma
+
+
 def _value_vectors(cls, points):
     """(hypothesis, restriction tuple) pairs over the given points."""
     out = []
@@ -58,18 +74,87 @@ def _value_vectors(cls, points):
     return out
 
 
-def _pattern_of(vec, witness_vec, gamma):
-    """Unique pattern a restriction realizes against a witness, or None."""
-    bits = []
-    for v, w in zip(vec, witness_vec):
-        diff = abs(v - w)
-        if diff == 0:
-            bits.append(0)
-        elif diff > gamma:
-            bits.append(1)
-        else:
-            return None
-    return tuple(bits)
+def _integer_table(vectors, gamma: Fraction):
+    """The vectors scaled to integers, each coordinate by the lcm of its
+    denominators, and per coordinate the largest integer difference that is
+    not gamma-far: for scale s, |v - w| > gamma iff |s*v - s*w| > floor(s*gamma)."""
+    scales = [math.lcm(*(v.denominator for v in column)) for column in zip(*vectors)]
+    table = [
+        tuple(v.numerator * (s // v.denominator) for v, s in zip(vec, scales))
+        for vec in vectors
+    ]
+    return table, [gamma.numerator * s // gamma.denominator for s in scales]
+
+
+def _masks(table, witness_row, thresholds) -> list[tuple[int, int]]:
+    """(far, near) bitmasks of each row against the witness row: bit j of
+    ``far`` marks |h - w| > gamma at coordinate j, of ``near`` 0 < |h - w| <= gamma."""
+    out = []
+    for row in table:
+        far = near = 0
+        bit = 1
+        for a, b, threshold in zip(row, witness_row, thresholds):
+            diff = abs(a - b)
+            if diff > threshold:
+                far |= bit
+            elif diff:
+                near |= bit
+            bit <<= 1
+        out.append((far, near))
+    return out
+
+
+def _certify(points, idx, witness, rows, masks, gamma) -> Optional[ShatterCertificate]:
+    """Certificate iff the witness's masks realize all 2^d patterns on the
+    coordinates ``idx``.
+
+    A hypothesis gives the subset S (as a bitmask) the pattern ``far & S``,
+    or none when ``near & S`` is nonzero.  The witness takes the all-zeros
+    pattern; every other pattern goes to its first hypothesis in ``rows``.
+    """
+    subset = sum(1 << i for i in idx)
+    # count the patterns before naming witnesses: most pairs tried fail
+    realized = {far & subset for far, near in masks if not near & subset}
+    realized.add(0)
+    if len(realized) != 1 << len(idx):
+        return None
+    found = {0: witness}
+    for (h, _), (far, near) in zip(rows, masks):
+        if not near & subset:
+            found.setdefault(far & subset, h)
+    cert = ShatterCertificate(
+        points,
+        witness,
+        {tuple((p >> i) & 1 for i in idx): h for p, h in found.items()},
+    )
+    if not cert.verify(gamma):  # pragma: no cover - internal consistency check
+        raise AssertionError("shattering certificate failed self-verification")
+    return cert
+
+
+class _ShatterSearch:
+    """The class restricted to one pool at one gamma: its rows as integers,
+    and each witness row's masks, built on the witness's first use."""
+
+    def __init__(self, cls, pool, gamma: Fraction):
+        self.pool, self.gamma = pool, gamma
+        self.rows = _value_vectors(cls, pool)
+        self.table, self.thresholds = _integer_table([vec for _, vec in self.rows], gamma)
+        self.masks: list[Optional[list[tuple[int, int]]]] = [None] * len(self.rows)
+
+    def first(self, size: int) -> Optional[ShatterCertificate]:
+        """First (in pool order, then enumeration order) shattered size-set."""
+        if size > DEFAULT_POINT_CAP:
+            raise BudgetExceededError(f"size {size} exceeds the point cap {DEFAULT_POINT_CAP}")
+        for idx in itertools.combinations(range(len(self.pool)), size):
+            points = tuple(self.pool[i] for i in idx)
+            for k, (witness, _) in enumerate(self.rows):
+                if self.masks[k] is None:
+                    self.masks[k] = _masks(self.table, self.table[k], self.thresholds)
+                cert = _certify(points, idx, witness, self.rows, self.masks[k], self.gamma)
+                if cert is not None:
+                    return cert
+        return None
 
 
 def check_graph_shattered(points, cls, witness, gamma: Fraction) -> Optional[ShatterCertificate]:
@@ -80,7 +165,7 @@ def check_graph_shattered(points, cls, witness, gamma: Fraction) -> Optional[Sha
     the class's canonical enumeration.
     """
     points = tuple(points)
-    gamma = Fraction(gamma)
+    gamma = _read_gamma(gamma)
     if len(set(points)) != len(points):
         raise PreconditionError("shattering points must be distinct")
     if len(points) > DEFAULT_POINT_CAP:
@@ -88,51 +173,22 @@ def check_graph_shattered(points, cls, witness, gamma: Fraction) -> Optional[Sha
     if not points:
         return ShatterCertificate(points, witness, {(): witness})
     witness_vec = tuple(witness.value_at(x) for x in points)
-    found: dict[tuple[int, ...], core.Hypothesis] = {(0,) * len(points): witness}
-    need = 2 ** len(points)
-    for h, vec in _value_vectors(cls, points):
-        pattern = _pattern_of(vec, witness_vec, gamma)
-        if pattern is not None and pattern not in found:
-            found[pattern] = h
-            if len(found) == need:
-                break
-    if len(found) != need:
-        return None
-    cert = ShatterCertificate(points, witness, found)
-    if not cert.verify(gamma):  # pragma: no cover - internal consistency check
-        raise AssertionError("shattering certificate failed self-verification")
-    return cert
+    rows = _value_vectors(cls, points)
+    (witness_row, *table), thresholds = _integer_table(
+        [witness_vec] + [vec for _, vec in rows], gamma
+    )
+    masks = _masks(table, witness_row, thresholds)
+    return _certify(points, range(len(points)), witness, rows, masks, gamma)
 
 
 def find_shattered_set(cls, pool, gamma, size):
     """First (in pool order, then enumeration order) shattered size-set."""
-    pool = tuple(pool)
-    gamma = Fraction(gamma)
-    if size > DEFAULT_POINT_CAP:
-        raise BudgetExceededError(f"size {size} exceeds the point cap {DEFAULT_POINT_CAP}")
+    gamma = _read_gamma(gamma)
     if size == 0:
         for h in cls.hypotheses():
             return check_graph_shattered((), cls, h, gamma)
         return None
-    vectors = _value_vectors(cls, pool)
-    need = 2 ** size
-    for idx in itertools.combinations(range(len(pool)), size):
-        points = tuple(pool[i] for i in idx)
-        for witness, wvec in vectors:
-            witness_sub = tuple(wvec[i] for i in idx)
-            found = {(0,) * size: witness}
-            for h, vec in vectors:
-                pattern = _pattern_of(tuple(vec[i] for i in idx), witness_sub, gamma)
-                if pattern is not None and pattern not in found:
-                    found[pattern] = h
-                    if len(found) == need:
-                        break
-            if len(found) == need:
-                cert = ShatterCertificate(points, witness, found)
-                if not cert.verify(gamma):  # pragma: no cover
-                    raise AssertionError("certificate failed self-verification")
-                return cert
-    return None
+    return _ShatterSearch(cls, tuple(pool), gamma).first(size)
 
 
 def gamma_graph_dimension(cls, pool, gamma, cap_d: int = DEFAULT_POINT_CAP) -> int:
@@ -146,10 +202,10 @@ def gamma_graph_dimension(cls, pool, gamma, cap_d: int = DEFAULT_POINT_CAP) -> i
     if cap_d < 1:
         raise PreconditionError(f"the dimension search cap must be at least 1, got {cap_d}")
     pool = tuple(pool)
-    gamma = Fraction(gamma)
+    search = _ShatterSearch(cls, pool, _read_gamma(gamma))
     best = 0
     for d in range(1, min(cap_d, len(pool)) + 1):
-        if find_shattered_set(cls, pool, gamma, d) is None:
+        if search.first(d) is None:
             return best
         best = d
     if best == cap_d < len(pool):
@@ -191,9 +247,7 @@ def _graph_on(points, vertices) -> OneInclusionGraph:
     for v in vertices:
         for i in range(len(points)):
             edges.setdefault((i, v[:i] + v[i + 1 :]), []).append(v)
-    return OneInclusionGraph(
-        points, tuple(vertices), {k: tuple(sorted(ms)) for k, ms in edges.items()}
-    )
+    return OneInclusionGraph(points, tuple(vertices), {k: tuple(ms) for k, ms in edges.items()})
 
 
 def build_oig(cls, points) -> OneInclusionGraph:
@@ -224,15 +278,16 @@ def induced_subgraph(graph: OneInclusionGraph, vertices) -> OneInclusionGraph:
 
 def orient_smallest_value(graph: OneInclusionGraph) -> Orientation:
     """Point each edge at its member with the smallest value in the free
-    coordinate, ties toward the lexicographically smallest vertex."""
-    return {
-        key: min(members, key=lambda m: (m[key[0]], m))
-        for key, members in graph.edges.items()
-    }
+    coordinate: its first member, as the members of an edge are sorted and
+    differ only in that coordinate."""
+    return {key: members[0] for key, members in graph.edges.items()}
 
 
 def max_gamma_outdegree(graph: OneInclusionGraph, orientation: Orientation, gamma) -> int:
-    gamma = Fraction(gamma)
+    """Most edges any vertex loses to a gamma-far target; |t - v| > gamma is
+    decided as |t_n v_d - v_n t_d| g_d > g_n t_d v_d (positive denominators)."""
+    gamma = _read_gamma(gamma)
+    g_n, g_d = gamma.numerator, gamma.denominator
     missing = set(graph.edges) - set(orientation)
     if missing:
         raise PreconditionError(f"orientation leaves {len(missing)} edges unoriented")
@@ -240,8 +295,9 @@ def max_gamma_outdegree(graph: OneInclusionGraph, orientation: Orientation, gamm
     for v in graph.vertices:
         away = 0
         for i in range(len(graph.points)):
-            target = orientation[graph.edge_key(v, i)]
-            if abs(target[i] - v[i]) > gamma:
+            t, x = orientation[graph.edge_key(v, i)][i], v[i]
+            t_d, x_d = t.denominator, x.denominator
+            if abs(t.numerator * x_d - x.numerator * t_d) * g_d > g_n * t_d * x_d:
                 away += 1
         worst = max(worst, away)
     return worst
@@ -249,7 +305,7 @@ def max_gamma_outdegree(graph: OneInclusionGraph, orientation: Orientation, gamm
 
 def exhaustive_orientation_min(graph: OneInclusionGraph, gamma) -> tuple[Orientation, int]:
     """Orientation minimizing the max gamma-out-degree, by product search."""
-    gamma = Fraction(gamma)
+    gamma = _read_gamma(gamma)
     fixed = {k: ms[0] for k, ms in graph.edges.items() if len(ms) == 1}
     multi = [(k, ms) for k, ms in sorted(graph.edges.items()) if len(ms) > 1]
     if len(multi) > DEFAULT_MULTI_EDGE_CAP:

@@ -39,10 +39,21 @@ class OrderStatistic:
 
 @dataclass(frozen=True)
 class Median:
-    """Middle value of the sorted inputs; proper, requires odd arity."""
+    """Middle value of the sorted inputs; proper, requires odd arity.
+
+    The inputs are insertion-sorted on integers: p/q > r/s exactly when
+    p*s > r*q, as every denominator is positive.
+    """
 
     def combine(self, values: Sequence[Fraction]) -> Fraction:
-        return sorted(values)[len(values) // 2]
+        ordered = []
+        for v in values:
+            n, d = v.numerator, v.denominator
+            i = len(ordered)
+            while i and ordered[i - 1][0] * d > n * ordered[i - 1][1]:
+                i -= 1
+            ordered.insert(i, (n, d, v))
+        return ordered[len(values) // 2][2]
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,17 @@ def test_enumeration_budget_env_exits_3(cantor_file, monkeypatch, argv):
     assert cli.main([argv[0], cantor_file, *argv[1:]]) == 3
 
 
+@pytest.mark.parametrize("gamma", ["-1/2", "0", "1", "2"])
+@pytest.mark.parametrize(
+    "argv", [["dims"], ["oig", "--points", "1,2,3"]], ids=["dims", "oig"]
+)
+def test_gamma_outside_unit_interval_exits_4(cantor_file, argv, gamma, capsys):
+    assert cli.main([argv[0], cantor_file, f"--gamma={gamma}", *argv[1:]]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gamma must lie in (0, 1)" in captured.err
+
+
 class TestOig:
     def test_orientation_evidence(self, cantor_file, capsys):
         rc = cli.main(

@@ -1,12 +1,13 @@
 """Graph shattering, graph dimension, one-inclusion graph orientations."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
-from cutofflab import core, dims
+from cutofflab import core, dims, experiments
 from cutofflab.errors import BudgetExceededError, PreconditionError
 
 NAT = core.Point.nat
@@ -21,6 +22,158 @@ def table_class(vectors, pool):
         for vec in vectors
     )
     return core.FiniteClass(hs)
+
+
+@dataclass(frozen=True)
+class PartialTable:
+    """Table hypothesis that is undefined off its table."""
+
+    table: tuple
+
+    def value_at(self, point):
+        for p, v in self.table:
+            if p == point:
+                return v
+        raise core.DomainMismatchError(f"{point} is off the table")
+
+    __call__ = value_at
+
+
+def brute_rows(cls, pool):
+    rows = []
+    for h in cls.hypotheses():
+        try:
+            rows.append((h, [h.value_at(x) for x in pool]))
+        except core.DomainMismatchError:
+            pass
+    return rows
+
+
+def brute_patterns(points_idx, witness, wvec, rows, gamma):
+    """First hypothesis per match/far pattern on the indexed points, from the
+    Fraction definition; the witness takes the all-zeros pattern."""
+    found = {(0,) * len(points_idx): witness}
+    for h, vec in rows:
+        bits = []
+        for i in points_idx:
+            diff = abs(vec[i] - wvec[i])
+            if diff == 0:
+                bits.append(0)
+            elif diff > gamma:
+                bits.append(1)
+            else:
+                break
+        else:
+            found.setdefault(tuple(bits), h)
+    return found
+
+
+def brute_find(cls, pool, gamma, size):
+    rows = brute_rows(cls, pool)
+    for idx in combinations(range(len(pool)), size):
+        for witness, wvec in rows:
+            found = brute_patterns(idx, witness, wvec, rows, gamma)
+            if len(found) == 2**size:
+                return tuple(pool[i] for i in idx), witness, found
+    return None
+
+
+def brute_dimension(cls, pool, gamma):
+    d = 0
+    while d < len(pool) and brute_find(cls, pool, gamma, d + 1) is not None:
+        d += 1
+    return d
+
+
+def same_certificate(cert, expected):
+    """Same points, the same witness object and the same pattern witnesses,
+    in the same order."""
+    if expected is None:
+        return cert is None
+    points, witness, found = expected
+    return (
+        cert is not None
+        and cert.points == points
+        and cert.witness is witness
+        and [(p, id(h)) for p, h in cert.pattern_witnesses.items()]
+        == [(p, id(h)) for p, h in found.items()]
+    )
+
+
+_TINY = F(1, 2**70)
+
+
+def random_class(rng, pool, gamma, partial_share=0.0):
+    """Table class whose value differences include 0, exactly gamma and gamma
+    plus or minus a hair; a share of its members is undefined off a subset."""
+    values = (F(0), gamma, gamma + _TINY, 2 * gamma, F(1), 1 - _TINY)
+    hs = []
+    for _ in range(rng.randrange(1, 13)):
+        table = {p: rng.choice(values) for p in pool}
+        if rng.random() < partial_share:
+            kept = rng.sample(sorted(table), rng.randrange(0, len(table) + 1))
+            hs.append(PartialTable(tuple(sorted((p, table[p]) for p in kept))))
+        else:
+            hs.append(core.TableHypothesis.from_dict(table))
+    return core.FiniteClass(tuple(hs))
+
+
+class TestAgainstFractionDefinition:
+    """The bitmask search and the integer out-degree test against the
+    Fraction definitions, on classes where differences equal gamma exactly."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shattering_search(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            gamma = rng.choice((F(1, 4), F(1, 3), HALF))
+            points = [NAT(i) for i in range(1, rng.randrange(1, 7) + 1)]
+            cls = random_class(rng, points, gamma, partial_share=0.25)
+            pool = list(points)
+            if rng.random() < 0.3:  # a duplicate pool point
+                pool.insert(rng.randrange(len(pool) + 1), rng.choice(points))
+            pool = tuple(pool)
+            assert dims.gamma_graph_dimension(cls, pool, gamma) == brute_dimension(
+                cls, pool, gamma
+            )
+            for size in range(1, len(pool) + 1):
+                assert same_certificate(
+                    dims.find_shattered_set(cls, pool, gamma, size),
+                    brute_find(cls, pool, gamma, size),
+                )
+            rows = brute_rows(cls, points)
+            for witness, wvec in rows[:3]:
+                idx = tuple(range(len(points)))
+                found = brute_patterns(idx, witness, wvec, rows, gamma)
+                expected = (tuple(points), witness, found) if len(found) == 2 ** len(idx) else None
+                assert same_certificate(
+                    dims.check_graph_shattered(points, cls, witness, gamma), expected
+                )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_orientation_and_outdegree(self, seed):
+        rng = random.Random(100 + seed)
+        for _ in range(30):
+            gamma = rng.choice((F(1, 4), F(1, 3), HALF))
+            pool = tuple(NAT(i) for i in range(1, rng.randrange(1, 6) + 1))
+            graph = dims.build_oig(random_class(rng, pool, gamma), pool)
+            for _ in range(4):
+                kept = rng.sample(list(graph.vertices), rng.randrange(1, len(graph.vertices) + 1))
+                sub = dims.induced_subgraph(graph, kept)
+                assert dims.orient_smallest_value(sub) == {
+                    key: min(members, key=lambda m: (m[key[0]], m))
+                    for key, members in sub.edges.items()
+                }
+                orientation = {key: rng.choice(ms) for key, ms in sub.edges.items()}
+                expected = max(
+                    sum(
+                        1
+                        for i in range(len(pool))
+                        if abs(orientation[sub.edge_key(v, i)][i] - v[i]) > gamma
+                    )
+                    for v in sub.vertices
+                )
+                assert dims.max_gamma_outdegree(sub, orientation, gamma) == expected
 
 
 class TestShatterCertificates:
@@ -98,6 +251,12 @@ class TestGraphDimension:
             d_small = dims.gamma_graph_dimension(table_class(small, pool), pool, HALF)
             d_big = dims.gamma_graph_dimension(table_class(big, pool), pool, HALF)
             assert d_small <= d_big
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_colex_last_construction_has_dimension_d(self, d):
+        # the matching upper bound for the thm4 construction's shattered set
+        cls, _, _ = experiments._colex_last_shattered(HALF, d, 3 * d)
+        assert dims.gamma_graph_dimension(cls, cls.default_pool(), HALF) == d
 
     def test_cap_refusal_carries_lower_bound(self):
         cls = core.CantorClass(HALF, 3, 8)

@@ -113,6 +113,25 @@ class TestAggregationRules:
             learners.aggregate(learners.Median(), hs)
 
     @given(
+        st.lists(
+            st.one_of(
+                st.fractions(),
+                st.builds(F, st.integers(-(2**70), 2**70), st.integers(2**64 + 1, 2**72)),
+            ),
+            min_size=1,
+            max_size=4,
+        ).flatmap(
+            lambda pool: st.integers(min_value=0, max_value=4).flatmap(
+                lambda k: st.lists(st.sampled_from(pool), min_size=2 * k + 1, max_size=2 * k + 1)
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_median_matches_sorted_definition(self, values):
+        # values drawn from a pool of at most four, so ties are common
+        assert learners.Median().combine(values) == sorted(values)[len(values) // 2]
+
+    @given(
         st.lists(st.fractions(min_value=0, max_value=1), min_size=1, max_size=7),
         st.integers(min_value=0, max_value=6),
     )
