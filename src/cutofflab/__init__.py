@@ -2,7 +2,6 @@
 regression under the cutoff loss."""
 
 from .core import (
-    Atom,
     CantorClass,
     CantorHypothesis,
     FiniteClass,

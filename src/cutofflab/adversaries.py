@@ -276,7 +276,6 @@ def thm5_family(gamma: Fraction, d: int, epsilon: Fraction) -> InstanceFamily:
     universe = math.ceil(Fraction(d) / (16 * epsilon))
     if universe <= 2 * d + 1:  # guaranteed by the epsilon range; re-verified
         raise PreconditionError("universe must exceed 2d + 1")
-    support_size = universe - d + 1
     # transcendental ceiling: evaluated in double precision (documented)
     n_max = math.floor((d / (32 * float(epsilon))) * math.log(1 / (64 * math.e * float(epsilon))))
     cls = core.SplitCantorClass(gamma, core.D_MINUS_ONE_COMPLEMENT, d, universe)
@@ -288,7 +287,7 @@ def thm5_family(gamma: Fraction, d: int, epsilon: Fraction) -> InstanceFamily:
         d=d,
         universe=universe,
         n_max=n_max,
-        index_masses=uniform_index_masses(support_size),
+        index_masses=uniform_index_masses(universe - d + 1),
         pinned_first=False,
         point=partial(core.Point.pair, universe),
         witness=partial(_complement_witness, cls, universe),

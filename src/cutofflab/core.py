@@ -2,10 +2,11 @@
 
 Everything that a strict comparison like |h(x) - y| > gamma touches is a
 `fractions.Fraction`, so every loss value, mass, and threshold comparison in
-the package is exact.  A distribution also holds its masses as integers over
-one common denominator: validation, sampling thresholds and cutoff losses are
-integer arithmetic on that law, and a loss is still returned as an exact
-`Fraction`.  Randomness is counter-based: every draw derives from a
+the package is exact.  A distribution holds one `LabeledExample` per atom,
+which every sample drawn from it shares, and its masses once more as integers
+over one common denominator: validation, sampling thresholds and cutoff
+losses are integer arithmetic on that law, and a loss is still returned as an
+exact `Fraction`.  Randomness is counter-based: every draw derives from a
 64-bit master seed plus a stream index, so trials are order independent
 and bit-reproducible.
 """
@@ -262,11 +263,11 @@ Predictor = Callable[[Point], Fraction]
 # ---------------------------------------------------------------------------
 
 
-def _budgeted(cls) -> None:
-    """Refuse to enumerate `cls` past enumeration_budget()."""
+def _budgeted(what: str, size: int) -> None:
+    """Refuse to enumerate `size` items past enumeration_budget()."""
     budget = enumeration_budget()
-    if cls.size() > budget:
-        raise BudgetExceededError(f"class of size {cls.size()} exceeds budget {budget}")
+    if size > budget:
+        raise BudgetExceededError(f"{what} of size {size} exceeds budget {budget}")
 
 
 def _value_of_rank(gamma: Fraction, rank: int) -> Fraction:
@@ -348,7 +349,7 @@ class FiniteClass:
         return len(self.hypotheses_list)
 
     def hypotheses(self) -> Iterator[Hypothesis]:
-        _budgeted(self)
+        _budgeted("class", self.size())
         return iter(self.hypotheses_list)
 
     def first_consistent(self, sample: TrainingSequence) -> Optional[Hypothesis]:
@@ -393,7 +394,7 @@ class CantorClass:
         return CantorHypothesis(members, _value_of_rank(self.gamma, colex_rank(members) + 1))
 
     def hypotheses(self) -> Iterator[CantorHypothesis]:
-        _budgeted(self)
+        _budgeted("class", self.size())
         return (self.hypothesis(a) for a in iter_colex(self.universe, self.d))
 
     def _on_domain(self, point: Point) -> bool:
@@ -416,6 +417,7 @@ class CantorClass:
         return _first_by_value(self, sample)
 
     def default_pool(self) -> tuple[Point, ...]:
+        _budgeted("default pool", self.universe)
         return tuple(Point.nat(i) for i in range(1, self.universe + 1))
 
 
@@ -482,7 +484,7 @@ class SplitCantorClass:
         return SplitCantorHypothesis(k, members, zero_on, value)
 
     def hypotheses(self) -> Iterator[SplitCantorHypothesis]:
-        _budgeted(self)
+        _budgeted("class", self.size())
         return (self.hypothesis(k, a) for k, m in self.blocks() for a in iter_colex(k, m))
 
     def _on_domain(self, point: Point) -> bool:
@@ -520,6 +522,15 @@ class SplitCantorClass:
         return _first_by_value(self, sample)
 
     def default_pool(self) -> tuple[Point, ...]:
+        """Every (k, x) with k a block; refused past enumeration_budget()
+        before any block is listed, since sum(k) is known in closed form."""
+        if self.variant == SQRT_SIZE:
+            top = math.isqrt(self.universe_cap)  # blocks 1, 4, ..., top**2
+            size = top * (top + 1) * (2 * top + 1) // 6
+        else:
+            first = self.size_param - 1  # blocks first..universe_cap
+            size = (first + self.universe_cap) * (self.universe_cap - first + 1) // 2
+        _budgeted("default pool", size)
         return tuple(Point.pair(k, x) for k, _ in self.blocks() for x in range(1, k + 1))
 
 
@@ -529,61 +540,51 @@ class SplitCantorClass:
 
 
 @dataclass(frozen=True)
-class Atom:
-    point: Point
-    label: Fraction
-    mass: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "label", ensure_unit(self.label, "label"))
-        mass = _exact(self.mass)
-        if mass.numerator < 0:
-            raise PreconditionError(f"mass must be >= 0, got {mass}")
-        object.__setattr__(self, "mass", mass)
-
-
-@dataclass(frozen=True)
 class FiniteDistribution:
-    """Finite support over (point, label) pairs with masses summing to one.
+    """Finite support of distinct-point examples with masses summing to one.
 
-    The masses are held once more as integers over one common denominator:
-    atom k has mass _weights[k] / _denominator, the lcm of the masses'
-    denominators, so sums of masses are integer sums.
+    The k-th atom is the example atoms[k] with mass masses[k], and every
+    sample drawn from the distribution shares these example objects.  The
+    masses are held once more as integers over one common denominator: atom k
+    has mass _weights[k] / _denominator, the lcm of the masses' denominators,
+    so sums of masses are integer sums.
     """
 
-    atoms: tuple[Atom, ...]
+    atoms: tuple[LabeledExample, ...]
+    masses: tuple[Fraction, ...]
     witness: Optional[Hypothesis] = None
 
     def __post_init__(self):
         atoms = tuple(self.atoms)
+        masses = tuple(_exact(m) for m in self.masses)
+        if len(masses) != len(atoms):
+            raise PreconditionError(f"need one mass per atom, got {len(masses)} for {len(atoms)}")
+        for mass in masses:
+            if mass.numerator < 0:
+                raise PreconditionError(f"mass must be >= 0, got {mass}")
         object.__setattr__(self, "atoms", atoms)
-        denominator = math.lcm(*(a.mass.denominator for a in atoms))
-        weights = tuple(a.mass.numerator * (denominator // a.mass.denominator) for a in atoms)
+        object.__setattr__(self, "masses", masses)
+        denominator = math.lcm(*(m.denominator for m in masses))
+        weights = tuple(m.numerator * (denominator // m.denominator) for m in masses)
         if sum(weights) != denominator:
             raise PreconditionError("atom masses must sum exactly to 1")
         object.__setattr__(self, "_denominator", denominator)
         object.__setattr__(self, "_weights", weights)
-        points = [a.point for a in atoms]
+        points = [ex.point for ex in atoms]
         if len(set(points)) != len(points):
             raise PreconditionError("atom points must be distinct")
 
     @staticmethod
     def from_triples(triples, witness=None) -> "FiniteDistribution":
-        return FiniteDistribution(tuple(Atom(p, y, m) for p, y, m in triples), witness)
+        triples = tuple(triples)
+        atoms = tuple(LabeledExample(p, y) for p, y, _ in triples)
+        return FiniteDistribution(atoms, tuple(m for _, _, m in triples), witness)
 
     @functools.cached_property
     def _thresholds(self) -> list[int]:
         """ceil(cum_k * 2**64) for each cumulative mass cum_k, in integers."""
         denominator = self._denominator
         return [-((-total << 64) // denominator) for total in itertools.accumulate(self._weights)]
-
-    @functools.cached_property
-    def _examples(self) -> dict[int, LabeledExample]:
-        """Atom index -> the one example every sample shares, filled as drawn."""
-        return {}
-
-    def support_size(self) -> int:
-        return len(self.atoms)
 
 
 def cutoff_loss(predictor: Predictor, dist: FiniteDistribution, gamma: Fraction) -> Fraction:
@@ -597,8 +598,8 @@ def cutoff_loss(predictor: Predictor, dist: FiniteDistribution, gamma: Fraction)
     gamma = _exact(gamma)
     g_n, g_d = gamma.numerator, gamma.denominator
     total = 0
-    for atom, weight in zip(dist.atoms, dist._weights):
-        y, label = predictor(atom.point), atom.label
+    for ex, weight in zip(dist.atoms, dist._weights):
+        y, label = predictor(ex.point), ex.label
         y_n, y_d = y.numerator, y.denominator
         l_n, l_d = label.numerator, label.denominator
         if abs(y_n * l_d - l_n * y_d) * g_d > g_n * y_d * l_d:
@@ -658,17 +659,12 @@ def sample_iid(
     holds exactly when r < ceil(cum_k * 2**64) = T_k, so bisecting r into the
     integer thresholds T_k picks the atom the exact Fraction comparison
     picks, and atom selection never rounds.  The masses sum to 1, so the last
-    threshold is 2**64 and every r lands on an atom.  Draws of one atom share
-    one LabeledExample object per distribution.
+    threshold is 2**64 and every r lands on an atom.  Each draw is the
+    distribution's own example, so draws of one atom share one object.
     """
     if n < 0:
         raise PreconditionError("sample size must be >= 0")
     getrandbits = rng_for(seed, stream).getrandbits
-    thresholds = dist._thresholds
-    drawn = [bisect.bisect_right(thresholds, getrandbits(64)) for _ in range(n)]
-    examples = dist._examples
-    for idx in set(drawn).difference(examples):
-        atom = dist.atoms[idx]
-        examples[idx] = LabeledExample(atom.point, atom.label)
+    atoms, thresholds = dist.atoms, dist._thresholds
     # from a list, so the tuple is allocated at its final size
-    return tuple([examples[idx] for idx in drawn])
+    return tuple([atoms[bisect.bisect_right(thresholds, getrandbits(64))] for _ in range(n)])

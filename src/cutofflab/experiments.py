@@ -456,6 +456,12 @@ def random_partial_class(rng, domain_size=10, max_size=40, max_vc=3):
 
 @_runner("lemma-disamb")
 def run_lemma_disamb(report, domain_size=10, max_size=40, classes=50, max_vc=3, seed=0):
+    # max_vc < 0 would leave random_partial_class rejecting every class forever
+    if min(domain_size, max_size, classes) < 1 or max_vc < 0:
+        raise PreconditionError(
+            "need domain_size, max_size, classes >= 1 and max_vc >= 0, got "
+            f"{domain_size}, {max_size}, {classes}, {max_vc}"
+        )
     rng = core.rng_for(seed, 0)
     all_ok = True
     worst = ""

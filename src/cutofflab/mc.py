@@ -59,12 +59,12 @@ def exact_loss_distribution(learner, instance: HardInstance, n: int) -> list[tup
     dist = instance.distribution
     arity = learner.sample_arity
     total_len = n * arity
-    if dist.support_size() ** total_len > DEFAULT_ORACLE_BUDGET:
+    if len(dist.atoms) ** total_len > DEFAULT_ORACLE_BUDGET:
         raise BudgetExceededError(
-            f"oracle would enumerate {dist.support_size()}^{total_len} sequences"
+            f"oracle would enumerate {len(dist.atoms)}^{total_len} sequences"
         )
-    # one example per atom, shared by every sequence, as sample_iid shares them
-    weighted = [(a.mass, core.LabeledExample(a.point, a.label)) for a in dist.atoms]
+    # the distribution's own examples, shared by every sequence as by sample_iid
+    weighted = list(zip(dist.masses, dist.atoms))
     out = []
     for combo in itertools.product(weighted, repeat=total_len):
         weight = math.prod((mass for mass, _ in combo), start=core.ONE)
@@ -140,6 +140,8 @@ def scaling_fit(points: Sequence[tuple[int, float]]) -> ScalingFit:
     points = tuple((int(n), float(loss)) for n, loss in points)
     if len(points) < 4:
         raise PreconditionError("scaling fit needs at least 4 points")
+    if len({n for n, _ in points}) < 2:
+        raise PreconditionError("scaling fit needs at least two distinct sample sizes")
     if any(loss <= 0 for _, loss in points):
         raise PreconditionError(
             "scaling fit needs strictly positive losses (try more trials or smaller n)"

@@ -174,11 +174,11 @@ def distribution_to_json(dist: core.FiniteDistribution):
         "kind": "finite_distribution",
         "atoms": [
             {
-                "point": point_to_json(a.point),
-                "label": rational_to_str(a.label),
-                "mass": rational_to_str(a.mass),
+                "point": point_to_json(ex.point),
+                "label": rational_to_str(ex.label),
+                "mass": rational_to_str(mass),
             }
-            for a in dist.atoms
+            for ex, mass in zip(dist.atoms, dist.masses)
         ],
     }
     if dist.witness is not None:
@@ -188,19 +188,19 @@ def distribution_to_json(dist: core.FiniteDistribution):
 
 def distribution_from_json(obj) -> core.FiniteDistribution:
     try:
-        atoms = tuple(
-            core.Atom(
+        triples = [
+            (
                 point_from_json(a["point"]),
                 rational_from_str(a["label"]),
                 rational_from_str(a["mass"]),
             )
             for a in obj["atoms"]
-        )
+        ]
         witness = obj.get("witness")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad distribution record: {exc}") from exc
-    return core.FiniteDistribution(
-        atoms, None if witness is None else hypothesis_from_json(witness)
+    return core.FiniteDistribution.from_triples(
+        triples, None if witness is None else hypothesis_from_json(witness)
     )
 
 

@@ -283,9 +283,10 @@ def test_criterion_9_oracle_agreement_and_coupling():
                 w = math.prod((fam.index_masses[t] for t in t_vec), start=F(1))
                 coupling[seq] = coupling.get(seq, F(0)) + w
             direct = {}
-            for combo in iproduct(inst.distribution.atoms, repeat=n):
-                seq = tuple(a.point.n for a in combo)
-                w = math.prod((a.mass for a in combo), start=F(1))
+            weighted = zip(inst.distribution.atoms, inst.distribution.masses)
+            for combo in iproduct(list(weighted), repeat=n):
+                seq = tuple(ex.point.n for ex, _ in combo)
+                w = math.prod((mass for _, mass in combo), start=F(1))
                 direct[seq] = direct.get(seq, F(0)) + w
             if coupling != direct:
                 problems.append(f"coupling pmf mismatch d={d} n={n}")

@@ -18,21 +18,20 @@ class TestThm1Instance:
     def test_reference_parameters(self):
         cls = core.CantorClass(HALF, 2, 5)
         inst, cert = adversaries.thm1_instance(cls, HALF, F(1, 32))
-        masses = [a.mass for a in inst.distribution.atoms]
-        assert masses == [F(7, 8), F(1, 8)]
+        assert inst.distribution.masses == (F(7, 8), F(1, 8))
         assert inst.n_max == 2
         assert cert.verify(HALF)
 
     def test_boundary_epsilon(self):
         cls = core.CantorClass(HALF, 2, 5)
         inst, _ = adversaries.thm1_instance(cls, HALF, F(63, 256))
-        assert sum(a.mass for a in inst.distribution.atoms) == 1
-        assert inst.distribution.atoms[0].mass == 1 - 4 * F(63, 256) >= 0
+        assert sum(inst.distribution.masses) == 1
+        assert inst.distribution.masses[0] == 1 - 4 * F(63, 256) >= 0
 
     def test_total_mass_one(self):
         cls = core.CantorClass(HALF, 3, 8)
         inst, _ = adversaries.thm1_instance(cls, HALF, F(1, 16))
-        assert sum(a.mass for a in inst.distribution.atoms) == 1
+        assert sum(inst.distribution.masses) == 1
 
     def test_witness_interpolates_distribution(self):
         cls = core.CantorClass(HALF, 2, 5)
@@ -181,9 +180,10 @@ class TestCoupledSampling:
         for n in (1, 2, 3):
             coupling = self._coupling_pmf(support, masses, n)
             prod_pmf = {}
-            for combo in product(inst.distribution.atoms, repeat=n):
-                seq = tuple(a.point.n for a in combo)
-                weight = math.prod((a.mass for a in combo), start=F(1))
+            weighted = zip(inst.distribution.atoms, inst.distribution.masses)
+            for combo in product(list(weighted), repeat=n):
+                seq = tuple(ex.point.n for ex, _ in combo)
+                weight = math.prod((mass for _, mass in combo), start=F(1))
                 prod_pmf[seq] = prod_pmf.get(seq, F(0)) + weight
             assert coupling == prod_pmf
 
@@ -218,6 +218,6 @@ class TestTwoTier:
         dist = adversaries.two_tier_distribution(
             witness, (NAT(4), NAT(5), NAT(1)), F(1, 8)
         )
-        assert [a.mass for a in dist.atoms] == [F(3, 4), F(1, 8), F(1, 8)]
+        assert dist.masses == (F(3, 4), F(1, 8), F(1, 8))
         for atom in dist.atoms:
             assert atom.label == witness.value_at(atom.point)

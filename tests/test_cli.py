@@ -6,6 +6,8 @@ import functools
 import inspect
 import io
 import json
+import signal
+import time
 from fractions import Fraction as F
 from functools import partial as bind
 
@@ -423,6 +425,25 @@ def _replay(tmp_path, report) -> int:
     return cli.main(["reproduce", "--replay", str(path), "--json"])
 
 
+def _within(seconds, fn, *args):
+    """fn(*args), stopped by an alarm if it runs past `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _one_line_refusal(err: str) -> bool:
+    return err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestReplayRoundTrips:
     @pytest.mark.parametrize(
         "argv",
@@ -514,6 +535,42 @@ class TestParseBoundary:
     def test_replayed_slope_range_needs_two_bounds(self, tmp_path):
         report = {"tag": "thm4", "seed": 0, "config": {"slope_range": [-1], "trials": 30}}
         assert _replay(tmp_path, report) == 4
+
+    def test_one_distinct_sample_size_exits_4(self, capsys):
+        assert cli.main(["reproduce", "thm4", "--n", "32,32,32,32", "--trials", "30"]) == 4
+        err = capsys.readouterr().err
+        assert "two distinct sample sizes" in err and _one_line_refusal(err)
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"domain_size": 0}, {"max_size": 0}, {"classes": 0}, {"max_vc": -1}],
+        ids=["domain-size-0", "max-size-0", "classes-0", "max-vc-negative"],
+    )
+    def test_replayed_lemma_disamb_out_of_range_exits_4(self, tmp_path, capsys, config):
+        report = {"tag": "lemma-disamb", "seed": 0, "config": config}
+        # a negative max_vc once left the class sampler rejecting forever
+        assert _within(10, _replay, tmp_path, report) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_refusal(captured.err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            lambda path: ["dims", path, "--gamma", "1/2"],
+            lambda path: ["reproduce", "thm1", "--universe", "100000000"],
+        ],
+        ids=["dims", "thm1"],
+    )
+    def test_default_pool_past_budget_exits_3_before_it_is_built(
+        self, tmp_path, capsys, argv
+    ):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({**_CANTOR, "d": 1, "universe": 100_000_000}))
+        start = time.perf_counter()
+        assert cli.main(argv(str(path))) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "default pool" in err and _one_line_refusal(err)
 
     @pytest.mark.parametrize(
         "report",

@@ -1,6 +1,8 @@
 """Core types: exact evaluation, losses, sampling, canonical enumeration."""
 
 import bisect
+import hashlib
+import json
 import math
 from fractions import Fraction as F
 from itertools import combinations
@@ -8,7 +10,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cutofflab import core
+from cutofflab import adversaries, core, serialize
 from cutofflab.errors import (
     DomainMismatchError,
     EmptySampleError,
@@ -132,7 +134,12 @@ class TestIntegerLaw:
         dist, predictions, gamma = case
         loss = core.cutoff_loss(predictions.__getitem__, dist, gamma)
         expected = sum(
-            (a.mass for a in dist.atoms if abs(predictions[a.point] - a.label) > gamma), F(0)
+            (
+                mass
+                for ex, mass in zip(dist.atoms, dist.masses)
+                if abs(predictions[ex.point] - ex.label) > gamma
+            ),
+            F(0),
         )
         assert type(loss) is F and loss == expected
 
@@ -161,7 +168,9 @@ class TestIntegerLaw:
 
     def test_negative_mass_is_refused(self):
         with pytest.raises(PreconditionError, match="mass must be >= 0"):
-            core.Atom(NAT(1), F(0), -F(1, 2**70))
+            core.FiniteDistribution.from_triples(
+                [(NAT(1), 0, -F(1, 2**70)), (NAT(2), 0, 1 + F(1, 2**70))]
+            )
 
     @given(
         st.fractions(min_value=0, max_value=1, max_denominator=2**64).filter(lambda g: 0 < g < 1),
@@ -231,10 +240,10 @@ class TestSampling:
             for ex in sample:
                 counts[ex.point] += 1
             ok = True
-            for atom in dist.atoms:
-                mass = float(atom.mass)
+            for ex, exact_mass in zip(dist.atoms, dist.masses):
+                mass = float(exact_mass)
                 tol = 5 * math.sqrt(mass * (1 - mass) / n)
-                if abs(counts[atom.point] / n - mass) > tol:
+                if abs(counts[ex.point] / n - mass) > tol:
                     ok = False
             good += ok
         assert good >= 99
@@ -303,6 +312,18 @@ class TestSampling:
         assert [ex.point.n - 1 for ex in sample] == indices
         # draws of one atom share one example object
         assert len({id(ex) for ex in sample}) == len(set(indices))
+
+    def test_draws_are_the_distributions_own_examples(self):
+        dist = core.FiniteDistribution.from_triples(
+            [(NAT(1), 0, F(1, 3)), (NAT(2), F(1, 2), F(1, 6)), (NAT(3), 1, F(1, 2))]
+        )
+        sample = core.sample_iid(dist, 24, seed=11, stream=2)
+        assert all(any(ex is atom for atom in dist.atoms) for ex in sample)
+        # the point sequence the sampler drew before examples and masses
+        # were held apart
+        assert [ex.point.n for ex in sample] == [
+            2, 3, 3, 3, 2, 3, 3, 1, 2, 2, 1, 3, 3, 1, 1, 1, 3, 3, 1, 2, 1, 3, 1, 1
+        ]
 
 
 class TestCanonicalEnumeration:
@@ -419,6 +440,39 @@ class TestValidation:
         with pytest.raises(PreconditionError):
             core.LabeledExample(NAT(1), F(3, 2))
 
+    @pytest.mark.parametrize("masses", [(F(1),), (F(1, 2), F(1, 4), F(1, 4))])
+    def test_one_mass_per_atom(self, masses):
+        atoms = (core.LabeledExample(NAT(1), F(0)), core.LabeledExample(NAT(2), F(0)))
+        with pytest.raises(PreconditionError, match="one mass per atom"):
+            core.FiniteDistribution(atoms, masses)
+
+    @pytest.mark.parametrize(
+        "build,digest",
+        [
+            (
+                lambda: adversaries.thm1_instance(
+                    core.CantorClass(F(1, 2), 2, 5), F(1, 2), F(1, 32)
+                )[0],
+                "2b8d581a86d1f319a7ebf4f3a811a03687cd99f82406209cecfa39c1d296da9b",
+            ),
+            (
+                lambda: adversaries.thm5_family(F(1, 2), 4, F(1, 256)).draw_instance(
+                    core.rng_for(2, 0)
+                ),
+                "754eb66bbfc5117a574bdc8416efd1cd48a61b36a10358c812edd9f3de967119",
+            ),
+        ],
+        ids=["thm1-two-tier", "thm5-draw"],
+    )
+    def test_distribution_json_round_trip_is_byte_identical(self, build, digest):
+        dist = build().distribution
+        text = json.dumps(serialize.distribution_to_json(dist), sort_keys=True)
+        # the bytes this record had when each atom carried its own mass
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        again = serialize.distribution_from_json(json.loads(text))
+        assert again == dist
+        assert json.dumps(serialize.distribution_to_json(again), sort_keys=True) == text
+
     def test_pair_point_range(self):
         with pytest.raises(PreconditionError):
             core.Point.pair(4, 5)
@@ -479,6 +533,25 @@ class TestBudgetEnv:
             list(cls.hypotheses())
         monkeypatch.delenv("CUTOFFLAB_BUDGET")
         assert core.enumeration_budget() == 200_000
+
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            core.CantorClass(F(1, 2), 2, 7),
+            SQRT9,
+            core.SplitCantorClass(F(1, 2), core.SQRT_SIZE, None, 15),
+            COMPLEMENT36,
+        ],
+        ids=["cantor", "sqrt-9", "sqrt-15", "complement"],
+    )
+    def test_default_pool_budget_is_its_exact_size(self, monkeypatch, cls):
+        # the size is worked out before the pool is built, so it must be exact
+        size = len(cls.default_pool())
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", str(size))
+        assert len(cls.default_pool()) == size
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", str(size - 1))
+        with pytest.raises(core.BudgetExceededError, match="default pool"):
+            cls.default_pool()
 
     def test_bad_env_value_rejected(self, monkeypatch):
         monkeypatch.setenv("CUTOFFLAB_BUDGET", "lots")

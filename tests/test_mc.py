@@ -199,6 +199,11 @@ class TestScalingFit:
         with pytest.raises(PreconditionError):
             mc.scaling_fit([(8, 1.0), (16, 0.5), (32, 0.25)])
 
+    def test_needs_two_distinct_sample_sizes(self):
+        # one n leaves no spread in ln n to fit a slope on
+        with pytest.raises(PreconditionError, match="two distinct sample sizes"):
+            mc.scaling_fit([(32, 0.03), (32, 0.02), (32, 0.025), (32, 0.028)])
+
 
 class TestEnvelope:
     def test_bound_values(self):
