@@ -2,13 +2,13 @@
 
 Everything that a strict comparison like |h(x) - y| > gamma touches is a
 `fractions.Fraction`, so every loss value, mass, and threshold comparison in
-the package is exact.  A distribution holds one `LabeledExample` per atom,
-which every sample drawn from it shares, and its masses once more as integers
-over one common denominator: validation, sampling thresholds and cutoff
-losses are integer arithmetic on that law, and a loss is still returned as an
-exact `Fraction`.  Randomness is counter-based: every draw derives from a
-64-bit master seed plus a stream index, so trials are order independent
-and bit-reproducible.
+the package is exact, and `gamma_far` is the one test of that comparison.  A
+distribution holds one `LabeledExample` per atom, which every sample drawn
+from it shares, and its masses once more as integers over one common
+denominator: validation, sampling thresholds and cutoff losses are integer
+arithmetic on that law, and a loss is still returned as an exact `Fraction`.
+Randomness is counter-based: every draw derives from a 64-bit master seed
+plus a stream index, so trials are order independent and bit-reproducible.
 """
 
 from __future__ import annotations
@@ -341,10 +341,6 @@ def _consistent(h, sample: TrainingSequence) -> bool:
 class FiniteClass:
     hypotheses_list: tuple[Hypothesis, ...]
 
-    @property
-    def gamma(self):
-        return None
-
     def size(self) -> int:
         return len(self.hypotheses_list)
 
@@ -587,31 +583,34 @@ class FiniteDistribution:
         return [-((-total << 64) // denominator) for total in itertools.accumulate(self._weights)]
 
 
-def cutoff_loss(predictor: Predictor, dist: FiniteDistribution, gamma: Fraction) -> Fraction:
-    """Probability mass on which the prediction is more than gamma from the label.
+def gamma_far(a: Fraction, b: Fraction, gamma: Fraction) -> bool:
+    """|a - b| > gamma, the one far test of the package, decided in integers.
 
-    With prediction y, label l and gamma g as reduced fractions,
-    |y - l| > g holds exactly when |y_n l_d - l_n y_d| g_d > g_n y_d l_d
-    (every denominator is positive), and the erring masses are summed as
-    integer weights over the distribution's common denominator.
+    With a, b and gamma as reduced fractions, |a - b| > gamma holds exactly
+    when |a_n b_d - b_n a_d| g_d > g_n a_d b_d, as every denominator is
+    positive.
     """
+    a_d, b_d = a.denominator, b.denominator
+    gap = abs(a.numerator * b_d - b.numerator * a_d)
+    return gap * gamma.denominator > gamma.numerator * a_d * b_d
+
+
+def cutoff_loss(predictor: Predictor, dist: FiniteDistribution, gamma: Fraction) -> Fraction:
+    """Probability mass on which the prediction is `gamma_far` from the label,
+    summed as integer weights over the distribution's common denominator."""
     gamma = _exact(gamma)
-    g_n, g_d = gamma.numerator, gamma.denominator
     total = 0
     for ex, weight in zip(dist.atoms, dist._weights):
-        y, label = predictor(ex.point), ex.label
-        y_n, y_d = y.numerator, y.denominator
-        l_n, l_d = label.numerator, label.denominator
-        if abs(y_n * l_d - l_n * y_d) * g_d > g_n * y_d * l_d:
+        if gamma_far(predictor(ex.point), ex.label, gamma):
             total += weight
     return Fraction(total, dist._denominator)
 
 
 def empirical_cutoff_loss(predictor: Predictor, sample: TrainingSequence, gamma: Fraction) -> Fraction:
-    gamma = Fraction(gamma)
+    gamma = _exact(gamma)
     if not sample:
         raise EmptySampleError("empirical cutoff loss needs a nonempty sample")
-    bad = sum(1 for ex in sample if abs(predictor(ex.point) - ex.label) > gamma)
+    bad = sum(1 for ex in sample if gamma_far(predictor(ex.point), ex.label, gamma))
     return Fraction(bad, len(sample))
 
 

@@ -6,11 +6,11 @@ error) rather than returning a truncated answer.  Every gamma must lie in (0, 1)
 The shattering search decides patterns on integers.  It restricts the class to
 the pool once, scales each pool point's values by the lcm of their
 denominators, and gives each witness two bitmasks per hypothesis over the
-pool: ``far`` marks |h - w| > gamma and ``near`` marks 0 < |h - w| <= gamma.
-A subset S of the pool, itself a bitmask, gets the pattern ``far & S`` from a
-hypothesis, or no pattern when ``near & S`` is nonzero.  Certificates are still
-re-verified in ``Fraction`` arithmetic, by direct evaluation, before they
-leave this module.
+pool: ``far`` marks where `core.gamma_far(h, w, gamma)` holds and ``near``
+where h != w but not far.  A subset S of the pool, itself a bitmask, gets the
+pattern ``far & S`` from a hypothesis, or no pattern when ``near & S`` is
+nonzero.  Certificates are still re-verified on the hypotheses' own values,
+through `core.gamma_far`, before they leave this module.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from . import core
 from .errors import BudgetExceededError, PreconditionError
 
 DEFAULT_POINT_CAP = 12
-DEFAULT_MULTI_EDGE_CAP = 20
 _ORIENTATION_COMBO_CAP = 200_000
 
 
@@ -47,10 +46,8 @@ class ShatterCertificate:
             if len(pattern) != len(self.points):
                 return False
             for bit, x in zip(pattern, self.points):
-                diff = abs(h.value_at(x) - self.witness.value_at(x))
-                if bit == 0 and diff != 0:
-                    return False
-                if bit == 1 and diff <= gamma:
+                value, target = h.value_at(x), self.witness.value_at(x)
+                if not (core.gamma_far(value, target, gamma) if bit else value == target):
                     return False
         return len(self.pattern_witnesses) == 2 ** len(self.points)
 
@@ -77,7 +74,8 @@ def _value_vectors(cls, points):
 def _integer_table(vectors, gamma: Fraction):
     """The vectors scaled to integers, each coordinate by the lcm of its
     denominators, and per coordinate the largest integer difference that is
-    not gamma-far: for scale s, |v - w| > gamma iff |s*v - s*w| > floor(s*gamma)."""
+    not gamma-far: for scale s, `core.gamma_far(v, w, gamma)` holds iff
+    |s*v - s*w| > floor(s*gamma)."""
     scales = [math.lcm(*(v.denominator for v in column)) for column in zip(*vectors)]
     table = [
         tuple(v.numerator * (s // v.denominator) for v, s in zip(vec, scales))
@@ -88,7 +86,9 @@ def _integer_table(vectors, gamma: Fraction):
 
 def _masks(table, witness_row, thresholds) -> list[tuple[int, int]]:
     """(far, near) bitmasks of each row against the witness row: bit j of
-    ``far`` marks |h - w| > gamma at coordinate j, of ``near`` 0 < |h - w| <= gamma."""
+    ``far`` marks `core.gamma_far` at coordinate j, the definition this
+    integer test must agree with, and bit j of ``near`` an inexact value
+    that is not far."""
     out = []
     for row in table:
         far = near = 0
@@ -134,18 +134,23 @@ def _certify(points, idx, witness, rows, masks, gamma) -> Optional[ShatterCertif
 
 class _ShatterSearch:
     """The class restricted to one pool at one gamma: its rows as integers,
-    and each witness row's masks, built on the witness's first use."""
+    built on the first search the budget admits, and each witness row's
+    masks, built on the witness's first use."""
 
     def __init__(self, cls, pool, gamma: Fraction):
-        self.pool, self.gamma = pool, gamma
-        self.rows = _value_vectors(cls, pool)
-        self.table, self.thresholds = _integer_table([vec for _, vec in self.rows], gamma)
-        self.masks: list[Optional[list[tuple[int, int]]]] = [None] * len(self.rows)
+        self.cls, self.pool, self.gamma = cls, pool, gamma
+        self.rows = None
 
     def first(self, size: int) -> Optional[ShatterCertificate]:
-        """First (in pool order, then enumeration order) shattered size-set."""
+        """First (in pool order, then enumeration order) shattered size-set;
+        refused when the pool has more size-sets than enumeration_budget()."""
         if size > DEFAULT_POINT_CAP:
             raise BudgetExceededError(f"size {size} exceeds the point cap {DEFAULT_POINT_CAP}")
+        core._budgeted(f"family of candidate {size}-point sets", math.comb(len(self.pool), size))
+        if self.rows is None:
+            self.rows = _value_vectors(self.cls, self.pool)
+            self.table, self.thresholds = _integer_table([vec for _, vec in self.rows], self.gamma)
+            self.masks = [None] * len(self.rows)
         for idx in itertools.combinations(range(len(self.pool)), size):
             points = tuple(self.pool[i] for i in idx)
             for k, (witness, _) in enumerate(self.rows):
@@ -284,23 +289,20 @@ def orient_smallest_value(graph: OneInclusionGraph) -> Orientation:
 
 
 def max_gamma_outdegree(graph: OneInclusionGraph, orientation: Orientation, gamma) -> int:
-    """Most edges any vertex loses to a gamma-far target; |t - v| > gamma is
-    decided as |t_n v_d - v_n t_d| g_d > g_n t_d v_d (positive denominators)."""
+    """Most edges any vertex loses to a `core.gamma_far` target (0 on a graph
+    with no vertices)."""
     gamma = _read_gamma(gamma)
-    g_n, g_d = gamma.numerator, gamma.denominator
     missing = set(graph.edges) - set(orientation)
     if missing:
         raise PreconditionError(f"orientation leaves {len(missing)} edges unoriented")
-    worst = 0
-    for v in graph.vertices:
-        away = 0
-        for i in range(len(graph.points)):
-            t, x = orientation[graph.edge_key(v, i)][i], v[i]
-            t_d, x_d = t.denominator, x.denominator
-            if abs(t.numerator * x_d - x.numerator * t_d) * g_d > g_n * t_d * x_d:
-                away += 1
-        worst = max(worst, away)
-    return worst
+    coords = range(len(graph.points))
+    return max(
+        (
+            sum(core.gamma_far(orientation[graph.edge_key(v, i)][i], v[i], gamma) for i in coords)
+            for v in graph.vertices
+        ),
+        default=0,
+    )
 
 
 def exhaustive_orientation_min(graph: OneInclusionGraph, gamma) -> tuple[Orientation, int]:
@@ -308,10 +310,6 @@ def exhaustive_orientation_min(graph: OneInclusionGraph, gamma) -> tuple[Orienta
     gamma = _read_gamma(gamma)
     fixed = {k: ms[0] for k, ms in graph.edges.items() if len(ms) == 1}
     multi = [(k, ms) for k, ms in sorted(graph.edges.items()) if len(ms) > 1]
-    if len(multi) > DEFAULT_MULTI_EDGE_CAP:
-        raise BudgetExceededError(
-            f"{len(multi)} multi-member edges exceed the cap of {DEFAULT_MULTI_EDGE_CAP}"
-        )
     combos = 1
     for _, ms in multi:
         combos *= len(ms)

@@ -301,6 +301,7 @@ def run_thm4(
     if len(slope_range) != 2:
         raise PreconditionError(f"slope_range needs two bounds, got {slope_range!r}")
     lo, hi = slope_range
+    mc.check_fit_sizes(ns)
     cls, witness, points = _colex_last_shattered(gamma, d, universe)
     interp = partial(learners.generic_interpolator, cls)
     med = learners.MedianOfThree(interp)

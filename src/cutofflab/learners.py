@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from . import core
 from .errors import NotRealizableError, PreconditionError
@@ -184,9 +184,8 @@ def adversarial_interpolator(cert, sample: core.TrainingSequence) -> core.Hypoth
     pattern = tuple(0 if s else 1 for s in seen)
     h = cert.pattern_witnesses[pattern]
     for i, x in enumerate(cert.points):
-        diff = abs(h.value_at(x) - cert.witness.value_at(x))
-        ok = diff == 0 if seen[i] else diff != 0
-        if not ok:  # pragma: no cover - certificate is pre-verified
+        matches = h.value_at(x) == cert.witness.value_at(x)
+        if matches != seen[i]:  # pragma: no cover - certificate is pre-verified
             raise AssertionError("adversarial interpolator output failed its contract")
     return h
 
@@ -237,11 +236,10 @@ class InterpolatorAggregation:
 @dataclass(frozen=True)
 class ProperERM:
     """Consistent hypothesis if one exists (canonical order); otherwise the
-    enumeration-first minimizer of the empirical cutoff loss at ``gamma``
-    (the class's own gamma when None)."""
+    enumeration-first minimizer of the empirical cutoff loss at ``gamma``."""
 
     cls: object
-    gamma: Optional[Fraction] = None
+    gamma: Fraction
 
     sample_arity = 1
 
@@ -251,13 +249,10 @@ class ProperERM:
         h = self.cls.first_consistent(sample)
         if h is not None:
             return h.value_at
-        gamma = self.cls.gamma if self.gamma is None else self.gamma
-        if gamma is None:
-            raise PreconditionError("ERM fallback needs a gamma (class carries none)")
         best, best_loss = None, None
         for candidate in self.cls.hypotheses():
             try:
-                loss = core.empirical_cutoff_loss(candidate.value_at, sample, gamma)
+                loss = core.empirical_cutoff_loss(candidate.value_at, sample, self.gamma)
             except core.DomainMismatchError:
                 continue
             if best_loss is None or loss < best_loss:

@@ -135,13 +135,19 @@ def mc_expected_loss(
     )
 
 
+def check_fit_sizes(ns: Sequence[int]) -> None:
+    """Refuse sample sizes that `scaling_fit` cannot fit whatever the losses,
+    so a caller can refuse them before estimating any loss."""
+    if len(ns) < 4:
+        raise PreconditionError("scaling fit needs at least 4 points")
+    if len(set(ns)) < 2:
+        raise PreconditionError("scaling fit needs at least two distinct sample sizes")
+
+
 def scaling_fit(points: Sequence[tuple[int, float]]) -> ScalingFit:
     """Least squares on (ln n, ln mean-loss); the slope is the decay exponent."""
     points = tuple((int(n), float(loss)) for n, loss in points)
-    if len(points) < 4:
-        raise PreconditionError("scaling fit needs at least 4 points")
-    if len({n for n, _ in points}) < 2:
-        raise PreconditionError("scaling fit needs at least two distinct sample sizes")
+    check_fit_sizes([n for n, _ in points])
     if any(loss <= 0 for _, loss in points):
         raise PreconditionError(
             "scaling fit needs strictly positive losses (try more trials or smaller n)"

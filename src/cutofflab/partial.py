@@ -236,12 +236,12 @@ def loss_pattern_reduction(cls, examples, gamma: Fraction) -> PartialClass:
         chars = []
         for ex in examples:
             try:
-                diff = abs(h.value_at(ex.point) - ex.label)
+                value = h.value_at(ex.point)
             except core.DomainMismatchError:
-                diff = None
-            if diff == 0:
+                value = None  # off its domain a hypothesis counts as far
+            if value == ex.label:
                 chars.append("0")
-            elif diff is None or diff > gamma:
+            elif value is None or core.gamma_far(value, ex.label, gamma):
                 chars.append("1")
             else:
                 chars.append(STAR)

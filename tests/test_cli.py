@@ -5,6 +5,7 @@ import csv
 import functools
 import inspect
 import io
+import itertools
 import json
 import signal
 import time
@@ -94,6 +95,20 @@ class TestOig:
         out = capsys.readouterr().out
         assert "smallest_value_outdegree: 1" in out or "smallest_value_outdegree: 0" in out
         assert "min_outdegree" in out
+
+    def test_exhaustive_past_the_orientation_budget_exits_3(self, tmp_path, capsys):
+        # all 32 0/1 vectors on 5 points: 80 two-member edges, 2**80 orientations
+        points = [core.Point.nat(i) for i in range(1, 6)]
+        cls = core.FiniteClass(tuple(
+            core.TableHypothesis.from_dict(dict(zip(points, bits)))
+            for bits in itertools.product((0, 1), repeat=5)
+        ))
+        path = tmp_path / "cube.json"
+        serialize.dump_json(serialize.class_to_json(cls), path)
+        argv = ["oig", str(path), "--gamma", "1/2", "--points", "1..5", "--exhaustive"]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_refusal(captured.err)
 
     def test_negative_subgraphs_exits_2(self, cantor_file, capsys):
         argv = ["oig", cantor_file, "--gamma", "1/2", "--points", "1,2,3", "--subgraphs", "-3"]
@@ -540,6 +555,30 @@ class TestParseBoundary:
         assert cli.main(["reproduce", "thm4", "--n", "32,32,32,32", "--trials", "30"]) == 4
         err = capsys.readouterr().err
         assert "two distinct sample sizes" in err and _one_line_refusal(err)
+
+    @pytest.mark.parametrize(
+        ("ns", "message"),
+        [("1024,1024,1024,1024", "two distinct sample sizes"), ("32,64,128", "at least 4 points")],
+    )
+    def test_unfittable_sample_sizes_exit_4_before_any_trial(
+        self, monkeypatch, capsys, ns, message
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a trial ran for sample sizes that cannot be fitted")
+
+        monkeypatch.setattr(mc, "mc_expected_loss", must_not_run)
+        assert cli.main(["reproduce", "thm4", "--n", ns]) == 4
+        err = capsys.readouterr().err
+        assert message in err and _one_line_refusal(err)
+
+    def test_explicit_pool_past_budget_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "cantor_1_5.json"
+        path.write_text(json.dumps({**_CANTOR, "d": 1}))
+        # a million one-point candidate sets: refused before any row is built
+        argv = ["dims", str(path), "--gamma", "1/2", "--pool", "1..1000000"]
+        assert _within(10, cli.main, argv) == 3
+        err = capsys.readouterr().err
+        assert "candidate 1-point sets" in err and _one_line_refusal(err)
 
     @pytest.mark.parametrize(
         "config",

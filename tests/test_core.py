@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cutofflab import adversaries, core, serialize
 from cutofflab.errors import (
@@ -99,6 +99,31 @@ class TestCutoffLoss:
         )
         p = two_point_predictor(values).value_at
         assert core.cutoff_loss(p, dist, lo) >= core.cutoff_loss(p, dist, hi)
+
+
+_TINY = F(1, 2**70)
+#: values in [0, 1] over small denominators and over denominators above 2**64
+_unit = st.fractions(min_value=0, max_value=1, max_denominator=12) | st.integers(
+    2**64 + 1, 2**72
+).flatmap(lambda q: st.integers(0, q).map(lambda p: F(p, q)))
+
+
+class TestGammaFar:
+    @given(
+        a=_unit,
+        b=_unit | st.none(),  # None: b is a - gamma or a + gamma exactly
+        gamma=_unit.filter(lambda g: g > 0),
+        sign=st.sampled_from((-1, 1)),
+        nudge=st.sampled_from((0, _TINY, -_TINY)),
+    )
+    @example(a=F(1, 3), b=None, gamma=F(1, 2**64 + 1), sign=1, nudge=0)
+    @example(a=F(1, 3), b=None, gamma=F(1, 2**64 + 1), sign=-1, nudge=-_TINY)
+    @settings(max_examples=300, deadline=None)
+    def test_is_the_strict_fraction_distance(self, a, b, gamma, sign, nudge):
+        if b is None:
+            b = a + sign * gamma
+        gamma += nudge
+        assert core.gamma_far(a, b, gamma) == (abs(a - b) > gamma)
 
 
 @st.composite

@@ -3,7 +3,7 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -408,6 +408,21 @@ class TestOrientations:
             graph = dims.build_oig(cls, points)
             _, best = dims.exhaustive_orientation_min(graph, HALF)
             assert best <= 1
+
+    def test_cube_past_the_orientation_budget_is_refused(self):
+        # all 32 0/1 vectors on 5 points: 80 edges of two members each
+        pool = tuple(NAT(i) for i in range(1, 6))
+        graph = dims.build_oig(table_class(list(product((0, 1), repeat=5)), pool), pool)
+        assert len(graph.edges) == 80
+        assert {len(members) for members in graph.edges.values()} == {2}
+        with pytest.raises(BudgetExceededError):
+            dims.exhaustive_orientation_min(graph, HALF)
+
+    def test_graph_without_vertices_has_outdegree_zero(self):
+        # every member leaves its domain on a pair point
+        graph = dims.build_oig(core.CantorClass(HALF, 2, 5), (PAIR(1, 1),))
+        assert graph.vertices == () and graph.edges == {}
+        assert dims.max_gamma_outdegree(graph, {}, HALF) == 0
 
     def test_unoriented_edge_rejected(self):
         pool = (NAT(1), NAT(2))

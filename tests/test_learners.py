@@ -241,7 +241,7 @@ class TestProperErm:
     def test_realizable_gives_consistent(self):
         cls = core.CantorClass(HALF, 2, 5)
         sample = core.training_sequence([(NAT(3), 0)])
-        h = learners.ProperERM(cls).predictor((sample,))
+        h = learners.ProperERM(cls, HALF).predictor((sample,))
         assert core.empirical_cutoff_loss(h, sample, F(0)) == 0
 
     def test_thm5_class_avoids_observed_points(self):
@@ -249,7 +249,7 @@ class TestProperErm:
         sample = core.training_sequence(
             [(PAIR(64, 10), 0), (PAIR(64, 20), 0), (PAIR(64, 30), 0)]
         )
-        h = learners.ProperERM(fam.cls).predictor((sample,))
+        h = learners.ProperERM(fam.cls, HALF).predictor((sample,))
         # colex-first member set of block 64 avoiding the observations
         nonzero = [x for x in range(1, 65) if h(PAIR(64, x)) != 0]
         assert nonzero == [1, 2, 3]

@@ -186,12 +186,21 @@ class TestLossPatternReduction:
         assert all(pc.STAR not in c for c in reduced.concepts)
 
     def test_vc_dimension_bounded_by_graph_dimension(self):
-        for d, universe in ((2, 5), (2, 6)):
-            cls = core.CantorClass(HALF, d, universe)
-            graph_dim = dims.gamma_graph_dimension(cls, cls.default_pool(), HALF, d + 2)
-            examples = [core.LabeledExample(NAT(i), F(0)) for i in range(1, universe + 1)]
-            reduced = pc.loss_pattern_reduction(cls, examples, HALF)
-            assert pc.partial_vc_dimension(reduced) <= graph_dim
+        # The bound is attained: a set is gamma-graph shattered with witness w
+        # exactly when it is VC shattered by the loss patterns on w's labels,
+        # so the best witness labelling of the pool gives the graph dimension.
+        # This cross-checks partial's layered search against dims' bitmask one.
+        classes = [core.CantorClass(HALF, d, u) for d, u in ((2, 5), (2, 6), (3, 7))]
+        classes.append(core.SplitCantorClass(HALF, core.SQRT_SIZE, None, 9))
+        for cls in classes:
+            pool = cls.default_pool()
+            best = max(
+                pc.partial_vc_dimension(pc.loss_pattern_reduction(
+                    cls, [core.LabeledExample(x, w.value_at(x)) for x in pool], HALF
+                ))
+                for w in cls.hypotheses()
+            )
+            assert best == dims.gamma_graph_dimension(cls, pool, HALF)
 
 
 class TestRowFormat:
