@@ -38,7 +38,8 @@ EXIT_PRECONDITION = 4
 
 def _parse_points(spec: str) -> tuple[core.Point, ...]:
     """Point list: "1..8" or "1,2,5" for nat points, "4/1,4/2" for
-    block/index pairs."""
+    block/index pairs.  A range is refused before it is built when it would
+    take the list past enumeration_budget()."""
     points = []
     for chunk in spec.split(","):
         chunk = chunk.strip()
@@ -49,8 +50,9 @@ def _parse_points(spec: str) -> tuple[core.Point, ...]:
                 k, x = chunk.split("/")
                 points.append(core.Point.pair(int(k), int(x)))
             elif ".." in chunk:
-                lo, hi = chunk.split("..")
-                points.extend(core.Point.nat(i) for i in range(int(lo), int(hi) + 1))
+                lo, hi = (int(v) for v in chunk.split(".."))
+                core._budgeted(f"point list with range {chunk!r}", len(points) + hi - lo + 1)
+                points.extend(core.Point.nat(i) for i in range(lo, hi + 1))
             else:
                 points.append(core.Point.nat(int(chunk)))
         except ValueError as exc:
@@ -137,7 +139,8 @@ def cmd_oig(args) -> int:
     if args.subgraphs:
         rng = core.rng_for(args.seed, 0)
         worst = 0
-        for _ in range(args.subgraphs):
+        # a graph without vertices has no nonempty subgraph to sample
+        for _ in range(args.subgraphs if graph.vertices else 0):
             size = rng.randrange(1, len(graph.vertices) + 1)
             kept = rng.sample(list(graph.vertices), size)
             sub = dims.induced_subgraph(graph, kept)

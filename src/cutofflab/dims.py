@@ -11,6 +11,10 @@ where h != w but not far.  A subset S of the pool, itself a bitmask, gets the
 pattern ``far & S`` from a hypothesis, or no pattern when ``near & S`` is
 nonzero.  Certificates are still re-verified on the hypotheses' own values,
 through `core.gamma_far`, before they leave this module.
+
+The one-inclusion graphs are integer-coded by the same scaling: a vertex is a
+restriction with each coordinate times its scale, and an out-degree counts
+the coordinates whose scaled difference exceeds the coordinate's threshold.
 """
 
 from __future__ import annotations
@@ -71,17 +75,24 @@ def _value_vectors(cls, points):
     return out
 
 
-def _integer_table(vectors, gamma: Fraction):
-    """The vectors scaled to integers, each coordinate by the lcm of its
-    denominators, and per coordinate the largest integer difference that is
-    not gamma-far: for scale s, `core.gamma_far(v, w, gamma)` holds iff
-    |s*v - s*w| > floor(s*gamma)."""
-    scales = [math.lcm(*(v.denominator for v in column)) for column in zip(*vectors)]
+def _scaled(vectors, width: int):
+    """The vectors as integer rows, each of the ``width`` coordinates scaled
+    by the lcm of its denominators (1 when there are no vectors), and the
+    scales.  A positive scale per coordinate keeps equality and
+    lexicographic order."""
+    scales = tuple(math.lcm(*(vec[i].denominator for vec in vectors)) for i in range(width))
     table = [
         tuple(v.numerator * (s // v.denominator) for v, s in zip(vec, scales))
         for vec in vectors
     ]
-    return table, [gamma.numerator * s // gamma.denominator for s in scales]
+    return table, scales
+
+
+def _thresholds(scales, gamma: Fraction) -> tuple[int, ...]:
+    """Per coordinate the largest scaled difference that is not gamma-far:
+    for scale s, `core.gamma_far(v, w, gamma)` holds iff
+    |s*v - s*w| > floor(s*gamma)."""
+    return tuple(gamma.numerator * s // gamma.denominator for s in scales)
 
 
 def _masks(table, witness_row, thresholds) -> list[tuple[int, int]]:
@@ -149,7 +160,8 @@ class _ShatterSearch:
         core._budgeted(f"family of candidate {size}-point sets", math.comb(len(self.pool), size))
         if self.rows is None:
             self.rows = _value_vectors(self.cls, self.pool)
-            self.table, self.thresholds = _integer_table([vec for _, vec in self.rows], self.gamma)
+            self.table, scales = _scaled([vec for _, vec in self.rows], len(self.pool))
+            self.thresholds = _thresholds(scales, self.gamma)
             self.masks = [None] * len(self.rows)
         for idx in itertools.combinations(range(len(self.pool)), size):
             points = tuple(self.pool[i] for i in idx)
@@ -179,10 +191,8 @@ def check_graph_shattered(points, cls, witness, gamma: Fraction) -> Optional[Sha
         return ShatterCertificate(points, witness, {(): witness})
     witness_vec = tuple(witness.value_at(x) for x in points)
     rows = _value_vectors(cls, points)
-    (witness_row, *table), thresholds = _integer_table(
-        [witness_vec] + [vec for _, vec in rows], gamma
-    )
-    masks = _masks(table, witness_row, thresholds)
+    (witness_row, *table), scales = _scaled([witness_vec] + [vec for _, vec in rows], len(points))
+    masks = _masks(table, witness_row, _thresholds(scales, gamma))
     return _certify(points, range(len(points)), witness, rows, masks, gamma)
 
 
@@ -225,16 +235,23 @@ def gamma_graph_dimension(cls, pool, gamma, cap_d: int = DEFAULT_POINT_CAP) -> i
 # One-inclusion graphs
 # ---------------------------------------------------------------------------
 
-Vertex = tuple[Fraction, ...]
-EdgeKey = tuple[int, tuple[Fraction, ...]]  # (free coordinate, values elsewhere)
+Vertex = tuple[int, ...]  # a restriction, coordinate i times the graph's scales[i]
+EdgeKey = tuple[int, Vertex]  # (free coordinate, scaled values elsewhere)
 
 
 @dataclass(frozen=True)
 class OneInclusionGraph:
     """Hypergraph on class restrictions: edge (f, i) groups the vertices that
-    agree with f on every coordinate except i."""
+    agree with f on every coordinate except i.
+
+    A vertex holds the restriction's value at points[i] times scales[i], the
+    lcm of the class's denominators there, so the value is
+    ``Fraction(vertex[i], scales[i])``.  Vertices are sorted, in the order of
+    the restrictions they scale, and so are the members of each edge.
+    """
 
     points: tuple[core.Point, ...]
+    scales: tuple[int, ...]
     vertices: tuple[Vertex, ...]
     edges: dict[EdgeKey, tuple[Vertex, ...]]
 
@@ -245,24 +262,30 @@ class OneInclusionGraph:
 Orientation = dict[EdgeKey, Vertex]
 
 
-def _graph_on(points, vertices) -> OneInclusionGraph:
+def _graph_on(points, scales, vertices) -> OneInclusionGraph:
     """One-inclusion graph on sorted vertices: an edge joins the vertices
     that agree off one coordinate."""
     edges: dict[EdgeKey, list[Vertex]] = {}
     for v in vertices:
         for i in range(len(points)):
             edges.setdefault((i, v[:i] + v[i + 1 :]), []).append(v)
-    return OneInclusionGraph(points, tuple(vertices), {k: tuple(ms) for k, ms in edges.items()})
+    return OneInclusionGraph(
+        points, scales, tuple(vertices), {k: tuple(ms) for k, ms in edges.items()}
+    )
 
 
 def build_oig(cls, points) -> OneInclusionGraph:
+    """One-inclusion graph of the class's restrictions to the points,
+    refused when class size times points squared, which bounds the graph's
+    size, exceeds enumeration_budget()."""
     points = tuple(points)
     if not points:
         raise PreconditionError("one-inclusion graph needs at least one point")
     if len(set(points)) != len(points):
         raise PreconditionError("points must be distinct")
-    vertices = sorted({vec for _, vec in _value_vectors(cls, points)})
-    return _graph_on(points, vertices)
+    core._budgeted("one-inclusion graph", cls.size() * len(points) ** 2)
+    table, scales = _scaled([vec for _, vec in _value_vectors(cls, points)], len(points))
+    return _graph_on(points, scales, sorted(set(table)))
 
 
 def induced_subgraph(graph: OneInclusionGraph, vertices) -> OneInclusionGraph:
@@ -278,7 +301,7 @@ def induced_subgraph(graph: OneInclusionGraph, vertices) -> OneInclusionGraph:
         raise PreconditionError(f"{len(missing)} vertices are not in the graph")
     if not kept:
         raise PreconditionError("subgraph needs at least one vertex")
-    return _graph_on(graph.points, kept)
+    return _graph_on(graph.points, graph.scales, kept)
 
 
 def orient_smallest_value(graph: OneInclusionGraph) -> Orientation:
@@ -288,26 +311,32 @@ def orient_smallest_value(graph: OneInclusionGraph) -> Orientation:
     return {key: members[0] for key, members in graph.edges.items()}
 
 
-def max_gamma_outdegree(graph: OneInclusionGraph, orientation: Orientation, gamma) -> int:
-    """Most edges any vertex loses to a `core.gamma_far` target (0 on a graph
-    with no vertices)."""
-    gamma = _read_gamma(gamma)
-    missing = set(graph.edges) - set(orientation)
-    if missing:
-        raise PreconditionError(f"orientation leaves {len(missing)} edges unoriented")
-    coords = range(len(graph.points))
+def _max_outdegree(graph: OneInclusionGraph, orientation: Orientation, thresholds) -> int:
+    """Most edges any vertex loses to a target whose scaled value differs by
+    more than the coordinate's threshold (0 on a graph with no vertices)."""
+    coords = tuple(enumerate(thresholds))
     return max(
         (
-            sum(core.gamma_far(orientation[graph.edge_key(v, i)][i], v[i], gamma) for i in coords)
+            sum(abs(orientation[i, v[:i] + v[i + 1 :]][i] - v[i]) > t for i, t in coords)
             for v in graph.vertices
         ),
         default=0,
     )
 
 
+def max_gamma_outdegree(graph: OneInclusionGraph, orientation: Orientation, gamma) -> int:
+    """Most edges any vertex loses to a `core.gamma_far` target (0 on a graph
+    with no vertices), decided on the scaled values against `_thresholds`."""
+    thresholds = _thresholds(graph.scales, _read_gamma(gamma))
+    missing = graph.edges.keys() - orientation.keys()
+    if missing:
+        raise PreconditionError(f"orientation leaves {len(missing)} edges unoriented")
+    return _max_outdegree(graph, orientation, thresholds)
+
+
 def exhaustive_orientation_min(graph: OneInclusionGraph, gamma) -> tuple[Orientation, int]:
     """Orientation minimizing the max gamma-out-degree, by product search."""
-    gamma = _read_gamma(gamma)
+    thresholds = _thresholds(graph.scales, _read_gamma(gamma))
     fixed = {k: ms[0] for k, ms in graph.edges.items() if len(ms) == 1}
     multi = [(k, ms) for k, ms in sorted(graph.edges.items()) if len(ms) > 1]
     combos = 1
@@ -317,11 +346,12 @@ def exhaustive_orientation_min(graph: OneInclusionGraph, gamma) -> tuple[Orienta
             raise BudgetExceededError(
                 f"orientation search space exceeds {_ORIENTATION_COMBO_CAP}"
             )
+    keys = [k for k, _ in multi]
     best_orientation, best_value = None, None
     for choice in itertools.product(*(ms for _, ms in multi)):
         orientation = dict(fixed)
-        orientation.update({k: c for (k, _), c in zip(multi, choice)})
-        value = max_gamma_outdegree(graph, orientation, gamma)
+        orientation.update(zip(keys, choice))
+        value = _max_outdegree(graph, orientation, thresholds)
         if best_value is None or value < best_value:
             best_orientation, best_value = orientation, value
             if best_value == 0:

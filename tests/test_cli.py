@@ -110,10 +110,98 @@ class TestOig:
         captured = capsys.readouterr()
         assert captured.out == "" and _one_line_refusal(captured.err)
 
+    def test_subgraphs_of_a_graph_without_vertices(self, cantor_file, capsys):
+        # no Cantor member is defined on a pair point
+        argv = ["oig", cantor_file, "--gamma", "1/2", "--points", "4/1", "--subgraphs", "2",
+                "--json"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "vertices": 0, "edges": 0, "smallest_value_outdegree": 0, "subgraph_max_outdegree": 0
+        }
+
     def test_negative_subgraphs_exits_2(self, cantor_file, capsys):
         argv = ["oig", cantor_file, "--gamma", "1/2", "--points", "1,2,3", "--subgraphs", "-3"]
         assert cli.main(argv) == 2
         assert "subgraph_max_outdegree" not in capsys.readouterr().out
+
+
+def _oig_out(vertices, edges, greedy, subgraphs, best=None):
+    out = {"vertices": vertices, "edges": edges, "smallest_value_outdegree": greedy,
+           "subgraph_max_outdegree": subgraphs}
+    if best is not None:
+        out["min_outdegree"] = best
+    return json.dumps(out, indent=2, sort_keys=True) + "\n"
+
+
+_CUBE = core.FiniteClass(tuple(
+    core.TableHypothesis.from_dict(dict(zip((core.Point.nat(i) for i in range(1, 6)), bits)))
+    for bits in itertools.product((0, 1), repeat=5)
+))
+
+
+class TestOigPinned:
+    """`oig --json` as recorded before the graph was integer-coded.  The
+    subgraph samples draw from the vertex order, and on the 0/1 cube one
+    subgraph's out-degree moves with the sample."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "cls,argv,expected",
+        [
+            (core.CantorClass(F(1, 2), 2, 6), ["--gamma", "1/2", "--points", "1,2,4,5,6"],
+             _oig_out(15, 75, 0, 0, best=0)),
+            (core.CantorClass(F(1, 2), 3, 7), ["--gamma", "1/2", "--points", "1,2,4,5,6"],
+             _oig_out(35, 175, 0, 0, best=0)),
+            (core.SplitCantorClass(F(1, 2), core.SQRT_SIZE, None, 9),
+             ["--gamma", "1/3", "--points", "4/1,4/2,4/3,9/1"], _oig_out(91, 364, 0, 0, best=0)),
+        ],
+        ids=["cantor26", "cantor37", "split_sqrt9"],
+    )
+    def test_exhaustive_with_subgraphs(self, tmp_path, capsys, cls, argv, expected, seed):
+        path = tmp_path / "class.json"
+        serialize.dump_json(serialize.class_to_json(cls), path)
+        extra = ["--exhaustive", "--subgraphs", "20", "--seed", str(seed), "--json"]
+        assert cli.main(["oig", str(path), *argv, *extra]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "seed,worst", [(1, 4), (2, 0), (3, 4), (4, 3), (5, 4), (6, 0), (7, 3), (8, 4)]
+    )
+    def test_cube_subgraph_follows_the_vertex_order(self, tmp_path, capsys, seed, worst):
+        path = tmp_path / "cube.json"
+        serialize.dump_json(serialize.class_to_json(_CUBE), path)
+        argv = ["oig", str(path), "--gamma", "1/2", "--points", "1..5", "--subgraphs", "1",
+                "--seed", str(seed), "--json"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == _oig_out(32, 80, 5, worst)
+
+
+class TestPointBudgets:
+    @pytest.fixture
+    def cantor15_file(self, tmp_path):
+        path = tmp_path / "cantor15.json"
+        serialize.dump_json(serialize.class_to_json(core.CantorClass(F(1, 2), 1, 5)), path)
+        return str(path)
+
+    def test_oig_past_the_graph_budget_exits_3_at_once(self, cantor15_file, capsys):
+        # 5 members on 1000 points: 5 * 1000**2 past the budget of 200,000
+        start = time.monotonic()
+        assert cli.main(["oig", cantor15_file, "--gamma", "1/2", "--points", "1..1000"]) == 3
+        assert time.monotonic() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_refusal(captured.err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["dims", "--gamma", "1/2", "--pool", "1..100000000"],
+         ["oig", "--gamma", "1/2", "--points", "1..100000000"]],
+        ids=["dims", "oig"],
+    )
+    def test_range_past_the_budget_is_refused_unbuilt(self, cantor15_file, capsys, argv):
+        assert _within(10, cli.main, [argv[0], cantor15_file, *argv[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_refusal(captured.err)
+        assert "point list" in captured.err
 
 
 class TestDisambiguate:
@@ -574,11 +662,20 @@ class TestParseBoundary:
     def test_explicit_pool_past_budget_exits_3(self, tmp_path, capsys):
         path = tmp_path / "cantor_1_5.json"
         path.write_text(json.dumps({**_CANTOR, "d": 1}))
-        # a million one-point candidate sets: refused before any row is built
+        # a million points: refused before any point is built
         argv = ["dims", str(path), "--gamma", "1/2", "--pool", "1..1000000"]
         assert _within(10, cli.main, argv) == 3
         err = capsys.readouterr().err
-        assert "candidate 1-point sets" in err and _one_line_refusal(err)
+        assert "point list with range '1..1000000'" in err and _one_line_refusal(err)
+
+    def test_explicit_pool_past_the_candidate_budget_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "cantor_1_5.json"
+        path.write_text(json.dumps({**_CANTOR, "d": 1}))
+        # 1,000 points pass, 499,500 two-point candidate sets do not
+        argv = ["dims", str(path), "--gamma", "1/2", "--pool", "1..1000"]
+        assert _within(10, cli.main, argv) == 3
+        err = capsys.readouterr().err
+        assert "candidate 2-point sets" in err and _one_line_refusal(err)
 
     @pytest.mark.parametrize(
         "config",

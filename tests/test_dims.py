@@ -6,6 +6,7 @@ from fractions import Fraction as F
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cutofflab import core, dims, experiments
 from cutofflab.errors import BudgetExceededError, PreconditionError
@@ -100,6 +101,18 @@ def same_certificate(cert, expected):
     )
 
 
+def values(graph, v):
+    """A graph vertex mapped back to the restriction's Fraction values."""
+    return tuple(F(x, s) for x, s in zip(v, graph.scales))
+
+
+def vertex(graph, *restriction):
+    """The graph vertex of a restriction given by its values."""
+    scaled = tuple(F(x) * s for x, s in zip(restriction, graph.scales))
+    assert all(x.denominator == 1 for x in scaled)
+    return tuple(x.numerator for x in scaled)
+
+
 _TINY = F(1, 2**70)
 
 
@@ -160,8 +173,11 @@ class TestAgainstFractionDefinition:
             for _ in range(4):
                 kept = rng.sample(list(graph.vertices), rng.randrange(1, len(graph.vertices) + 1))
                 sub = dims.induced_subgraph(graph, kept)
-                assert dims.orient_smallest_value(sub) == {
-                    key: min(members, key=lambda m: (m[key[0]], m))
+                assert {
+                    key: values(sub, target)
+                    for key, target in dims.orient_smallest_value(sub).items()
+                } == {
+                    key: min((values(sub, m) for m in members), key=lambda m: (m[key[0]], m))
                     for key, members in sub.edges.items()
                 }
                 orientation = {key: rng.choice(ms) for key, ms in sub.edges.items()}
@@ -169,11 +185,74 @@ class TestAgainstFractionDefinition:
                     sum(
                         1
                         for i in range(len(pool))
-                        if abs(orientation[sub.edge_key(v, i)][i] - v[i]) > gamma
+                        if abs(values(sub, orientation[sub.edge_key(v, i)])[i] - values(sub, v)[i])
+                        > gamma
                     )
                     for v in sub.vertices
                 )
                 assert dims.max_gamma_outdegree(sub, orientation, gamma) == expected
+
+
+def fraction_graph(vectors, width):
+    """Sorted vertices and edge groups of the one-inclusion graph on Fraction
+    restrictions, from the definition."""
+    vertices = sorted(set(vectors))
+    edges = {}
+    for v in vertices:
+        for i in range(width):
+            edges.setdefault((i, v[:i] + v[i + 1 :]), []).append(v)
+    return vertices, {key: tuple(members) for key, members in edges.items()}
+
+
+def fraction_key(graph, key):
+    """An edge key mapped back to Fraction values off its free coordinate."""
+    i, rest = key
+    return (i, tuple(F(x, s) for x, s in zip(rest, graph.scales[:i] + graph.scales[i + 1 :])))
+
+
+class TestIntegerGraph:
+    """The integer-coded graph against the one on Fraction restrictions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_same_graph_orientation_and_outdegree(self, seed):
+        rng = random.Random(seed)
+        gamma = rng.choice((F(1, 4), F(1, 3), HALF))
+        pool = tuple(NAT(i) for i in range(1, rng.randrange(1, 6) + 1))
+        cls = random_class(rng, pool, gamma, partial_share=0.3)
+        graph = dims.build_oig(cls, pool)
+        cases = [(graph, [tuple(vec) for _, vec in brute_rows(cls, pool)])]
+        for _ in range(3 if graph.vertices else 0):
+            kept = rng.sample(graph.vertices, rng.randrange(1, len(graph.vertices) + 1))
+            cases.append((dims.induced_subgraph(graph, kept), [values(graph, v) for v in kept]))
+        for sub, restrictions in cases:
+            vertices, edges = fraction_graph(restrictions, len(pool))
+            assert [values(sub, v) for v in sub.vertices] == vertices
+            assert {
+                fraction_key(sub, key): tuple(values(sub, m) for m in members)
+                for key, members in sub.edges.items()
+            } == edges
+            assert {
+                fraction_key(sub, key): values(sub, target)
+                for key, target in dims.orient_smallest_value(sub).items()
+            } == {key: min(members, key=lambda m: m[key[0]]) for key, members in edges.items()}
+            orientation = {key: rng.choice(ms) for key, ms in sub.edges.items()}
+            for g in (gamma - _TINY, gamma, gamma + _TINY):
+                expected = max(
+                    (
+                        sum(
+                            core.gamma_far(
+                                values(sub, orientation[sub.edge_key(v, i)])[i],
+                                values(sub, v)[i],
+                                g,
+                            )
+                            for i in range(len(pool))
+                        )
+                        for v in sub.vertices
+                    ),
+                    default=0,
+                )
+                assert dims.max_gamma_outdegree(sub, orientation, g) == expected
 
 
 class TestShatterCertificates:
@@ -284,7 +363,8 @@ class TestOneInclusionGraph:
         # two hypotheses: zero set {1} (value 1) and zero set {2} (value 3/4)
         cls = core.CantorClass(HALF, 1, 2)
         graph = dims.build_oig(cls, (NAT(1), NAT(2)))
-        assert set(graph.vertices) == {(F(0), F(1)), (F(3, 4), F(0))}
+        assert {values(graph, v) for v in graph.vertices} == {(F(0), F(1)), (F(3, 4), F(0))}
+        assert graph.scales == (4, 1) and graph.vertices == ((0, 1), (3, 0))
         # restrictions differ in both coordinates: all edges are singletons
         assert all(len(ms) == 1 for ms in graph.edges.values())
 
@@ -295,6 +375,16 @@ class TestOneInclusionGraph:
         sizes = sorted(len(ms) for ms in graph.edges.values())
         assert sizes == [1, 1, 2]  # shared edge in coordinate 2
 
+    def test_class_size_times_points_squared_is_budgeted(self, monkeypatch):
+        # 10 members on 3 points: 90 against the budget
+        cls = core.CantorClass(HALF, 2, 5)
+        points = (NAT(1), NAT(2), NAT(3))
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "89")
+        with pytest.raises(BudgetExceededError):
+            dims.build_oig(cls, points)
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "90")
+        assert len(dims.build_oig(cls, points).vertices) == 10
+
 
 class TestOrientations:
     def test_all_zero_vertex_gets_every_edge(self):
@@ -302,7 +392,7 @@ class TestOrientations:
         cls = table_class([(0, 0), (0, F(3, 4)), (F(3, 4), 0)], pool)
         graph = dims.build_oig(cls, pool)
         orientation = dims.orient_smallest_value(graph)
-        zero_vec = (F(0), F(0))
+        zero_vec = vertex(graph, 0, 0)
         for i in range(2):
             key = graph.edge_key(zero_vec, i)
             assert orientation[key] == zero_vec
@@ -313,7 +403,7 @@ class TestOrientations:
         cls = table_class([(F(3, 4),)], pool)
         graph = dims.build_oig(cls, pool)
         orientation = dims.orient_smallest_value(graph)
-        assert list(orientation.values()) == [(F(3, 4),)]
+        assert [values(graph, v) for v in orientation.values()] == [(F(3, 4),)]
 
     def test_tie_break_toward_lexicographic_smallest(self):
         pool = (NAT(1), NAT(2))
@@ -321,8 +411,9 @@ class TestOrientations:
         cls = table_class([(0, F(1, 4)), (0, F(3, 4))], pool)
         graph = dims.build_oig(cls, pool)
         orientation = dims.orient_smallest_value(graph)
-        key = (1, (F(0),))
-        assert orientation[key] == (F(0), F(1, 4))
+        key = graph.edge_key(vertex(graph, 0, F(3, 4)), 1)
+        assert [values(graph, m) for m in graph.edges[key]] == [(F(0), F(1, 4)), (F(0), F(3, 4))]
+        assert values(graph, orientation[key]) == (F(0), F(1, 4))
 
     def test_self_orientation_gives_zero_outdegree(self):
         pool = (NAT(1), NAT(2))
@@ -336,7 +427,8 @@ class TestOrientations:
             away = sum(
                 1
                 for i in range(2)
-                if abs(orientation[graph.edge_key(v, i)][i] - v[i]) > HALF
+                if abs(values(graph, orientation[graph.edge_key(v, i)])[i] - values(graph, v)[i])
+                > HALF
             )
             assert away == 0
 
@@ -344,16 +436,17 @@ class TestOrientations:
         pool = (NAT(1), NAT(2))
         cls = table_class([(0, 0), (0, F(3, 4))], pool)
         graph = dims.build_oig(cls, pool)
-        key = (1, (F(0),))
-        far = (F(0), F(3, 4))
-        near = (F(0), F(0))
+        far = vertex(graph, 0, F(3, 4))
+        near = vertex(graph, 0, 0)
+        key = graph.edge_key(far, 1)
         orientation = dims.orient_smallest_value(graph)
         orientation[key] = near  # points away from the gamma-far member
         # the far vertex loses its shared edge to a gamma-far target
         away = sum(
             1
             for i in range(2)
-            if abs(orientation[graph.edge_key(far, i)][i] - far[i]) > HALF
+            if abs(values(graph, orientation[graph.edge_key(far, i)])[i] - values(graph, far)[i])
+            > HALF
         )
         assert away == 1
 
@@ -437,8 +530,8 @@ class TestInducedSubgraphs:
         pool = (NAT(1), NAT(2))
         cls = table_class([(0, 0), (0, F(3, 4)), (F(3, 4), 0)], pool)
         graph = dims.build_oig(cls, pool)
-        sub = dims.induced_subgraph(graph, [(F(0), F(0)), (F(0), F(3, 4))])
-        assert len(sub.vertices) == 2
+        sub = dims.induced_subgraph(graph, [vertex(graph, 0, 0), vertex(graph, 0, F(3, 4))])
+        assert [values(sub, v) for v in sub.vertices] == [(F(0), F(0)), (F(0), F(3, 4))]
         assert sorted(len(ms) for ms in sub.edges.values()) == [1, 1, 2]
 
     def test_orientation_evidence_on_random_subgraphs(self):
@@ -466,4 +559,4 @@ class TestInducedSubgraphs:
         cls = table_class([(0, 0)], pool)
         graph = dims.build_oig(cls, pool)
         with pytest.raises(PreconditionError):
-            dims.induced_subgraph(graph, [(F(1), F(1))])
+            dims.induced_subgraph(graph, [vertex(graph, 1, 1)])
