@@ -145,8 +145,9 @@ def _certify(points, idx, witness, rows, masks, gamma) -> Optional[ShatterCertif
 
 class _ShatterSearch:
     """The class restricted to one pool at one gamma: its rows as integers,
-    built on the first search the budget admits, and each witness row's
-    masks, built on the witness's first use."""
+    built on the first search the budget admits (class size times pool size
+    within enumeration_budget()), and each witness row's masks, built on the
+    witness's first use."""
 
     def __init__(self, cls, pool, gamma: Fraction):
         self.cls, self.pool, self.gamma = cls, pool, gamma
@@ -159,6 +160,7 @@ class _ShatterSearch:
             raise BudgetExceededError(f"size {size} exceeds the point cap {DEFAULT_POINT_CAP}")
         core._budgeted(f"family of candidate {size}-point sets", math.comb(len(self.pool), size))
         if self.rows is None:
+            core._budgeted("class restricted to the pool", self.cls.size() * len(self.pool))
             self.rows = _value_vectors(self.cls, self.pool)
             self.table, scales = _scaled([vec for _, vec in self.rows], len(self.pool))
             self.thresholds = _thresholds(scales, self.gamma)

@@ -51,6 +51,18 @@ class Report:
     def verdict(self, name: str, ok: bool, detail: str):
         self.verdicts.append((name, bool(ok), detail))
 
+    def row(self, estimate=None, *, experiment=None, gamma="", epsilon="", d="", n="",
+            trials="", mean="", threshold="", passed=True):
+        """Append one result row under this report's tag: every CSV_HEADER
+        column, in order, as text.  An estimate fills trials, mean and CI."""
+        ci = ("", "")
+        if estimate is not None:
+            trials, mean = estimate.trials, f"{estimate.mean:.6g}"
+            ci = (f"{estimate.ci_lo:.6g}", f"{estimate.ci_hi:.6g}")
+        values = (experiment or self.tag, self.tag, gamma, epsilon, d, n, trials, mean, *ci,
+                  threshold, "pass" if passed else "fail")
+        self.rows.append(dict(zip(CSV_HEADER, map(str, values), strict=True)))
+
     def to_json(self) -> dict:
         return {
             "tag": self.tag,
@@ -65,16 +77,6 @@ class Report:
         }
 
 
-def _row(tag, *, gamma="", epsilon="", d="", n="", trials="", mean="", ci=(None, None),
-         threshold="", passed=True, experiment=None) -> dict[str, str]:
-    """One result row: every CSV_HEADER column, in order, as text."""
-    lo, hi = ci
-    values = (experiment or tag, tag, gamma, epsilon, d, n, trials, mean,
-              "" if lo is None else f"{lo:.6g}", "" if hi is None else f"{hi:.6g}",
-              threshold, "pass" if passed else "fail")
-    return dict(zip(CSV_HEADER, map(str, values), strict=True))
-
-
 def _echo(default, value):
     if isinstance(default, Fraction):
         return str(value)
@@ -83,8 +85,13 @@ def _echo(default, value):
     return value
 
 
+#: tag -> check, in the order the checks are defined below
+RUNNERS = {}
+
+
 def _runner(tag):
-    """Turn ``body(report, **params)`` into the timed check ``tag``.
+    """Turn ``body(report, **params)`` into the timed check ``tag`` and
+    register it in RUNNERS.
 
     The body's signature, minus its leading report, is the check's public
     signature and the only place its parameters are stated: the call is bound
@@ -114,6 +121,7 @@ def _runner(tag):
             return report
 
         run.__signature__ = signature
+        RUNNERS[tag] = run
         return run
 
     return decorate
@@ -149,20 +157,62 @@ def run_thm1(report, gamma=Fraction(1, 2), d=2, universe=5, epsilon=Fraction(1, 
         report.verdict(
             f"exceed_prob_{name}", ok_prob, f"P[loss>2eps]={exceed} >= 1/2"
         )
-        report.rows.append(
-            _row(
-                "thm1",
-                experiment=f"thm1_{name}",
-                gamma=gamma,
-                epsilon=epsilon,
-                d=instance.d,
-                n=n,
-                trials="exact",
-                mean=expected,
-                threshold=f">{epsilon}",
-                passed=ok_mean and ok_prob,
-            )
+        report.row(
+            experiment=f"thm1_{name}",
+            gamma=gamma,
+            epsilon=epsilon,
+            d=instance.d,
+            n=n,
+            trials="exact",
+            mean=expected,
+            threshold=f">{epsilon}",
+            passed=ok_mean and ok_prob,
         )
+
+
+# ---------------------------------------------------------------------------
+# thm2, thm3, thm5: one learner's loss over a random-support family
+# ---------------------------------------------------------------------------
+
+
+def _ensemble(report, family, learner, trials, seed, target, *, strict=False, label="",
+              freq_floor=None):
+    """Estimate the learner's loss over the family at its n_max, and write
+    the verdicts and the one row of thm2, thm3 and thm5.
+
+    ``mean_above`` holds when the mean reaches ``target`` minus the CI
+    half-width (exceeds it, when ``strict``); with a ``freq_floor``,
+    ``exceed_freq`` holds when at least that share of losses exceed epsilon.
+    """
+    est = mc.mc_expected_loss(learner, family, family.n_max, trials, seed)
+    op = ">" if strict else ">="
+    floor = float(target) - est.ci_halfwidth
+    ok = est.mean > floor if strict else est.mean >= floor
+    report.verdict("mean_above", ok, f"mean={est.mean:.5f} {op} {label}{floor:.5f}")
+    if freq_floor is not None:
+        freq = est.exceed_fraction(family.epsilon)
+        report.verdict(
+            "exceed_freq",
+            freq >= freq_floor,
+            f"freq(loss>eps)={float(freq):.4f} >= {float(freq_floor):.4f}",
+        )
+    report.row(
+        est,
+        gamma=family.gamma,
+        epsilon=family.epsilon,
+        d=family.d or "",
+        n=family.n_max,
+        threshold=f"{op}{float(target):.6g}-CI",
+        passed=report.passed,
+    )
+
+
+def _median_of_blocks(cls, m_bound):
+    """Median of the generic interpolator on m_bound disjoint blocks."""
+    interp = partial(learners.generic_interpolator, cls)
+    return learners.InterpolatorAggregation(
+        interp, learners.DisjointBlocks(m_bound), learners.Median()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -181,36 +231,11 @@ def run_thm2(
     seed=0,
 ):
     family = adversaries.thm2_family(gamma, d, epsilon, m_bound)
-    n = family.n_max
-    report.config.update(universe=family.universe, n=n)
-    interp = partial(learners.generic_interpolator, family.cls)
-    learner = learners.InterpolatorAggregation(
-        interp, learners.DisjointBlocks(m_bound), learners.Median()
-    )
-    est = mc.mc_expected_loss(learner, family, n, trials, seed)
-    mean_floor = float(2 * epsilon) - est.ci_halfwidth
-    freq = est.exceed_fraction(epsilon)
+    report.config.update(universe=family.universe, n=family.n_max)
+    learner = _median_of_blocks(family.cls, m_bound)
     freq_floor = Fraction(1, 16) - Fraction(1, 50)
-    report.verdict(
-        "mean_above", est.mean > mean_floor, f"mean={est.mean:.5f} > 2eps-CI={mean_floor:.5f}"
-    )
-    report.verdict(
-        "exceed_freq", freq >= freq_floor, f"freq(loss>eps)={float(freq):.4f} >= {float(freq_floor):.4f}"
-    )
-    report.rows.append(
-        _row(
-            "thm2",
-            gamma=gamma,
-            epsilon=epsilon,
-            d=d,
-            n=n,
-            trials=trials,
-            mean=f"{est.mean:.6g}",
-            ci=(est.ci_lo, est.ci_hi),
-            threshold=f">{float(2 * epsilon):.6g}-CI",
-            passed=report.passed,
-        )
-    )
+    _ensemble(report, family, learner, trials, seed, 2 * epsilon, strict=True,
+              label="2eps-CI=", freq_floor=freq_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -230,28 +255,9 @@ def run_thm3(
     seed=0,
 ):
     family = adversaries.thm3_family(gamma, epsilon, n_prime, m_bound, universe=universe)
-    n = n_prime
     report.config["universe"] = family.universe
-    interp = partial(learners.generic_interpolator, family.cls)
-    learner = learners.InterpolatorAggregation(
-        interp, learners.DisjointBlocks(m_bound), learners.Median()
-    )
-    est = mc.mc_expected_loss(learner, family, n, trials, seed)
-    floor = float(core.ONE - epsilon / 2) - est.ci_halfwidth
-    report.verdict("mean_above", est.mean >= floor, f"mean={est.mean:.5f} >= {floor:.5f}")
-    report.rows.append(
-        _row(
-            "thm3",
-            gamma=gamma,
-            epsilon=epsilon,
-            n=n,
-            trials=trials,
-            mean=f"{est.mean:.6g}",
-            ci=(est.ci_lo, est.ci_hi),
-            threshold=f">={float(core.ONE - epsilon/2):.6g}-CI",
-            passed=report.passed,
-        )
-    )
+    learner = _median_of_blocks(family.cls, m_bound)
+    _ensemble(report, family, learner, trials, seed, core.ONE - epsilon / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -310,19 +316,9 @@ def run_thm4(
         instance = thm4_instance_at(cls, witness, points, n)
         est = mc.mc_expected_loss(med, instance, n, trials, core.stream_seed(seed, i))
         curve.append((n, est.mean))
-        report.rows.append(
-            _row(
-                "thm4",
-                experiment="thm4_median3",
-                gamma=gamma,
-                d=d,
-                n=n,
-                trials=trials,
-                mean=f"{est.mean:.6g}",
-                ci=(est.ci_lo, est.ci_hi),
-                threshold=f"slope in [{lo},{hi}]",
-                passed=True,
-            )
+        report.row(
+            est, experiment="thm4_median3", gamma=gamma, d=d, n=n,
+            threshold=f"slope in [{lo},{hi}]",
         )
     fit = mc.scaling_fit(curve)
     top_n = ns[-1]
@@ -360,35 +356,11 @@ def run_thm5(
     seed=0,
 ):
     family = adversaries.thm5_family(gamma, d, epsilon)
-    n = family.n_max
-    report.config.update(universe=family.universe, n=n)
+    report.config.update(universe=family.universe, n=family.n_max)
     learner = learners.ProperERM(family.cls, gamma)
-    est = mc.mc_expected_loss(learner, family, n, trials, seed)
-    mean_floor = float(4 * epsilon / 3) - est.ci_halfwidth
-    freq = est.exceed_fraction(epsilon)
     freq_floor = Fraction(1, 48) - Fraction(1, 100)
-    report.verdict(
-        "mean_above", est.mean >= mean_floor, f"mean={est.mean:.5f} >= 4eps/3-CI={mean_floor:.5f}"
-    )
-    report.verdict(
-        "exceed_freq",
-        freq >= freq_floor,
-        f"freq(loss>eps)={float(freq):.4f} >= {float(freq_floor):.4f}",
-    )
-    report.rows.append(
-        _row(
-            "thm5",
-            gamma=gamma,
-            epsilon=epsilon,
-            d=d,
-            n=n,
-            trials=trials,
-            mean=f"{est.mean:.6g}",
-            ci=(est.ci_lo, est.ci_hi),
-            threshold=f">={float(4 * epsilon / 3):.6g}-CI",
-            passed=report.passed,
-        )
-    )
+    _ensemble(report, family, learner, trials, seed, 4 * epsilon / 3,
+              label="4eps/3-CI=", freq_floor=freq_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -409,28 +381,17 @@ def run_lemma_interp(
 ):
     cls, witness, points = _colex_last_shattered(gamma, d, universe)
     instance = thm4_instance_at(cls, witness, points, n)
+    bound = mc.interpolator_envelope_bound(d, n, delta)
+    mc.check_quantile_samples(trials, delta)
     interp = partial(learners.generic_interpolator, cls)
     est = mc.mc_expected_loss(learners.SingleInterpolator(interp), instance, n, trials, seed)
-    bound = mc.interpolator_envelope_bound(d, n, delta)
     ok, margin = mc.quantile_envelope_check(est.losses, delta, bound)
     report.verdict(
         "quantile_below_bound",
         ok,
         f"(1-delta)-quantile within bound={bound:.4f} (margin {margin:.4f})",
     )
-    report.rows.append(
-        _row(
-            "lemma-interp",
-            gamma=gamma,
-            d=d,
-            n=n,
-            trials=trials,
-            mean=f"{est.mean:.6g}",
-            ci=(est.ci_lo, est.ci_hi),
-            threshold=f"q90<={bound:.4f}",
-            passed=ok,
-        )
-    )
+    report.row(est, gamma=gamma, d=d, n=n, threshold=f"q90<={bound:.4f}", passed=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +403,13 @@ def random_partial_class(rng, domain_size=10, max_size=40, max_vc=3):
     """Seeded random partial class with VC dimension capped by rejection."""
     while True:
         size = rng.randrange(1, max_size + 1)
-        rows = []
-        for _ in range(size):
-            rows.append(
-                "".join(
-                    "*" if rng.random() < 0.5 else str(rng.randrange(2))
-                    for _ in range(domain_size)
-                )
+        rows = tuple(
+            "".join(
+                "*" if rng.random() < 0.5 else str(rng.randrange(2)) for _ in range(domain_size)
             )
-        cls = partial_concepts.PartialClass(domain_size, tuple(rows))
+            for _ in range(size)
+        )
+        cls = partial_concepts.PartialClass(domain_size, rows)
         if partial_concepts.partial_vc_dimension(cls) <= max_vc:
             return cls
 
@@ -489,30 +448,17 @@ def run_lemma_disamb(report, domain_size=10, max_size=40, classes=50, max_vc=3, 
         if not ok:
             all_ok = False
             worst = f"class #{idx}: agrees={agrees} size_ok={size_ok} {bound_txt}"
-        report.rows.append(
-            _row(
-                "lemma-disamb",
-                experiment=f"disamb_{idx}",
-                d=d,
-                n=domain_size,
-                trials=cls.size(),
-                mean=total.size(),
-                threshold=bound_txt,
-                passed=ok,
-            )
+        report.row(
+            experiment=f"disamb_{idx}",
+            d=d,
+            n=domain_size,
+            trials=cls.size(),
+            mean=total.size(),
+            threshold=bound_txt,
+            passed=ok,
         )
     report.verdict("disambiguation_suite", all_ok, worst or f"all {classes} classes pass")
 
-
-RUNNERS = {
-    "thm1": run_thm1,
-    "thm2": run_thm2,
-    "thm3": run_thm3,
-    "thm4": run_thm4,
-    "thm5": run_thm5,
-    "lemma-interp": run_lemma_interp,
-    "lemma-disamb": run_lemma_disamb,
-}
 
 TAGS = tuple(RUNNERS)
 

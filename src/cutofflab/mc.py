@@ -29,7 +29,7 @@ class LossEstimate:
     ci_lo: float
     ci_hi: float
     trials: int
-    losses: tuple[Fraction, ...] = ()
+    losses: tuple[Fraction, ...]
 
     @property
     def ci_halfwidth(self) -> float:
@@ -38,8 +38,6 @@ class LossEstimate:
     def exceed_fraction(self, threshold) -> Fraction:
         """Share of per-trial losses strictly above the threshold."""
         threshold = Fraction(threshold)
-        if not self.losses:
-            raise PreconditionError("estimate was built without per-trial losses")
         return Fraction(sum(1 for l in self.losses if l > threshold), len(self.losses))
 
 
@@ -171,6 +169,15 @@ def interpolator_envelope_bound(d: int, n: int, delta: float) -> float:
     return 8.0 * (d * ln_term**2 + math.log(2 / delta)) / n
 
 
+def check_quantile_samples(count: int, delta: float) -> None:
+    """Refuse a delta outside (0, 1), or fewer than ceil(1/delta) samples,
+    whatever the samples are, so a caller can refuse them before drawing any."""
+    if not 0 < delta < 1:
+        raise PreconditionError("delta must lie in (0, 1)")
+    if count < 1 / delta:
+        raise PreconditionError(f"need at least {math.ceil(1/delta)} samples")
+
+
 def quantile_envelope_check(losses, delta: float, bound: float) -> tuple[bool, float]:
     """Empirical (1-delta)-quantile against the bound (clamped at 1).
 
@@ -178,10 +185,7 @@ def quantile_envelope_check(losses, delta: float, bound: float) -> tuple[bool, f
     statistic.  Bounds above 1 are vacuous and always pass.
     """
     losses = sorted(Fraction(l) for l in losses)
-    if not 0 < delta < 1:
-        raise PreconditionError("delta must lie in (0, 1)")
-    if len(losses) < 1 / delta:
-        raise PreconditionError(f"need at least {math.ceil(1/delta)} samples")
+    check_quantile_samples(len(losses), delta)
     idx = math.ceil((1 - delta) * len(losses)) - 1
     quantile = float(losses[idx])
     effective = min(bound, 1.0)

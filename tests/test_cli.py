@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import functools
+import hashlib
 import inspect
 import io
 import itertools
@@ -190,6 +191,16 @@ class TestPointBudgets:
         assert time.monotonic() - start < 1
         captured = capsys.readouterr()
         assert captured.out == "" and _one_line_refusal(captured.err)
+
+    def test_dims_past_the_class_by_pool_budget_exits_3_at_once(self, cantor15_file, capsys):
+        # 200,000 points pass the range and 1-point candidate budgets; 5 members
+        # times 200,000 points are refused before the class is restricted
+        start = time.monotonic()
+        assert cli.main(["dims", cantor15_file, "--gamma", "1/2", "--pool", "1..200000"]) == 3
+        assert time.monotonic() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_refusal(captured.err)
+        assert "class restricted to the pool" in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -584,6 +595,50 @@ class TestReplayRoundTrips:
         assert not slope[0]["pass"]
 
 
+#: trial counts that keep every Monte Carlo tag fast
+_PIN_TRIALS = {"thm2": 300, "thm3": 100, "thm4": 30, "thm5": 100, "lemma-interp": 100}
+
+
+class TestReproducePinned:
+    """`reproduce <tag> --json`, minus `wall_clock_s`, as recorded before the
+    checks shared one row writer and one ensemble body: the config echo,
+    rows and verdicts of every tag, as (exit code, sha256 prefix)."""
+
+    @pytest.mark.parametrize(
+        "tag,seed,expected",
+        [
+            ("thm1", 1, (0, "581b47d08097e2e0")),
+            ("thm1", 2, (0, "a6a320adae8deef9")),
+            ("thm1", 3, (0, "2448a14c92c00195")),
+            ("thm2", 1, (0, "008aa253eb19f797")),
+            ("thm2", 2, (0, "87be55547743f915")),
+            ("thm2", 3, (0, "6e8a49f87a65a117")),
+            ("thm3", 1, (0, "62f713be325718cc")),
+            ("thm3", 2, (0, "eeb0733ec31b7f6f")),
+            ("thm3", 3, (0, "857f2db42af69e00")),
+            ("thm4", 1, (0, "005bec1ad15184bc")),
+            ("thm4", 2, (0, "be51833ffa36cca9")),
+            ("thm4", 3, (1, "9b403bc4b18442eb")),
+            ("thm5", 1, (0, "54da508c6a504383")),
+            ("thm5", 2, (0, "7c6eec1267c25ecf")),
+            ("thm5", 3, (0, "acb4af93042df1d3")),
+            ("lemma-interp", 1, (0, "a4d360963f2d1a1f")),
+            ("lemma-interp", 2, (0, "aef5ff9880803ca4")),
+            ("lemma-interp", 3, (0, "cdd547d50159d7ed")),
+            ("lemma-disamb", 1, (0, "f6e16546fa0dc04c")),
+            ("lemma-disamb", 2, (0, "573f565cf7a88de1")),
+            ("lemma-disamb", 3, (0, "f0132bfe927a9799")),
+        ],
+    )
+    def test_json_report(self, capsys, tag, seed, expected):
+        trials = ["--trials", str(_PIN_TRIALS[tag])] if tag in _PIN_TRIALS else []
+        rc = cli.main(["reproduce", tag, "--seed", str(seed), *trials, "--json"])
+        report = json.loads(capsys.readouterr().out)
+        del report["wall_clock_s"]
+        text = json.dumps(report, indent=2, sort_keys=True)
+        assert (rc, hashlib.sha256(text.encode()).hexdigest()[:16]) == expected
+
+
 _CANTOR = {"kind": "cantor", "gamma": "1/2", "d": 2, "universe": 5}
 _DIMS_NAT = ["dims", "--gamma", "1/2", "--pool", "1..3"]
 _DIMS_PAIR = ["dims", "--gamma", "1/2", "--pool", "4/1,4/2"]
@@ -656,6 +711,26 @@ class TestParseBoundary:
 
         monkeypatch.setattr(mc, "mc_expected_loss", must_not_run)
         assert cli.main(["reproduce", "thm4", "--n", ns]) == 4
+        err = capsys.readouterr().err
+        assert message in err and _one_line_refusal(err)
+
+    @pytest.mark.parametrize(
+        ("config", "message"),
+        [
+            ({"delta": 0.00001, "trials": 5000}, "need at least 100000 samples"),
+            ({"delta": 0.0}, "0 < delta < 1"),
+            ({"delta": 1.5}, "0 < delta < 1"),
+        ],
+        ids=["too-few-trials", "delta-0", "delta-above-1"],
+    )
+    def test_lemma_interp_refused_before_any_trial(
+        self, tmp_path, monkeypatch, capsys, config, message
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a trial ran for a delta or trial count that is refused")
+
+        monkeypatch.setattr(mc, "mc_expected_loss", must_not_run)
+        assert _replay(tmp_path, {"tag": "lemma-interp", "seed": 0, "config": config}) == 4
         err = capsys.readouterr().err
         assert message in err and _one_line_refusal(err)
 

@@ -337,6 +337,16 @@ class TestGraphDimension:
         cls, _, _ = experiments._colex_last_shattered(HALF, d, 3 * d)
         assert dims.gamma_graph_dimension(cls, cls.default_pool(), HALF) == d
 
+    def test_class_size_times_pool_size_is_budgeted(self, monkeypatch):
+        # 10 members on 3 points: 30 against the budget
+        cls = core.CantorClass(HALF, 2, 5)
+        pool = (NAT(1), NAT(2), NAT(3))
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "29")
+        with pytest.raises(BudgetExceededError, match="class restricted to the pool"):
+            dims.gamma_graph_dimension(cls, pool, HALF)
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "30")
+        assert dims.gamma_graph_dimension(cls, pool, HALF) == 2
+
     def test_cap_refusal_carries_lower_bound(self):
         cls = core.CantorClass(HALF, 3, 8)
         with pytest.raises(BudgetExceededError) as err:
