@@ -49,6 +49,9 @@ class InstanceFamily:
     Every drawn instance puts ``index_masses[i]`` on ``point(support[i])``
     with label 0, realized by ``witness(support)``.  With ``pinned_first`` the
     first entry is the fixed heavy index 1 and the rest come from 2..universe.
+    What every draw shares is built once, at construction: the integer law of
+    ``index_masses``, the example of every universe entry and the draw pool.
+    A universe past ``core.enumeration_budget()`` is refused before any of it.
     """
 
     theorem: str
@@ -63,18 +66,30 @@ class InstanceFamily:
     point: Callable[[int], core.Point]
     witness: Callable[[tuple[int, ...]], core.Hypothesis]
 
+    def __post_init__(self):
+        core._budgeted("family universe", self.universe)
+        examples = tuple(core.LabeledExample(self.point(a), core.ZERO)
+                         for a in range(1, self.universe + 1))
+        first = 2 if self.pinned_first else 1
+        object.__setattr__(self, "_law", core.IntegerLaw(self.index_masses))
+        object.__setattr__(self, "_examples", examples)
+        object.__setattr__(self, "_pool", tuple(range(first, self.universe + 1)))
+
     def draw_support(self, rng) -> tuple[int, ...]:
         """The pinned heavy index, if any, then distinct entries drawn
         without replacement."""
         pinned = (1,) if self.pinned_first else ()
-        pool = list(range(len(pinned) + 1, self.universe + 1))
-        rest = core.sample_without_replacement(rng, pool, len(self.index_masses) - len(pinned))
+        rest = core.sample_without_replacement(
+            rng, self._pool, len(self.index_masses) - len(pinned))
         return (*pinned, *rest)
 
     def instance_for(self, support: tuple[int, ...]) -> HardInstance:
+        if support and (min(support) < 1 or max(support) > self.universe):
+            raise PreconditionError(f"support entries must lie in 1..{self.universe}")
         witness = self.witness(support)
-        atoms = [(self.point(a), core.ZERO, mass) for a, mass in zip(support, self.index_masses)]
-        distribution = core.FiniteDistribution.from_triples(atoms, witness)
+        examples = self._examples
+        atoms = tuple([examples[a - 1] for a in support])
+        distribution = core.FiniteDistribution(atoms, self._law, witness)
         return HardInstance(
             theorem=self.theorem,
             cls=self.cls,
@@ -92,11 +107,15 @@ class InstanceFamily:
 
 
 def uniform_index_masses(count: int) -> IndexDistribution:
-    return tuple(Fraction(1, count) for _ in range(count))
+    """1/count on each of count entries; refused past enumeration_budget()."""
+    core._budgeted("index distribution", count)
+    return (Fraction(1, count),) * count
 
 
 def pinned_index_masses(d: int, epsilon: Fraction) -> IndexDistribution:
-    """Index 1 heavy with 1 - 16 eps, the other d-1 indices share 16 eps."""
+    """Index 1 heavy with 1 - 16 eps, the other d-1 indices share 16 eps;
+    refused past enumeration_budget()."""
+    core._budgeted("index distribution", d)
     epsilon = Fraction(epsilon)
     heavy = core.ONE - DIST_CONSTANT * epsilon
     light = DIST_CONSTANT * epsilon / (d - 1)
@@ -204,11 +223,25 @@ def thm3_universe_condition(i: int, n_prime: int, m_bound: int, epsilon: Fractio
 
 
 def thm3_universe_size(n_prime: int, m_bound: int, epsilon: Fraction) -> int:
-    """Smallest perfect square i*i satisfying the universe condition, scanning
-    i upward from n' + 1."""
-    i = n_prime + 1
-    while not thm3_universe_condition(i, n_prime, m_bound, epsilon):
-        i += 1
+    """Smallest perfect square i*i satisfying the universe condition, for
+    0 < epsilon < 1, in closed form.
+
+    With epsilon = p/q the condition times 2q i^2 reads
+    p i^2 - 2q(n'+m) i + 2q n' m >= 0.  The quadratic is negative at
+    i = max(n', m), so the smallest i > max(n', m) meeting it is the ceiling of
+    its larger root (q(n'+m) + sqrt(D)) / p with D = q^2 (n'+m)^2 - 2pq n' m,
+    taken exactly through the integer ceiling of sqrt(D).
+    """
+    epsilon = Fraction(epsilon)
+    p, q = epsilon.numerator, epsilon.denominator
+    linear = q * (n_prime + m_bound)
+    discriminant = linear * linear - 2 * p * q * n_prime * m_bound
+    root = math.isqrt(discriminant - 1) + 1  # ceil(sqrt(D)), as D > 0
+    i = -(-(linear + root) // p)
+    if not thm3_universe_condition(i, n_prime, m_bound, epsilon) or thm3_universe_condition(
+        i - 1, n_prime, m_bound, epsilon
+    ):
+        raise ArithmeticError(f"closed-form universe root {i} misses the exact condition")
     return i * i
 
 

@@ -4,9 +4,10 @@ Everything that a strict comparison like |h(x) - y| > gamma touches is a
 `fractions.Fraction`, so every loss value, mass, and threshold comparison in
 the package is exact, and `gamma_far` is the one test of that comparison.  A
 distribution holds one `LabeledExample` per atom, which every sample drawn
-from it shares, and its masses once more as integers over one common
-denominator: validation, sampling thresholds and cutoff losses are integer
-arithmetic on that law, and a loss is still returned as an exact `Fraction`.
+from it shares, and an `IntegerLaw`, its masses once more as integers over
+one common denominator: validation, sampling thresholds and cutoff losses are
+integer arithmetic on that law, and a loss is still returned as an exact
+`Fraction`.  Distributions drawn from one family share one law.
 Randomness is counter-based: every draw derives from a 64-bit master seed
 plus a stream index, so trials are order independent and bit-reproducible.
 """
@@ -21,7 +22,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     BudgetExceededError,
@@ -444,6 +445,7 @@ class SplitCantorClass:
                 raise PreconditionError("complement variant needs size_param d >= 2")
         if next(self.blocks(), None) is None:
             raise PreconditionError("universe_cap below the first block")
+        object.__setattr__(self, "_sqrt_prefix", [0])
 
     def blocks(self) -> Iterator[tuple[int, int]]:
         """(block k, zero/member set size within the block) pairs, ascending."""
@@ -459,24 +461,34 @@ class SplitCantorClass:
 
     def member_size(self, k: int) -> Optional[int]:
         """Member-set size of block k, or None when k is not a block."""
-        return next((m for block, m in self.blocks() if block == k), None)
+        if self.variant == SQRT_SIZE:
+            m = math.isqrt(k) if k >= 1 else 0
+            return m if m >= 1 and m * m == k and k <= self.universe_cap else None
+        m = self.size_param - 1
+        return m if m <= k <= self.universe_cap else None
+
+    def _offset(self, k: int, m: int) -> int:
+        """Members of the blocks before block k, whose member sets have size m."""
+        if self.variant == D_MINUS_ONE_COMPLEMENT:
+            return math.comb(k, m + 1)  # hockey stick: sum of C(j, m) for m <= j < k
+        # blocks i*i for i < m, summed once per class as far as any caller asked
+        prefix = self._sqrt_prefix
+        while len(prefix) < m:
+            i = len(prefix)
+            prefix.append(prefix[-1] + math.comb(i * i, i))
+        return prefix[m - 1]
 
     def size(self) -> int:
         return sum(math.comb(k, m) for k, m in self.blocks())
 
     def hypothesis(self, k: int, members) -> SplitCantorHypothesis:
         members = frozenset(members)
-        offset, m = 0, None  # offset: members of the blocks before k
-        for block, size in self.blocks():
-            if block == k:
-                m = size
-                break
-            offset += math.comb(block, size)
+        m = self.member_size(k)
         in_range = not members or (min(members) >= 1 and max(members) <= k)
         if m is None or len(members) != m or not in_range:
             raise PreconditionError(f"invalid block/member set ({k}, {sorted(members)})")
         zero_on = "members" if self.variant == SQRT_SIZE else "complement"
-        value = _value_of_rank(self.gamma, offset + colex_rank(members) + 1)
+        value = _value_of_rank(self.gamma, self._offset(k, m) + colex_rank(members) + 1)
         return SplitCantorHypothesis(k, members, zero_on, value)
 
     def hypotheses(self) -> Iterator[SplitCantorHypothesis]:
@@ -536,14 +548,45 @@ class SplitCantorClass:
 
 
 @dataclass(frozen=True)
+class IntegerLaw:
+    """Masses summing to one, held once more as integers over one common
+    denominator: mass k is weights[k] / denominator, the lcm of the masses'
+    denominators, so sums of masses are integer sums.  Validated once when
+    built, so every distribution that shares a law shares its checks, its
+    weights and its sampling thresholds.
+    """
+
+    masses: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        masses = tuple(_exact(m) for m in self.masses)
+        for mass in masses:
+            if mass.numerator < 0:
+                raise PreconditionError(f"mass must be >= 0, got {mass}")
+        denominator = math.lcm(*(m.denominator for m in masses))
+        weights = tuple(m.numerator * (denominator // m.denominator) for m in masses)
+        if sum(weights) != denominator:
+            raise PreconditionError("atom masses must sum exactly to 1")
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "weights", weights)
+
+    @functools.cached_property
+    def thresholds(self) -> list[int]:
+        """ceil(cum_k * 2**64) for each cumulative mass cum_k, in integers."""
+        denominator = self.denominator
+        return [-((-total << 64) // denominator) for total in itertools.accumulate(self.weights)]
+
+
+@dataclass(frozen=True)
 class FiniteDistribution:
     """Finite support of distinct-point examples with masses summing to one.
 
     The k-th atom is the example atoms[k] with mass masses[k], and every
-    sample drawn from the distribution shares these example objects.  The
-    masses are held once more as integers over one common denominator: atom k
-    has mass _weights[k] / _denominator, the lcm of the masses' denominators,
-    so sums of masses are integer sums.
+    sample drawn from the distribution shares these example objects.
+    `masses` may be given as an `IntegerLaw` built already, which the
+    distribution then shares instead of validating its masses again; either
+    way it holds its masses' law as `_law`.
     """
 
     atoms: tuple[LabeledExample, ...]
@@ -552,20 +595,15 @@ class FiniteDistribution:
 
     def __post_init__(self):
         atoms = tuple(self.atoms)
-        masses = tuple(_exact(m) for m in self.masses)
+        law = self.masses if isinstance(self.masses, IntegerLaw) else None
+        masses = tuple(self.masses) if law is None else law.masses
         if len(masses) != len(atoms):
             raise PreconditionError(f"need one mass per atom, got {len(masses)} for {len(atoms)}")
-        for mass in masses:
-            if mass.numerator < 0:
-                raise PreconditionError(f"mass must be >= 0, got {mass}")
+        if law is None:
+            law = IntegerLaw(masses)
         object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "masses", masses)
-        denominator = math.lcm(*(m.denominator for m in masses))
-        weights = tuple(m.numerator * (denominator // m.denominator) for m in masses)
-        if sum(weights) != denominator:
-            raise PreconditionError("atom masses must sum exactly to 1")
-        object.__setattr__(self, "_denominator", denominator)
-        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "masses", law.masses)
+        object.__setattr__(self, "_law", law)
         points = [ex.point for ex in atoms]
         if len(set(points)) != len(points):
             raise PreconditionError("atom points must be distinct")
@@ -575,12 +613,6 @@ class FiniteDistribution:
         triples = tuple(triples)
         atoms = tuple(LabeledExample(p, y) for p, y, _ in triples)
         return FiniteDistribution(atoms, tuple(m for _, _, m in triples), witness)
-
-    @functools.cached_property
-    def _thresholds(self) -> list[int]:
-        """ceil(cum_k * 2**64) for each cumulative mass cum_k, in integers."""
-        denominator = self._denominator
-        return [-((-total << 64) // denominator) for total in itertools.accumulate(self._weights)]
 
 
 def gamma_far(a: Fraction, b: Fraction, gamma: Fraction) -> bool:
@@ -599,11 +631,12 @@ def cutoff_loss(predictor: Predictor, dist: FiniteDistribution, gamma: Fraction)
     """Probability mass on which the prediction is `gamma_far` from the label,
     summed as integer weights over the distribution's common denominator."""
     gamma = _exact(gamma)
+    law = dist._law
     total = 0
-    for ex, weight in zip(dist.atoms, dist._weights):
+    for ex, weight in zip(dist.atoms, law.weights):
         if gamma_far(predictor(ex.point), ex.label, gamma):
             total += weight
-    return Fraction(total, dist._denominator)
+    return Fraction(total, law.denominator)
 
 
 def empirical_cutoff_loss(predictor: Predictor, sample: TrainingSequence, gamma: Fraction) -> Fraction:
@@ -637,7 +670,7 @@ def rng_for(seed: int, stream: int = 0) -> random.Random:
     return random.Random(stream_seed(seed, stream))
 
 
-def sample_without_replacement(rng: random.Random, pool: list[int], k: int) -> list[int]:
+def sample_without_replacement(rng: random.Random, pool: Sequence[int], k: int) -> list[int]:
     """Uniform k-subset as an ordered vector, via a partial Fisher-Yates."""
     if k > len(pool):
         raise PreconditionError("cannot sample more entries than the pool holds")
@@ -664,6 +697,6 @@ def sample_iid(
     if n < 0:
         raise PreconditionError("sample size must be >= 0")
     getrandbits = rng_for(seed, stream).getrandbits
-    atoms, thresholds = dist.atoms, dist._thresholds
+    atoms, thresholds = dist.atoms, dist._law.thresholds
     # from a list, so the tuple is allocated at its final size
     return tuple([atoms[bisect.bisect_right(thresholds, getrandbits(64))] for _ in range(n)])

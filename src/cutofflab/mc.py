@@ -57,10 +57,13 @@ def exact_loss_distribution(learner, instance: HardInstance, n: int) -> list[tup
     dist = instance.distribution
     arity = learner.sample_arity
     total_len = n * arity
-    if len(dist.atoms) ** total_len > DEFAULT_ORACLE_BUDGET:
-        raise BudgetExceededError(
-            f"oracle would enumerate {len(dist.atoms)}^{total_len} sequences"
-        )
+    support = len(dist.atoms)
+    # support^total_len is not computed when it must exceed the budget: with
+    # support >= 2 it is at least 2^total_len, past the budget once total_len
+    # reaches the budget's bit length
+    too_long = support >= 2 and total_len >= DEFAULT_ORACLE_BUDGET.bit_length()
+    if too_long or support**total_len > DEFAULT_ORACLE_BUDGET:
+        raise BudgetExceededError(f"oracle would enumerate {support}^{total_len} sequences")
     # the distribution's own examples, shared by every sequence as by sample_iid
     weighted = list(zip(dist.masses, dist.atoms))
     out = []

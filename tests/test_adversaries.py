@@ -103,6 +103,15 @@ class TestThm3Family:
     def test_smallest_square(self):
         assert adversaries.thm3_universe_size(4, 3, HALF) == 729
 
+    @pytest.mark.parametrize("epsilon", [F(1, 2), F(2, 3), F(99, 100), F(1, 7), F(5, 17),
+                                         F(1, 64), F(3, 100)])
+    def test_closed_form_size_equals_the_scan(self, epsilon):
+        for n_prime, m_bound in product(range(1, 8), repeat=2):
+            i = n_prime + 1
+            while not adversaries.thm3_universe_condition(i, n_prime, m_bound, epsilon):
+                i += 1
+            assert adversaries.thm3_universe_size(n_prime, m_bound, epsilon) == i * i
+
     def test_explicit_universe_override(self):
         fam = adversaries.thm3_family(HALF, HALF, 4, 3, universe=784)
         assert fam.universe == 784
@@ -158,6 +167,40 @@ class TestThm5Family:
         expected = draws / fam.universe
         statistic = sum((c - expected) ** 2 / expected for c in counts)
         assert statistic < 92.0100
+
+
+FAMILIES = {
+    "thm2": lambda: adversaries.thm2_family(HALF, 3, F(1, 64), 2),
+    "thm3": lambda: adversaries.thm3_family(HALF, HALF, 4, 3, universe=784),
+    "thm5": lambda: adversaries.thm5_family(HALF, 4, F(1, 256)),
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(FAMILIES))
+class TestFamilyLaw:
+    def test_instances_equal_their_triples(self, theorem):
+        # a drawn instance shares the family's law and examples; built from
+        # its own triples it is the same distribution, law and draws
+        fam = FAMILIES[theorem]()
+        for t in range(50):
+            support = fam.draw_support(core.rng_for(21, t))
+            dist = fam.instance_for(support).distribution
+            triples = [(fam.point(a), 0, m) for a, m in zip(support, fam.index_masses)]
+            ref = core.FiniteDistribution.from_triples(triples, fam.witness(support))
+            assert dist == ref
+            assert dist._law.weights == ref._law.weights
+            assert dist._law.denominator == ref._law.denominator
+            assert dist._law.thresholds == ref._law.thresholds
+            assert core.sample_iid(dist, 40, 9, t) == core.sample_iid(ref, 40, 9, t)
+
+    def test_support_outside_the_universe_refused(self, theorem):
+        fam = FAMILIES[theorem]()
+        support = fam.draw_support(core.rng_for(3, 0))
+        bad = [(*support[:-1], 0), (*support[:-1], fam.universe + 1),
+               (*support, fam.universe + 1)]
+        for entries in bad:
+            with pytest.raises(PreconditionError):
+                fam.instance_for(entries)
 
 
 class TestCoupledSampling:

@@ -734,6 +734,39 @@ class TestParseBoundary:
         err = capsys.readouterr().err
         assert message in err and _one_line_refusal(err)
 
+    # a ceiling one below each tag's default family universe
+    @pytest.mark.parametrize(("tag", "budget"), [("thm2", 13), ("thm3", 783), ("thm5", 63)])
+    def test_family_past_the_budget_exits_3_before_any_trial(
+        self, monkeypatch, capsys, tag, budget
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a trial ran for a family past the budget")
+
+        monkeypatch.setattr(mc, "mc_expected_loss", must_not_run)
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", str(budget))
+        assert cli.main(["reproduce", tag]) == 3
+        err = capsys.readouterr().err
+        assert f"family universe of size {budget + 1}" in err and _one_line_refusal(err)
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["thm1", "--epsilon", "1/1000000000000"], "oracle would enumerate 2^"),
+            (["thm3", "--universe", "0", "--epsilon", "1/10000"], "family universe"),
+            (["thm3", "--universe", "0", "--epsilon", "1/1000000000000"], "index distribution"),
+            (["thm5", "--epsilon", "1/10000000000"], "index distribution"),
+            (["thm2", "--d", "1000000000"], "index distribution"),
+        ],
+        ids=["thm1-oracle", "thm3-universe", "thm3-masses", "thm5-masses", "thm2-masses"],
+    )
+    def test_reproduce_past_the_budget_exits_3_at_once(self, capsys, argv, message):
+        start = time.monotonic()
+        assert _within(10, cli.main, ["reproduce", *argv]) == 3
+        assert time.monotonic() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert _one_line_refusal(captured.err)
+
     def test_explicit_pool_past_budget_exits_3(self, tmp_path, capsys):
         path = tmp_path / "cantor_1_5.json"
         path.write_text(json.dumps({**_CANTOR, "d": 1}))

@@ -178,3 +178,39 @@ def test_shared_and_repeated_examples_scan_alike(cls, point):
         assert cls.first_consistent(sample) == cls.first_consistent((zero,))
     assert enumeration_first_consistent(cls, contradicting) is None
     assert cls.first_consistent(contradicting) is None
+
+
+def _walked_member_size(cls, k):
+    """Member-set size of block k by a walk over every block."""
+    return next((m for block, m in cls.blocks() if block == k), None)
+
+
+@pytest.mark.parametrize(
+    "variant,d,first_cap",
+    [(core.SQRT_SIZE, None, 1), (core.D_MINUS_ONE_COMPLEMENT, 2, 1),
+     (core.D_MINUS_ONE_COMPLEMENT, 3, 2), (core.D_MINUS_ONE_COMPLEMENT, 5, 4)],
+    ids=["sqrt", "comp2", "comp3", "comp5"],
+)
+def test_member_size_matches_the_block_walk(variant, d, first_cap):
+    for cap in range(first_cap, 41):
+        cls = core.SplitCantorClass(HALF, variant, d, cap)
+        for k in range(-1, cap + 3):
+            assert cls.member_size(k) == _walked_member_size(cls, k), (cap, k)
+
+
+@pytest.mark.parametrize(
+    "variant,d,cap",
+    [(core.SQRT_SIZE, None, 1), (core.SQRT_SIZE, None, 8), (core.SQRT_SIZE, None, 30),
+     (core.D_MINUS_ONE_COMPLEMENT, 2, 40), (core.D_MINUS_ONE_COMPLEMENT, 3, 40),
+     (core.D_MINUS_ONE_COMPLEMENT, 4, 20)],
+    ids=["sqrt1", "sqrt8", "sqrt30", "comp2_40", "comp3_40", "comp4_20"],
+)
+def test_block_offsets_give_the_enumeration_rank(variant, d, cap):
+    # a member's unique value carries its 1-based position in the
+    # block-then-colex enumeration, whatever order the blocks are asked in
+    gamma = F(1, 3)
+    listed = list(core.SplitCantorClass(gamma, variant, d, cap).hypotheses())
+    for position, h in enumerate(listed, 1):
+        assert h.value == core._value_of_rank(gamma, position)
+    fresh = core.SplitCantorClass(gamma, variant, d, cap)
+    assert [fresh.hypothesis(h.k, h.members) for h in reversed(listed)] == listed[::-1]
