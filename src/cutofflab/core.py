@@ -18,6 +18,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 import os
 import random
 from dataclasses import dataclass
@@ -547,13 +548,19 @@ class SplitCantorClass:
 # ---------------------------------------------------------------------------
 
 
+#: The `IntegerLaw.top_byte_atoms` entry that sends a draw to the threshold bisect.
+_FALLBACK = 255
+
+
 @dataclass(frozen=True)
 class IntegerLaw:
     """Masses summing to one, held once more as integers over one common
     denominator: mass k is weights[k] / denominator, the lcm of the masses'
     denominators, so sums of masses are integer sums.  Validated once when
     built, so every distribution that shares a law shares its checks, its
-    weights and its sampling thresholds.
+    weights and its sampling thresholds.  `thresholds` and `top_byte_atoms`,
+    the atom of each top byte of a 64-bit variate that decides it alone (see
+    `sample_iid`), are built on first use.
     """
 
     masses: tuple[Fraction, ...]
@@ -576,6 +583,24 @@ class IntegerLaw:
         """ceil(cum_k * 2**64) for each cumulative mass cum_k, in integers."""
         denominator = self.denominator
         return [-((-total << 64) // denominator) for total in itertools.accumulate(self.weights)]
+
+    @functools.cached_property
+    def top_byte_atoms(self) -> bytes:
+        """Entry t is the atom of every variate r in [t << 56, (t + 1) << 56),
+        or _FALLBACK when a threshold lies in (t << 56, (t + 1) << 56), so
+        that the atom changes inside the bucket, or when the atom is
+        _FALLBACK or above.  One walk over the thresholds: the atom of r is
+        the number of thresholds <= r."""
+        thresholds = self.thresholds
+        table = bytearray()
+        k = 0
+        for t in range(256):
+            low = t << 56
+            while thresholds[k] <= low:  # the last threshold, 2**64, ends the walk
+                k += 1
+            straddled = thresholds[k] < low + (1 << 56)
+            table.append(_FALLBACK if straddled else min(k, _FALLBACK))
+        return bytes(table)
 
 
 @dataclass(frozen=True)
@@ -693,10 +718,28 @@ def sample_iid(
     picks, and atom selection never rounds.  The masses sum to 1, so the last
     threshold is 2**64 and every r lands on an atom.  Each draw is the
     distribution's own example, so draws of one atom share one object.
+
+    The n variates come from one ``getrandbits(64 * n)`` call: from Python
+    3.9 on, its 64-bit chunk j (least significant first) is the j-th of n
+    ``getrandbits(64)`` calls, so the bytes ``to_bytes(8 * n, "little")``
+    hold r_j in bytes 8j..8j+7 and its top byte at 8j+7.  The atom of r is
+    the number of thresholds <= r.  When no threshold lies in (t << 56,
+    (t + 1) << 56), every r with top byte t has one atom, the law's
+    `top_byte_atoms` entry t, so a bytes translate picks it; every other draw
+    (entry 255) is settled by the bisect above, so no draw changes.  The
+    interpreter loops only over those others.
     """
     if n < 0:
         raise PreconditionError("sample size must be >= 0")
-    getrandbits = rng_for(seed, stream).getrandbits
-    atoms, thresholds = dist.atoms, dist._law.thresholds
-    # from a list, so the tuple is allocated at its final size
-    return tuple([atoms[bisect.bisect_right(thresholds, getrandbits(64))] for _ in range(n)])
+    law = dist._law
+    raw = rng_for(seed, stream).getrandbits(64 * n).to_bytes(8 * n, "little")
+    tops = raw[7::8].translate(law.top_byte_atoms)
+    picks = list(tops)
+    j = tops.find(_FALLBACK)
+    while j >= 0:
+        r = int.from_bytes(raw[8 * j : 8 * j + 8], "little")
+        picks[j] = bisect.bisect_right(law.thresholds, r)
+        j = tops.find(_FALLBACK, j + 1)
+    if n < 2:  # an itemgetter of one index returns the bare item, of none fails
+        return tuple([dist.atoms[k] for k in picks])
+    return operator.itemgetter(*picks)(dist.atoms)

@@ -116,10 +116,13 @@ def mc_expected_loss(
 
     `source` is a fixed HardInstance or an InstanceFamily; families redraw
     their support each trial (stream-separated), estimating the
-    support-averaged loss the constructions bound.
+    support-averaged loss the constructions bound.  A trial's draws,
+    n per sample, are refused past `core.enumeration_budget()` before any
+    trial runs.
     """
     if trials < 30:
         raise PreconditionError("need at least 30 trials for the normal CI")
+    core._budgeted("draws per trial", n * learner.sample_arity)
     losses = tuple(_trial_loss(learner, source, n, seed, t) for t in range(trials))
     exact_mean = sum(losses, core.ZERO) / trials
     mean = float(exact_mean)

@@ -756,8 +756,12 @@ class TestParseBoundary:
             (["thm3", "--universe", "0", "--epsilon", "1/1000000000000"], "index distribution"),
             (["thm5", "--epsilon", "1/10000000000"], "index distribution"),
             (["thm2", "--d", "1000000000"], "index distribution"),
+            # 10^8 and 1.5 * 10^9 draws per trial: refused before the first trial
+            (["lemma-interp", "--n", "100000000", "--trials", "30"], "draws per trial"),
+            (["thm2", "--epsilon", "1/100000000000", "--trials", "30"], "draws per trial"),
         ],
-        ids=["thm1-oracle", "thm3-universe", "thm3-masses", "thm5-masses", "thm2-masses"],
+        ids=["thm1-oracle", "thm3-universe", "thm3-masses", "thm5-masses", "thm2-masses",
+             "lemma-interp-draws", "thm2-draws"],
     )
     def test_reproduce_past_the_budget_exits_3_at_once(self, capsys, argv, message):
         start = time.monotonic()

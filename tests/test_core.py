@@ -2,6 +2,7 @@
 
 import bisect
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction as F
@@ -10,7 +11,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cutofflab import adversaries, core, serialize
+from cutofflab import adversaries, core, experiments, serialize
 from cutofflab.errors import (
     DomainMismatchError,
     EmptySampleError,
@@ -231,7 +232,95 @@ class TestEmpiricalLoss:
             core.empirical_cutoff_loss(lambda x: F(0), (), F(1, 2))
 
 
+@st.composite
+def sampled_laws(draw):
+    """(weights, denominator) of a law of 1 to 600 atoms (603 with the zero
+    masses): denominators up to 2**64 + 3, masses that are multiples of 1/256
+    so thresholds sit on top-byte bucket edges, and, over 2**64, cumulative
+    masses one below, at and one above such an edge."""
+    denominator = draw(st.sampled_from([1, 256, 2**64, 2**64 + 3]) | st.integers(1, 2**64 + 3))
+    size = draw(st.integers(1, 600))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def cut():
+        if denominator == 2**64 and rng.random() < 0.5:
+            edge = (rng.randrange(257) << 56) + rng.choice((-1, 0, 1))
+            return min(max(edge, 0), denominator)
+        return rng.randint(0, denominator)
+
+    cuts = sorted(cut() for _ in range(size - 1))
+    weights = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, denominator])]
+    # zero masses at the end, the middle and the start
+    for where in sorted(draw(st.sets(st.sampled_from([0, size // 2, size]))), reverse=True):
+        weights.insert(where, 0)
+    return weights, denominator
+
+
+class FixedVariates:
+    """Stands in for the sampler's RNG: serves `variates` as the one
+    getrandbits(64 * n) call, packed little-endian, that draws them."""
+
+    def __init__(self, variates):
+        self.variates = variates
+
+    def getrandbits(self, bits):
+        assert bits == 64 * len(self.variates)
+        return sum(r << (64 * j) for j, r in enumerate(self.variates))
+
+
 class TestSampling:
+    @given(law=sampled_laws(), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bulk_draws_equal_per_draw_bisect(self, law, seed):
+        weights, denominator = law
+        dist = core.FiniteDistribution.from_triples(
+            [(NAT(i + 1), 0, F(w, denominator)) for i, w in enumerate(weights)]
+        )
+        # T_k = ceil(cum_k * 2**64), from the exact cumulative masses
+        cumulative = itertools.accumulate(weights)
+        thresholds = [math.ceil(F(total, denominator) * 2**64) for total in cumulative]
+
+        def atom(r):
+            return bisect.bisect_right(thresholds, r)
+
+        # the table: the atom of a whole top-byte bucket, 255 where the atom
+        # changes inside the bucket or is 255 or more
+        for t, entry in enumerate(dist._law.top_byte_atoms):
+            low, high = atom(t << 56), atom(((t + 1) << 56) - 1)
+            assert entry == (low if low == high and low < 255 else 255)
+        # the reference sampler: one getrandbits(64) and one bisect per draw
+        for n in (0, 1, 2, 255, 1024):
+            getrandbits = core.rng_for(seed, n).getrandbits
+            expected = [atom(getrandbits(64)) for _ in range(n)]
+            sample = core.sample_iid(dist, n, seed, stream=n)
+            assert [ex.point.n - 1 for ex in sample] == expected
+        # variates at both edges of, and just below, every bucket a threshold
+        # falls strictly inside
+        straddled = sorted({threshold >> 56 for threshold in thresholds if threshold % 2**56})
+        variates = [
+            r for t in straddled
+            for r in ((t << 56) - 1, t << 56, ((t + 1) << 56) - 1) if r >= 0
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "rng_for", lambda seed, stream: FixedVariates(variates))
+            sample = core.sample_iid(dist, len(variates), seed=0)
+        assert [ex.point.n - 1 for ex in sample] == [atom(r) for r in variates]
+
+    @pytest.mark.parametrize(
+        "seed,digest",
+        # sha256 prefixes of the comma-joined atom indices drawn by the
+        # one-getrandbits(64)-per-draw sampler
+        [(1, "2c5ce05a06de1fe8"), (2, "dadd65526324be42"), (3, "561539f0b33aaab6")],
+    )
+    def test_thm4_draws_pinned(self, seed, digest):
+        # the thm4 law at d = 4, n = 1024: masses 1021/1024 and 3 x 1/1024
+        cls, witness, points = experiments._colex_last_shattered(F(1, 2), 4, 12)
+        dist = experiments.thm4_instance_at(cls, witness, points, 1024).distribution
+        index = {id(ex): k for k, ex in enumerate(dist.atoms)}
+        indices = [index[id(ex)] for ex in core.sample_iid(dist, 1024, seed)]
+        text = ",".join(map(str, indices))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
     def test_zero_draws(self):
         dist = core.FiniteDistribution.from_triples([(NAT(1), 0, F(1))])
         assert core.sample_iid(dist, 0, 1) == ()
@@ -304,15 +393,7 @@ class TestSampling:
         dist = core.FiniteDistribution.from_triples(
             [(NAT(i + 1), 0, m) for i, m in enumerate(masses)]
         )
-
-        class FixedVariates:
-            values = iter(variates)
-
-            def getrandbits(self, bits):
-                assert bits == 64
-                return next(self.values)
-
-        monkeypatch.setattr(core, "rng_for", lambda seed, stream: FixedVariates())
+        monkeypatch.setattr(core, "rng_for", lambda seed, stream: FixedVariates(variates))
         sample = core.sample_iid(dist, len(variates), seed=0)
         assert [ex.point.n - 1 for ex in sample] == expected
         assert all(masses[k] > 0 for k in expected)
