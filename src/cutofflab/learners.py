@@ -2,7 +2,11 @@
 
 The learner classes at the end of this module are the learner interface: each
 declares its ``sample_arity`` and turns that many training samples into a
-predictor (callable Point -> Fraction) through ``predictor(samples)``.  An
+predictor (callable Point -> Fraction) through ``predictor(samples)``.  A
+learner may also give ``seen_blocks(samples)``: the blocks its interpolator
+calls read, when it reads each block only through its set of distinct
+examples, or None; the exact oracle in ``mc`` then fits each distinct tuple
+of seen sets once.  An
 interpolator is a ``sample -> hypothesis`` fitter.  Proper rules (order
 statistics, the median) return one of their inputs; the mean stays inside the
 input range.  Everything is deterministic given its inputs and seeds.
@@ -10,6 +14,7 @@ input range.  Everything is deterministic given its inputs and seeds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -190,6 +195,14 @@ def adversarial_interpolator(cert, sample: core.TrainingSequence) -> core.Hypoth
     return h
 
 
+def _reads_seen_sets(interpolator: Interpolator) -> bool:
+    """Whether the interpolator reads a sample only through its set of
+    distinct examples: the two interpolators above, bound or not."""
+    if isinstance(interpolator, functools.partial):
+        interpolator = interpolator.func
+    return interpolator in (generic_interpolator, adversarial_interpolator)
+
+
 # ---------------------------------------------------------------------------
 # Learner objects (uniform interface for the estimators)
 # ---------------------------------------------------------------------------
@@ -201,6 +214,9 @@ class SingleInterpolator:
 
     sample_arity = 1
 
+    def seen_blocks(self, samples):
+        return samples if _reads_seen_sets(self.interpolator) else None
+
     def predictor(self, samples) -> core.Predictor:
         (sample,) = samples
         return self.interpolator(sample).value_at
@@ -211,6 +227,9 @@ class MedianOfThree:
     interpolator: Interpolator
 
     sample_arity = 3
+
+    def seen_blocks(self, samples):
+        return samples if _reads_seen_sets(self.interpolator) else None
 
     def predictor(self, samples) -> core.Predictor:
         s1, s2, s3 = samples
@@ -227,10 +246,15 @@ class InterpolatorAggregation:
 
     sample_arity = 1
 
-    def predictor(self, samples) -> core.Predictor:
+    def _blocks(self, samples):
         (sample,) = samples
-        blocks = self.partitioner.split(tuple(sample))
-        return aggregate(self.rule, [self.interpolator(block) for block in blocks])
+        return self.partitioner.split(tuple(sample))
+
+    def seen_blocks(self, samples):
+        return self._blocks(samples) if _reads_seen_sets(self.interpolator) else None
+
+    def predictor(self, samples) -> core.Predictor:
+        return aggregate(self.rule, [self.interpolator(block) for block in self._blocks(samples)])
 
 
 @dataclass(frozen=True)
@@ -242,6 +266,9 @@ class ProperERM:
     gamma: Fraction
 
     sample_arity = 1
+
+    def seen_blocks(self, samples):
+        return None  # the fallback counts multiplicities
 
     def predictor(self, samples) -> core.Predictor:
         (sample,) = samples

@@ -52,7 +52,10 @@ def exact_loss_distribution(learner, instance: HardInstance, n: int) -> list[tup
 
     Enumerates support^(n * arity) sequences, so the learner must be
     deterministic given its samples; a three-sample learner enumerates the
-    triple product.
+    triple product.  A learner whose `seen_blocks` gives the blocks its
+    interpolator calls read is fitted and scored once per distinct tuple of
+    the blocks' seen sets, and every sequence with that tuple shares the
+    loss; any other learner is fitted once per sequence.
     """
     dist = instance.distribution
     arity = learner.sample_arity
@@ -64,17 +67,29 @@ def exact_loss_distribution(learner, instance: HardInstance, n: int) -> list[tup
     too_long = support >= 2 and total_len >= DEFAULT_ORACLE_BUDGET.bit_length()
     if too_long or support**total_len > DEFAULT_ORACLE_BUDGET:
         raise BudgetExceededError(f"oracle would enumerate {support}^{total_len} sequences")
-    # the distribution's own examples, shared by every sequence as by sample_iid
-    weighted = list(zip(dist.masses, dist.atoms))
+    # a one-atom law has one sequence of any length, which the budget above passes
+    core._budgeted("draws per trial", total_len)
+    law = dist._law
+    weights = law.weights
+    denominator = law.denominator**total_len
+    seen_blocks = getattr(learner, "seen_blocks", lambda samples: None)
+    losses: dict[tuple, Fraction] = {}
     out = []
-    for combo in itertools.product(weighted, repeat=total_len):
-        weight = math.prod((mass for mass, _ in combo), start=core.ONE)
-        if weight == core.ZERO:
+    for combo in itertools.product(range(support), repeat=total_len):
+        weight = math.prod([weights[k] for k in combo])
+        if weight == 0:
             continue
-        examples = [ex for _, ex in combo]
-        samples = tuple(tuple(examples[j * n : (j + 1) * n]) for j in range(arity))
-        predictor = learner.predictor(samples)
-        out.append((weight, core.cutoff_loss(predictor, dist, instance.gamma)))
+        samples = tuple(combo[j * n : (j + 1) * n] for j in range(arity))
+        blocks = seen_blocks(samples)
+        key = None if blocks is None else tuple(frozenset(b) for b in blocks)
+        loss = losses.get(key)  # no loss is kept under None
+        if loss is None:
+            # the distribution's own examples, shared by every sequence as by sample_iid
+            examples = tuple(tuple(dist.atoms[k] for k in s) for s in samples)
+            loss = core.cutoff_loss(learner.predictor(examples), dist, instance.gamma)
+            if key is not None:
+                losses[key] = loss
+        out.append((Fraction(weight, denominator), loss))
     return out
 
 

@@ -1,5 +1,6 @@
 """Exact oracles, Monte Carlo estimation, scaling fits, envelope checks."""
 
+import itertools
 import math
 from fractions import Fraction as F
 from functools import partial as bind
@@ -85,6 +86,151 @@ class TestExactOracle:
 
         expected = F(3, 4) * at_least_two(F(1, 4)) + F(1, 4) * at_least_two(F(3, 4))
         assert value == expected == F(21, 64)
+
+
+def reference_loss_distribution(learner, instance, n):
+    """The exact oracle's plain enumeration: one fit per weighted sequence."""
+    dist = instance.distribution
+    arity = learner.sample_arity
+    weighted = list(zip(dist.masses, dist.atoms))
+    out = []
+    for combo in itertools.product(weighted, repeat=n * arity):
+        weight = math.prod((mass for mass, _ in combo), start=core.ONE)
+        if weight == core.ZERO:
+            continue
+        examples = [ex for _, ex in combo]
+        samples = tuple(tuple(examples[j * n : (j + 1) * n]) for j in range(arity))
+        predictor = learner.predictor(samples)
+        out.append((weight, core.cutoff_loss(predictor, dist, instance.gamma)))
+    return out
+
+
+def zero_mass_instance():
+    """Three atoms, the middle one of mass zero, labelled by the witness."""
+    inst = fixed_instance()
+    w = inst.witness
+    dist = core.FiniteDistribution.from_triples(
+        [(NAT(5), 0, F(1, 2)), (NAT(3), w.value_at(NAT(3)), F(0)), (NAT(6), 0, F(1, 2))],
+        witness=w,
+    )
+    return adversaries.HardInstance(
+        theorem="test", cls=inst.cls, distribution=dist, witness=w,
+        gamma=HALF, epsilon=None, d=2, universe=6, n_max=None,
+    )
+
+
+def thm1_setup(epsilon=F(1, 128)):
+    cls = core.CantorClass(HALF, 2, 5)
+    inst, cert = adversaries.thm1_instance(cls, HALF, epsilon)
+    return inst, bind(learners.adversarial_interpolator, cert)
+
+
+def _oracle_cases():
+    for make, label in ((fixed_instance, "fixed"), (zero_mass_instance, "zero_mass")):
+        inst = make()
+        interp = bind(learners.generic_interpolator, inst.cls)
+
+        def aggregation(partitioner, rule):
+            return learners.InterpolatorAggregation(interp, partitioner, rule)
+
+        for name, learner, n in (
+            ("single", learners.SingleInterpolator(interp), 4),
+            ("median3", learners.MedianOfThree(interp), 2),
+            ("disjoint_median", aggregation(learners.DisjointBlocks(3), learners.Median()), 5),
+            ("windows_mean", aggregation(learners.OverlappingWindows(3, 2), learners.Mean()), 4),
+            ("bootstrap_min", aggregation(learners.Bootstrap(3, 2, 17), learners.OrderStatistic(1)),
+             4),
+            ("disjoint_max", aggregation(learners.DisjointBlocks(2), learners.OrderStatistic(2)),
+             4),
+            ("proper_erm", learners.ProperERM(inst.cls, HALF), 3),
+        ):
+            yield pytest.param(learner, inst, n, id=f"{label}-{name}")
+    inst, adversary = thm1_setup()
+    for name, rule in (
+        ("min", learners.OrderStatistic(1)),
+        ("max", learners.OrderStatistic(3)),
+        ("median3", learners.Median()),
+    ):
+        learner = learners.InterpolatorAggregation(adversary, learners.DisjointBlocks(3), rule)
+        yield pytest.param(learner, inst, inst.n_max, id=f"thm1-{name}")
+
+
+class TestSeenSetSharing:
+    """The oracle fits each distinct tuple of seen sets once, and its pairs
+    equal the plain per-sequence enumeration's, in order."""
+
+    @pytest.mark.parametrize(("learner", "instance", "n"), list(_oracle_cases()))
+    def test_pairs_equal_the_plain_enumeration(self, learner, instance, n):
+        assert mc.exact_loss_distribution(learner, instance, n) == reference_loss_distribution(
+            learner, instance, n
+        )
+
+    def test_zero_mass_atom_is_skipped(self):
+        inst = zero_mass_instance()
+        learner = learners.SingleInterpolator(bind(learners.generic_interpolator, inst.cls))
+        pairs = mc.exact_loss_distribution(learner, inst, 3)
+        assert len(pairs) == 2**3
+        assert sum(w for w, _ in pairs) == 1
+
+    def test_order_reading_interpolator_is_fitted_per_sequence(self):
+        inst = fixed_instance()
+        cls = inst.cls
+
+        def first_only(sample):
+            return cls.first_consistent(sample[:1])
+
+        for interp in (first_only, bind(lambda c, s: c.first_consistent(s[:1]), cls)):
+            learner = learners.InterpolatorAggregation(
+                interp, learners.DisjointBlocks(1), learners.Median()
+            )
+            assert learner.seen_blocks(((NAT(5),),)) is None
+            pairs = mc.exact_loss_distribution(learner, inst, 3)
+            assert pairs == reference_loss_distribution(learner, inst, 3)
+            # (5, 6, 6) and (6, 5, 5) share a seen set but not a first example
+            assert (pairs[3][1], pairs[4][1]) == (F(1, 4), F(3, 4))
+
+    def test_seen_blocks_gate(self):
+        inst, adversary = thm1_setup()
+        generic = bind(learners.generic_interpolator, inst.cls)
+        samples = ((1, 0, 1, 1),)
+        assert learners.SingleInterpolator(generic).seen_blocks(samples) is samples
+        three = (samples[0], samples[0], samples[0])
+        assert learners.MedianOfThree(adversary).seen_blocks(three) is three
+        assert learners.InterpolatorAggregation(generic, learners.DisjointBlocks(3)).seen_blocks(
+            samples
+        ) == [(1, 0), (1,), (1,)]
+        assert learners.ProperERM(inst.cls, HALF).seen_blocks(samples) is None
+        assert learners.SingleInterpolator(inst.cls.first_consistent).seen_blocks(samples) is None
+
+    def test_thm1_fits_each_seen_set_tuple_once(self, monkeypatch):
+        inst, adversary = thm1_setup()
+        assert inst.n_max == 8
+        learner = learners.InterpolatorAggregation(
+            adversary, learners.DisjointBlocks(3), learners.OrderStatistic(1)
+        )
+        calls = []
+        real = core.cutoff_loss
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(core, "cutoff_loss", counting)
+        pairs = mc.exact_loss_distribution(learner, inst, 8)
+        # blocks of sizes 3, 3, 2 over two atoms: 3^3 tuples of seen sets
+        assert len(pairs) == 256
+        assert len(calls) <= 27
+
+    def test_one_atom_draws_past_the_budget_refused_at_once(self):
+        inst = fixed_instance()
+        dist = core.FiniteDistribution.from_triples([(NAT(5), 0, F(1))], witness=inst.witness)
+        one_atom = adversaries.HardInstance(
+            theorem="test", cls=inst.cls, distribution=dist, witness=inst.witness,
+            gamma=HALF, epsilon=None, d=2, universe=6, n_max=None,
+        )
+        learner = learners.SingleInterpolator(bind(learners.generic_interpolator, inst.cls))
+        with pytest.raises(BudgetExceededError, match="draws per trial"):
+            mc.exact_expected_loss(learner, one_atom, 10**9)
 
 
 class TestMcEstimator:
