@@ -12,14 +12,12 @@ from .core import (
     SplitCantorHypothesis,
     TableHypothesis,
     cutoff_loss,
-    empirical_cutoff_loss,
     sample_iid,
 )
 from .errors import (
     BudgetExceededError,
     CutoffLabError,
     DomainMismatchError,
-    EmptySampleError,
     NotRealizableError,
     ParseError,
     PreconditionError,

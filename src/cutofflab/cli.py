@@ -23,7 +23,6 @@ from . import partial as partial_concepts
 from .errors import (
     BudgetExceededError,
     CutoffLabError,
-    EmptySampleError,
     NotRealizableError,
     ParseError,
     PreconditionError,
@@ -210,7 +209,7 @@ def _partition_from_config(spec):
     return _PARTITIONS[kind](**values)
 
 
-def _learner_from_config(config, cls, gamma):
+def _learner_from_config(config, cls):
     if not isinstance(config, dict):
         raise ParseError(f"learner config must be an object, got {config!r}")
     interp = bind(learners.generic_interpolator, cls)
@@ -220,7 +219,7 @@ def _learner_from_config(config, cls, gamma):
     if kind == "single":
         return learners.SingleInterpolator(interp)
     if kind == "proper_erm":
-        return learners.ProperERM(cls, gamma)
+        return learners.ProperERM(cls)
     if kind == "agg":
         parts = {}
         if "rule" in config:
@@ -243,12 +242,19 @@ def cmd_estimate(args) -> int:
         trials = serialize.coerce(0, config.get("trials", args.trials), "trials")
     except KeyError as exc:
         raise ParseError(f"estimate config missing key: {exc}") from exc
-    learner = _learner_from_config(config.get("learner_config", config), cls, gamma)
+    learner = _learner_from_config(config.get("learner_config", config), cls)
+    gamma = core.read_gamma(gamma)
+    # every learner fits realizable samples only: a support no class member
+    # realizes is refused here, before the first trial
+    support = tuple(ex for ex, mass in zip(dist.atoms, dist.masses) if mass)
+    realizer = cls.first_consistent(support)
+    if realizer is None:
+        raise NotRealizableError("no class member realizes the distribution's support")
     instance = adversaries.HardInstance(
         theorem=str(config.get("tag", "estimate")),
         cls=cls,
         distribution=dist,
-        witness=dist.witness if dist.witness is not None else cls.first_consistent(()),
+        witness=dist.witness if dist.witness is not None else realizer,
         gamma=gamma,
         epsilon=None,
         d=None,
@@ -387,7 +393,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (PreconditionError, EmptySampleError, NotRealizableError) as exc:
+    except (PreconditionError, NotRealizableError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except CutoffLabError as exc:

@@ -28,7 +28,6 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from .errors import (
     BudgetExceededError,
     DomainMismatchError,
-    EmptySampleError,
     PreconditionError,
 )
 
@@ -66,6 +65,14 @@ def ensure_unit(value: Fraction, what: str) -> Fraction:
     if not 0 <= value.numerator <= value.denominator:
         raise PreconditionError(f"{what} must lie in [0, 1], got {value}")
     return value
+
+
+def read_gamma(value) -> Fraction:
+    """The loss cutoff as a Fraction, refused outside (0, 1)."""
+    gamma = _exact(value)
+    if not ZERO < gamma < ONE:
+        raise PreconditionError("gamma must lie in (0, 1)")
+    return gamma
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +382,7 @@ class CantorClass:
     universe: int
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
-        if not ZERO < self.gamma < ONE:
-            raise PreconditionError("gamma must lie in (0, 1)")
+        object.__setattr__(self, "gamma", read_gamma(self.gamma))
         if self.d < 1 or self.universe < self.d:
             raise PreconditionError("need universe >= d >= 1")
 
@@ -436,9 +441,7 @@ class SplitCantorClass:
     universe_cap: int
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
-        if not ZERO < self.gamma < ONE:
-            raise PreconditionError("gamma must lie in (0, 1)")
+        object.__setattr__(self, "gamma", read_gamma(self.gamma))
         if self.variant not in (SQRT_SIZE, D_MINUS_ONE_COMPLEMENT):
             raise PreconditionError(f"unknown split variant {self.variant!r}")
         if self.variant == D_MINUS_ONE_COMPLEMENT:
@@ -662,14 +665,6 @@ def cutoff_loss(predictor: Predictor, dist: FiniteDistribution, gamma: Fraction)
         if gamma_far(predictor(ex.point), ex.label, gamma):
             total += weight
     return Fraction(total, law.denominator)
-
-
-def empirical_cutoff_loss(predictor: Predictor, sample: TrainingSequence, gamma: Fraction) -> Fraction:
-    gamma = _exact(gamma)
-    if not sample:
-        raise EmptySampleError("empirical cutoff loss needs a nonempty sample")
-    bad = sum(1 for ex in sample if gamma_far(predictor(ex.point), ex.label, gamma))
-    return Fraction(bad, len(sample))
 
 
 # ---------------------------------------------------------------------------

@@ -56,14 +56,6 @@ class ShatterCertificate:
         return len(self.pattern_witnesses) == 2 ** len(self.points)
 
 
-def _read_gamma(gamma) -> Fraction:
-    """gamma as a Fraction, refused outside (0, 1) as the classes refuse it."""
-    gamma = Fraction(gamma)
-    if not 0 < gamma < 1:
-        raise PreconditionError("gamma must lie in (0, 1)")
-    return gamma
-
-
 def _value_vectors(cls, points):
     """(hypothesis, restriction tuple) pairs over the given points."""
     out = []
@@ -184,7 +176,7 @@ def check_graph_shattered(points, cls, witness, gamma: Fraction) -> Optional[Sha
     the class's canonical enumeration.
     """
     points = tuple(points)
-    gamma = _read_gamma(gamma)
+    gamma = core.read_gamma(gamma)
     if len(set(points)) != len(points):
         raise PreconditionError("shattering points must be distinct")
     if len(points) > DEFAULT_POINT_CAP:
@@ -200,7 +192,7 @@ def check_graph_shattered(points, cls, witness, gamma: Fraction) -> Optional[Sha
 
 def find_shattered_set(cls, pool, gamma, size):
     """First (in pool order, then enumeration order) shattered size-set."""
-    gamma = _read_gamma(gamma)
+    gamma = core.read_gamma(gamma)
     if size == 0:
         for h in cls.hypotheses():
             return check_graph_shattered((), cls, h, gamma)
@@ -219,7 +211,7 @@ def gamma_graph_dimension(cls, pool, gamma, cap_d: int = DEFAULT_POINT_CAP) -> i
     if cap_d < 1:
         raise PreconditionError(f"the dimension search cap must be at least 1, got {cap_d}")
     pool = tuple(pool)
-    search = _ShatterSearch(cls, pool, _read_gamma(gamma))
+    search = _ShatterSearch(cls, pool, core.read_gamma(gamma))
     best = 0
     for d in range(1, min(cap_d, len(pool)) + 1):
         if search.first(d) is None:
@@ -329,7 +321,7 @@ def _max_outdegree(graph: OneInclusionGraph, orientation: Orientation, threshold
 def max_gamma_outdegree(graph: OneInclusionGraph, orientation: Orientation, gamma) -> int:
     """Most edges any vertex loses to a `core.gamma_far` target (0 on a graph
     with no vertices), decided on the scaled values against `_thresholds`."""
-    thresholds = _thresholds(graph.scales, _read_gamma(gamma))
+    thresholds = _thresholds(graph.scales, core.read_gamma(gamma))
     missing = graph.edges.keys() - orientation.keys()
     if missing:
         raise PreconditionError(f"orientation leaves {len(missing)} edges unoriented")
@@ -338,7 +330,7 @@ def max_gamma_outdegree(graph: OneInclusionGraph, orientation: Orientation, gamm
 
 def exhaustive_orientation_min(graph: OneInclusionGraph, gamma) -> tuple[Orientation, int]:
     """Orientation minimizing the max gamma-out-degree, by product search."""
-    thresholds = _thresholds(graph.scales, _read_gamma(gamma))
+    thresholds = _thresholds(graph.scales, core.read_gamma(gamma))
     fixed = {k: ms[0] for k, ms in graph.edges.items() if len(ms) == 1}
     multi = [(k, ms) for k, ms in sorted(graph.edges.items()) if len(ms) > 1]
     combos = 1

@@ -1,7 +1,10 @@
 """Exception hierarchy shared by all modules.
 
 The CLI maps these onto stable exit codes: ParseError -> 2,
-BudgetExceededError -> 3, PreconditionError -> 4.
+BudgetExceededError -> 3, PreconditionError and NotRealizableError -> 4.
+Every learner fits realizable samples only, so a sample or distribution no
+class member matches is refused with NotRealizableError, never fitted
+approximately.
 """
 
 
@@ -15,10 +18,6 @@ class DomainMismatchError(CutoffLabError):
 
 class NotRealizableError(CutoffLabError):
     """An interpolator was asked to fit a sample no class member matches."""
-
-
-class EmptySampleError(CutoffLabError):
-    """An operation that needs at least one example got an empty sequence."""
 
 
 class BudgetExceededError(CutoffLabError):

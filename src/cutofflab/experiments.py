@@ -357,7 +357,7 @@ def run_thm5(
 ):
     family = adversaries.thm5_family(gamma, d, epsilon)
     report.config.update(universe=family.universe, n=family.n_max)
-    learner = learners.ProperERM(family.cls, gamma)
+    learner = learners.ProperERM(family.cls)
     freq_floor = Fraction(1, 48) - Fraction(1, 100)
     _ensemble(report, family, learner, trials, seed, 4 * epsilon / 3,
               label="4eps/3-CI=", freq_floor=freq_floor)

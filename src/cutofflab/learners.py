@@ -257,33 +257,9 @@ class InterpolatorAggregation:
         return aggregate(self.rule, [self.interpolator(block) for block in self._blocks(samples)])
 
 
-@dataclass(frozen=True)
-class ProperERM:
-    """Consistent hypothesis if one exists (canonical order); otherwise the
-    enumeration-first minimizer of the empirical cutoff loss at ``gamma``."""
-
-    cls: object
-    gamma: Fraction
-
-    sample_arity = 1
-
-    def seen_blocks(self, samples):
-        return None  # the fallback counts multiplicities
-
-    def predictor(self, samples) -> core.Predictor:
-        (sample,) = samples
-        sample = tuple(sample)
-        h = self.cls.first_consistent(sample)
-        if h is not None:
-            return h.value_at
-        best, best_loss = None, None
-        for candidate in self.cls.hypotheses():
-            try:
-                loss = core.empirical_cutoff_loss(candidate.value_at, sample, self.gamma)
-            except core.DomainMismatchError:
-                continue
-            if best_loss is None or loss < best_loss:
-                best, best_loss = candidate, loss
-        if best is None:
-            raise PreconditionError("empty hypothesis class")
-        return best.value_at
+def ProperERM(cls, gamma=None) -> SingleInterpolator:
+    """Proper ERM on realizable samples: the first consistent member of
+    ``cls``, as the canonical interpolator gives it.  ``gamma`` is unread, as
+    a consistent member has empirical loss zero at every cutoff; it is still
+    accepted because ``perfbench/workloads.py`` calls ``ProperERM(cls, gamma)``."""
+    return SingleInterpolator(functools.partial(generic_interpolator, cls))

@@ -234,7 +234,7 @@ def _small_instances():
     inst_split = adversaries.HardInstance(
         "small_split", split, dist_split, w_split, HALF, None, 2, 4, None
     )
-    out.append((inst_split, learners.ProperERM(split, HALF), 2))
+    out.append((inst_split, learners.ProperERM(split), 2))
 
     class WitnessLearner:
         sample_arity = 1

@@ -279,7 +279,7 @@ _README_LEARNERS = [
     ),
     pytest.param(
         {"learner": "proper_erm"},
-        lambda cls: learners.ProperERM(cls, F(1, 2)),
+        lambda cls: learners.ProperERM(cls),
         id="proper_erm",
     ),
     pytest.param(
@@ -349,6 +349,21 @@ def _run_estimate(tmp_path, config) -> int:
     return cli.main(["estimate", str(path), "--seed", "3"])
 
 
+#: three zero-labelled atoms, while every Cantor (d = 2) member is zero on two points
+_THREE_ZEROS = {
+    "atoms": [{"point": {"nat": i}, "label": "0", "mass": "1/3"} for i in (4, 5, 6)]
+}
+
+
+def _no_trial(monkeypatch):
+    """Make any draw of a training sample fail the test."""
+
+    def sample_iid(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(core, "sample_iid", sample_iid)
+
+
 class TestEstimate:
     def test_config_run(self, tmp_path, capsys):
         assert _run_estimate(tmp_path, _estimate_config(n=2, trials=64)) == 0
@@ -367,6 +382,41 @@ class TestEstimate:
         )
         direct = mc.mc_expected_loss(build(cls), instance, config["n"], config["trials"], 3)
         assert json.loads(capsys.readouterr().out)["mean"] == direct.mean
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    @pytest.mark.parametrize("learner", ["single", "median3", "proper_erm", "agg"])
+    def test_not_realizable_is_refused_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, learner, n
+    ):
+        _no_trial(monkeypatch)
+        config = _estimate_config(
+            distribution=_THREE_ZEROS, n=n, learner_config={"learner": learner}
+        )
+        assert _run_estimate(tmp_path, config) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_refusal(captured.err)
+        assert captured.err.startswith("precondition violated: ")
+
+    def test_zero_mass_atom_is_outside_the_support(self, tmp_path):
+        # the third atom is never drawn, so a member zero on 4 and 5 realizes it
+        masses = ("1/2", "1/2", "0")
+        atoms = [dict(atom, mass=m) for atom, m in zip(_THREE_ZEROS["atoms"], masses)]
+        config = _estimate_config(
+            distribution={"atoms": atoms}, learner_config={"learner": "proper_erm"}
+        )
+        assert _run_estimate(tmp_path, config) == 0
+
+    @pytest.mark.parametrize("gamma", ["-1/2", "0", "1", "3/2"])
+    @pytest.mark.parametrize("learner", ["single", "median3", "proper_erm", "agg"])
+    def test_gamma_outside_unit_interval_exits_4(
+        self, tmp_path, capsys, monkeypatch, learner, gamma
+    ):
+        _no_trial(monkeypatch)
+        config = _estimate_config(gamma=gamma, learner_config={"learner": learner})
+        assert _run_estimate(tmp_path, config) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_refusal(captured.err)
+        assert "gamma must lie in (0, 1)" in captured.err
 
     @pytest.mark.parametrize(
         "config",

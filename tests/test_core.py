@@ -14,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 from cutofflab import adversaries, core, experiments, serialize
 from cutofflab.errors import (
     DomainMismatchError,
-    EmptySampleError,
     PreconditionError,
 )
 
@@ -207,29 +206,6 @@ class TestIntegerLaw:
         value = core._value_of_rank(gamma, rank)
         assert value == gamma + (1 - gamma) / rank
         assert core._rank_of_value(gamma, value) == rank
-
-
-class TestEmpiricalLoss:
-    def test_interpolator_on_own_sample(self):
-        cls = core.CantorClass(F(1, 2), 2, 4)
-        sample = core.training_sequence([(NAT(1), 0), (NAT(2), 0)])
-        h = cls.first_consistent(sample)
-        assert core.empirical_cutoff_loss(h.value_at, sample, F(0)) == 0
-
-    def test_all_violations(self):
-        sample = core.training_sequence([(NAT(1), 0), (NAT(1), 0)])
-        assert core.empirical_cutoff_loss(lambda x: F(1), sample, F(1, 2)) == 1
-
-    def test_quarter(self):
-        sample = core.training_sequence(
-            [(NAT(1), 0), (NAT(2), 0), (NAT(3), 0), (NAT(4), 1)]
-        )
-        p = core.TableHypothesis.from_dict({NAT(4): F(0)}, default=F(0)).value_at
-        assert core.empirical_cutoff_loss(p, sample, F(1, 2)) == F(1, 4)
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(EmptySampleError):
-            core.empirical_cutoff_loss(lambda x: F(0), (), F(1, 2))
 
 
 @st.composite

@@ -49,7 +49,7 @@ class TestGenericInterpolator:
         for seed in range(5):
             sample = core.sample_iid(dist, 6, seed)
             h = learners.generic_interpolator(cls, sample)
-            assert core.empirical_cutoff_loss(h.value_at, sample, F(0)) == 0
+            assert all(h.value_at(ex.point) == ex.label for ex in sample)
 
 
 class TestAdversarialInterpolator:
@@ -241,27 +241,19 @@ class TestProperErm:
     def test_realizable_gives_consistent(self):
         cls = core.CantorClass(HALF, 2, 5)
         sample = core.training_sequence([(NAT(3), 0)])
-        h = learners.ProperERM(cls, HALF).predictor((sample,))
-        assert core.empirical_cutoff_loss(h, sample, F(0)) == 0
+        h = learners.ProperERM(cls).predictor((sample,))
+        assert all(h(ex.point) == ex.label for ex in sample)
 
     def test_thm5_class_avoids_observed_points(self):
         fam = adversaries.thm5_family(HALF, 4, F(1, 256))
         sample = core.training_sequence(
             [(PAIR(64, 10), 0), (PAIR(64, 20), 0), (PAIR(64, 30), 0)]
         )
-        h = learners.ProperERM(fam.cls, HALF).predictor((sample,))
+        h = learners.ProperERM(fam.cls).predictor((sample,))
         # colex-first member set of block 64 avoiding the observations
         nonzero = [x for x in range(1, 65) if h(PAIR(64, x)) != 0]
         assert nonzero == [1, 2, 3]
 
-    def test_fallback_picks_lower_loss(self):
-        h_good = core.TableHypothesis.from_dict({NAT(1): F(0), NAT(2): F(0)})
-        h_bad = core.TableHypothesis.from_dict({NAT(1): F(1), NAT(2): F(1)})
-        cls = core.FiniteClass((h_bad, h_good))
-        sample = core.training_sequence([(NAT(1), 0), (NAT(2), F(1, 4))])
-        h = learners.ProperERM(cls, HALF).predictor((sample,))
-        assert [h(NAT(1)), h(NAT(2))] == [0, 0]
-
     def test_empty_class_rejected(self):
-        with pytest.raises(PreconditionError):
-            learners.ProperERM(core.FiniteClass(()), HALF).predictor(((),))
+        with pytest.raises(NotRealizableError):
+            learners.ProperERM(core.FiniteClass(())).predictor(((),))

@@ -142,7 +142,7 @@ def _oracle_cases():
              4),
             ("disjoint_max", aggregation(learners.DisjointBlocks(2), learners.OrderStatistic(2)),
              4),
-            ("proper_erm", learners.ProperERM(inst.cls, HALF), 3),
+            ("proper_erm", learners.ProperERM(inst.cls), 3),
         ):
             yield pytest.param(learner, inst, n, id=f"{label}-{name}")
     inst, adversary = thm1_setup()
@@ -199,7 +199,7 @@ class TestSeenSetSharing:
         assert learners.InterpolatorAggregation(generic, learners.DisjointBlocks(3)).seen_blocks(
             samples
         ) == [(1, 0), (1,), (1,)]
-        assert learners.ProperERM(inst.cls, HALF).seen_blocks(samples) is None
+        assert learners.ProperERM(inst.cls).seen_blocks(samples) == samples
         assert learners.SingleInterpolator(inst.cls.first_consistent).seen_blocks(samples) is None
 
     def test_thm1_fits_each_seen_set_tuple_once(self, monkeypatch):
