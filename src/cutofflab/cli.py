@@ -14,19 +14,12 @@ import csv
 import dataclasses
 import inspect
 import json
-import math
 import sys
 from functools import partial as bind
 
 from . import adversaries, core, dims, experiments, learners, mc, serialize
 from . import partial as partial_concepts
-from .errors import (
-    BudgetExceededError,
-    CutoffLabError,
-    NotRealizableError,
-    ParseError,
-    PreconditionError,
-)
+from .errors import BudgetExceededError, NotRealizableError, ParseError, PreconditionError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -164,12 +157,10 @@ def cmd_disambiguate(args) -> int:
     if args.out:
         with _open_out(args.out) as fh:
             fh.write(partial_concepts.write_rows(total))
+    ok = partial_concepts.within_disambiguation_bound(total.size(), d, cls.domain_size)
     if d >= 1:
-        bound = partial_concepts.ln_disambiguation_bound(d, cls.domain_size)
-        ok = math.log(total.size()) <= bound
-        bound_txt = f"{bound:.4f}"
+        bound_txt = f"{partial_concepts.ln_disambiguation_bound(d, cls.domain_size):.4f}"
     else:
-        ok = total.size() == 1
         bound_txt = "size=1 (VC 0)"
     print(
         f"|H|: {cls.size()}  |H~|: {total.size()}  d: {d}  n: {cls.domain_size}  "
@@ -393,12 +384,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (PreconditionError, NotRealizableError) as exc:
+    except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except CutoffLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
 
 
 if __name__ == "__main__":

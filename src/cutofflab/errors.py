@@ -1,23 +1,15 @@
 """Exception hierarchy shared by all modules.
 
 The CLI maps these onto stable exit codes: ParseError -> 2,
-BudgetExceededError -> 3, PreconditionError and NotRealizableError -> 4.
-Every learner fits realizable samples only, so a sample or distribution no
-class member matches is refused with NotRealizableError, never fitted
-approximately.
+BudgetExceededError -> 3, PreconditionError and its subclasses
+DomainMismatchError and NotRealizableError -> 4.  Every learner fits
+realizable samples only, so a sample or distribution no class member matches
+is refused with NotRealizableError, never fitted approximately.
 """
 
 
 class CutoffLabError(Exception):
     """Base class for all library errors."""
-
-
-class DomainMismatchError(CutoffLabError):
-    """A hypothesis was evaluated on a point outside its domain."""
-
-
-class NotRealizableError(CutoffLabError):
-    """An interpolator was asked to fit a sample no class member matches."""
 
 
 class BudgetExceededError(CutoffLabError):
@@ -35,6 +27,14 @@ class BudgetExceededError(CutoffLabError):
 
 class PreconditionError(CutoffLabError):
     """Arguments violate a documented precondition (named in the message)."""
+
+
+class DomainMismatchError(PreconditionError):
+    """A hypothesis was evaluated on a point outside its domain."""
+
+
+class NotRealizableError(PreconditionError):
+    """An interpolator was asked to fit a sample no class member matches."""
 
 
 class ParseError(CutoffLabError):

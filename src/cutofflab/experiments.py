@@ -437,12 +437,11 @@ def run_lemma_disamb(report, domain_size=10, max_size=40, classes=50, max_vc=3, 
             for concept in cls.concepts
         )
         size_ok = total.size() <= cls.size()
+        bound_ok = partial_concepts.within_disambiguation_bound(total.size(), d, domain_size)
         if d == 0:
-            bound_ok = total.size() == 1
             bound_txt = "|H~|=1 (VC 0)"
         else:
             bound = partial_concepts.ln_disambiguation_bound(d, domain_size)
-            bound_ok = math.log(total.size()) <= bound
             bound_txt = f"ln|H~|={math.log(total.size()):.3f} <= {bound:.3f}"
         ok = agrees and size_ok and bound_ok
         if not ok:

@@ -1,14 +1,16 @@
 """Partial concept classes: VC dimension, shattering strength, disambiguation.
 
 Concepts are strings over the alphabet "01*" ('*' = undefined), which is also
-the row file format the CLI reads and writes.  Shattered-set enumeration works
-on bitmasks and prunes hereditarily: a set can only be shattered if all of its
-subsets are, so candidates grow one element at a time from the shattered
-family of the previous size.
+the row file format the CLI reads and writes.  A class turns its strings into
+bitmasks, and searches its shattered family, once, on first use.  The search
+prunes hereditarily: a set can only be shattered if all of its subsets are, so
+candidates grow one element at a time from the shattered family of the
+previous size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +24,8 @@ MAX_DOMAIN = 16
 
 @dataclass(frozen=True)
 class PartialClass:
-    """Deduplicated set of partial concepts over a shared indexed domain."""
+    """Deduplicated set of partial concepts over a shared indexed domain.
+    A star-free class is total; `disambiguate` returns one."""
 
     domain_size: int
     concepts: tuple[str, ...]
@@ -37,21 +40,45 @@ class PartialClass:
     def size(self) -> int:
         return len(self.concepts)
 
+    @functools.cached_property
+    def masks(self) -> tuple[tuple[int, int], ...]:
+        """(star_mask, value_mask) per concept; bit i = domain index i."""
+        def bits(concept, ch):
+            return sum(1 << i for i, c in enumerate(concept) if c == ch)
 
-@dataclass(frozen=True)
-class TotalClass:
-    domain_size: int
-    concepts: tuple[str, ...]
+        return tuple((bits(c, STAR), bits(c, "1")) for c in self.concepts)
 
-    def __post_init__(self):
-        concepts = tuple(sorted(set(self.concepts)))
-        object.__setattr__(self, "concepts", concepts)
-        for c in concepts:
-            if len(c) != self.domain_size or any(ch not in "01" for ch in c):
-                raise PreconditionError(f"bad total concept row {c!r}")
-
-    def size(self) -> int:
-        return len(self.concepts)
+    @functools.cached_property
+    def shattered_family(self) -> tuple[int, ...]:
+        """Bitmasks of every shattered domain subset (the empty set counts for
+        a nonempty class), found by size-layered search with hereditary
+        pruning."""
+        _check_domain(self)
+        if not self.concepts:
+            return ()
+        masks = self.masks
+        family = [0]
+        layer = {0}
+        size = 0
+        n = self.domain_size
+        while layer:
+            size += 1
+            candidates = set()
+            for base in layer:
+                for i in range(n):
+                    bit = 1 << i
+                    if not base & bit:
+                        candidates.add(base | bit)
+            prev = layer
+            layer = set()
+            for cand in candidates:
+                # hereditary filter: every (size-1)-subset must be shattered
+                if size > 1 and any((cand & ~(1 << i)) not in prev for i in range(n) if cand & (1 << i)):
+                    continue
+                if _is_shattered(cand, size, masks):
+                    layer.add(cand)
+            family.extend(layer)
+        return tuple(family)
 
 
 def _check_domain(cls: PartialClass):
@@ -59,20 +86,6 @@ def _check_domain(cls: PartialClass):
         raise BudgetExceededError(
             f"domain size {cls.domain_size} exceeds the cap of {MAX_DOMAIN}"
         )
-
-
-def _masks(concepts):
-    """(star_mask, value_mask) per concept; bit i = domain index i."""
-    out = []
-    for c in concepts:
-        star = val = 0
-        for i, ch in enumerate(c):
-            if ch == STAR:
-                star |= 1 << i
-            elif ch == "1":
-                val |= 1 << i
-        out.append((star, val))
-    return out
 
 
 def _is_shattered(subset_mask, subset_size, masks):
@@ -87,40 +100,9 @@ def _is_shattered(subset_mask, subset_size, masks):
     return len(seen) == need
 
 
-def shattered_family(cls: PartialClass) -> list[int]:
-    """Bitmasks of every shattered domain subset (the empty set counts for a
-    nonempty class), found by size-layered search with hereditary pruning."""
-    _check_domain(cls)
-    if not cls.concepts:
-        return []
-    masks = _masks(cls.concepts)
-    family = [0]
-    layer = {0}
-    size = 0
-    n = cls.domain_size
-    while layer:
-        size += 1
-        candidates = set()
-        for base in layer:
-            for i in range(n):
-                bit = 1 << i
-                if not base & bit:
-                    candidates.add(base | bit)
-        prev = layer
-        layer = set()
-        for cand in candidates:
-            # hereditary filter: every (size-1)-subset must be shattered
-            if size > 1 and any((cand & ~(1 << i)) not in prev for i in range(n) if cand & (1 << i)):
-                continue
-            if _is_shattered(cand, size, masks):
-                layer.add(cand)
-        family.extend(layer)
-    return family
-
-
 def partial_vc_dimension(cls: PartialClass) -> int:
     """Largest shattered-set size; 0 for the empty class (flagged convention)."""
-    family = shattered_family(cls)
+    family = cls.shattered_family
     if not family:
         return 0
     return max(mask.bit_count() for mask in family)
@@ -129,7 +111,7 @@ def partial_vc_dimension(cls: PartialClass) -> int:
 def shattering_strength(cls: PartialClass) -> int:
     """Number of shattered domain subsets; the empty set counts whenever the
     class is nonempty, and the empty class has strength 0."""
-    return len(shattered_family(cls))
+    return len(cls.shattered_family)
 
 
 def ln_disambiguation_bound(d: int, n: int) -> float:
@@ -138,6 +120,15 @@ def ln_disambiguation_bound(d: int, n: int) -> float:
     if d < 1 or n < 1:
         raise PreconditionError("bound needs d >= 1 and n >= 1")
     return 2.0 * d * max(2.0, math.log(math.e * n / d)) ** 2
+
+
+def within_disambiguation_bound(size: int, d: int, n: int) -> bool:
+    """The lemma's pass rule for a disambiguation of `size` concepts of a
+    class of VC dimension d on n points: ln size <= ln_disambiguation_bound(d,
+    n) for d >= 1, and size == 1 for d = 0."""
+    if d == 0:
+        return size == 1
+    return math.log(size) <= ln_disambiguation_bound(d, n)
 
 
 class _GreedyState:
@@ -154,16 +145,22 @@ class _GreedyState:
         self.family = family
         self.per_coord = {}
 
-    def restricted(self, concepts, coord, bit_value):
-        want = "1" if bit_value else "0"
-        kept = tuple(i for i in self.indices if concepts[i][coord] == want)
-        masks = _masks(concepts[i] for i in kept)
-        family = [m for m in self.family if _is_shattered(m, m.bit_count(), masks)]
+    def restricted(self, masks, coord, bit_value):
+        """The concepts defined at coord with label bit_value, and the
+        family they still shatter."""
+        bit = 1 << coord
+        want = bit if bit_value else 0
+        kept = tuple(
+            i for i in self.indices if not masks[i][0] & bit and masks[i][1] & bit == want
+        )
+        kept_masks = [masks[i] for i in kept]
+        family = [m for m in self.family if _is_shattered(m, m.bit_count(), kept_masks)]
         return kept, family
 
 
-def disambiguate(cls: PartialClass) -> TotalClass:
-    """Greedy completion of every concept into a total one.
+def disambiguate(cls: PartialClass) -> PartialClass:
+    """Greedy completion of every concept into a total one; the result is a
+    star-free class.
 
     Scanning the domain in index order, each coordinate is written with the
     restriction-strength-maximizing label M (ties toward 1) unless the concept
@@ -176,16 +173,17 @@ def disambiguate(cls: PartialClass) -> TotalClass:
     if not cls.concepts:
         raise PreconditionError("disambiguation needs a nonempty class")
     concepts = cls.concepts
+    masks = cls.masks
     n = cls.domain_size
 
-    root = _GreedyState(tuple(range(len(concepts))), shattered_family(cls))
+    root = _GreedyState(tuple(range(len(concepts))), cls.shattered_family)
     states = {root.indices: root}
 
     def coord_choice(state, coord):
         cached = state.per_coord.get(coord)
         if cached is None:
-            zero_branch = state.restricted(concepts, coord, 0)
-            one_branch = state.restricted(concepts, coord, 1)
+            zero_branch = state.restricted(masks, coord, 0)
+            one_branch = state.restricted(masks, coord, 1)
             majority = 1 if len(one_branch[1]) >= len(zero_branch[1]) else 0
             cached = (majority, zero_branch, one_branch)
             state.per_coord[coord] = cached
@@ -199,7 +197,7 @@ def disambiguate(cls: PartialClass) -> TotalClass:
         return state
 
     out = []
-    for ci, concept in enumerate(concepts):
+    for concept in concepts:
         state = root
         written = []
         for coord in range(n):
@@ -212,12 +210,11 @@ def disambiguate(cls: PartialClass) -> TotalClass:
             else:
                 written.append(str(majority))
         out.append("".join(written))
-    total = TotalClass(n, tuple(out))
     for concept, bar in zip(concepts, out):
-        for a, b in zip(concept, bar):
-            if a != STAR and a != b:  # pragma: no cover - internal check
-                raise AssertionError("greedy disambiguation violated agreement")
-    return total
+        agrees = all(a in (STAR, b) for a, b in zip(concept, bar))
+        if STAR in bar or not agrees:  # pragma: no cover - internal check
+            raise AssertionError("greedy disambiguation left a star or violated agreement")
+    return PartialClass(n, tuple(out))
 
 
 def loss_pattern_reduction(cls, examples, gamma: Fraction) -> PartialClass:

@@ -40,6 +40,23 @@ class TestDims:
         assert cli.main(["dims", str(path), "--gamma", "1/2", "--pool", "1..2"]) == 0
         assert "graph_dim: 0" in capsys.readouterr().out
 
+    def test_finite_class_without_pool_uses_its_table_points(self, tmp_path, capsys):
+        # the tables give three of the four patterns on {1, 2} around the
+        # all-zero witness; the Cantor member, 3/4 off {3}, gives the fourth
+        nat = core.Point.nat
+        cls = core.FiniteClass((
+            core.CantorHypothesis(frozenset({3}), F(3, 4)),
+            core.TableHypothesis.from_dict({nat(1): F(0), nat(2): F(0)}),
+            core.TableHypothesis.from_dict({nat(1): F(1), nat(2): F(0)}),
+            core.TableHypothesis.from_dict({nat(1): F(0), nat(2): F(1)}),
+        ))
+        path = tmp_path / "finite.json"
+        serialize.dump_json(serialize.class_to_json(cls), path)
+        assert cli.main(["dims", str(path), "--gamma", "1/2"]) == 0
+        assert capsys.readouterr().out == (
+            "graph_dim: 2\ncertificate: 4 patterns on [Nat(1),Nat(2)]\n"
+        )
+
     def test_malformed_file_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -242,6 +259,21 @@ class TestDisambiguate:
         infile.write_text("\n")
         assert cli.main(["disambiguate", str(infile)]) == 2
 
+    def test_vc_zero_input_is_its_own_disambiguation(self, tmp_path, capsys):
+        infile = tmp_path / "rows.txt"
+        outfile = tmp_path / "total.txt"
+        infile.write_text("010\n")
+        assert cli.main(["disambiguate", str(infile), "--out", str(outfile)]) == 0
+        assert capsys.readouterr().out == (
+            "|H|: 1  |H~|: 1  d: 0  n: 3  bound: size=1 (VC 0)  pass: True\n"
+        )
+        assert outfile.read_text() == "010\n"
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        assert cli.main(["disambiguate", str(tmp_path / "missing.txt")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("parse error: cannot read ")
+
 
 def _estimate_config(**overrides):
     cls = core.CantorClass(F(1, 2), 2, 6)
@@ -417,6 +449,24 @@ class TestEstimate:
         captured = capsys.readouterr()
         assert captured.out == "" and _one_line_refusal(captured.err)
         assert "gamma must lie in (0, 1)" in captured.err
+
+    def test_member_off_its_domain_exits_4(self, tmp_path, capsys):
+        # the support is realized by the table member, but two of the three
+        # blocks of the one-point sample are empty, and an empty block fits
+        # the Cantor member, which is undefined at a pair point
+        cls = core.FiniteClass((
+            core.CantorHypothesis(frozenset({1}), F(3, 4)),
+            core.TableHypothesis.from_dict({core.Point.pair(4, 1): F(0)}, default=F(1)),
+        ))
+        config = _agg(partition={"kind": "disjoint", "m": 3})
+        config.update(
+            {"class": serialize.class_to_json(cls), "n": 1, "trials": 30},
+            distribution=_one_atom_at({"pair": [4, 1]}),
+        )
+        assert _run_estimate(tmp_path, config) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_refusal(captured.err)
+        assert captured.err.startswith("precondition violated: Cantor hypothesis is defined on nat")
 
     @pytest.mark.parametrize(
         "config",

@@ -505,6 +505,44 @@ class TestIsRealizable:
             assert found == oracle
 
 
+class TestFiniteClass:
+    """A mixed finite class: a Cantor member, defined on nat points only, and
+    table members, defined everywhere.  Members are tried in list order."""
+
+    CANTOR = core.CantorHypothesis(frozenset({1}), F(3, 4))
+    PAIR_TABLE = core.TableHypothesis.from_dict({PAIR(4, 1): F(0)}, default=F(1))
+    NAT_TABLE = core.TableHypothesis.from_dict({NAT(1): F(0), NAT(2): F(1, 2)}, default=F(1))
+    MIXED = core.FiniteClass((CANTOR, PAIR_TABLE, NAT_TABLE))
+
+    @pytest.mark.parametrize(
+        ("labels", "expected"),
+        [
+            pytest.param([], CANTOR, id="empty-sample"),
+            pytest.param([(NAT(1), 0)], CANTOR, id="first-member"),
+            pytest.param([(NAT(2), F(1, 2))], NAT_TABLE, id="last-member"),
+            pytest.param([(PAIR(4, 1), 0)], PAIR_TABLE, id="cantor-off-its-domain"),
+            pytest.param([(NAT(1), 0), (PAIR(4, 1), 0)], None, id="no-member"),
+        ],
+    )
+    def test_first_consistent(self, labels, expected):
+        sample = core.training_sequence(labels)
+        assert self.MIXED.first_consistent(sample) == expected
+        # oracle: the first member defined and exact on every example
+        def fits(h):
+            try:
+                return all(h.value_at(ex.point) == ex.label for ex in sample)
+            except DomainMismatchError:
+                return False
+
+        assert expected == next((h for h in self.MIXED.hypotheses() if fits(h)), None)
+
+    def test_default_pool_is_the_table_points_once_each(self):
+        twice = core.FiniteClass((self.CANTOR, self.NAT_TABLE, self.PAIR_TABLE, self.NAT_TABLE))
+        pool = twice.default_pool()
+        assert sorted(pool) == list(pool)
+        assert set(pool) == {NAT(1), NAT(2), PAIR(4, 1)} and len(pool) == 3
+
+
 class TestValidation:
     def test_distribution_masses_must_sum_to_one(self):
         with pytest.raises(PreconditionError):

@@ -32,6 +32,28 @@ def brute_force_shattered_subsets(cls):
     return out
 
 
+class TestMasks:
+    def test_masks_follow_the_strings(self):
+        rng = random.Random(5)
+        rows = tuple("".join(rng.choice("01*") for _ in range(6)) for _ in range(12))
+        cls = pc.PartialClass(6, rows)
+        for concept, (star, value) in zip(cls.concepts, cls.masks):
+            assert [star >> i & 1 for i in range(6)] == [int(ch == pc.STAR) for ch in concept]
+            assert [value >> i & 1 for i in range(6)] == [int(ch == "1") for ch in concept]
+
+    def test_family_is_searched_once_per_class(self, monkeypatch):
+        cls = pc.PartialClass(4, ("01*0", "1**1", "0110", "*001"))
+        total = pc.disambiguate(cls)
+
+        def must_not_search(*args):
+            raise AssertionError("the shattered family was searched again")
+
+        monkeypatch.setattr(pc, "_is_shattered", must_not_search)
+        assert pc.partial_vc_dimension(cls) == 1
+        assert pc.shattering_strength(cls) == len(brute_force_shattered_subsets(cls))
+        assert total.size() <= cls.size()
+
+
 class TestVcDimension:
     def test_empty_class_is_zero_by_convention(self):
         assert pc.partial_vc_dimension(pc.PartialClass(3, ())) == 0
@@ -117,12 +139,29 @@ class TestBound:
         values = [pc.ln_disambiguation_bound(2, n) for n in (1, 5, 25, 125, 625)]
         assert values == sorted(values)
 
+    def test_pass_rule_vc_zero_needs_one_concept(self):
+        assert pc.within_disambiguation_bound(1, 0, 10)
+        assert not pc.within_disambiguation_bound(2, 0, 10)
+
+    def test_pass_rule_compares_ln_size_with_the_bound(self):
+        # ln_disambiguation_bound(1, 1) == 8 and e**8 lies in (2980, 2981)
+        assert pc.within_disambiguation_bound(2980, 1, 1)
+        assert not pc.within_disambiguation_bound(2981, 1, 1)
+
 
 class TestDisambiguate:
     def test_total_class_unchanged(self):
         rows = ("010", "110", "001")
         total = pc.disambiguate(pc.PartialClass(3, rows))
         assert set(total.concepts) == set(rows)
+
+    def test_output_is_a_star_free_partial_class(self):
+        rng = random.Random(17)
+        rows = tuple("".join(rng.choice("01*") for _ in range(6)) for _ in range(10))
+        total = pc.disambiguate(pc.PartialClass(6, rows))
+        assert isinstance(total, pc.PartialClass) and total.domain_size == 6
+        assert all(pc.STAR not in bar for bar in total.concepts)
+        assert all(star == 0 for star, _ in total.masks)
 
     def test_single_partial_concept(self):
         total = pc.disambiguate(pc.PartialClass(2, ("1*",)))
