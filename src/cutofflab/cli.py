@@ -230,10 +230,13 @@ def cmd_estimate(args) -> int:
         dist = serialize.distribution_from_json(config["distribution"])
         gamma = serialize.rational_from_str(config["gamma"])
         n = serialize.coerce(0, config["n"], "n")
-        trials = serialize.coerce(0, config.get("trials", args.trials), "trials")
+        learner_config = config["learner_config"]
     except KeyError as exc:
         raise ParseError(f"estimate config missing key: {exc}") from exc
-    learner = _learner_from_config(config.get("learner_config", config), cls)
+    trials = args.trials
+    if trials is None:  # an explicit --trials wins over the file's
+        trials = serialize.coerce(0, config.get("trials", 1000), "trials")
+    learner = _learner_from_config(learner_config, cls)
     gamma = core.read_gamma(gamma)
     # every learner fits realizable samples only: a support no class member
     # realizes is refused here, before the first trial
@@ -242,7 +245,7 @@ def cmd_estimate(args) -> int:
     if realizer is None:
         raise NotRealizableError("no class member realizes the distribution's support")
     instance = adversaries.HardInstance(
-        theorem=str(config.get("tag", "estimate")),
+        theorem="estimate",
         cls=cls,
         distribution=dist,
         witness=dist.witness if dist.witness is not None else realizer,
@@ -344,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="Monte Carlo loss estimate from a config file")
     p_est.add_argument("config")
-    p_est.add_argument("--trials", type=int, default=1000)
+    p_est.add_argument("--trials", type=int, help="default: the config's trials, else 1000")
     p_est.add_argument("--seed", type=int, default=0)
     p_est.set_defaults(fn=cmd_estimate)
 

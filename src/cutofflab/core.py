@@ -348,24 +348,20 @@ def _consistent(h, sample: TrainingSequence) -> bool:
 
 @dataclass(frozen=True)
 class FiniteClass:
-    hypotheses_list: tuple[Hypothesis, ...]
+    hypotheses: tuple[Hypothesis, ...]
 
     def size(self) -> int:
-        return len(self.hypotheses_list)
-
-    def hypotheses(self) -> Iterator[Hypothesis]:
-        _budgeted("class", self.size())
-        return iter(self.hypotheses_list)
+        return len(self.hypotheses)
 
     def first_consistent(self, sample: TrainingSequence) -> Optional[Hypothesis]:
-        for h in self.hypotheses_list:
+        for h in self.hypotheses:
             if _consistent(h, sample):
                 return h
         return None
 
     def default_pool(self) -> tuple[Point, ...]:
         points = set()
-        for h in self.hypotheses_list:
+        for h in self.hypotheses:
             if isinstance(h, TableHypothesis):
                 points.update(p for p, _ in h.table)
         return tuple(sorted(points))
@@ -375,7 +371,7 @@ class FiniteClass:
 class CantorClass:
     """All h_A for A a size-d subset of {1..universe}: h_A is 0 on A and a
     unique value gamma + (1-gamma)/rank(A) elsewhere, rank(A) the 1-based
-    colex rank of A.  Enumeration order is ascending colex."""
+    colex rank of A.  `hypotheses` lists them once, in ascending colex order."""
 
     gamma: Fraction
     d: int
@@ -396,9 +392,10 @@ class CantorClass:
             raise PreconditionError(f"invalid member set {sorted(members)} for {self}")
         return CantorHypothesis(members, _value_of_rank(self.gamma, colex_rank(members) + 1))
 
-    def hypotheses(self) -> Iterator[CantorHypothesis]:
+    @functools.cached_property
+    def hypotheses(self) -> tuple[CantorHypothesis, ...]:
         _budgeted("class", self.size())
-        return (self.hypothesis(a) for a in iter_colex(self.universe, self.d))
+        return tuple(self.hypothesis(a) for a in iter_colex(self.universe, self.d))
 
     def _on_domain(self, point: Point) -> bool:
         return point.kind == "nat" and point.n <= self.universe
@@ -426,7 +423,7 @@ class CantorClass:
 
 @dataclass(frozen=True)
 class SplitCantorClass:
-    """Block classes over pair points, enumerated by block then colex.
+    """Block classes over pair points, listed once in `hypotheses` by block then colex.
 
     ``sqrt_size``: blocks k = i*i <= universe_cap, zero sets A with
     |A| = i and value elsewhere.  ``d_minus_one_complement``: blocks
@@ -495,9 +492,10 @@ class SplitCantorClass:
         value = _value_of_rank(self.gamma, self._offset(k, m) + colex_rank(members) + 1)
         return SplitCantorHypothesis(k, members, zero_on, value)
 
-    def hypotheses(self) -> Iterator[SplitCantorHypothesis]:
+    @functools.cached_property
+    def hypotheses(self) -> tuple[SplitCantorHypothesis, ...]:
         _budgeted("class", self.size())
-        return (self.hypothesis(k, a) for k, m in self.blocks() for a in iter_colex(k, m))
+        return tuple(self.hypothesis(k, a) for k, m in self.blocks() for a in iter_colex(k, m))
 
     def _on_domain(self, point: Point) -> bool:
         return point.kind == "pair" and point.block <= self.universe_cap

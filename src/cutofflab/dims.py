@@ -59,7 +59,7 @@ class ShatterCertificate:
 def _value_vectors(cls, points):
     """(hypothesis, restriction tuple) pairs over the given points."""
     out = []
-    for h in cls.hypotheses():
+    for h in cls.hypotheses:
         try:
             out.append((h, tuple(h.value_at(x) for x in points)))
         except core.DomainMismatchError:
@@ -194,9 +194,8 @@ def find_shattered_set(cls, pool, gamma, size):
     """First (in pool order, then enumeration order) shattered size-set."""
     gamma = core.read_gamma(gamma)
     if size == 0:
-        for h in cls.hypotheses():
-            return check_graph_shattered((), cls, h, gamma)
-        return None
+        members = cls.hypotheses
+        return check_graph_shattered((), cls, members[0], gamma) if members else None
     return _ShatterSearch(cls, tuple(pool), gamma).first(size)
 
 

@@ -422,6 +422,7 @@ def run_lemma_disamb(report, domain_size=10, max_size=40, classes=50, max_vc=3, 
             "need domain_size, max_size, classes >= 1 and max_vc >= 0, got "
             f"{domain_size}, {max_size}, {classes}, {max_vc}"
         )
+    partial_concepts.check_domain_size(domain_size)  # before any row is drawn
     rng = core.rng_for(seed, 0)
     all_ok = True
     worst = ""

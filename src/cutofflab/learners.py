@@ -15,7 +15,7 @@ input range.  Everything is deterministic given its inputs and seeds.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -87,7 +87,8 @@ def aggregate(rule: AggregationRule, hypotheses: Sequence) -> core.Predictor:
 
 
 # ---------------------------------------------------------------------------
-# Partitioners
+# Partitioners: each checks its fields once, when it is built, and refuses
+# more blocks, or bootstrap draws, than enumeration_budget()
 # ---------------------------------------------------------------------------
 
 
@@ -97,9 +98,12 @@ class DisjointBlocks:
 
     m: int
 
-    def split(self, sample: core.TrainingSequence):
+    def __post_init__(self):
         if self.m < 1:
             raise PreconditionError("need at least one block")
+        core._budgeted("partition", self.m)
+
+    def split(self, sample: core.TrainingSequence):
         n = len(sample)
         base, extra = divmod(n, self.m)
         blocks, start = [], 0
@@ -117,9 +121,12 @@ class OverlappingWindows:
     m: int
     width: int
 
-    def split(self, sample: core.TrainingSequence):
+    def __post_init__(self):
         if self.m < 1 or self.width < 1:
             raise PreconditionError("windows need m >= 1 and width >= 1")
+        core._budgeted("partition", self.m)
+
+    def split(self, sample: core.TrainingSequence):
         n = len(sample)
         width = min(self.width, n)
         if n == 0:
@@ -139,9 +146,13 @@ class Bootstrap:
     size: int
     seed: int = 0
 
-    def split(self, sample: core.TrainingSequence):
+    def __post_init__(self):
         if self.m < 1 or self.size < 0:
             raise PreconditionError("bootstrap needs m >= 1 and size >= 0")
+        core._budgeted("partition", self.m)
+        core._budgeted("bootstrap draws", self.m * self.size)
+
+    def split(self, sample: core.TrainingSequence):
         n = len(sample)
         blocks = []
         for j in range(self.m):
@@ -241,7 +252,8 @@ class InterpolatorAggregation:
     """Partition, interpolate per block, aggregate pointwise."""
 
     interpolator: Interpolator
-    partitioner: Partitioner = DisjointBlocks(3)
+    # built per learner, so that importing the module reads no budget
+    partitioner: Partitioner = field(default_factory=lambda: DisjointBlocks(3))
     rule: AggregationRule = Median()
 
     sample_arity = 1

@@ -93,16 +93,31 @@ def exact_loss_distribution(learner, instance: HardInstance, n: int) -> list[tup
     return out
 
 
+def _mass_by_loss(pairs) -> dict[Fraction, Fraction]:
+    """Total probability of each distinct loss among (probability, loss)
+    pairs.  Numerators are summed as integers per loss object and
+    probability denominator: the sequences that share a fit share its loss
+    object, so the groups are few, and no Fraction is hashed or added per
+    pair."""
+    groups: dict[tuple[int, int], list] = {}
+    for w, loss in pairs:  # every loss object lives in `pairs`, so ids are unique
+        groups.setdefault((id(loss), w.denominator), [loss, 0])[1] += w.numerator
+    masses: dict[Fraction, Fraction] = {}
+    for (_, denominator), (loss, numerator) in groups.items():
+        masses[loss] = masses.get(loss, core.ZERO) + Fraction(numerator, denominator)
+    return masses
+
+
 def exact_expected_loss(learner, instance: HardInstance, n: int) -> Fraction:
     """Exact E[loss] by weighted enumeration of all sample sequences."""
-    pairs = exact_loss_distribution(learner, instance, n)
-    return sum((w * l for w, l in pairs), core.ZERO)
+    masses = _mass_by_loss(exact_loss_distribution(learner, instance, n))
+    return sum((mass * loss for loss, mass in masses.items()), core.ZERO)
 
 
 def exact_exceed_probability(learner, instance: HardInstance, n: int, threshold) -> Fraction:
     threshold = Fraction(threshold)
-    pairs = exact_loss_distribution(learner, instance, n)
-    return sum((w for w, l in pairs if l > threshold), core.ZERO)
+    masses = _mass_by_loss(exact_loss_distribution(learner, instance, n))
+    return sum((mass for loss, mass in masses.items() if loss > threshold), core.ZERO)
 
 
 def _trial_loss(learner, source, n: int, seed: int, trial: int) -> Fraction:

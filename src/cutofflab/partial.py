@@ -53,7 +53,7 @@ class PartialClass:
         """Bitmasks of every shattered domain subset (the empty set counts for
         a nonempty class), found by size-layered search with hereditary
         pruning."""
-        _check_domain(self)
+        check_domain_size(self.domain_size)
         if not self.concepts:
             return ()
         masks = self.masks
@@ -81,11 +81,11 @@ class PartialClass:
         return tuple(family)
 
 
-def _check_domain(cls: PartialClass):
-    if cls.domain_size > MAX_DOMAIN:
-        raise BudgetExceededError(
-            f"domain size {cls.domain_size} exceeds the cap of {MAX_DOMAIN}"
-        )
+def check_domain_size(domain_size: int) -> None:
+    """Refuse a domain of more than MAX_DOMAIN points, the cap of every
+    search over a partial class's domain subsets."""
+    if domain_size > MAX_DOMAIN:
+        raise BudgetExceededError(f"domain size {domain_size} exceeds the cap of {MAX_DOMAIN}")
 
 
 def _is_shattered(subset_mask, subset_size, masks):
@@ -169,7 +169,7 @@ def disambiguate(cls: PartialClass) -> PartialClass:
     output disambiguates the input: it agrees with every concept wherever that
     concept is defined.
     """
-    _check_domain(cls)
+    check_domain_size(cls.domain_size)
     if not cls.concepts:
         raise PreconditionError("disambiguation needs a nonempty class")
     concepts = cls.concepts
@@ -224,12 +224,9 @@ def loss_pattern_reduction(cls, examples, gamma: Fraction) -> PartialClass:
     dimension of the source class."""
     examples = tuple(examples)
     gamma = Fraction(gamma)
-    if len(examples) > MAX_DOMAIN:
-        raise BudgetExceededError(
-            f"{len(examples)} examples exceed the domain cap of {MAX_DOMAIN}"
-        )
+    check_domain_size(len(examples))
     rows = set()
-    for h in cls.hypotheses():
+    for h in cls.hypotheses:
         chars = []
         for ex in examples:
             try:

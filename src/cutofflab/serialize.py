@@ -140,7 +140,7 @@ def class_to_json(cls):
     if isinstance(cls, core.FiniteClass):
         return {
             "kind": "finite",
-            "hypotheses": [hypothesis_to_json(h) for h in cls.hypotheses_list],
+            "hypotheses": [hypothesis_to_json(h) for h in cls.hypotheses],
         }
     raise ParseError(f"unknown class {cls!r}")
 

@@ -469,6 +469,63 @@ class TestEstimate:
         assert captured.err.startswith("precondition violated: Cantor hypothesis is defined on nat")
 
     @pytest.mark.parametrize(
+        ("partition", "message"),
+        [
+            ({"kind": "disjoint", "m": 200_001}, "partition of size 200001"),
+            ({"kind": "windows", "m": 200_001, "width": 1}, "partition of size 200001"),
+            ({"kind": "bootstrap", "m": 3, "size": 200_000}, "bootstrap draws of size 600000"),
+            ({"kind": "bootstrap", "m": 3, "size": 2_000_000}, "bootstrap draws of size 6000000"),
+        ],
+        ids=["disjoint", "windows", "bootstrap", "bootstrap-large"],
+    )
+    def test_partition_past_the_budget_exits_3_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, partition, message
+    ):
+        _no_trial(monkeypatch)
+        start = time.monotonic()
+        assert _within(10, _run_estimate, tmp_path, _agg(partition=partition)) == 3
+        assert time.monotonic() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_refusal(captured.err)
+        assert captured.err.startswith(f"budget exceeded: {message} exceeds budget 200000")
+
+    def test_learner_config_is_required(self, tmp_path, capsys):
+        # the learner keys at the top level of the file are not read
+        config = _estimate_config()
+        config.update(config.pop("learner_config"))
+        assert _run_estimate(tmp_path, config) == 2
+        err = capsys.readouterr().err
+        assert err == "parse error: estimate config missing key: 'learner_config'\n"
+
+    def test_tag_key_is_not_read(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(learner, instance, *args):
+            seen.append(instance.theorem)
+            return direct(learner, instance, *args)
+
+        direct = mc.mc_expected_loss
+        monkeypatch.setattr(mc, "mc_expected_loss", record)
+        assert _run_estimate(tmp_path, _estimate_config(tag="thm2")) == 0
+        assert seen == ["estimate"]
+
+    @pytest.mark.parametrize(
+        ("file_trials", "argv", "expected"),
+        [(32, ["--trials", "40"], 40), (32, [], 32), (None, ["--trials", "40"], 40), (None, [], 1000)],
+        ids=["flag-over-file", "file", "flag", "default"],
+    )
+    def test_explicit_trials_win_over_the_file(
+        self, tmp_path, capsys, file_trials, argv, expected
+    ):
+        config = _estimate_config(learner_config={"learner": "proper_erm"}, trials=file_trials)
+        if file_trials is None:
+            del config["trials"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["estimate", str(path), *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["trials"] == expected
+
+    @pytest.mark.parametrize(
         "config",
         [
             pytest.param(_agg(partition="disjoint"), id="partition-not-object"),
@@ -900,6 +957,20 @@ class TestParseBoundary:
         assert _within(10, _replay, tmp_path, report) == 4
         captured = capsys.readouterr()
         assert captured.out == "" and _one_line_refusal(captured.err)
+
+    @pytest.mark.parametrize("domain_size", [17, 20_000, 200_000])
+    def test_replayed_lemma_disamb_past_the_domain_cap_exits_3_at_once(
+        self, tmp_path, capsys, monkeypatch, domain_size
+    ):
+        def must_not_run(*args):
+            raise AssertionError("a random class was drawn past the domain cap")
+
+        monkeypatch.setattr(experiments, "random_partial_class", must_not_run)
+        report = {"tag": "lemma-disamb", "seed": 0, "config": {"domain_size": domain_size}}
+        assert _within(1, _replay, tmp_path, report) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_refusal(captured.err)
+        assert f"domain size {domain_size} exceeds the cap of 16" in captured.err
 
     @pytest.mark.parametrize(
         "argv",

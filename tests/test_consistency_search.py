@@ -19,7 +19,7 @@ HALF = F(1, 2)
 
 
 def enumeration_first_consistent(cls, sample):
-    for h in cls.hypotheses():
+    for h in cls.hypotheses:
         try:
             if all(h.value_at(ex.point) == ex.label for ex in sample):
                 return h
@@ -30,7 +30,7 @@ def enumeration_first_consistent(cls, sample):
 
 def random_sample(rng, cls, points, max_len=4):
     """Random mix of zeros, class unique values, and junk labels."""
-    members = list(cls.hypotheses())
+    members = list(cls.hypotheses)
     out = []
     for _ in range(rng.randrange(0, max_len + 1)):
         point = rng.choice(points)
@@ -209,7 +209,7 @@ def test_block_offsets_give_the_enumeration_rank(variant, d, cap):
     # a member's unique value carries its 1-based position in the
     # block-then-colex enumeration, whatever order the blocks are asked in
     gamma = F(1, 3)
-    listed = list(core.SplitCantorClass(gamma, variant, d, cap).hypotheses())
+    listed = list(core.SplitCantorClass(gamma, variant, d, cap).hypotheses)
     for position, h in enumerate(listed, 1):
         assert h.value == core._value_of_rank(gamma, position)
     fresh = core.SplitCantorClass(gamma, variant, d, cap)

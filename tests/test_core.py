@@ -412,21 +412,21 @@ class TestCanonicalEnumeration:
     def test_cantor_unique_values_distinct_and_above_gamma(self):
         for universe in (5, 6):
             cls = core.CantorClass(F(1, 2), 2, universe)
-            values = [h.value for h in cls.hypotheses()]
+            values = [h.value for h in cls.hypotheses]
             assert len(set(values)) == len(values)
             assert all(v > F(1, 2) for v in values)
             assert all(F(1, 2) < v <= 1 for v in values)
 
     def test_split_unique_values_distinct(self):
         cls = core.SplitCantorClass(F(1, 2), core.SQRT_SIZE, None, 9)
-        values = [h.value for h in cls.hypotheses()]
+        values = [h.value for h in cls.hypotheses]
         assert len(values) == cls.size() == 1 + 6 + 84
         assert len(set(values)) == len(values)
 
     def test_unique_value_formula(self):
         # gamma + (1-gamma)/rank with rank the 1-based colex position
         cls = core.CantorClass(F(1, 2), 2, 5)
-        ordered = list(cls.hypotheses())
+        ordered = list(cls.hypotheses)
         for idx, h in enumerate(ordered):
             assert h.value == F(1, 2) + F(1, 2) / (idx + 1)
 
@@ -473,7 +473,7 @@ class TestIsRealizable:
         found = cls.first_consistent(sample)
         # oracle: first consistent hypothesis over the full enumeration
         oracle = next(
-            h for h in cls.hypotheses()
+            h for h in cls.hypotheses
             if all(h.value_at(ex.point) == ex.label for ex in sample)
         )
         assert found == oracle
@@ -497,7 +497,7 @@ class TestIsRealizable:
             oracle = next(
                 (
                     h
-                    for h in cls.hypotheses()
+                    for h in cls.hypotheses
                     if all(h.value_at(ex.point) == ex.label for ex in sample)
                 ),
                 None,
@@ -534,13 +534,23 @@ class TestFiniteClass:
             except DomainMismatchError:
                 return False
 
-        assert expected == next((h for h in self.MIXED.hypotheses() if fits(h)), None)
+        assert expected == next((h for h in self.MIXED.hypotheses if fits(h)), None)
 
     def test_default_pool_is_the_table_points_once_each(self):
         twice = core.FiniteClass((self.CANTOR, self.NAT_TABLE, self.PAIR_TABLE, self.NAT_TABLE))
         pool = twice.default_pool()
         assert sorted(pool) == list(pool)
         assert set(pool) == {NAT(1), NAT(2), PAIR(4, 1)} and len(pool) == 3
+
+    def test_json_round_trip_keeps_the_member_tuple(self):
+        record = serialize.class_to_json(self.MIXED)
+        assert [h["kind"] for h in record["hypotheses"]] == [
+            "cantor_hypothesis", "table_hypothesis", "table_hypothesis"
+        ]
+        again = serialize.class_from_json(json.loads(json.dumps(record)))
+        assert again == self.MIXED
+        assert again.hypotheses == (self.CANTOR, self.PAIR_TABLE, self.NAT_TABLE)
+        assert serialize.class_to_json(again) == record
 
 
 class TestValidation:
@@ -640,19 +650,41 @@ class TestBudgetEnv:
     @pytest.mark.parametrize(
         "cls",
         [
-            core.FiniteClass(tuple(core.CantorClass(F(1, 2), 2, 4).hypotheses())),
             core.CantorClass(F(1, 2), 2, 5),
             core.SplitCantorClass(F(1, 2), core.SQRT_SIZE, None, 4),
         ],
-        ids=["finite", "cantor", "split"],
+        ids=["cantor", "split"],
     )
     def test_env_override(self, monkeypatch, cls):
         monkeypatch.setenv("CUTOFFLAB_BUDGET", "5")
         assert core.enumeration_budget() == 5
         with pytest.raises(core.BudgetExceededError):
-            list(cls.hypotheses())
+            list(cls.hypotheses)
         monkeypatch.delenv("CUTOFFLAB_BUDGET")
         assert core.enumeration_budget() == 200_000
+
+    @pytest.mark.parametrize(
+        ("build", "size"),
+        [
+            (lambda: core.CantorClass(F(1, 2), 2, 5), 10),
+            (lambda: core.SplitCantorClass(F(1, 2), core.SQRT_SIZE, None, 4), 7),
+            (lambda: core.SplitCantorClass(F(1, 2), core.D_MINUS_ONE_COMPLEMENT, 3, 4), 10),
+        ],
+        ids=["cantor", "sqrt", "complement"],
+    )
+    def test_refused_listing_caches_nothing(self, monkeypatch, build, size):
+        cls = build()
+        assert cls.size() == size
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", str(size - 1))
+        with pytest.raises(core.BudgetExceededError, match=f"class of size {size}"):
+            cls.hypotheses
+        # the same object lists its members once the ceiling admits them
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", str(size))
+        members = cls.hypotheses
+        assert type(members) is tuple and len(members) == size
+        assert members == tuple(build().hypotheses)
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "1")
+        assert cls.hypotheses is members  # listed once, not again
 
     @pytest.mark.parametrize(
         "cls",

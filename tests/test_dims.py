@@ -42,7 +42,7 @@ class PartialTable:
 
 def brute_rows(cls, pool):
     rows = []
-    for h in cls.hypotheses():
+    for h in cls.hypotheses:
         try:
             rows.append((h, [h.value_at(x) for x in pool]))
         except core.DomainMismatchError:
@@ -267,7 +267,7 @@ class TestShatterCertificates:
     def test_singleton_class_cannot_shatter(self):
         pool = (NAT(1),)
         cls = table_class([(0,)], pool)
-        witness = cls.hypotheses_list[0]
+        witness = cls.hypotheses[0]
         assert dims.check_graph_shattered(pool, cls, witness, HALF) is None
 
     def test_empty_point_list_is_vacuous(self):
@@ -317,7 +317,7 @@ class TestGraphDimension:
             pool = cls.default_pool()
             for idx in combinations(range(len(pool)), 3):
                 points = tuple(pool[i] for i in idx)
-                for witness in cls.hypotheses():
+                for witness in cls.hypotheses:
                     assert dims.check_graph_shattered(points, cls, witness, HALF) is None
 
     def test_monotone_under_class_growth(self):
@@ -338,14 +338,17 @@ class TestGraphDimension:
         assert dims.gamma_graph_dimension(cls, cls.default_pool(), HALF) == d
 
     def test_class_size_times_pool_size_is_budgeted(self, monkeypatch):
-        # 10 members on 3 points: 30 against the budget
-        cls = core.CantorClass(HALF, 2, 5)
+        # 10 members on 3 points: 30 against the budget, whether the class
+        # lists its members on first use or is its tuple of tables
         pool = (NAT(1), NAT(2), NAT(3))
-        monkeypatch.setenv("CUTOFFLAB_BUDGET", "29")
-        with pytest.raises(BudgetExceededError, match="class restricted to the pool"):
-            dims.gamma_graph_dimension(cls, pool, HALF)
-        monkeypatch.setenv("CUTOFFLAB_BUDGET", "30")
-        assert dims.gamma_graph_dimension(cls, pool, HALF) == 2
+        cantor = core.CantorClass(HALF, 2, 5)
+        tables = table_class([[h(p) for p in pool] for h in cantor.hypotheses], pool)
+        for cls in (core.CantorClass(HALF, 2, 5), tables):  # a Cantor class not yet listed
+            monkeypatch.setenv("CUTOFFLAB_BUDGET", "29")
+            with pytest.raises(BudgetExceededError, match="class restricted to the pool"):
+                dims.gamma_graph_dimension(cls, pool, HALF)
+            monkeypatch.setenv("CUTOFFLAB_BUDGET", "30")
+            assert dims.gamma_graph_dimension(cls, pool, HALF) == 2
 
     def test_cap_refusal_carries_lower_bound(self):
         cls = core.CantorClass(HALF, 3, 8)
@@ -394,6 +397,29 @@ class TestOneInclusionGraph:
             dims.build_oig(cls, points)
         monkeypatch.setenv("CUTOFFLAB_BUDGET", "90")
         assert len(dims.build_oig(cls, points).vertices) == 10
+
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            core.CantorClass(HALF, 2, 5),
+            core.SplitCantorClass(HALF, core.D_MINUS_ONE_COMPLEMENT, 2, 4),
+        ],
+        ids=["cantor", "split"],
+    )
+    def test_repeated_graphs_list_the_class_once(self, monkeypatch, cls):
+        # an orientation sweep restricts one class object over and over
+        built = []
+        build = type(cls).hypothesis
+
+        def counted(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(type(cls), "hypothesis", counted)
+        points = cls.default_pool()[:3]
+        graphs = [dims.build_oig(cls, points) for _ in range(24)]
+        assert len(built) == cls.size()
+        assert all(graph == graphs[0] for graph in graphs)
 
 
 class TestOrientations:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cutofflab import adversaries, core, dims, learners
-from cutofflab.errors import NotRealizableError, PreconditionError
+from cutofflab.errors import BudgetExceededError, NotRealizableError, PreconditionError
 
 NAT = core.Point.nat
 PAIR = core.Point.pair
@@ -179,6 +179,39 @@ class TestPartitioners:
             assert len(block) == 4
             for ex in block:
                 assert ex in sample
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: learners.DisjointBlocks(0),
+            lambda: learners.OverlappingWindows(0, 3),
+            lambda: learners.OverlappingWindows(3, 0),
+            lambda: learners.Bootstrap(0, 2),
+            lambda: learners.Bootstrap(2, -1),
+        ],
+        ids=["disjoint-m-0", "windows-m-0", "windows-width-0", "bootstrap-m-0",
+             "bootstrap-size-negative"],
+    )
+    def test_bad_fields_are_refused_when_built(self, build):
+        with pytest.raises(PreconditionError):
+            build()
+
+    @pytest.mark.parametrize(
+        ("build", "what", "size"),
+        [
+            (lambda: learners.DisjointBlocks(11), "partition", 11),
+            (lambda: learners.OverlappingWindows(11, 1), "partition", 11),
+            (lambda: learners.Bootstrap(11, 0), "partition", 11),
+            (lambda: learners.Bootstrap(3, 4), "bootstrap draws", 12),
+        ],
+        ids=["disjoint", "windows", "bootstrap-blocks", "bootstrap-draws"],
+    )
+    def test_blocks_past_the_budget_are_refused_when_built(self, monkeypatch, build, what, size):
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", str(size))
+        build()
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", str(size - 1))
+        with pytest.raises(BudgetExceededError, match=f"{what} of size {size} exceeds"):
+            build()
 
 
 class TestComposites:

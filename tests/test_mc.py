@@ -88,6 +88,69 @@ class TestExactOracle:
         assert value == expected == F(21, 64)
 
 
+def _thm1_oracle_cases():
+    """thm1's three aggregations at epsilon = 1/128 (n = 8)."""
+    epsilon = F(1, 128)
+    inst, cert = adversaries.thm1_instance(core.CantorClass(HALF, 2, 5), HALF, epsilon)
+    adversary = bind(learners.adversarial_interpolator, cert)
+    rules = {
+        "min": learners.OrderStatistic(1),
+        "max": learners.OrderStatistic(3),
+        "median3": learners.Median(),
+    }
+    return [
+        pytest.param(
+            learners.InterpolatorAggregation(adversary, learners.DisjointBlocks(3), rule),
+            inst,
+            inst.n_max,
+            id=f"thm1-{name}",
+        )
+        for name, rule in rules.items()
+    ]
+
+
+def _benchmark_oracle_cases():
+    """The four exactly enumerable instances the benchmark's exact-dims
+    workload scores, and a learner fitted once per sequence."""
+    nat = core.Point.nat
+    cls6 = core.CantorClass(HALF, 2, 6)
+    w6 = cls6.hypothesis({5, 6})
+    dist6 = core.FiniteDistribution.from_triples([(nat(5), 0, F(3, 4)), (nat(6), 0, F(1, 4))], w6)
+    inst6 = adversaries.HardInstance("cantor6", cls6, dist6, w6, HALF, None, 2, 6, None)
+    generic6 = bind(learners.generic_interpolator, cls6)
+    split = core.SplitCantorClass(HALF, core.D_MINUS_ONE_COMPLEMENT, 2, 4)
+    w_split = split.hypothesis(4, {4})
+    dist_split = core.FiniteDistribution.from_triples(
+        [(core.Point.pair(4, i), 0, F(1, 3)) for i in (1, 2, 3)], w_split
+    )
+    inst_split = adversaries.HardInstance("split4", split, dist_split, w_split, HALF, None, 2, 4, None)
+    bootstrap = learners.Bootstrap(3, 2, seed=17)
+    return [
+        pytest.param(learners.MedianOfThree(generic6), inst6, 3, id="median3"),
+        pytest.param(
+            learners.InterpolatorAggregation(generic6, learners.DisjointBlocks(2), learners.Mean()),
+            inst6, 8, id="mean2",
+        ),
+        pytest.param(
+            learners.InterpolatorAggregation(generic6, bootstrap, learners.OrderStatistic(1)),
+            inst6, 8, id="bootstrap",
+        ),
+        pytest.param(learners.ProperERM(split), inst_split, 5, id="proper_erm"),
+        pytest.param(learners.SingleInterpolator(lambda s: cls6.first_consistent(s)), inst6, 6,
+                     id="fitted-per-sequence"),
+    ]
+
+
+@pytest.mark.parametrize(("learner", "inst", "n"), _thm1_oracle_cases() + _benchmark_oracle_cases())
+def test_loss_sums_equal_the_plain_fraction_sums(learner, inst, n):
+    pairs = mc.exact_loss_distribution(learner, inst, n)
+    assert mc.exact_expected_loss(learner, inst, n) == sum((w * l for w, l in pairs), core.ZERO)
+    thresholds = {core.ZERO, *(l for _, l in pairs), F(2, 128)}
+    for threshold in thresholds:
+        plain = sum((w for w, l in pairs if l > threshold), core.ZERO)
+        assert mc.exact_exceed_probability(learner, inst, n, threshold) == plain
+
+
 def reference_loss_distribution(learner, instance, n):
     """The exact oracle's plain enumeration: one fit per weighted sequence."""
     dist = instance.distribution

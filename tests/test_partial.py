@@ -237,7 +237,7 @@ class TestLossPatternReduction:
                 pc.partial_vc_dimension(pc.loss_pattern_reduction(
                     cls, [core.LabeledExample(x, w.value_at(x)) for x in pool], HALF
                 ))
-                for w in cls.hypotheses()
+                for w in cls.hypotheses
             )
             assert best == dims.gamma_graph_dimension(cls, pool, HALF)
 
