@@ -46,12 +46,12 @@ class HardInstance:
 class InstanceFamily:
     """Seeded generator over hard instances indexed by a random support.
 
-    Every drawn instance puts ``index_masses[i]`` on ``point(support[i])``
-    with label 0, realized by ``witness(support)``.  With ``pinned_first`` the
-    first entry is the fixed heavy index 1 and the rest come from 2..universe.
-    What every draw shares is built once, at construction: the integer law of
-    ``index_masses``, the example of every universe entry and the draw pool.
-    A universe past ``core.enumeration_budget()`` is refused before any of it.
+    Every drawn instance shares the family's ``law``, whose i-th mass it puts
+    on ``point(support[i])`` with label 0, realized by ``witness(support)``.
+    With ``pinned_first`` the first entry is the fixed heavy index 1 and the
+    rest come from 2..universe.  The example of every universe entry and the
+    draw pool are built once, at construction, after a universe past
+    ``core.enumeration_budget()`` is refused.
     """
 
     theorem: str
@@ -61,7 +61,7 @@ class InstanceFamily:
     d: Optional[int]
     universe: int
     n_max: Optional[int]
-    index_masses: IndexDistribution
+    law: core.IntegerLaw
     pinned_first: bool
     point: Callable[[int], core.Point]
     witness: Callable[[tuple[int, ...]], core.Hypothesis]
@@ -71,7 +71,6 @@ class InstanceFamily:
         examples = tuple(core.LabeledExample(self.point(a), core.ZERO)
                          for a in range(1, self.universe + 1))
         first = 2 if self.pinned_first else 1
-        object.__setattr__(self, "_law", core.IntegerLaw(self.index_masses))
         object.__setattr__(self, "_examples", examples)
         object.__setattr__(self, "_pool", tuple(range(first, self.universe + 1)))
 
@@ -80,7 +79,7 @@ class InstanceFamily:
         without replacement."""
         pinned = (1,) if self.pinned_first else ()
         rest = core.sample_without_replacement(
-            rng, self._pool, len(self.index_masses) - len(pinned))
+            rng, self._pool, len(self.law.masses) - len(pinned))
         return (*pinned, *rest)
 
     def instance_for(self, support: tuple[int, ...]) -> HardInstance:
@@ -89,7 +88,7 @@ class InstanceFamily:
         witness = self.witness(support)
         examples = self._examples
         atoms = tuple([examples[a - 1] for a in support])
-        distribution = core.FiniteDistribution(atoms, self._law, witness)
+        distribution = core.FiniteDistribution(atoms, self.law, witness)
         return HardInstance(
             theorem=self.theorem,
             cls=self.cls,
@@ -201,7 +200,7 @@ def thm2_family(gamma: Fraction, d: int, epsilon: Fraction, m_bound: int) -> Ins
         d=d,
         universe=universe,
         n_max=n_max,
-        index_masses=pinned_index_masses(d, epsilon),
+        law=core.IntegerLaw(pinned_index_masses(d, epsilon)),
         pinned_first=True,
         point=core.Point.nat,
         witness=cls.hypothesis,
@@ -279,7 +278,7 @@ def thm3_family(
         d=None,
         universe=universe,
         n_max=n_prime,
-        index_masses=uniform_index_masses(root),
+        law=core.IntegerLaw(uniform_index_masses(root)),
         pinned_first=False,
         point=partial(core.Point.pair, universe),
         witness=partial(cls.hypothesis, universe),
@@ -320,7 +319,7 @@ def thm5_family(gamma: Fraction, d: int, epsilon: Fraction) -> InstanceFamily:
         d=d,
         universe=universe,
         n_max=n_max,
-        index_masses=uniform_index_masses(universe - d + 1),
+        law=core.IntegerLaw(uniform_index_masses(universe - d + 1)),
         pinned_first=False,
         point=partial(core.Point.pair, universe),
         witness=partial(_complement_witness, cls, universe),

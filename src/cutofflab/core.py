@@ -4,10 +4,10 @@ Everything that a strict comparison like |h(x) - y| > gamma touches is a
 `fractions.Fraction`, so every loss value, mass, and threshold comparison in
 the package is exact, and `gamma_far` is the one test of that comparison.  A
 distribution holds one `LabeledExample` per atom, which every sample drawn
-from it shares, and an `IntegerLaw`, its masses once more as integers over
-one common denominator: validation, sampling thresholds and cutoff losses are
-integer arithmetic on that law, and a loss is still returned as an exact
-`Fraction`.  Distributions drawn from one family share one law.
+from it shares, and its masses once, as its `law`: integers over one common
+denominator, on which validation, sampling thresholds and cutoff losses are
+integer arithmetic, while a loss is still returned as an exact `Fraction`.
+Distributions drawn from one family share one law.
 Randomness is counter-based: every draw derives from a 64-bit master seed
 plus a stream index, so trials are order independent and bit-reproducible.
 """
@@ -137,10 +137,6 @@ class LabeledExample:
 TrainingSequence = tuple[LabeledExample, ...]
 
 
-def training_sequence(pairs) -> TrainingSequence:
-    return tuple(LabeledExample(p, Fraction(y)) for p, y in pairs)
-
-
 # ---------------------------------------------------------------------------
 # Colexicographic enumeration of fixed-size subsets
 # ---------------------------------------------------------------------------
@@ -204,11 +200,6 @@ class TableHypothesis:
 
     table: tuple[tuple[Point, Fraction], ...]
     default: Fraction = ZERO
-
-    @staticmethod
-    def from_dict(mapping, default=ZERO) -> "TableHypothesis":
-        items = tuple(sorted((p, Fraction(v)) for p, v in mapping.items()))
-        return TableHypothesis(items, Fraction(default))
 
     def value_at(self, point: Point) -> Fraction:
         for p, v in self.table:
@@ -608,37 +599,33 @@ class IntegerLaw:
 class FiniteDistribution:
     """Finite support of distinct-point examples with masses summing to one.
 
-    The k-th atom is the example atoms[k] with mass masses[k], and every
+    The k-th atom is the example atoms[k] with mass law.masses[k], and every
     sample drawn from the distribution shares these example objects.
-    `masses` may be given as an `IntegerLaw` built already, which the
-    distribution then shares instead of validating its masses again; either
-    way it holds its masses' law as `_law`.
+    Distributions drawn from one family share the family's `law`.
     """
 
     atoms: tuple[LabeledExample, ...]
-    masses: tuple[Fraction, ...]
+    law: IntegerLaw
     witness: Optional[Hypothesis] = None
 
     def __post_init__(self):
-        atoms = tuple(self.atoms)
-        law = self.masses if isinstance(self.masses, IntegerLaw) else None
-        masses = tuple(self.masses) if law is None else law.masses
+        atoms, masses = tuple(self.atoms), self.law.masses
         if len(masses) != len(atoms):
             raise PreconditionError(f"need one mass per atom, got {len(masses)} for {len(atoms)}")
-        if law is None:
-            law = IntegerLaw(masses)
         object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "masses", law.masses)
-        object.__setattr__(self, "_law", law)
         points = [ex.point for ex in atoms]
         if len(set(points)) != len(points):
             raise PreconditionError("atom points must be distinct")
+
+    @property
+    def masses(self) -> tuple[Fraction, ...]:
+        return self.law.masses
 
     @staticmethod
     def from_triples(triples, witness=None) -> "FiniteDistribution":
         triples = tuple(triples)
         atoms = tuple(LabeledExample(p, y) for p, y, _ in triples)
-        return FiniteDistribution(atoms, tuple(m for _, _, m in triples), witness)
+        return FiniteDistribution(atoms, IntegerLaw(tuple(m for _, _, m in triples)), witness)
 
 
 def gamma_far(a: Fraction, b: Fraction, gamma: Fraction) -> bool:
@@ -657,7 +644,7 @@ def cutoff_loss(predictor: Predictor, dist: FiniteDistribution, gamma: Fraction)
     """Probability mass on which the prediction is `gamma_far` from the label,
     summed as integer weights over the distribution's common denominator."""
     gamma = _exact(gamma)
-    law = dist._law
+    law = dist.law
     total = 0
     for ex, weight in zip(dist.atoms, law.weights):
         if gamma_far(predictor(ex.point), ex.label, gamma):
@@ -724,7 +711,7 @@ def sample_iid(
     """
     if n < 0:
         raise PreconditionError("sample size must be >= 0")
-    law = dist._law
+    law = dist.law
     raw = rng_for(seed, stream).getrandbits(64 * n).to_bytes(8 * n, "little")
     tops = raw[7::8].translate(law.top_byte_atoms)
     picks = list(tops)

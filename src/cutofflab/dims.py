@@ -248,9 +248,6 @@ class OneInclusionGraph:
     vertices: tuple[Vertex, ...]
     edges: dict[EdgeKey, tuple[Vertex, ...]]
 
-    def edge_key(self, vertex: Vertex, coord: int) -> EdgeKey:
-        return (coord, vertex[:coord] + vertex[coord + 1 :])
-
 
 Orientation = dict[EdgeKey, Vertex]
 

@@ -2,11 +2,11 @@
 
 The learner classes at the end of this module are the learner interface: each
 declares its ``sample_arity`` and turns that many training samples into a
-predictor (callable Point -> Fraction) through ``predictor(samples)``.  A
-learner may also give ``seen_blocks(samples)``: the blocks its interpolator
-calls read, when it reads each block only through its set of distinct
-examples, or None; the exact oracle in ``mc`` then fits each distinct tuple
-of seen sets once.  An
+predictor (callable Point -> Fraction) through ``predictor(samples)``, which
+fits its interpolator on exactly the blocks ``seen_blocks(samples)`` gives.
+``reads_seen_sets(learner)`` says whether that interpolator reads each block
+only through its set of distinct examples; the exact oracle in ``mc`` admits
+only such learners, and fits each distinct tuple of seen sets once.  An
 interpolator is a ``sample -> hypothesis`` fitter.  Proper rules (order
 statistics, the median) return one of their inputs; the mean stays inside the
 input range.  Everything is deterministic given its inputs and seeds.
@@ -72,13 +72,21 @@ class Mean:
 AggregationRule = OrderStatistic | Median | Mean
 
 
+def _check_arity(rule: AggregationRule, m: int) -> None:
+    """Refuse a rule that cannot combine m values: a median of an even count,
+    or an order statistic outside 1..m."""
+    if isinstance(rule, Median) and m % 2 == 0:
+        raise PreconditionError("median aggregation needs an odd number of hypotheses")
+    if isinstance(rule, OrderStatistic) and not 1 <= rule.rank <= m:
+        raise PreconditionError(f"order statistic {rule.rank} out of range for m={m}")
+
+
 def aggregate(rule: AggregationRule, hypotheses: Sequence) -> core.Predictor:
     """Pointwise application of the rule to the hypotheses' values."""
     hs = tuple(hypotheses)
     if not hs:
         raise PreconditionError("cannot aggregate zero hypotheses")
-    if isinstance(rule, Median) and len(hs) % 2 == 0:
-        raise PreconditionError("median aggregation needs an odd number of hypotheses")
+    _check_arity(rule, len(hs))
 
     def predictor(x: core.Point) -> Fraction:
         return rule.combine([h(x) for h in hs])
@@ -206,9 +214,11 @@ def adversarial_interpolator(cert, sample: core.TrainingSequence) -> core.Hypoth
     return h
 
 
-def _reads_seen_sets(interpolator: Interpolator) -> bool:
-    """Whether the interpolator reads a sample only through its set of
-    distinct examples: the two interpolators above, bound or not."""
+def reads_seen_sets(learner) -> bool:
+    """Whether the learner's interpolator reads a sample only through its set
+    of distinct examples: the two interpolators above, bound or not.  A
+    learner with no `interpolator` does not."""
+    interpolator = getattr(learner, "interpolator", None)
     if isinstance(interpolator, functools.partial):
         interpolator = interpolator.func
     return interpolator in (generic_interpolator, adversarial_interpolator)
@@ -226,10 +236,10 @@ class SingleInterpolator:
     sample_arity = 1
 
     def seen_blocks(self, samples):
-        return samples if _reads_seen_sets(self.interpolator) else None
+        return samples
 
     def predictor(self, samples) -> core.Predictor:
-        (sample,) = samples
+        (sample,) = self.seen_blocks(samples)
         return self.interpolator(sample).value_at
 
 
@@ -240,10 +250,10 @@ class MedianOfThree:
     sample_arity = 3
 
     def seen_blocks(self, samples):
-        return samples if _reads_seen_sets(self.interpolator) else None
+        return samples
 
     def predictor(self, samples) -> core.Predictor:
-        s1, s2, s3 = samples
+        s1, s2, s3 = self.seen_blocks(samples)
         return aggregate(Median(), [self.interpolator(s) for s in (s1, s2, s3)])
 
 
@@ -258,15 +268,16 @@ class InterpolatorAggregation:
 
     sample_arity = 1
 
-    def _blocks(self, samples):
+    def __post_init__(self):
+        # every partitioner splits a sample into exactly m blocks
+        _check_arity(self.rule, self.partitioner.m)
+
+    def seen_blocks(self, samples):
         (sample,) = samples
         return self.partitioner.split(tuple(sample))
 
-    def seen_blocks(self, samples):
-        return self._blocks(samples) if _reads_seen_sets(self.interpolator) else None
-
     def predictor(self, samples) -> core.Predictor:
-        return aggregate(self.rule, [self.interpolator(block) for block in self._blocks(samples)])
+        return aggregate(self.rule, [self.interpolator(block) for block in self.seen_blocks(samples)])
 
 
 def ProperERM(cls, gamma=None) -> SingleInterpolator:

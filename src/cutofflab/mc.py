@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import core
+from . import core, learners
 from .adversaries import HardInstance, InstanceFamily
 from .errors import BudgetExceededError, PreconditionError
 
@@ -50,12 +50,11 @@ class ScalingFit:
 def exact_loss_distribution(learner, instance: HardInstance, n: int) -> list[tuple[Fraction, Fraction]]:
     """(probability, loss) pairs over every weighted sample tuple.
 
-    Enumerates support^(n * arity) sequences, so the learner must be
-    deterministic given its samples; a three-sample learner enumerates the
-    triple product.  A learner whose `seen_blocks` gives the blocks its
-    interpolator calls read is fitted and scored once per distinct tuple of
-    the blocks' seen sets, and every sequence with that tuple shares the
-    loss; any other learner is fitted once per sequence.
+    Enumerates support^(n * arity) sequences; a three-sample learner
+    enumerates the triple product.  The learner must pass
+    `learners.reads_seen_sets`, as its fit then depends only on the seen sets
+    of its `seen_blocks`: it is fitted and scored once per distinct tuple of
+    them, and every sequence with that tuple shares the loss.
     """
     dist = instance.distribution
     arity = learner.sample_arity
@@ -69,10 +68,11 @@ def exact_loss_distribution(learner, instance: HardInstance, n: int) -> list[tup
         raise BudgetExceededError(f"oracle would enumerate {support}^{total_len} sequences")
     # a one-atom law has one sequence of any length, which the budget above passes
     core._budgeted("draws per trial", total_len)
-    law = dist._law
-    weights = law.weights
-    denominator = law.denominator**total_len
-    seen_blocks = getattr(learner, "seen_blocks", lambda samples: None)
+    if not learners.reads_seen_sets(learner):
+        raise PreconditionError(
+            "the exact oracle needs an interpolator that reads only seen sets")
+    weights = dist.law.weights
+    denominator = dist.law.denominator**total_len
     losses: dict[tuple, Fraction] = {}
     out = []
     for combo in itertools.product(range(support), repeat=total_len):
@@ -80,15 +80,12 @@ def exact_loss_distribution(learner, instance: HardInstance, n: int) -> list[tup
         if weight == 0:
             continue
         samples = tuple(combo[j * n : (j + 1) * n] for j in range(arity))
-        blocks = seen_blocks(samples)
-        key = None if blocks is None else tuple(frozenset(b) for b in blocks)
-        loss = losses.get(key)  # no loss is kept under None
+        key = tuple(frozenset(b) for b in learner.seen_blocks(samples))
+        loss = losses.get(key)
         if loss is None:
             # the distribution's own examples, shared by every sequence as by sample_iid
             examples = tuple(tuple(dist.atoms[k] for k in s) for s in samples)
-            loss = core.cutoff_loss(learner.predictor(examples), dist, instance.gamma)
-            if key is not None:
-                losses[key] = loss
+            loss = losses[key] = core.cutoff_loss(learner.predictor(examples), dist, instance.gamma)
         out.append((Fraction(weight, denominator), loss))
     return out
 

@@ -13,9 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import core
 from .errors import BudgetExceededError, PreconditionError
 
 STAR = "*"
@@ -106,12 +104,6 @@ def partial_vc_dimension(cls: PartialClass) -> int:
     if not family:
         return 0
     return max(mask.bit_count() for mask in family)
-
-
-def shattering_strength(cls: PartialClass) -> int:
-    """Number of shattered domain subsets; the empty set counts whenever the
-    class is nonempty, and the empty class has strength 0."""
-    return len(cls.shattered_family)
 
 
 def ln_disambiguation_bound(d: int, n: int) -> float:
@@ -215,32 +207,6 @@ def disambiguate(cls: PartialClass) -> PartialClass:
         if STAR in bar or not agrees:  # pragma: no cover - internal check
             raise AssertionError("greedy disambiguation left a star or violated agreement")
     return PartialClass(n, tuple(out))
-
-
-def loss_pattern_reduction(cls, examples, gamma: Fraction) -> PartialClass:
-    """Partial concepts recording each hypothesis's loss pattern on examples:
-    '0' exact match, '*' a nonzero error within gamma, '1' an error beyond
-    gamma.  The VC dimension of the result is at most the gamma-graph
-    dimension of the source class."""
-    examples = tuple(examples)
-    gamma = Fraction(gamma)
-    check_domain_size(len(examples))
-    rows = set()
-    for h in cls.hypotheses:
-        chars = []
-        for ex in examples:
-            try:
-                value = h.value_at(ex.point)
-            except core.DomainMismatchError:
-                value = None  # off its domain a hypothesis counts as far
-            if value == ex.label:
-                chars.append("0")
-            elif value is None or core.gamma_far(value, ex.label, gamma):
-                chars.append("1")
-            else:
-                chars.append(STAR)
-        rows.add("".join(chars))
-    return PartialClass(len(examples), tuple(rows))
 
 
 # ---------------------------------------------------------------------------

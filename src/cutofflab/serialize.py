@@ -169,23 +169,6 @@ def class_from_json(obj):
     raise ParseError(f"unknown class kind {obj!r}")
 
 
-def distribution_to_json(dist: core.FiniteDistribution):
-    out = {
-        "kind": "finite_distribution",
-        "atoms": [
-            {
-                "point": point_to_json(ex.point),
-                "label": rational_to_str(ex.label),
-                "mass": rational_to_str(mass),
-            }
-            for ex, mass in zip(dist.atoms, dist.masses)
-        ],
-    }
-    if dist.witness is not None:
-        out["witness"] = hypothesis_to_json(dist.witness)
-    return out
-
-
 def distribution_from_json(obj) -> core.FiniteDistribution:
     try:
         triples = [

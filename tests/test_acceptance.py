@@ -16,6 +16,8 @@ import pytest
 from cutofflab import adversaries, core, dims, experiments, learners, mc
 from cutofflab import partial as pc
 
+import helpers
+
 NAT = core.Point.nat
 HALF = F(1, 2)
 SEED = 20260809
@@ -261,7 +263,11 @@ def test_criterion_9_oracle_agreement_and_coupling():
     start = time.perf_counter()
     problems = []
     for idx, (instance, learner, n) in enumerate(_small_instances()):
-        exact = mc.exact_expected_loss(learner, instance, n)
+        if learners.reads_seen_sets(learner):
+            exact = mc.exact_expected_loss(learner, instance, n)
+        else:  # the oracle refuses these, so the plain enumeration scores them
+            pairs = helpers.reference_loss_distribution(learner, instance, n)
+            exact = sum((w * l for w, l in pairs), F(0))
         est = mc.mc_expected_loss(learner, instance, n, 200, seed=SEED + idx)
         tol = max(3 * est.stderr, 1e-12)
         if abs(est.mean - float(exact)) > tol:
@@ -280,7 +286,7 @@ def test_criterion_9_oracle_agreement_and_coupling():
             coupling = {}
             for t_vec in iproduct(range(d), repeat=n):
                 seq = tuple(support[t] for t in t_vec)
-                w = math.prod((fam.index_masses[t] for t in t_vec), start=F(1))
+                w = math.prod((fam.law.masses[t] for t in t_vec), start=F(1))
                 coupling[seq] = coupling.get(seq, F(0)) + w
             direct = {}
             weighted = zip(inst.distribution.atoms, inst.distribution.masses)

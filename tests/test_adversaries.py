@@ -54,7 +54,7 @@ class TestThm2Family:
         fam = adversaries.thm2_family(HALF, 2, F(1, 64), 3)
         assert fam.universe == 14
         assert fam.n_max == 1
-        assert fam.index_masses == (F(3, 4), F(1, 4))
+        assert fam.law.masses == (F(3, 4), F(1, 4))
 
     def test_universe_formula(self):
         # ceil(2 d m + d/4 + 1) for a few parameter sets
@@ -115,8 +115,8 @@ class TestThm3Family:
     def test_explicit_universe_override(self):
         fam = adversaries.thm3_family(HALF, HALF, 4, 3, universe=784)
         assert fam.universe == 784
-        assert len(fam.index_masses) == 28
-        assert sum(fam.index_masses) == 1
+        assert len(fam.law.masses) == 28
+        assert sum(fam.law.masses) == 1
 
     def test_invalid_override_rejected(self):
         with pytest.raises(PreconditionError):
@@ -138,8 +138,8 @@ class TestThm5Family:
         fam = adversaries.thm5_family(HALF, 4, F(1, 256))
         assert fam.universe == 64
         assert fam.n_max == 12
-        assert len(fam.index_masses) == 61
-        assert fam.index_masses[0] == F(1, 61)
+        assert len(fam.law.masses) == 61
+        assert fam.law.masses[0] == F(1, 61)
 
     def test_universe_exceeds_2d_plus_1(self):
         for d, eps in ((2, F(1, 200)), (4, F(1, 256)), (3, F(1, 300))):
@@ -185,13 +185,18 @@ class TestFamilyLaw:
         for t in range(50):
             support = fam.draw_support(core.rng_for(21, t))
             dist = fam.instance_for(support).distribution
-            triples = [(fam.point(a), 0, m) for a, m in zip(support, fam.index_masses)]
+            triples = [(fam.point(a), 0, m) for a, m in zip(support, fam.law.masses)]
             ref = core.FiniteDistribution.from_triples(triples, fam.witness(support))
             assert dist == ref
-            assert dist._law.weights == ref._law.weights
-            assert dist._law.denominator == ref._law.denominator
-            assert dist._law.thresholds == ref._law.thresholds
+            assert dist.law.weights == ref.law.weights
+            assert dist.law.denominator == ref.law.denominator
+            assert dist.law.thresholds == ref.law.thresholds
             assert core.sample_iid(dist, 40, 9, t) == core.sample_iid(ref, 40, 9, t)
+
+    def test_drawn_distribution_shares_the_family_law(self, theorem):
+        fam = FAMILIES[theorem]()
+        for t in range(5):
+            assert fam.draw_instance(core.rng_for(22, t)).distribution.law is fam.law
 
     def test_support_outside_the_universe_refused(self, theorem):
         fam = FAMILIES[theorem]()
@@ -219,7 +224,7 @@ class TestCoupledSampling:
         fam = adversaries.thm2_family(HALF, d, eps, 1)
         support = fam.draw_support(core.rng_for(4, d))
         inst = fam.instance_for(support)
-        masses = fam.index_masses
+        masses = fam.law.masses
         for n in (1, 2, 3):
             coupling = self._coupling_pmf(support, masses, n)
             prod_pmf = {}

@@ -18,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from cutofflab import adversaries, cli, core, experiments, learners, mc, serialize
 
+import helpers
+
 
 @pytest.fixture
 def cantor_file(tmp_path):
@@ -32,7 +34,7 @@ class TestDims:
         assert "graph_dim: 2" in capsys.readouterr().out
 
     def test_singleton_class(self, tmp_path, capsys):
-        h = core.TableHypothesis.from_dict({core.Point.nat(1): F(0)})
+        h = helpers.table_hypothesis({core.Point.nat(1): F(0)})
         path = tmp_path / "single.json"
         serialize.dump_json(
             serialize.class_to_json(core.FiniteClass((h,))), path
@@ -46,9 +48,9 @@ class TestDims:
         nat = core.Point.nat
         cls = core.FiniteClass((
             core.CantorHypothesis(frozenset({3}), F(3, 4)),
-            core.TableHypothesis.from_dict({nat(1): F(0), nat(2): F(0)}),
-            core.TableHypothesis.from_dict({nat(1): F(1), nat(2): F(0)}),
-            core.TableHypothesis.from_dict({nat(1): F(0), nat(2): F(1)}),
+            helpers.table_hypothesis({nat(1): F(0), nat(2): F(0)}),
+            helpers.table_hypothesis({nat(1): F(1), nat(2): F(0)}),
+            helpers.table_hypothesis({nat(1): F(0), nat(2): F(1)}),
         ))
         path = tmp_path / "finite.json"
         serialize.dump_json(serialize.class_to_json(cls), path)
@@ -118,7 +120,7 @@ class TestOig:
         # all 32 0/1 vectors on 5 points: 80 two-member edges, 2**80 orientations
         points = [core.Point.nat(i) for i in range(1, 6)]
         cls = core.FiniteClass(tuple(
-            core.TableHypothesis.from_dict(dict(zip(points, bits)))
+            helpers.table_hypothesis(dict(zip(points, bits)))
             for bits in itertools.product((0, 1), repeat=5)
         ))
         path = tmp_path / "cube.json"
@@ -152,7 +154,7 @@ def _oig_out(vertices, edges, greedy, subgraphs, best=None):
 
 
 _CUBE = core.FiniteClass(tuple(
-    core.TableHypothesis.from_dict(dict(zip((core.Point.nat(i) for i in range(1, 6)), bits)))
+    helpers.table_hypothesis(dict(zip((core.Point.nat(i) for i in range(1, 6)), bits)))
     for bits in itertools.product((0, 1), repeat=5)
 ))
 
@@ -283,7 +285,7 @@ def _estimate_config(**overrides):
     )
     config = {
         "class": serialize.class_to_json(cls),
-        "distribution": serialize.distribution_to_json(dist),
+        "distribution": helpers.distribution_to_json(dist),
         "gamma": "1/2",
         "n": 6,
         "trials": 32,
@@ -456,7 +458,7 @@ class TestEstimate:
         # the Cantor member, which is undefined at a pair point
         cls = core.FiniteClass((
             core.CantorHypothesis(frozenset({1}), F(3, 4)),
-            core.TableHypothesis.from_dict({core.Point.pair(4, 1): F(0)}, default=F(1)),
+            helpers.table_hypothesis({core.Point.pair(4, 1): F(0)}, default=F(1)),
         ))
         config = _agg(partition={"kind": "disjoint", "m": 3})
         config.update(
@@ -488,6 +490,27 @@ class TestEstimate:
         captured = capsys.readouterr()
         assert captured.out == "" and _one_line_refusal(captured.err)
         assert captured.err.startswith(f"budget exceeded: {message} exceeds budget 200000")
+
+    @pytest.mark.parametrize(
+        ("keys", "message"),
+        [
+            ({"partition": {"kind": "disjoint", "m": 2}},
+             "median aggregation needs an odd number of hypotheses"),
+            ({"partition": {"kind": "disjoint", "m": 3}, "rule": {"order": 5}},
+             "order statistic 5 out of range for m=3"),
+            ({"partition": {"kind": "disjoint", "m": 3}, "rule": {"order": 0}},
+             "order statistic 0 out of range for m=3"),
+        ],
+        ids=["even-median", "order-above-m", "order-zero"],
+    )
+    def test_rule_the_blocks_cannot_feed_exits_4_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, keys, message
+    ):
+        _no_trial(monkeypatch)
+        assert _run_estimate(tmp_path, _agg(**keys)) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_refusal(captured.err)
+        assert captured.err == f"precondition violated: {message}\n"
 
     def test_learner_config_is_required(self, tmp_path, capsys):
         # the learner keys at the top level of the file are not read
@@ -624,7 +647,7 @@ class TestSerialization:
             core.SplitCantorClass(F(1, 3), core.SQRT_SIZE, None, 9),
             core.SplitCantorClass(F(1, 2), core.D_MINUS_ONE_COMPLEMENT, 3, 7),
             core.FiniteClass(
-                (core.TableHypothesis.from_dict({core.Point.nat(1): F(1, 3)}),)
+                (helpers.table_hypothesis({core.Point.nat(1): F(1, 3)}),)
             ),
         ):
             assert serialize.class_from_json(serialize.class_to_json(cls)) == cls
@@ -637,7 +660,7 @@ class TestSerialization:
             witness=witness,
         )
         assert (
-            serialize.distribution_from_json(serialize.distribution_to_json(dist))
+            serialize.distribution_from_json(helpers.distribution_to_json(dist))
             == dist
         )
 

@@ -13,6 +13,8 @@ import pytest
 
 from cutofflab import core, learners, mc, adversaries
 
+import helpers
+
 NAT = core.Point.nat
 PAIR = core.Point.pair
 HALF = F(1, 2)
@@ -116,7 +118,7 @@ def test_unique_value_inversion_round_trip_large_blocks():
 
 def test_large_universe_fit_is_colex_minimal_superset():
     cls = core.SplitCantorClass(HALF, core.SQRT_SIZE, None, 784)
-    sample = core.training_sequence(
+    sample = helpers.training_sequence(
         [(PAIR(784, 300), 0), (PAIR(784, 7), 0), (PAIR(784, 501), 0)]
     )
     h = learners.generic_interpolator(cls, sample)
@@ -135,12 +137,12 @@ def test_large_universe_fit_is_colex_minimal_superset():
 def test_nonzero_label_pins_unique_hypothesis_large_universe():
     cls = core.SplitCantorClass(HALF, core.D_MINUS_ONE_COMPLEMENT, 4, 64)
     target = cls.hypothesis(64, {10, 20, 30})
-    sample = core.training_sequence(
+    sample = helpers.training_sequence(
         [(PAIR(64, 10), target.value), (PAIR(64, 1), 0)]
     )
     assert cls.first_consistent(sample) == target
     # contradicting the pinned hypothesis yields no match
-    bad = core.training_sequence(
+    bad = helpers.training_sequence(
         [(PAIR(64, 10), target.value), (PAIR(64, 20), 0)]
     )
     assert cls.first_consistent(bad) is None

@@ -17,6 +17,8 @@ from cutofflab.errors import (
     PreconditionError,
 )
 
+import helpers
+
 NAT = core.Point.nat
 PAIR = core.Point.pair
 SQRT9 = core.SplitCantorClass(F(1, 2), core.SQRT_SIZE, None, 9)
@@ -25,7 +27,7 @@ COMPLEMENT36 = core.SplitCantorClass(F(1, 2), core.D_MINUS_ONE_COMPLEMENT, 3, 6)
 
 def two_point_predictor(values):
     table = {NAT(i + 1): F(v) for i, v in enumerate(values)}
-    return core.TableHypothesis.from_dict(table)
+    return helpers.table_hypothesis(table)
 
 
 class TestEval:
@@ -261,7 +263,7 @@ class TestSampling:
 
         # the table: the atom of a whole top-byte bucket, 255 where the atom
         # changes inside the bucket or is 255 or more
-        for t, entry in enumerate(dist._law.top_byte_atoms):
+        for t, entry in enumerate(dist.law.top_byte_atoms):
             low, high = atom(t << 56), atom(((t + 1) << 56) - 1)
             assert entry == (low if low == high and low < 255 else 255)
         # the reference sampler: one getrandbits(64) and one bisect per draw
@@ -441,7 +443,7 @@ class TestIsRealizable:
     def test_present_when_labeled_by_member(self):
         cls = core.CantorClass(F(1, 2), 2, 5)
         h = cls.hypothesis({2, 4})
-        sample = core.training_sequence(
+        sample = helpers.training_sequence(
             [(NAT(2), 0), (NAT(1), h.value), (NAT(4), 0)]
         )
         found = cls.first_consistent(sample)
@@ -449,13 +451,13 @@ class TestIsRealizable:
 
     def test_absent_on_conflicting_labels(self):
         cls = core.CantorClass(F(1, 2), 2, 5)
-        sample = core.training_sequence([(NAT(1), 0), (NAT(1), F(3, 4))])
+        sample = helpers.training_sequence([(NAT(1), 0), (NAT(1), F(3, 4))])
         assert cls.first_consistent(sample) is None
 
     def test_first_in_enumeration_matches_exhaustive_oracle(self):
         # oracle: scan all C(4,2) hypotheses explicitly
         cls = core.CantorClass(F(1, 2), 2, 4)
-        sample = core.training_sequence([(NAT(1), 0)])
+        sample = helpers.training_sequence([(NAT(1), 0)])
         oracle = None
         for members in sorted(combinations(range(1, 5), 2), key=lambda t: t[::-1]):
             h = cls.hypothesis(members)
@@ -469,7 +471,7 @@ class TestIsRealizable:
     def test_split_complement_realizability(self):
         cls = core.SplitCantorClass(F(1, 2), core.D_MINUS_ONE_COMPLEMENT, 3, 6)
         witness = cls.hypothesis(6, {5, 6})
-        sample = core.training_sequence([(PAIR(6, 1), 0), (PAIR(6, 2), 0)])
+        sample = helpers.training_sequence([(PAIR(6, 1), 0), (PAIR(6, 2), 0)])
         found = cls.first_consistent(sample)
         # oracle: first consistent hypothesis over the full enumeration
         oracle = next(
@@ -489,9 +491,9 @@ class TestIsRealizable:
         cls = core.SplitCantorClass(F(1, 2), core.SQRT_SIZE, None, 9)
         for sample in (
             (),
-            core.training_sequence([(PAIR(9, 4), 0)]),
-            core.training_sequence([(PAIR(4, 1), 0), (PAIR(4, 2), 0)]),
-            core.training_sequence([(PAIR(4, 1), 0), (PAIR(9, 2), 0)]),
+            helpers.training_sequence([(PAIR(9, 4), 0)]),
+            helpers.training_sequence([(PAIR(4, 1), 0), (PAIR(4, 2), 0)]),
+            helpers.training_sequence([(PAIR(4, 1), 0), (PAIR(9, 2), 0)]),
         ):
             found = cls.first_consistent(sample)
             oracle = next(
@@ -510,8 +512,8 @@ class TestFiniteClass:
     table members, defined everywhere.  Members are tried in list order."""
 
     CANTOR = core.CantorHypothesis(frozenset({1}), F(3, 4))
-    PAIR_TABLE = core.TableHypothesis.from_dict({PAIR(4, 1): F(0)}, default=F(1))
-    NAT_TABLE = core.TableHypothesis.from_dict({NAT(1): F(0), NAT(2): F(1, 2)}, default=F(1))
+    PAIR_TABLE = helpers.table_hypothesis({PAIR(4, 1): F(0)}, default=F(1))
+    NAT_TABLE = helpers.table_hypothesis({NAT(1): F(0), NAT(2): F(1, 2)}, default=F(1))
     MIXED = core.FiniteClass((CANTOR, PAIR_TABLE, NAT_TABLE))
 
     @pytest.mark.parametrize(
@@ -525,7 +527,7 @@ class TestFiniteClass:
         ],
     )
     def test_first_consistent(self, labels, expected):
-        sample = core.training_sequence(labels)
+        sample = helpers.training_sequence(labels)
         assert self.MIXED.first_consistent(sample) == expected
         # oracle: the first member defined and exact on every example
         def fits(h):
@@ -574,7 +576,7 @@ class TestValidation:
     def test_one_mass_per_atom(self, masses):
         atoms = (core.LabeledExample(NAT(1), F(0)), core.LabeledExample(NAT(2), F(0)))
         with pytest.raises(PreconditionError, match="one mass per atom"):
-            core.FiniteDistribution(atoms, masses)
+            core.FiniteDistribution(atoms, core.IntegerLaw(masses))
 
     @pytest.mark.parametrize(
         "build,digest",
@@ -596,12 +598,12 @@ class TestValidation:
     )
     def test_distribution_json_round_trip_is_byte_identical(self, build, digest):
         dist = build().distribution
-        text = json.dumps(serialize.distribution_to_json(dist), sort_keys=True)
+        text = json.dumps(helpers.distribution_to_json(dist), sort_keys=True)
         # the bytes this record had when each atom carried its own mass
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         again = serialize.distribution_from_json(json.loads(text))
         assert again == dist
-        assert json.dumps(serialize.distribution_to_json(again), sort_keys=True) == text
+        assert json.dumps(helpers.distribution_to_json(again), sort_keys=True) == text
 
     def test_pair_point_range(self):
         with pytest.raises(PreconditionError):

@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from cutofflab import core, dims, experiments
 from cutofflab.errors import BudgetExceededError, PreconditionError
 
+import helpers
+
 NAT = core.Point.nat
 PAIR = core.Point.pair
 HALF = F(1, 2)
@@ -19,7 +21,7 @@ HALF = F(1, 2)
 def table_class(vectors, pool):
     """Finite class of table hypotheses over a fixed pool of points."""
     hs = tuple(
-        core.TableHypothesis.from_dict({p: F(v) for p, v in zip(pool, vec)})
+        helpers.table_hypothesis({p: F(v) for p, v in zip(pool, vec)})
         for vec in vectors
     )
     return core.FiniteClass(hs)
@@ -127,7 +129,7 @@ def random_class(rng, pool, gamma, partial_share=0.0):
             kept = rng.sample(sorted(table), rng.randrange(0, len(table) + 1))
             hs.append(PartialTable(tuple(sorted((p, table[p]) for p in kept))))
         else:
-            hs.append(core.TableHypothesis.from_dict(table))
+            hs.append(helpers.table_hypothesis(table))
     return core.FiniteClass(tuple(hs))
 
 
@@ -185,7 +187,7 @@ class TestAgainstFractionDefinition:
                     sum(
                         1
                         for i in range(len(pool))
-                        if abs(values(sub, orientation[sub.edge_key(v, i)])[i] - values(sub, v)[i])
+                        if abs(values(sub, orientation[helpers.edge_key(v, i)])[i] - values(sub, v)[i])
                         > gamma
                     )
                     for v in sub.vertices
@@ -242,7 +244,7 @@ class TestIntegerGraph:
                     (
                         sum(
                             core.gamma_far(
-                                values(sub, orientation[sub.edge_key(v, i)])[i],
+                                values(sub, orientation[helpers.edge_key(v, i)])[i],
                                 values(sub, v)[i],
                                 g,
                             )
@@ -430,7 +432,7 @@ class TestOrientations:
         orientation = dims.orient_smallest_value(graph)
         zero_vec = vertex(graph, 0, 0)
         for i in range(2):
-            key = graph.edge_key(zero_vec, i)
+            key = helpers.edge_key(zero_vec, i)
             assert orientation[key] == zero_vec
         assert dims.max_gamma_outdegree(graph, orientation, HALF) <= 1
 
@@ -447,7 +449,7 @@ class TestOrientations:
         cls = table_class([(0, F(1, 4)), (0, F(3, 4))], pool)
         graph = dims.build_oig(cls, pool)
         orientation = dims.orient_smallest_value(graph)
-        key = graph.edge_key(vertex(graph, 0, F(3, 4)), 1)
+        key = helpers.edge_key(vertex(graph, 0, F(3, 4)), 1)
         assert [values(graph, m) for m in graph.edges[key]] == [(F(0), F(1, 4)), (F(0), F(3, 4))]
         assert values(graph, orientation[key]) == (F(0), F(1, 4))
 
@@ -463,7 +465,7 @@ class TestOrientations:
             away = sum(
                 1
                 for i in range(2)
-                if abs(values(graph, orientation[graph.edge_key(v, i)])[i] - values(graph, v)[i])
+                if abs(values(graph, orientation[helpers.edge_key(v, i)])[i] - values(graph, v)[i])
                 > HALF
             )
             assert away == 0
@@ -474,14 +476,14 @@ class TestOrientations:
         graph = dims.build_oig(cls, pool)
         far = vertex(graph, 0, F(3, 4))
         near = vertex(graph, 0, 0)
-        key = graph.edge_key(far, 1)
+        key = helpers.edge_key(far, 1)
         orientation = dims.orient_smallest_value(graph)
         orientation[key] = near  # points away from the gamma-far member
         # the far vertex loses its shared edge to a gamma-far target
         away = sum(
             1
             for i in range(2)
-            if abs(values(graph, orientation[graph.edge_key(far, i)])[i] - values(graph, far)[i])
+            if abs(values(graph, orientation[helpers.edge_key(far, i)])[i] - values(graph, far)[i])
             > HALF
         )
         assert away == 1

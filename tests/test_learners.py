@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from cutofflab import adversaries, core, dims, learners
 from cutofflab.errors import BudgetExceededError, NotRealizableError, PreconditionError
 
+import helpers
+
 NAT = core.Point.nat
 PAIR = core.Point.pair
 HALF = F(1, 2)
@@ -23,20 +25,20 @@ class TestGenericInterpolator:
     def test_unique_consistent_hypothesis(self):
         cls = core.CantorClass(HALF, 2, 4)
         target = cls.hypothesis({2, 4})
-        sample = core.training_sequence(
+        sample = helpers.training_sequence(
             [(NAT(2), 0), (NAT(4), 0), (NAT(1), target.value)]
         )
         assert learners.generic_interpolator(cls, sample) == target
 
     def test_smallest_colex_superset(self):
         cls = core.CantorClass(HALF, 2, 4)
-        sample = core.training_sequence([(NAT(1), 0)])
+        sample = helpers.training_sequence([(NAT(1), 0)])
         h = learners.generic_interpolator(cls, sample)
         assert sorted(h.members) == [1, 2]
 
     def test_not_realizable_raises(self):
         cls = core.CantorClass(HALF, 2, 4)
-        sample = core.training_sequence([(NAT(1), 0), (NAT(2), 0), (NAT(3), 0)])
+        sample = helpers.training_sequence([(NAT(1), 0), (NAT(2), 0), (NAT(3), 0)])
         with pytest.raises(NotRealizableError):
             learners.generic_interpolator(cls, sample)
 
@@ -91,26 +93,41 @@ class TestAdversarialInterpolator:
 class TestAggregationRules:
     def test_median_of_three_values(self):
         hs = [
-            core.TableHypothesis.from_dict({NAT(1): F(v)})
+            helpers.table_hypothesis({NAT(1): F(v)})
             for v in (F(1, 5), F(1, 2), F(9, 10))
         ]
         agg = learners.aggregate(learners.Median(), hs)
         assert agg(NAT(1)) == F(1, 2)
 
     def test_mean_inside_unit_interval(self):
-        hs = [core.TableHypothesis.from_dict({NAT(1): F(v)}) for v in (0, 1)]
+        hs = [helpers.table_hypothesis({NAT(1): F(v)}) for v in (0, 1)]
         agg = learners.aggregate(learners.Mean(), hs)
         assert agg(NAT(1)) == F(1, 2)
 
     def test_order_statistic_one_is_minimum(self):
-        hs = [core.TableHypothesis.from_dict({NAT(1): F(v)}) for v in (F(2, 3), F(1, 3))]
+        hs = [helpers.table_hypothesis({NAT(1): F(v)}) for v in (F(2, 3), F(1, 3))]
         agg = learners.aggregate(learners.OrderStatistic(1), hs)
         assert agg(NAT(1)) == F(1, 3)
 
     def test_median_even_arity_rejected(self):
-        hs = [core.TableHypothesis.from_dict({NAT(1): F(0)})] * 2
+        hs = [helpers.table_hypothesis({NAT(1): F(0)})] * 2
         with pytest.raises(PreconditionError):
             learners.aggregate(learners.Median(), hs)
+
+    @pytest.mark.parametrize(
+        ("partitioner", "rule", "message"),
+        [
+            (learners.DisjointBlocks(2), learners.Median(), "odd number of hypotheses"),
+            (learners.OverlappingWindows(4, 2), learners.Median(), "odd number of hypotheses"),
+            (learners.Bootstrap(2, 3), learners.Median(), "odd number of hypotheses"),
+            (learners.DisjointBlocks(3), learners.OrderStatistic(4), "order statistic 4 out of range"),
+            (learners.DisjointBlocks(3), learners.OrderStatistic(0), "order statistic 0 out of range"),
+        ],
+    )
+    def test_rule_the_blocks_cannot_feed_is_refused_when_built(self, partitioner, rule, message):
+        interp = bind(learners.generic_interpolator, core.CantorClass(HALF, 2, 4))
+        with pytest.raises(PreconditionError, match=message):
+            learners.InterpolatorAggregation(interp, partitioner, rule)
 
     @given(
         st.lists(
@@ -137,7 +154,7 @@ class TestAggregationRules:
     )
     @settings(max_examples=80, deadline=None)
     def test_properness_and_range(self, values, rank_pick):
-        hs = [core.TableHypothesis.from_dict({NAT(1): v}) for v in values]
+        hs = [helpers.table_hypothesis({NAT(1): v}) for v in values]
         rank = rank_pick % len(values) + 1
         out = learners.aggregate(learners.OrderStatistic(rank), hs)(NAT(1))
         assert out in set(values)
@@ -150,18 +167,18 @@ class TestAggregationRules:
 
 class TestPartitioners:
     def test_disjoint_blocks_cover_and_pad_early(self):
-        sample = core.training_sequence([(NAT(i), 0) for i in range(1, 8)])
+        sample = helpers.training_sequence([(NAT(i), 0) for i in range(1, 8)])
         blocks = learners.DisjointBlocks(3).split(sample)
         assert [len(b) for b in blocks] == [3, 2, 2]
         assert tuple(ex for b in blocks for ex in b) == sample
 
     def test_disjoint_blocks_allow_empty(self):
-        sample = core.training_sequence([(NAT(1), 0)])
+        sample = helpers.training_sequence([(NAT(1), 0)])
         blocks = learners.DisjointBlocks(3).split(sample)
         assert [len(b) for b in blocks] == [1, 0, 0]
 
     def test_overlapping_windows_stay_inside_sample(self):
-        sample = core.training_sequence([(NAT(i), 0) for i in range(1, 10)])
+        sample = helpers.training_sequence([(NAT(i), 0) for i in range(1, 10)])
         blocks = learners.OverlappingWindows(4, 3).split(sample)
         assert len(blocks) == 4
         for block in blocks:
@@ -170,7 +187,7 @@ class TestPartitioners:
                 assert ex in sample
 
     def test_bootstrap_is_seeded_and_from_sample(self):
-        sample = core.training_sequence([(NAT(i), 0) for i in range(1, 6)])
+        sample = helpers.training_sequence([(NAT(i), 0) for i in range(1, 6)])
         part = learners.Bootstrap(2, 4, seed=5)
         a = part.split(sample)
         b = part.split(sample)
@@ -249,6 +266,29 @@ class TestComposites:
         for i in range(1, 7):
             assert med(NAT(i)) == single.value_at(NAT(i))
 
+    @pytest.mark.parametrize(
+        "partitioner",
+        [learners.DisjointBlocks(3), learners.OverlappingWindows(3, 2), learners.Bootstrap(3, 2, 17)],
+        ids=["disjoint", "windows", "bootstrap"],
+    )
+    def test_predictor_fits_exactly_its_seen_blocks(self, partitioner):
+        calls = []
+
+        def recording(sample):
+            calls.append(sample)
+            return self.interp(sample)
+
+        samples = tuple(core.sample_iid(self.dist, 5, 6, stream=j) for j in (1, 2, 3))
+        for learner in (
+            learners.SingleInterpolator(recording),
+            learners.MedianOfThree(recording),
+            learners.InterpolatorAggregation(recording, partitioner, learners.Mean()),
+        ):
+            calls.clear()
+            arity_samples = samples[: learner.sample_arity]
+            learner.predictor(arity_samples)
+            assert calls == list(learner.seen_blocks(arity_samples))
+
     def test_two_of_three_correct_wins(self):
         h_good = self.witness
         h_bad = self.cls.hypothesis({1, 2})
@@ -273,13 +313,13 @@ class TestComposites:
 class TestProperErm:
     def test_realizable_gives_consistent(self):
         cls = core.CantorClass(HALF, 2, 5)
-        sample = core.training_sequence([(NAT(3), 0)])
+        sample = helpers.training_sequence([(NAT(3), 0)])
         h = learners.ProperERM(cls).predictor((sample,))
         assert all(h(ex.point) == ex.label for ex in sample)
 
     def test_thm5_class_avoids_observed_points(self):
         fam = adversaries.thm5_family(HALF, 4, F(1, 256))
-        sample = core.training_sequence(
+        sample = helpers.training_sequence(
             [(PAIR(64, 10), 0), (PAIR(64, 20), 0), (PAIR(64, 30), 0)]
         )
         h = learners.ProperERM(fam.cls).predictor((sample,))

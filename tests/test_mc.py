@@ -1,6 +1,5 @@
 """Exact oracles, Monte Carlo estimation, scaling fits, envelope checks."""
 
-import itertools
 import math
 from fractions import Fraction as F
 from functools import partial as bind
@@ -9,6 +8,8 @@ import pytest
 
 from cutofflab import adversaries, core, learners, mc
 from cutofflab.errors import BudgetExceededError, PreconditionError
+
+import helpers
 
 NAT = core.Point.nat
 HALF = F(1, 2)
@@ -48,14 +49,36 @@ class WitnessLearner:
         return self.witness.value_at
 
 
+def reference_expected_loss(learner, instance, n):
+    pairs = helpers.reference_loss_distribution(learner, instance, n)
+    return sum((w * l for w, l in pairs), core.ZERO)
+
+
+def _no_fit(*args):
+    raise AssertionError("the oracle scored a fit")
+
+
 class TestExactOracle:
     def test_witness_learner_zero(self):
         inst = fixed_instance()
-        assert mc.exact_expected_loss(WitnessLearner(inst.witness), inst, 3) == 0
+        assert reference_expected_loss(WitnessLearner(inst.witness), inst, 3) == 0
 
     def test_constant_far_predictor_one(self):
         inst = fixed_instance()
-        assert mc.exact_expected_loss(ConstantLearner(1), inst, 2) == 1
+        assert reference_expected_loss(ConstantLearner(1), inst, 2) == 1
+
+    def test_learner_without_a_seen_set_interpolator_is_refused(self, monkeypatch):
+        inst = fixed_instance()
+        monkeypatch.setattr(core, "cutoff_loss", _no_fit)
+        for learner in (WitnessLearner(inst.witness), ConstantLearner(1)):
+            assert not learners.reads_seen_sets(learner)
+            for oracle in (
+                mc.exact_loss_distribution,
+                mc.exact_expected_loss,
+                bind(mc.exact_exceed_probability, threshold=core.ZERO),
+            ):
+                with pytest.raises(PreconditionError, match="reads only seen sets"):
+                    oracle(learner, inst, 2)
 
     def test_thm1_reference_value(self):
         # hand-checkable: single block, min rule; sequences (5,5),(5,6),(6,5),(6,6)
@@ -111,7 +134,7 @@ def _thm1_oracle_cases():
 
 def _benchmark_oracle_cases():
     """The four exactly enumerable instances the benchmark's exact-dims
-    workload scores, and a learner fitted once per sequence."""
+    workload scores."""
     nat = core.Point.nat
     cls6 = core.CantorClass(HALF, 2, 6)
     w6 = cls6.hypothesis({5, 6})
@@ -136,8 +159,6 @@ def _benchmark_oracle_cases():
             inst6, 8, id="bootstrap",
         ),
         pytest.param(learners.ProperERM(split), inst_split, 5, id="proper_erm"),
-        pytest.param(learners.SingleInterpolator(lambda s: cls6.first_consistent(s)), inst6, 6,
-                     id="fitted-per-sequence"),
     ]
 
 
@@ -149,23 +170,6 @@ def test_loss_sums_equal_the_plain_fraction_sums(learner, inst, n):
     for threshold in thresholds:
         plain = sum((w for w, l in pairs if l > threshold), core.ZERO)
         assert mc.exact_exceed_probability(learner, inst, n, threshold) == plain
-
-
-def reference_loss_distribution(learner, instance, n):
-    """The exact oracle's plain enumeration: one fit per weighted sequence."""
-    dist = instance.distribution
-    arity = learner.sample_arity
-    weighted = list(zip(dist.masses, dist.atoms))
-    out = []
-    for combo in itertools.product(weighted, repeat=n * arity):
-        weight = math.prod((mass for mass, _ in combo), start=core.ONE)
-        if weight == core.ZERO:
-            continue
-        examples = [ex for _, ex in combo]
-        samples = tuple(tuple(examples[j * n : (j + 1) * n]) for j in range(arity))
-        predictor = learner.predictor(samples)
-        out.append((weight, core.cutoff_loss(predictor, dist, instance.gamma)))
-    return out
 
 
 def zero_mass_instance():
@@ -224,9 +228,8 @@ class TestSeenSetSharing:
 
     @pytest.mark.parametrize(("learner", "instance", "n"), list(_oracle_cases()))
     def test_pairs_equal_the_plain_enumeration(self, learner, instance, n):
-        assert mc.exact_loss_distribution(learner, instance, n) == reference_loss_distribution(
-            learner, instance, n
-        )
+        reference = helpers.reference_loss_distribution(learner, instance, n)
+        assert mc.exact_loss_distribution(learner, instance, n) == reference
 
     def test_zero_mass_atom_is_skipped(self):
         inst = zero_mass_instance()
@@ -235,7 +238,7 @@ class TestSeenSetSharing:
         assert len(pairs) == 2**3
         assert sum(w for w, _ in pairs) == 1
 
-    def test_order_reading_interpolator_is_fitted_per_sequence(self):
+    def test_order_reading_interpolator_is_refused(self, monkeypatch):
         inst = fixed_instance()
         cls = inst.cls
 
@@ -246,11 +249,15 @@ class TestSeenSetSharing:
             learner = learners.InterpolatorAggregation(
                 interp, learners.DisjointBlocks(1), learners.Median()
             )
-            assert learner.seen_blocks(((NAT(5),),)) is None
-            pairs = mc.exact_loss_distribution(learner, inst, 3)
-            assert pairs == reference_loss_distribution(learner, inst, 3)
-            # (5, 6, 6) and (6, 5, 5) share a seen set but not a first example
+            assert not learners.reads_seen_sets(learner)
+            pairs = helpers.reference_loss_distribution(learner, inst, 3)
+            # (5, 6, 6) and (6, 5, 5) share a seen set but not a first example,
+            # so no loss could be keyed by seen sets
             assert (pairs[3][1], pairs[4][1]) == (F(1, 4), F(3, 4))
+            with monkeypatch.context() as patched:
+                patched.setattr(core, "cutoff_loss", _no_fit)
+                with pytest.raises(PreconditionError, match="reads only seen sets"):
+                    mc.exact_loss_distribution(learner, inst, 3)
 
     def test_seen_blocks_gate(self):
         inst, adversary = thm1_setup()
@@ -263,7 +270,17 @@ class TestSeenSetSharing:
             samples
         ) == [(1, 0), (1,), (1,)]
         assert learners.ProperERM(inst.cls).seen_blocks(samples) == samples
-        assert learners.SingleInterpolator(inst.cls.first_consistent).seen_blocks(samples) is None
+        order_reader = learners.SingleInterpolator(inst.cls.first_consistent)
+        assert order_reader.seen_blocks(samples) is samples
+        for learner in (
+            learners.SingleInterpolator(generic),
+            learners.MedianOfThree(adversary),
+            learners.InterpolatorAggregation(generic, learners.DisjointBlocks(3)),
+            learners.ProperERM(inst.cls),
+        ):
+            assert learners.reads_seen_sets(learner)
+        assert not learners.reads_seen_sets(order_reader)
+        assert not learners.reads_seen_sets(ConstantLearner(0))
 
     def test_thm1_fits_each_seen_set_tuple_once(self, monkeypatch):
         inst, adversary = thm1_setup()
@@ -351,7 +368,7 @@ class TestMcEstimator:
         dist = core.FiniteDistribution.from_triples(
             [(NAT(1), 0, F(1, 4)), (NAT(2), 0, F(3, 4))]
         )
-        witness = core.TableHypothesis.from_dict({NAT(1): F(0), NAT(2): F(0)})
+        witness = helpers.table_hypothesis({NAT(1): F(0), NAT(2): F(0)})
         inst = adversaries.HardInstance(
             theorem="bern", cls=None, distribution=dist, witness=witness,
             gamma=HALF, epsilon=None, d=None, universe=None, n_max=None,

@@ -12,6 +12,8 @@ from cutofflab import core, dims
 from cutofflab import partial as pc
 from cutofflab.errors import BudgetExceededError, PreconditionError
 
+import helpers
+
 NAT = core.Point.nat
 HALF = F(1, 2)
 
@@ -50,7 +52,7 @@ class TestMasks:
 
         monkeypatch.setattr(pc, "_is_shattered", must_not_search)
         assert pc.partial_vc_dimension(cls) == 1
-        assert pc.shattering_strength(cls) == len(brute_force_shattered_subsets(cls))
+        assert helpers.shattering_strength(cls) == len(brute_force_shattered_subsets(cls))
         assert total.size() <= cls.size()
 
 
@@ -83,14 +85,14 @@ class TestVcDimension:
 
 class TestShatteringStrength:
     def test_nonempty_class_shattering_nothing_else(self):
-        assert pc.shattering_strength(pc.PartialClass(2, ("**",))) == 1
+        assert helpers.shattering_strength(pc.PartialClass(2, ("**",))) == 1
 
     def test_empty_class(self):
-        assert pc.shattering_strength(pc.PartialClass(2, ())) == 0
+        assert helpers.shattering_strength(pc.PartialClass(2, ())) == 0
 
     def test_full_cube_n2(self):
         cube = tuple("".join(bits) for bits in product("01", repeat=2))
-        assert pc.shattering_strength(pc.PartialClass(2, cube)) == 4
+        assert helpers.shattering_strength(pc.PartialClass(2, cube)) == 4
 
     def test_against_brute_force_oracle(self):
         rng = random.Random(7)
@@ -99,7 +101,7 @@ class TestShatteringStrength:
                 "".join(rng.choice("01*") for _ in range(5)) for _ in range(7)
             )
             cls = pc.PartialClass(5, rows)
-            assert pc.shattering_strength(cls) == len(brute_force_shattered_subsets(cls))
+            assert helpers.shattering_strength(cls) == len(brute_force_shattered_subsets(cls))
 
     def test_sauer_style_ceiling(self):
         rng = random.Random(9)
@@ -110,7 +112,7 @@ class TestShatteringStrength:
             cls = pc.PartialClass(6, rows)
             d = pc.partial_vc_dimension(cls)
             ceiling = sum(math.comb(6, i) for i in range(d + 1))
-            assert pc.shattering_strength(cls) <= ceiling
+            assert helpers.shattering_strength(cls) <= ceiling
 
     @given(st.lists(st.text(alphabet="01*", min_size=4, max_size=4), min_size=1, max_size=12),
            st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=1))
@@ -119,9 +121,9 @@ class TestShatteringStrength:
         cls = pc.PartialClass(4, tuple(rows))
         kept0 = tuple(c for c in cls.concepts if c[x] == "0")
         kept1 = tuple(c for c in cls.concepts if c[x] == "1")
-        s = pc.shattering_strength(cls)
-        s0 = pc.shattering_strength(pc.PartialClass(4, kept0))
-        s1 = pc.shattering_strength(pc.PartialClass(4, kept1))
+        s = helpers.shattering_strength(cls)
+        s0 = helpers.shattering_strength(pc.PartialClass(4, kept0))
+        s1 = helpers.shattering_strength(pc.PartialClass(4, kept1))
         assert s >= s0 + s1
 
 
@@ -209,19 +211,19 @@ class TestLossPatternReduction:
         cls = core.CantorClass(HALF, 2, 4)
         h = cls.hypothesis({1, 2})
         examples = [core.LabeledExample(NAT(i), h.value_at(NAT(i))) for i in (1, 2, 3)]
-        reduced = pc.loss_pattern_reduction(core.FiniteClass((h,)), examples, HALF)
+        reduced = helpers.loss_pattern_reduction(core.FiniteClass((h,)), examples, HALF)
         assert reduced.concepts == ("000",)
 
     def test_within_gamma_gives_stars(self):
-        h = core.TableHypothesis.from_dict({NAT(1): F(1, 4), NAT(2): F(1, 4)})
+        h = helpers.table_hypothesis({NAT(1): F(1, 4), NAT(2): F(1, 4)})
         examples = [core.LabeledExample(NAT(1), F(1, 8)), core.LabeledExample(NAT(2), F(1, 2))]
-        reduced = pc.loss_pattern_reduction(core.FiniteClass((h,)), examples, HALF)
+        reduced = helpers.loss_pattern_reduction(core.FiniteClass((h,)), examples, HALF)
         assert reduced.concepts == ("**",)
 
     def test_cantor_class_on_own_support_is_total(self):
         cls = core.CantorClass(HALF, 2, 5)
         examples = [core.LabeledExample(NAT(i), F(0)) for i in range(1, 6)]
-        reduced = pc.loss_pattern_reduction(cls, examples, HALF)
+        reduced = helpers.loss_pattern_reduction(cls, examples, HALF)
         assert all(pc.STAR not in c for c in reduced.concepts)
 
     def test_vc_dimension_bounded_by_graph_dimension(self):
@@ -234,7 +236,7 @@ class TestLossPatternReduction:
         for cls in classes:
             pool = cls.default_pool()
             best = max(
-                pc.partial_vc_dimension(pc.loss_pattern_reduction(
+                pc.partial_vc_dimension(helpers.loss_pattern_reduction(
                     cls, [core.LabeledExample(x, w.value_at(x)) for x in pool], HALF
                 ))
                 for w in cls.hypotheses
