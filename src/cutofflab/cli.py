@@ -2,7 +2,7 @@
 
 Subcommands: dims, oig, disambiguate, estimate, reproduce.  Exit codes are
 stable API: 0 pass, 1 experiment fail, 2 parse error, 3 budget refusal,
-4 precondition violation.  CUTOFFLAB_BUDGET overrides the class-enumeration
+4 precondition violation.  CUTOFFLAB_BUDGET overrides the enumeration
 ceiling.
 """
 
@@ -89,6 +89,9 @@ def cmd_dims(args) -> int:
     cls = serialize.class_from_json(serialize.load_json(args.class_file))
     gamma = serialize.rational_from_str(args.gamma)
     pool = _parse_points(args.pool) if args.pool else cls.default_pool()
+    if not pool:
+        # a finite class pools only its table members' points
+        raise PreconditionError("the class has no default pool points; give --pool")
     dimension = dims.gamma_graph_dimension(cls, pool, gamma, args.cap_d)
     cert = dims.find_shattered_set(cls, pool, gamma, dimension) if dimension else None
     out = {

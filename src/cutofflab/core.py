@@ -264,10 +264,12 @@ Predictor = Callable[[Point], Fraction]
 
 
 def _budgeted(what: str, size: int) -> None:
-    """Refuse to enumerate `size` items past enumeration_budget()."""
+    """Refuse to enumerate `size` items past enumeration_budget(), naming a
+    size past 2^64 as at least 2^k so that any size prints on one line."""
     budget = enumeration_budget()
     if size > budget:
-        raise BudgetExceededError(f"{what} of size {size} exceeds budget {budget}")
+        named = size if size <= 1 << 64 else f"at least 2^{size.bit_length() - 1}"
+        raise BudgetExceededError(f"{what} of size {named} exceeds budget {budget}")
 
 
 def _value_of_rank(gamma: Fraction, rank: int) -> Fraction:
@@ -471,6 +473,8 @@ class SplitCantorClass:
         return prefix[m - 1]
 
     def size(self) -> int:
+        if self.variant == D_MINUS_ONE_COMPLEMENT:
+            return math.comb(self.universe_cap + 1, self.size_param)  # hockey stick, as in _offset
         return sum(math.comb(k, m) for k, m in self.blocks())
 
     def hypothesis(self, k: int, members) -> SplitCantorHypothesis:

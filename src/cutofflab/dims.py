@@ -19,6 +19,7 @@ the coordinates whose scaled difference exceeds the coordinate's threshold.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,7 +30,6 @@ from . import core
 from .errors import BudgetExceededError, PreconditionError
 
 DEFAULT_POINT_CAP = 12
-_ORIENTATION_COMBO_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -183,6 +183,7 @@ def check_graph_shattered(points, cls, witness, gamma: Fraction) -> Optional[Sha
         raise BudgetExceededError(f"{len(points)} points exceed the cap of {DEFAULT_POINT_CAP}")
     if not points:
         return ShatterCertificate(points, witness, {(): witness})
+    core._budgeted("class restricted to the points", cls.size() * len(points))
     witness_vec = tuple(witness.value_at(x) for x in points)
     rows = _value_vectors(cls, points)
     (witness_row, *table), scales = _scaled([witness_vec] + [vec for _, vec in rows], len(points))
@@ -325,17 +326,14 @@ def max_gamma_outdegree(graph: OneInclusionGraph, orientation: Orientation, gamm
 
 
 def exhaustive_orientation_min(graph: OneInclusionGraph, gamma) -> tuple[Orientation, int]:
-    """Orientation minimizing the max gamma-out-degree, by product search."""
+    """Orientation minimizing the max gamma-out-degree, by product search over
+    the multi-member edges, refused past enumeration_budget() orientations."""
     thresholds = _thresholds(graph.scales, core.read_gamma(gamma))
     fixed = {k: ms[0] for k, ms in graph.edges.items() if len(ms) == 1}
     multi = [(k, ms) for k, ms in sorted(graph.edges.items()) if len(ms) > 1]
-    combos = 1
-    for _, ms in multi:
-        combos *= len(ms)
-        if combos > _ORIENTATION_COMBO_CAP:
-            raise BudgetExceededError(
-                f"orientation search space exceeds {_ORIENTATION_COMBO_CAP}"
-            )
+    # equal sizes as one power each: exact, and instant on many small edges
+    sizes = collections.Counter(len(ms) for _, ms in multi)
+    core._budgeted("orientation search space", math.prod(s**c for s, c in sizes.items()))
     keys = [k for k, _ in multi]
     best_orientation, best_value = None, None
     for choice in itertools.product(*(ms for _, ms in multi)):

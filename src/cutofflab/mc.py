@@ -17,9 +17,7 @@ from typing import Sequence
 
 from . import core, learners
 from .adversaries import HardInstance, InstanceFamily
-from .errors import BudgetExceededError, PreconditionError
-
-DEFAULT_ORACLE_BUDGET = 100_000
+from .errors import PreconditionError
 
 
 @dataclass(frozen=True)
@@ -51,23 +49,18 @@ def exact_loss_distribution(learner, instance: HardInstance, n: int) -> list[tup
     """(probability, loss) pairs over every weighted sample tuple.
 
     Enumerates support^(n * arity) sequences; a three-sample learner
-    enumerates the triple product.  The learner must pass
-    `learners.reads_seen_sets`, as its fit then depends only on the seen sets
-    of its `seen_blocks`: it is fitted and scored once per distinct tuple of
-    them, and every sequence with that tuple shares the loss.
+    enumerates the triple product.  Its draws per trial, then its
+    sequences, are charged to `core.enumeration_budget()`.  The learner must
+    pass `learners.reads_seen_sets`, as its fit then depends only on the seen
+    sets of its `seen_blocks`: it is fitted and scored once per distinct tuple
+    of them, and every sequence with that tuple shares the loss.
     """
     dist = instance.distribution
     arity = learner.sample_arity
     total_len = n * arity
     support = len(dist.atoms)
-    # support^total_len is not computed when it must exceed the budget: with
-    # support >= 2 it is at least 2^total_len, past the budget once total_len
-    # reaches the budget's bit length
-    too_long = support >= 2 and total_len >= DEFAULT_ORACLE_BUDGET.bit_length()
-    if too_long or support**total_len > DEFAULT_ORACLE_BUDGET:
-        raise BudgetExceededError(f"oracle would enumerate {support}^{total_len} sequences")
-    # a one-atom law has one sequence of any length, which the budget above passes
     core._budgeted("draws per trial", total_len)
+    core._budgeted("oracle sequences", support**total_len)
     if not learners.reads_seen_sets(learner):
         raise PreconditionError(
             "the exact oracle needs an interpolator that reads only seen sets")

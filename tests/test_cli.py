@@ -8,6 +8,7 @@ import inspect
 import io
 import itertools
 import json
+import math
 import signal
 import time
 from fractions import Fraction as F
@@ -58,6 +59,18 @@ class TestDims:
         assert capsys.readouterr().out == (
             "graph_dim: 2\ncertificate: 4 patterns on [Nat(1),Nat(2)]\n"
         )
+
+    def test_finite_class_without_table_points_needs_a_pool(self, tmp_path, capsys):
+        # the Cantor (2, 5) members as records: no table, so no default pool
+        path = tmp_path / "cantor_records.json"
+        members = core.FiniteClass(core.CantorClass(F(1, 2), 2, 5).hypotheses)
+        serialize.dump_json(serialize.class_to_json(members), path)
+        assert cli.main(["dims", str(path), "--gamma", "1/2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "give --pool" in captured.err
+        assert _one_line_refusal(captured.err)
+        assert cli.main(["dims", str(path), "--gamma", "1/2", "--pool", "1..5"]) == 0
+        assert capsys.readouterr().out.startswith("graph_dim: 2\n")
 
     def test_malformed_file_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -931,7 +944,10 @@ class TestParseBoundary:
     @pytest.mark.parametrize(
         ("argv", "message"),
         [
-            (["thm1", "--epsilon", "1/1000000000000"], "oracle would enumerate 2^"),
+            (["thm1", "--epsilon", "1/1000000000000"], "draws per trial"),
+            # draws per trial within the ceiling, the sequences they make past it
+            (["thm1", "--epsilon", "1/512"], "oracle sequences of size 4294967296 exceeds"),
+            (["thm1", "--epsilon", "1/2000000"], "oracle sequences of size at least 2^125000"),
             (["thm3", "--universe", "0", "--epsilon", "1/10000"], "family universe"),
             (["thm3", "--universe", "0", "--epsilon", "1/1000000000000"], "index distribution"),
             (["thm5", "--epsilon", "1/10000000000"], "index distribution"),
@@ -940,8 +956,8 @@ class TestParseBoundary:
             (["lemma-interp", "--n", "100000000", "--trials", "30"], "draws per trial"),
             (["thm2", "--epsilon", "1/100000000000", "--trials", "30"], "draws per trial"),
         ],
-        ids=["thm1-oracle", "thm3-universe", "thm3-masses", "thm5-masses", "thm2-masses",
-             "lemma-interp-draws", "thm2-draws"],
+        ids=["thm1-oracle", "thm1-sequences", "thm1-sequences-2^125000", "thm3-universe",
+             "thm3-masses", "thm5-masses", "thm2-masses", "lemma-interp-draws", "thm2-draws"],
     )
     def test_reproduce_past_the_budget_exits_3_at_once(self, capsys, argv, message):
         start = time.monotonic()
@@ -950,6 +966,35 @@ class TestParseBoundary:
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
         assert _one_line_refusal(captured.err)
+
+    @pytest.mark.parametrize(
+        ("argv", "what"),
+        [
+            (["oig", "--points", "4/1,4/2"], "one-inclusion graph of size at least 2^"),
+            (["dims", "--pool", "4/1,4/2"], "class restricted to the pool of size at least 2^"),
+        ],
+        ids=["oig", "dims"],
+    )
+    def test_sqrt_class_past_4300_digits_exits_3(self, tmp_path, capsys, argv, what):
+        # the class size has about 5,400 decimal digits, more than Python prints
+        path = tmp_path / "sqrt.json"
+        cls = core.SplitCantorClass(F(1, 2), core.SQRT_SIZE, None, 2_250_000)
+        serialize.dump_json(serialize.class_to_json(cls), path)
+        assert _within(10, cli.main, [argv[0], str(path), "--gamma", "1/2", *argv[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and what in captured.err and _one_line_refusal(captured.err)
+
+    def test_complement_class_size_is_refused_at_once(self, tmp_path, capsys):
+        # C(10^8 + 1, 3) members, counted in closed form rather than block by block
+        path = tmp_path / "complement.json"
+        cls = core.SplitCantorClass(F(1, 2), core.D_MINUS_ONE_COMPLEMENT, 3, 10**8)
+        serialize.dump_json(serialize.class_to_json(cls), path)
+        argv = ["oig", str(path), "--gamma", "1/2", "--points", "4/1,4/2"]
+        assert _within(1, cli.main, argv) == 3
+        size = 4 * math.comb(10**8 + 1, 3)
+        assert f"one-inclusion graph of size at least 2^{size.bit_length() - 1}" in (
+            capsys.readouterr().err
+        )
 
     def test_explicit_pool_past_budget_exits_3(self, tmp_path, capsys):
         path = tmp_path / "cantor_1_5.json"

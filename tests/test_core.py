@@ -425,6 +425,12 @@ class TestCanonicalEnumeration:
         assert len(values) == cls.size() == 1 + 6 + 84
         assert len(set(values)) == len(values)
 
+    @pytest.mark.parametrize(("d", "cap"), [(2, 1), (2, 7), (3, 2), (3, 6), (4, 9), (5, 30)])
+    def test_complement_size_is_the_block_sum(self, d, cap):
+        # the closed form must count every member the blocks list
+        cls = core.SplitCantorClass(F(1, 2), core.D_MINUS_ONE_COMPLEMENT, d, cap)
+        assert cls.size() == sum(math.comb(k, m) for k, m in cls.blocks())
+
     def test_unique_value_formula(self):
         # gamma + (1-gamma)/rank with rank the 1-based colex position
         cls = core.CantorClass(F(1, 2), 2, 5)
@@ -706,6 +712,20 @@ class TestBudgetEnv:
         monkeypatch.setenv("CUTOFFLAB_BUDGET", str(size - 1))
         with pytest.raises(core.BudgetExceededError, match="default pool"):
             cls.default_pool()
+
+    @pytest.mark.parametrize(
+        ("size", "named"),
+        [(2**64 - 1, str(2**64 - 1)), (2**64, str(2**64)), (2**64 + 1, "at least 2^64"),
+         (3 * 2**70, "at least 2^71"), (2**125_000, "at least 2^125000")],
+        ids=["2^64-1", "2^64", "2^64+1", "3*2^70", "2^125000"],
+    )
+    def test_refusal_names_any_size_on_one_line(self, monkeypatch, size, named):
+        # a size past 2^64 is named by its bit length: printed in full, one
+        # past 4,300 digits would raise ValueError instead of refusing
+        monkeypatch.delenv("CUTOFFLAB_BUDGET", raising=False)
+        with pytest.raises(core.BudgetExceededError) as err:
+            core._budgeted("things", size)
+        assert str(err.value) == f"things of size {named} exceeds budget 200000"
 
     def test_bad_env_value_rejected(self, monkeypatch):
         monkeypatch.setenv("CUTOFFLAB_BUDGET", "lots")

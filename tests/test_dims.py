@@ -352,6 +352,17 @@ class TestGraphDimension:
             monkeypatch.setenv("CUTOFFLAB_BUDGET", "30")
             assert dims.gamma_graph_dimension(cls, pool, HALF) == 2
 
+    def test_class_size_times_points_is_budgeted_in_the_check(self, monkeypatch):
+        # 10 members on 3 points: 30 against the budget, before any value is read
+        cls = core.CantorClass(HALF, 2, 5)
+        points = (NAT(1), NAT(2), NAT(3))
+        witness = cls.hypothesis({1, 2})
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "29")
+        with pytest.raises(BudgetExceededError, match="class restricted to the points of size 30"):
+            dims.check_graph_shattered(points, cls, witness, HALF)
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "30")
+        assert dims.check_graph_shattered(points, cls, witness, HALF) is None
+
     def test_cap_refusal_carries_lower_bound(self):
         cls = core.CantorClass(HALF, 3, 8)
         with pytest.raises(BudgetExceededError) as err:
@@ -548,6 +559,19 @@ class TestOrientations:
         assert {len(members) for members in graph.edges.values()} == {2}
         with pytest.raises(BudgetExceededError):
             dims.exhaustive_orientation_min(graph, HALF)
+
+    def test_orientation_budget_is_the_exact_product_of_edge_sizes(self, monkeypatch):
+        # one 3-member edge and one 2-member edge: 6 orientations
+        pool = (NAT(1), NAT(2))
+        cls = table_class([(0, 0), (0, F(3, 4)), (0, F(7, 8)), (F(3, 4), 0)], pool)
+        graph = dims.build_oig(cls, pool)
+        assert sorted(len(ms) for ms in graph.edges.values() if len(ms) > 1) == [2, 3]
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "5")
+        with pytest.raises(BudgetExceededError, match="orientation search space of size 6"):
+            dims.exhaustive_orientation_min(graph, HALF)
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "6")
+        orientation, best = dims.exhaustive_orientation_min(graph, HALF)
+        assert best == dims.max_gamma_outdegree(graph, orientation, HALF)
 
     def test_graph_without_vertices_has_outdegree_zero(self):
         # every member leaves its domain on a pair point

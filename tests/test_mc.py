@@ -312,6 +312,20 @@ class TestSeenSetSharing:
         with pytest.raises(BudgetExceededError, match="draws per trial"):
             mc.exact_expected_loss(learner, one_atom, 10**9)
 
+    def test_oracle_budget_is_its_exact_size(self, monkeypatch):
+        # three samples of 2 over two atoms: 6 draws per trial, 2^6 sequences
+        inst = fixed_instance()
+        learner = learners.MedianOfThree(bind(learners.generic_interpolator, inst.cls))
+        monkeypatch.setattr(core, "cutoff_loss", _no_fit)
+        for budget, message in ((5, "draws per trial of size 6"), (63, "oracle sequences of size 64")):
+            monkeypatch.setenv("CUTOFFLAB_BUDGET", str(budget))
+            with pytest.raises(BudgetExceededError, match=f"{message} exceeds budget {budget}"):
+                mc.exact_loss_distribution(learner, inst, 2)
+        monkeypatch.undo()
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "64")
+        pairs = mc.exact_loss_distribution(learner, inst, 2)
+        assert len(pairs) == 64 and sum(w for w, _ in pairs) == 1
+
 
 class TestMcEstimator:
     def test_constant_loss_degenerate(self):
