@@ -15,7 +15,7 @@ import dataclasses
 import inspect
 import json
 import sys
-from functools import partial as bind
+from functools import cache, partial as bind
 
 from . import adversaries, core, dims, experiments, learners, mc, serialize
 from . import partial as partial_concepts
@@ -150,11 +150,7 @@ def cmd_oig(args) -> int:
 
 
 def cmd_disambiguate(args) -> int:
-    try:
-        with open(args.infile) as fh:
-            cls = partial_concepts.read_rows(fh.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.infile}: {exc}") from exc
+    cls = partial_concepts.read_rows(serialize.read_text(args.infile))
     total = partial_concepts.disambiguate(cls)
     d = partial_concepts.partial_vc_dimension(cls)
     if args.out:
@@ -316,7 +312,9 @@ def cmd_reproduce(args) -> int:
     return _emit_report(report, args)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cutofflab",
         description="Aggregation-vs-interpolation checks under the cutoff loss",

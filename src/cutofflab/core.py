@@ -143,13 +143,21 @@ TrainingSequence = tuple[LabeledExample, ...]
 
 
 def iter_colex(universe: int, size: int) -> Iterator[tuple[int, ...]]:
-    """All size-`size` subsets of {1..universe} in ascending colex order."""
-    if size == 0:
-        yield ()
+    """All size-`size` subsets of {1..universe} in ascending colex order,
+    iteratively: each step raises the lowest element that can move up by one
+    and resets the elements below it to 1, 2, ...."""
+    subset = [*range(1, size + 1), universe + 1]  # the last entry caps the top element
+    if size and size > universe:
         return
-    for top in range(size, universe + 1):
-        for rest in iter_colex(top - 1, size - 1):
-            yield rest + (top,)
+    while True:
+        yield tuple(subset[:size])
+        for i in range(size):
+            if subset[i] + 1 < subset[i + 1]:
+                subset[i] += 1
+                subset[:i] = range(1, i + 1)
+                break
+        else:
+            return
 
 
 def colex_rank(subset) -> int:

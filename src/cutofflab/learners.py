@@ -30,35 +30,36 @@ Interpolator = Callable[[core.TrainingSequence], core.Hypothesis]
 # ---------------------------------------------------------------------------
 
 
+def _select(values: Sequence[Fraction], index: int) -> Fraction:
+    """The value at 0-based `index` of the inputs, insertion-sorted on integers:
+    p/q > r/s exactly when p*s > r*q, as every denominator is positive."""
+    ordered = []
+    for v in values:
+        n, d = v.numerator, v.denominator
+        i = len(ordered)
+        while i and ordered[i - 1][0] * d > n * ordered[i - 1][1]:
+            i -= 1
+        ordered.insert(i, (n, d, v))
+    return ordered[index][2]
+
+
 @dataclass(frozen=True)
 class OrderStatistic:
-    """j-th smallest input (1-based); proper."""
+    """j-th smallest input (1-based); proper.  `_check_arity` refuses a rank
+    outside 1..m when a learner or `aggregate` is built."""
 
     rank: int
 
     def combine(self, values: Sequence[Fraction]) -> Fraction:
-        if not 1 <= self.rank <= len(values):
-            raise PreconditionError(f"order statistic {self.rank} out of range for m={len(values)}")
-        return sorted(values)[self.rank - 1]
+        return _select(values, self.rank - 1)
 
 
 @dataclass(frozen=True)
 class Median:
-    """Middle value of the sorted inputs; proper, requires odd arity.
-
-    The inputs are insertion-sorted on integers: p/q > r/s exactly when
-    p*s > r*q, as every denominator is positive.
-    """
+    """Middle value of the sorted inputs; proper, requires odd arity."""
 
     def combine(self, values: Sequence[Fraction]) -> Fraction:
-        ordered = []
-        for v in values:
-            n, d = v.numerator, v.denominator
-            i = len(ordered)
-            while i and ordered[i - 1][0] * d > n * ordered[i - 1][1]:
-                i -= 1
-            ordered.insert(i, (n, d, v))
-        return ordered[len(values) // 2][2]
+        return _select(values, len(values) // 2)
 
 
 @dataclass(frozen=True)

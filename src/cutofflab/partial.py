@@ -123,33 +123,6 @@ def within_disambiguation_bound(size: int, d: int, n: int) -> bool:
     return math.log(size) <= ln_disambiguation_bound(d, n)
 
 
-class _GreedyState:
-    """Shattering-strength bookkeeping for one restriction state H'.
-
-    Restriction can only shrink the shattered family, so each state's family
-    is filtered from its parent's instead of being recomputed from scratch.
-    """
-
-    __slots__ = ("indices", "family", "per_coord")
-
-    def __init__(self, indices, family):
-        self.indices = indices
-        self.family = family
-        self.per_coord = {}
-
-    def restricted(self, masks, coord, bit_value):
-        """The concepts defined at coord with label bit_value, and the
-        family they still shatter."""
-        bit = 1 << coord
-        want = bit if bit_value else 0
-        kept = tuple(
-            i for i in self.indices if not masks[i][0] & bit and masks[i][1] & bit == want
-        )
-        kept_masks = [masks[i] for i in kept]
-        family = [m for m in self.family if _is_shattered(m, m.bit_count(), kept_masks)]
-        return kept, family
-
-
 def disambiguate(cls: PartialClass) -> PartialClass:
     """Greedy completion of every concept into a total one; the result is a
     star-free class.
@@ -160,53 +133,51 @@ def disambiguate(cls: PartialClass) -> PartialClass:
     written and the working class restricts to the concepts sharing it.  The
     output disambiguates the input: it agrees with every concept wherever that
     concept is defined.
+
+    A working class is its tuple of concept indices.  Restriction can only
+    shrink the shattered family, so a new working class's family is filtered
+    from its parent's, and each working class is split at each coordinate
+    once, however many concepts pass through it.
     """
     check_domain_size(cls.domain_size)
     if not cls.concepts:
         raise PreconditionError("disambiguation needs a nonempty class")
-    concepts = cls.concepts
     masks = cls.masks
-    n = cls.domain_size
+    root = tuple(range(len(cls.concepts)))
+    families = {root: cls.shattered_family}
 
-    root = _GreedyState(tuple(range(len(concepts))), cls.shattered_family)
-    states = {root.indices: root}
-
-    def coord_choice(state, coord):
-        cached = state.per_coord.get(coord)
-        if cached is None:
-            zero_branch = state.restricted(masks, coord, 0)
-            one_branch = state.restricted(masks, coord, 1)
-            majority = 1 if len(one_branch[1]) >= len(zero_branch[1]) else 0
-            cached = (majority, zero_branch, one_branch)
-            state.per_coord[coord] = cached
-        return cached
-
-    def child_state(keys, family):
-        state = states.get(keys)
-        if state is None:
-            state = _GreedyState(keys, family)
-            states[keys] = state
-        return state
+    @functools.cache
+    def split(kept, coord):
+        """The majority label at coord (ties toward 1), and the concepts of
+        `kept` labelled 0 and 1 there."""
+        bit = 1 << coord
+        zero, one = (
+            tuple(i for i in kept if not masks[i][0] & bit and masks[i][1] & bit == want)
+            for want in (0, bit)
+        )
+        for sub in (zero, one):
+            if sub not in families:
+                sub_masks = [masks[i] for i in sub]
+                families[sub] = [m for m in families[kept] if _is_shattered(m, m.bit_count(), sub_masks)]
+        return int(len(families[one]) >= len(families[zero])), (zero, one)
 
     out = []
-    for concept in concepts:
-        state = root
+    for concept in cls.concepts:
+        kept = root
         written = []
-        for coord in range(n):
-            majority, zero_branch, one_branch = coord_choice(state, coord)
-            ch = concept[coord]
-            if ch != STAR and int(ch) == 1 - majority:
-                written.append(ch)
-                keys, family = zero_branch if ch == "0" else one_branch
-                state = child_state(keys, family)
-            else:
+        for coord, ch in enumerate(concept):
+            majority, branches = split(kept, coord)
+            if ch == STAR or int(ch) == majority:
                 written.append(str(majority))
+            else:
+                written.append(ch)
+                kept = branches[int(ch)]
         out.append("".join(written))
-    for concept, bar in zip(concepts, out):
+    for concept, bar in zip(cls.concepts, out):
         agrees = all(a in (STAR, b) for a, b in zip(concept, bar))
         if STAR in bar or not agrees:  # pragma: no cover - internal check
             raise AssertionError("greedy disambiguation left a star or violated agreement")
-    return PartialClass(n, tuple(out))
+    return PartialClass(cls.domain_size, tuple(out))
 
 
 # ---------------------------------------------------------------------------

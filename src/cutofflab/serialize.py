@@ -2,7 +2,9 @@
 
 Exact rationals travel as "p/q" strings, points as {"nat": 3} or {"pair": [4, 2]}.
 All readers raise ParseError on malformed input, a number they would have to
-round included, so the CLI can map it to a stable exit code.
+round included, so the CLI can map it to a stable exit code.  Files are read
+through `read_text`, so an unreadable or undecodable file, or JSON nested past
+the decoder's recursion limit, is a ParseError too.
 """
 
 from __future__ import annotations
@@ -187,11 +189,20 @@ def distribution_from_json(obj) -> core.FiniteDistribution:
     )
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of the file at `path`; ParseError if it cannot be read
+    or does not decode."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
 def load_json(path):
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        return json.loads(read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
 
 

@@ -52,6 +52,31 @@ def shattering_strength(cls: pc.PartialClass) -> int:
     return len(cls.shattered_family)
 
 
+def reference_disambiguate(cls: pc.PartialClass) -> pc.PartialClass:
+    """The greedy disambiguation with no memo: at each coordinate the label
+    whose restriction of the working class shatters more domain subsets
+    (ties toward 1) is written, unless the concept is defined there and
+    disagrees; then the concept's label is written and the working class
+    keeps the concepts sharing it.  Each restriction's shattered family is
+    searched afresh."""
+    n = cls.domain_size
+    out = []
+    for concept in cls.concepts:
+        kept = cls.concepts
+        written = ""
+        for coord, ch in enumerate(concept):
+            branches = [tuple(c for c in kept if c[coord] == label) for label in "01"]
+            zero, one = (len(pc.PartialClass(n, b).shattered_family) for b in branches)
+            majority = "1" if one >= zero else "0"
+            if ch in (pc.STAR, majority):
+                written += majority
+            else:
+                written += ch
+                kept = branches[int(ch)]
+        out.append(written)
+    return pc.PartialClass(n, tuple(out))
+
+
 def loss_pattern_reduction(cls, examples, gamma) -> pc.PartialClass:
     """Partial concepts recording each hypothesis's loss pattern on examples:
     '0' exact match, '*' a nonzero error within gamma, '1' an error beyond

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, CSV schema, report replay."""
 
+import argparse
 import contextlib
 import csv
 import functools
@@ -651,6 +652,73 @@ def test_unwritable_out_refused_before_the_check_runs(tmp_path, capsys, monkeypa
     target = tmp_path / "missing" / "x.csv"
     assert cli.main(["reproduce", "thm4", "--out", str(target)]) == 2
     assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["disambiguate"],
+        ["dims", "--gamma", "1/2"],
+        ["oig", "--gamma", "1/2", "--points", "1"],
+        ["estimate"],
+        ["reproduce", "--replay"],
+    ],
+)
+def test_undecodable_file_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe0\x001\x00")
+    assert cli.main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_line_refusal(captured.err)
+    assert "can't decode byte 0xff" in captured.err
+
+
+def test_json_nested_past_the_recursion_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert cli.main(["estimate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_line_refusal(captured.err)
+    assert "recursion" in captured.err
+
+
+@pytest.mark.parametrize(
+    ("record", "argv"),
+    [
+        ({"kind": "cantor", "gamma": "1/2", "d": 1500, "universe": 1501},
+         ["oig", "--gamma", "1/2", "--points", "1..3"]),
+        ({"kind": "split_cantor", "gamma": "1/2", "variant": "d_minus_one_complement",
+          "size_param": 1500, "universe_cap": 1500},
+         ["oig", "--gamma", "1/2", "--points", "1499/1,1500/1"]),
+    ],
+)
+def test_member_sizes_past_the_recursion_limit_exit_0(tmp_path, capsys, record, argv):
+    # the colex enumeration once took one stack frame per member element
+    path = tmp_path / "large-d.json"
+    path.write_text(json.dumps(record))
+    assert cli.main([*argv, str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_parser_is_built_once_and_survives_a_parse_error(cantor_file, capsys, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    argv = ["dims", cantor_file, "--gamma", "1/2"]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dims", cantor_file, "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert len(parsers) == 3 and parsers[0] is parsers[1] is parsers[2]
 
 
 class TestSerialization:

@@ -438,6 +438,20 @@ class TestCanonicalEnumeration:
         for idx, h in enumerate(ordered):
             assert h.value == F(1, 2) + F(1, 2) / (idx + 1)
 
+    @pytest.mark.parametrize("universe", range(10))
+    def test_iter_colex_is_the_colex_order(self, universe):
+        for size in range(universe + 2):
+            expected = sorted(
+                itertools.combinations(range(1, universe + 1), size), key=lambda s: s[::-1]
+            )
+            assert list(core.iter_colex(universe, size)) == expected
+
+    def test_iter_colex_takes_no_stack_per_element(self):
+        # a size past the recursion limit once raised RecursionError
+        subsets = list(core.iter_colex(1501, 1500))
+        assert len(subsets) == 1501
+        assert subsets[0] == tuple(range(1, 1501)) and subsets[-1] == tuple(range(2, 1502))
+
     def test_colex_rank_roundtrip(self):
         for size in (1, 2, 3):
             for rank, subset in enumerate(core.iter_colex(7, size)):

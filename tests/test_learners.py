@@ -149,6 +149,22 @@ class TestAggregationRules:
         assert learners.Median().combine(values) == sorted(values)[len(values) // 2]
 
     @given(
+        st.lists(
+            st.one_of(
+                st.fractions(),
+                st.builds(F, st.integers(-(2**70), 2**70), st.integers(2**64 + 1, 2**72)),
+            ),
+            min_size=1,
+            max_size=4,
+        ).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=9))
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_order_statistic_matches_sorted_definition_at_every_rank(self, values):
+        # values drawn from a pool of at most four, so ties are common
+        for rank in range(1, len(values) + 1):
+            assert learners.OrderStatistic(rank).combine(values) == sorted(values)[rank - 1]
+
+    @given(
         st.lists(st.fractions(min_value=0, max_value=1), min_size=1, max_size=7),
         st.integers(min_value=0, max_value=6),
     )

@@ -205,6 +205,18 @@ class TestDisambiguate:
             else:
                 assert math.log(total.size()) <= pc.ln_disambiguation_bound(d, 10)
 
+    @given(
+        st.integers(min_value=1, max_value=8).flatmap(
+            lambda n: st.lists(
+                st.text(alphabet="01*", min_size=n, max_size=n), min_size=1, max_size=20
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_greedy_without_a_memo(self, rows):
+        cls = pc.PartialClass(len(rows[0]), tuple(rows))
+        assert pc.disambiguate(cls) == helpers.reference_disambiguate(cls)
+
 
 class TestLossPatternReduction:
     def test_exact_labeling_gives_all_zeros(self):
