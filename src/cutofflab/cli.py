@@ -121,6 +121,8 @@ def cmd_oig(args) -> int:
     gamma = serialize.rational_from_str(args.gamma)
     points = _parse_points(args.points)
     graph = dims.build_oig(cls, points)
+    # each sampled subgraph is built and oriented over at most every vertex and point
+    core._budgeted("subgraph sweep", args.subgraphs * len(graph.vertices) * len(points))
     orientation = dims.orient_smallest_value(graph)
     greedy = dims.max_gamma_outdegree(graph, orientation, gamma)
     out = {
@@ -278,9 +280,9 @@ def cmd_reproduce(args) -> int:
         echoed = serialize.load_json(args.replay)
         try:
             tag = echoed["tag"]
-            seed = int(echoed["seed"])
+            seed = serialize.coerce(0, echoed["seed"], "seed")
             config = echoed.get("config", {})
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"bad report file: {exc}") from exc
         if not isinstance(tag, str) or tag not in experiments.RUNNERS:
             raise ParseError(f"unknown tag {tag!r}; choose from {', '.join(experiments.TAGS)}")

@@ -396,7 +396,11 @@ class CantorClass:
     @functools.cached_property
     def hypotheses(self) -> tuple[CantorHypothesis, ...]:
         _budgeted("class", self.size())
-        return tuple(self.hypothesis(a) for a in iter_colex(self.universe, self.d))
+        # a member's 1-based place in the listing is its colex rank plus one
+        return tuple(
+            CantorHypothesis(frozenset(a), _value_of_rank(self.gamma, rank))
+            for rank, a in enumerate(iter_colex(self.universe, self.d), 1)
+        )
 
     def _on_domain(self, point: Point) -> bool:
         return point.kind == "nat" and point.n <= self.universe
@@ -498,7 +502,13 @@ class SplitCantorClass:
     @functools.cached_property
     def hypotheses(self) -> tuple[SplitCantorHypothesis, ...]:
         _budgeted("class", self.size())
-        return tuple(self.hypothesis(k, a) for k, m in self.blocks() for a in iter_colex(k, m))
+        zero_on = "members" if self.variant == SQRT_SIZE else "complement"
+        # a member's 1-based place in the listing is its block offset plus colex rank plus one
+        listed = ((k, a) for k, m in self.blocks() for a in iter_colex(k, m))
+        return tuple(
+            SplitCantorHypothesis(k, frozenset(a), zero_on, _value_of_rank(self.gamma, rank))
+            for rank, (k, a) in enumerate(listed, 1)
+        )
 
     def _on_domain(self, point: Point) -> bool:
         return point.kind == "pair" and point.block <= self.universe_cap

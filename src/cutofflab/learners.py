@@ -1,9 +1,11 @@
 """Learners: interpolators, aggregation rules, partitioners, and composites.
 
-The learner classes at the end of this module are the learner interface: each
-declares its ``sample_arity`` and turns that many training samples into a
-predictor (callable Point -> Fraction) through ``predictor(samples)``, which
-fits its interpolator on exactly the blocks ``seen_blocks(samples)`` gives.
+``InterpolatorAggregation``, at the end of this module, is the one learner
+class: it declares its ``sample_arity`` and turns that many training samples
+into a predictor (callable Point -> Fraction) through ``predictor(samples)``,
+which fits its interpolator on exactly the blocks ``seen_blocks(samples)``
+gives.  The single interpolator, median-of-three and proper ERM are functions
+that build it.
 ``reads_seen_sets(learner)`` says whether that interpolator reads each block
 only through its set of distinct examples; the exact oracle in ``mc`` admits
 only such learners, and fits each distinct tuple of seen sets once.  An
@@ -88,6 +90,9 @@ def aggregate(rule: AggregationRule, hypotheses: Sequence) -> core.Predictor:
     if not hs:
         raise PreconditionError("cannot aggregate zero hypotheses")
     _check_arity(rule, len(hs))
+    if len(hs) == 1:
+        # every rule returns its one input exactly
+        return hs[0].value_at
 
     def predictor(x: core.Point) -> Fraction:
         return rule.combine([h(x) for h in hs])
@@ -226,62 +231,43 @@ def reads_seen_sets(learner) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Learner objects (uniform interface for the estimators)
+# The learner: one class, and constructors for its named members
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SingleInterpolator:
-    interpolator: Interpolator
-
-    sample_arity = 1
-
-    def seen_blocks(self, samples):
-        return samples
-
-    def predictor(self, samples) -> core.Predictor:
-        (sample,) = self.seen_blocks(samples)
-        return self.interpolator(sample).value_at
-
-
-@dataclass(frozen=True)
-class MedianOfThree:
-    interpolator: Interpolator
-
-    sample_arity = 3
-
-    def seen_blocks(self, samples):
-        return samples
-
-    def predictor(self, samples) -> core.Predictor:
-        s1, s2, s3 = self.seen_blocks(samples)
-        return aggregate(Median(), [self.interpolator(s) for s in (s1, s2, s3)])
-
-
-@dataclass(frozen=True)
 class InterpolatorAggregation:
-    """Partition, interpolate per block, aggregate pointwise."""
+    """Partition each of `sample_arity` samples, interpolate per block,
+    aggregate pointwise over the blocks of all the samples."""
 
     interpolator: Interpolator
     # built per learner, so that importing the module reads no budget
     partitioner: Partitioner = field(default_factory=lambda: DisjointBlocks(3))
     rule: AggregationRule = Median()
-
-    sample_arity = 1
+    sample_arity: int = 1
 
     def __post_init__(self):
         # every partitioner splits a sample into exactly m blocks
-        _check_arity(self.rule, self.partitioner.m)
+        _check_arity(self.rule, self.partitioner.m * self.sample_arity)
 
     def seen_blocks(self, samples):
-        (sample,) = samples
-        return self.partitioner.split(tuple(sample))
+        return [block for sample in samples for block in self.partitioner.split(tuple(sample))]
 
     def predictor(self, samples) -> core.Predictor:
         return aggregate(self.rule, [self.interpolator(block) for block in self.seen_blocks(samples)])
 
 
-def ProperERM(cls, gamma=None) -> SingleInterpolator:
+def SingleInterpolator(interpolator: Interpolator) -> InterpolatorAggregation:
+    """One interpolator fitted on the whole sample."""
+    return InterpolatorAggregation(interpolator, DisjointBlocks(1))
+
+
+def MedianOfThree(interpolator: Interpolator) -> InterpolatorAggregation:
+    """The median of one interpolator fitted on each of three samples."""
+    return InterpolatorAggregation(interpolator, DisjointBlocks(1), sample_arity=3)
+
+
+def ProperERM(cls, gamma=None) -> InterpolatorAggregation:
     """Proper ERM on realizable samples: the first consistent member of
     ``cls``, as the canonical interpolator gives it.  ``gamma`` is unread, as
     a consistent member has empirical loss zero at every cutoff; it is still

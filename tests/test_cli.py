@@ -18,7 +18,7 @@ from functools import partial as bind
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cutofflab import adversaries, cli, core, experiments, learners, mc, serialize
+from cutofflab import adversaries, cli, core, dims, experiments, learners, mc, serialize
 
 import helpers
 
@@ -774,6 +774,21 @@ class TestReplayOverrides:
 
 
 class TestOigSubgraphs:
+    def test_sweep_past_the_budget_exits_3_before_any_subgraph(
+        self, cantor_file, capsys, monkeypatch
+    ):
+        # 100 subgraphs of a graph with 10 vertices on 5 points: a sweep of 5,000
+        def no_subgraph(*args):
+            raise AssertionError("a subgraph was drawn")
+
+        monkeypatch.setattr(dims, "induced_subgraph", no_subgraph)
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "4999")
+        argv = ["oig", cantor_file, "--gamma", "1/2", "--points", "1..5", "--subgraphs", "100"]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_refusal(captured.err)
+        assert "subgraph sweep of size 5000 exceeds budget 4999" in captured.err
+
     def test_subgraph_evidence(self, cantor_file, capsys):
         rc = cli.main(
             [
@@ -820,6 +835,21 @@ def _one_line_refusal(err: str) -> bool:
 
 
 class TestReplayRoundTrips:
+    @pytest.mark.parametrize("seed", [3.7, True], ids=["fraction", "bool"])
+    def test_replayed_seed_is_never_rounded(self, tmp_path, capsys, seed):
+        assert _replay(tmp_path, {"tag": "thm2", "seed": seed, "config": {"trials": 30}}) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_refusal(captured.err)
+
+    def test_replayed_integer_seed_runs_as_itself(self, tmp_path, capsys):
+        rc = cli.main(["reproduce", "thm2", "--trials", "30", "--seed", "12", "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert report["seed"] == 12
+        assert _replay(tmp_path, report) == rc
+        replayed = json.loads(capsys.readouterr().out)
+        assert replayed["seed"] == 12
+        assert replayed["rows"] == report["rows"]
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -6,6 +6,7 @@ the unique-value rank).  These tests replay random samples against the
 brute-force enumeration answer on universes small enough to enumerate.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -216,3 +217,16 @@ def test_block_offsets_give_the_enumeration_rank(variant, d, cap):
         assert h.value == core._value_of_rank(gamma, position)
     fresh = core.SplitCantorClass(gamma, variant, d, cap)
     assert [fresh.hypothesis(h.k, h.members) for h in reversed(listed)] == listed[::-1]
+
+
+@pytest.mark.parametrize(("d", "universe"), [(1, 1), (1, 9), (2, 7), (3, 9), (5, 10)])
+def test_colex_positions_give_the_enumeration_rank(d, universe):
+    # a Cantor member's unique value carries its 1-based position in the
+    # colex enumeration, whatever order the members are asked in
+    gamma = F(1, 3)
+    listed = list(core.CantorClass(gamma, d, universe).hypotheses)
+    assert len(listed) == math.comb(universe, d)
+    for position, h in enumerate(listed, 1):
+        assert h.value == core._value_of_rank(gamma, position)
+    fresh = core.CantorClass(gamma, d, universe)
+    assert [fresh.hypothesis(h.members) for h in reversed(listed)] == listed[::-1]

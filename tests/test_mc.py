@@ -162,6 +162,26 @@ def _benchmark_oracle_cases():
     ]
 
 
+#: The exact mean of each case above, as the sequence oracle gave it when
+#: each learner still had a class of its own, so a learner that fits
+#: differently fails here.
+_PINNED_MEANS = {
+    "thm1-min": F(26652844921, 1099511627776),
+    "thm1-max": F(35447424889, 1099511627776),
+    "thm1-median3": F(16863496839, 549755813888),
+    "median3": F(25293, 262144),
+    "mean2": F(1641, 65536),
+    "bootstrap": F(21, 256),
+    "proper_erm": F(31, 243),
+}
+
+
+@pytest.mark.parametrize(("learner", "inst", "n"), _thm1_oracle_cases() + _benchmark_oracle_cases())
+def test_exact_mean_is_pinned(request, learner, inst, n):
+    expected = _PINNED_MEANS[request.node.callspec.id]
+    assert mc.exact_expected_loss(learner, inst, n) == expected
+
+
 @pytest.mark.parametrize(("learner", "inst", "n"), _thm1_oracle_cases() + _benchmark_oracle_cases())
 def test_loss_sums_equal_the_plain_fraction_sums(learner, inst, n):
     pairs = mc.exact_loss_distribution(learner, inst, n)
@@ -263,15 +283,21 @@ class TestSeenSetSharing:
         inst, adversary = thm1_setup()
         generic = bind(learners.generic_interpolator, inst.cls)
         samples = ((1, 0, 1, 1),)
-        assert learners.SingleInterpolator(generic).seen_blocks(samples) is samples
-        three = (samples[0], samples[0], samples[0])
-        assert learners.MedianOfThree(adversary).seen_blocks(three) is three
+        three = (samples[0], (0, 1, 1, 0), (1, 1, 0, 0))
+        order_reader = learners.SingleInterpolator(inst.cls.first_consistent)
+        # one block per sample, each the sample itself, not a copy
+        for learner, whole in (
+            (learners.SingleInterpolator(generic), samples),
+            (learners.MedianOfThree(adversary), three),
+            (learners.ProperERM(inst.cls), samples),
+            (order_reader, samples),
+        ):
+            blocks = learner.seen_blocks(whole)
+            assert blocks == list(whole)
+            assert all(block is sample for block, sample in zip(blocks, whole))
         assert learners.InterpolatorAggregation(generic, learners.DisjointBlocks(3)).seen_blocks(
             samples
         ) == [(1, 0), (1,), (1,)]
-        assert learners.ProperERM(inst.cls).seen_blocks(samples) == samples
-        order_reader = learners.SingleInterpolator(inst.cls.first_consistent)
-        assert order_reader.seen_blocks(samples) is samples
         for learner in (
             learners.SingleInterpolator(generic),
             learners.MedianOfThree(adversary),
