@@ -25,10 +25,6 @@ DIST_CONSTANT = 16
 SAMPLE_DENOM = 128
 
 
-#: Masses over the entries of a drawn support, in draw order.
-IndexDistribution = tuple[Fraction, ...]
-
-
 @dataclass(frozen=True)
 class HardInstance:
     theorem: str
@@ -36,10 +32,10 @@ class HardInstance:
     distribution: core.FiniteDistribution
     witness: core.Hypothesis
     gamma: Fraction
-    epsilon: Optional[Fraction]
-    d: Optional[int]
-    universe: Optional[int]
-    n_max: Optional[int]
+    epsilon: Optional[Fraction] = None
+    d: Optional[int] = None
+    universe: Optional[int] = None
+    n_max: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -56,7 +52,6 @@ class InstanceFamily:
 
     theorem: str
     cls: object
-    gamma: Fraction
     epsilon: Optional[Fraction]
     d: Optional[int]
     universe: int
@@ -94,7 +89,7 @@ class InstanceFamily:
             cls=self.cls,
             distribution=distribution,
             witness=witness,
-            gamma=self.gamma,
+            gamma=self.cls.gamma,
             epsilon=self.epsilon,
             d=self.d,
             universe=self.universe,
@@ -105,20 +100,15 @@ class InstanceFamily:
         return self.instance_for(self.draw_support(rng))
 
 
-def uniform_index_masses(count: int) -> IndexDistribution:
-    """1/count on each of count entries; refused past enumeration_budget()."""
+def two_tier_masses(count: int, light: Fraction) -> tuple[Fraction, ...]:
+    """One heavy mass, 1 - light*(count-1), then count-1 masses `light`:
+    uniform when light is 1/count.  Refused past enumeration_budget()."""
     core._budgeted("index distribution", count)
-    return (Fraction(1, count),) * count
-
-
-def pinned_index_masses(d: int, epsilon: Fraction) -> IndexDistribution:
-    """Index 1 heavy with 1 - 16 eps, the other d-1 indices share 16 eps;
-    refused past enumeration_budget()."""
-    core._budgeted("index distribution", d)
-    epsilon = Fraction(epsilon)
-    heavy = core.ONE - DIST_CONSTANT * epsilon
-    light = DIST_CONSTANT * epsilon / (d - 1)
-    return (heavy,) + (light,) * (d - 1)
+    light = Fraction(light)
+    heavy = core.ONE - light * (count - 1)
+    if heavy < core.ZERO:
+        raise PreconditionError("light masses exceed the total")
+    return (heavy,) + (light,) * (count - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +120,7 @@ def two_tier_distribution(witness, points, light_mass: Fraction) -> core.FiniteD
     """Heavy mass on the first point, `light_mass` on each of the rest, all
     labeled by the witness."""
     points = tuple(points)
-    light_mass = Fraction(light_mass)
-    heavy = core.ONE - light_mass * (len(points) - 1)
-    if heavy < core.ZERO:
-        raise PreconditionError("light masses exceed the total")
-    masses = (heavy,) + (light_mass,) * (len(points) - 1)
+    masses = two_tier_masses(len(points), light_mass)
     return core.FiniteDistribution.from_triples(
         [(x, witness.value_at(x), m) for x, m in zip(points, masses)], witness
     )
@@ -168,7 +154,6 @@ def thm1_instance(
         gamma=gamma,
         epsilon=epsilon,
         d=d,
-        universe=None,
         n_max=n_max,
     )
     return instance, cert
@@ -182,7 +167,7 @@ def thm1_instance(
 def thm2_family(gamma: Fraction, d: int, epsilon: Fraction, m_bound: int) -> InstanceFamily:
     """Cantor-class family: universe ceil(2 d m_bound + d/4 + 1), all labels 0,
     heavy index pinned to 1; n_max = floor(d / (128 eps))."""
-    gamma, epsilon = Fraction(gamma), Fraction(epsilon)
+    epsilon = Fraction(epsilon)
     if d < 2:
         raise PreconditionError("need d >= 2")
     if not core.ZERO < epsilon < Fraction(1, 32):
@@ -195,12 +180,11 @@ def thm2_family(gamma: Fraction, d: int, epsilon: Fraction, m_bound: int) -> Ins
     return InstanceFamily(
         theorem="thm2",
         cls=cls,
-        gamma=gamma,
         epsilon=epsilon,
         d=d,
         universe=universe,
         n_max=n_max,
-        law=core.IntegerLaw(pinned_index_masses(d, epsilon)),
+        law=core.IntegerLaw(two_tier_masses(d, DIST_CONSTANT * epsilon / (d - 1))),
         pinned_first=True,
         point=core.Point.nat,
         witness=cls.hypothesis,
@@ -256,7 +240,7 @@ def thm3_family(
     `universe` overrides the ascending-scan choice; it must still be a perfect
     square satisfying the exact universe condition.
     """
-    gamma, epsilon = Fraction(gamma), Fraction(epsilon)
+    epsilon = Fraction(epsilon)
     if not core.ZERO < epsilon < core.ONE:
         raise PreconditionError("need 0 < epsilon < 1")
     if n_prime < 1 or m_bound < 1:
@@ -273,12 +257,11 @@ def thm3_family(
     return InstanceFamily(
         theorem="thm3",
         cls=cls,
-        gamma=gamma,
         epsilon=epsilon,
         d=None,
         universe=universe,
         n_max=n_prime,
-        law=core.IntegerLaw(uniform_index_masses(root)),
+        law=core.IntegerLaw(two_tier_masses(root, Fraction(1, root))),
         pinned_first=False,
         point=partial(core.Point.pair, universe),
         witness=partial(cls.hypothesis, universe),
@@ -300,26 +283,30 @@ def thm5_family(gamma: Fraction, d: int, epsilon: Fraction) -> InstanceFamily:
     """Complement split-class family: k_u = ceil(d/(16 eps)), uniform mass
     1/(k_u - d + 1) on a random support, witness zero on all of it;
     n_max = floor((d/(32 eps)) ln(1/(64 e eps)))."""
-    gamma, epsilon = Fraction(gamma), Fraction(epsilon)
+    epsilon = Fraction(epsilon)
     if d < 2:
         raise PreconditionError("need d >= 2")
-    if not (core.ZERO < epsilon and float(epsilon) < 1 / (64 * math.e)):
+    # epsilon < 1 first, so that float(epsilon) cannot overflow
+    if not (core.ZERO < epsilon < core.ONE and float(epsilon) < 1 / (64 * math.e)):
         raise PreconditionError("need 0 < epsilon < 1/(64 e)")
     universe = math.ceil(Fraction(d) / (16 * epsilon))
     if universe <= 2 * d + 1:  # guaranteed by the epsilon range; re-verified
         raise PreconditionError("universe must exceed 2d + 1")
+    # the law comes first: its budget refuses a d or 1/epsilon too large for
+    # the double-precision n_max below
+    count = universe - d + 1
+    law = core.IntegerLaw(two_tier_masses(count, Fraction(1, count)))
     # transcendental ceiling: evaluated in double precision (documented)
     n_max = math.floor((d / (32 * float(epsilon))) * math.log(1 / (64 * math.e * float(epsilon))))
     cls = core.SplitCantorClass(gamma, core.D_MINUS_ONE_COMPLEMENT, d, universe)
     return InstanceFamily(
         theorem="thm5",
         cls=cls,
-        gamma=gamma,
         epsilon=epsilon,
         d=d,
         universe=universe,
         n_max=n_max,
-        law=core.IntegerLaw(uniform_index_masses(universe - d + 1)),
+        law=law,
         pinned_first=False,
         point=partial(core.Point.pair, universe),
         witness=partial(_complement_witness, cls, universe),

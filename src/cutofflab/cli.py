@@ -251,10 +251,6 @@ def cmd_estimate(args) -> int:
         distribution=dist,
         witness=dist.witness if dist.witness is not None else realizer,
         gamma=gamma,
-        epsilon=None,
-        d=None,
-        universe=None,
-        n_max=None,
     )
     est = mc.mc_expected_loss(learner, instance, n, trials, args.seed)
     out = {

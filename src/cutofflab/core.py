@@ -487,7 +487,9 @@ class SplitCantorClass:
     def size(self) -> int:
         if self.variant == D_MINUS_ONE_COMPLEMENT:
             return math.comb(self.universe_cap + 1, self.size_param)  # hockey stick, as in _offset
-        return sum(math.comb(k, m) for k, m in self.blocks())
+        # the members before the block past the last one: the cached prefix
+        m = math.isqrt(self.universe_cap) + 1
+        return self._offset(m * m, m)
 
     def hypothesis(self, k: int, members) -> SplitCantorHypothesis:
         members = frozenset(members)

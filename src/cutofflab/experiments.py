@@ -198,7 +198,7 @@ def _ensemble(report, family, learner, trials, seed, target, *, strict=False, la
         )
     report.row(
         est,
-        gamma=family.gamma,
+        gamma=family.cls.gamma,
         epsilon=family.epsilon,
         d=family.d or "",
         n=family.n_max,
@@ -276,10 +276,8 @@ def thm4_instance_at(cls, witness, points, n: int) -> adversaries.HardInstance:
         distribution=dist,
         witness=witness,
         gamma=cls.gamma,
-        epsilon=None,
         d=len(points),
         universe=cls.universe,
-        n_max=None,
     )
 
 
@@ -381,10 +379,11 @@ def run_lemma_interp(
 ):
     cls, witness, points = _colex_last_shattered(gamma, d, universe)
     instance = thm4_instance_at(cls, witness, points, n)
-    bound = mc.interpolator_envelope_bound(d, n, delta)
     mc.check_quantile_samples(trials, delta)
     interp = partial(learners.generic_interpolator, cls)
     est = mc.mc_expected_loss(learners.SingleInterpolator(interp), instance, n, trials, seed)
+    # after the estimate, whose draw budget refuses an n too large for a float
+    bound = mc.interpolator_envelope_bound(d, n, delta)
     ok, margin = mc.quantile_envelope_check(est.losses, delta, bound)
     report.verdict(
         "quantile_below_bound",

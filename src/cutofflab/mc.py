@@ -199,9 +199,12 @@ def check_quantile_samples(count: int, delta: float) -> None:
     """Refuse a delta outside (0, 1), or fewer than ceil(1/delta) samples,
     whatever the samples are, so a caller can refuse them before drawing any."""
     if not 0 < delta < 1:
-        raise PreconditionError("delta must lie in (0, 1)")
-    if count < 1 / delta:
-        raise PreconditionError(f"need at least {math.ceil(1/delta)} samples")
+        raise PreconditionError("need 0 < delta < 1")
+    need = 1 / delta
+    if count < need:
+        # a delta so small that 1/delta overflows to inf has no integer ceiling
+        at_least = math.ceil(need) if math.isfinite(need) else f"1/{delta}"
+        raise PreconditionError(f"need at least {at_least} samples")
 
 
 def quantile_envelope_check(losses, delta: float, bound: float) -> tuple[bool, float]:

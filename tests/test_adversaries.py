@@ -117,6 +117,7 @@ class TestThm3Family:
         assert fam.universe == 784
         assert len(fam.law.masses) == 28
         assert sum(fam.law.masses) == 1
+        assert fam.law.masses == (F(1, 28),) * 28
 
     def test_invalid_override_rejected(self):
         with pytest.raises(PreconditionError):
@@ -140,6 +141,7 @@ class TestThm5Family:
         assert fam.n_max == 12
         assert len(fam.law.masses) == 61
         assert fam.law.masses[0] == F(1, 61)
+        assert fam.law.masses == (F(1, 61),) * 61
 
     def test_universe_exceeds_2d_plus_1(self):
         for d, eps in ((2, F(1, 200)), (4, F(1, 256)), (3, F(1, 300))):

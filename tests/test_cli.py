@@ -1066,6 +1066,35 @@ class TestParseBoundary:
         assert _one_line_refusal(captured.err)
 
     @pytest.mark.parametrize(
+        ("argv", "code", "message"),
+        [
+            # thm5's double-precision n_max once overflowed or divided by zero
+            (["thm5", "--epsilon", "1e-310"], 3, "index distribution"),
+            (["thm5", "--epsilon", "1e-400"], 3, "index distribution"),
+            (["thm5", "--d", "1" + "0" * 310], 3, "index distribution"),
+            (["thm5", "--epsilon", "1e400"], 4, "need 0 < epsilon < 1/(64 e)"),
+            # lemma-interp's bound once overflowed before the draw budget
+            (["lemma-interp", "--n", "1" + "0" * 310], 3, "draws per trial"),
+            # 1/delta overflows to inf, which has no integer ceiling
+            (["--replay", {"tag": "lemma-interp", "seed": 0, "config": {"delta": 1e-320}}],
+             4, "need at least 1/1e-320 samples"),
+        ],
+        ids=["thm5-eps-1e-310", "thm5-eps-1e-400", "thm5-d-1e310", "thm5-eps-1e400",
+             "lemma-interp-n-1e310", "lemma-interp-delta-1e-320"],
+    )
+    def test_numbers_past_a_float_are_refused_on_one_line(
+        self, tmp_path, capsys, argv, code, message
+    ):
+        if argv[0] == "--replay":
+            path = tmp_path / "report.json"
+            path.write_text(json.dumps(argv[1]))
+            argv = ["--replay", str(path)]
+        assert _within(10, cli.main, ["reproduce", *argv]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert _one_line_refusal(captured.err)
+
+    @pytest.mark.parametrize(
         ("argv", "what"),
         [
             (["oig", "--points", "4/1,4/2"], "one-inclusion graph of size at least 2^"),

@@ -431,6 +431,17 @@ class TestCanonicalEnumeration:
         cls = core.SplitCantorClass(F(1, 2), core.D_MINUS_ONE_COMPLEMENT, d, cap)
         assert cls.size() == sum(math.comb(k, m) for k, m in cls.blocks())
 
+    def test_sqrt_size_is_the_block_sum_computed_once(self, monkeypatch):
+        # size() reads the block prefix the member ranks cache, so a second
+        # call computes no binomial
+        comb, calls = math.comb, []
+        monkeypatch.setattr(math, "comb", lambda k, m: calls.append((k, m)) or comb(k, m))
+        for cap in range(1, 401):
+            cls = core.SplitCantorClass(F(1, 2), core.SQRT_SIZE, None, cap)
+            calls.clear()
+            assert cls.size() == cls.size() == sum(comb(k, m) for k, m in cls.blocks())
+            assert calls == list(cls.blocks())
+
     def test_unique_value_formula(self):
         # gamma + (1-gamma)/rank with rank the 1-based colex position
         cls = core.CantorClass(F(1, 2), 2, 5)
