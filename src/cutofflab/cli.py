@@ -273,6 +273,13 @@ _SAMPLE_SIZES = ("ns", "n", "n_prime")
 
 def cmd_reproduce(args) -> int:
     if args.replay:
+        given = [args.tag] if args.tag else []
+        given += [f"--{key}" for key in (*_REPRODUCE_FLAGS, "n", "seed")
+                  if getattr(args, key) is not None]
+        if given:
+            raise ParseError(
+                f"--replay reads the tag, seed and config from its file; drop {', '.join(given)}"
+            )
         echoed = serialize.load_json(args.replay)
         try:
             tag = echoed["tag"]
@@ -288,7 +295,7 @@ def cmd_reproduce(args) -> int:
         # derived keys such as thm4's slope are echoed but not replayed
         raw = {key: config[key] for key in params if key != "seed" and key in config}
     else:
-        tag, seed = args.tag, args.seed
+        tag, seed = args.tag, 0 if args.seed is None else args.seed
         params = inspect.signature(experiments.RUNNERS[tag]).parameters
         raw = {key: getattr(args, key) for key in _REPRODUCE_FLAGS if getattr(args, key) is not None}
         if args.n is not None:
@@ -364,10 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
         "n_prime for thm3; other tags take none",
     )
     p_rep.add_argument("--trials", type=int)
-    p_rep.add_argument("--seed", type=int, default=0)
+    p_rep.add_argument("--seed", type=int, help="default: 0")
     p_rep.add_argument("--out", help="write result rows as CSV")
     p_rep.add_argument("--json", action="store_true")
-    p_rep.add_argument("--replay", help="re-run from a report's config echo")
+    p_rep.add_argument(
+        "--replay", help="re-run a report's tag, seed and config echo; takes only --json and --out"
+    )
     p_rep.set_defaults(fn=cmd_reproduce)
 
     return parser

@@ -1,16 +1,19 @@
 """JSON-shaped serialization for points, hypotheses, classes and distributions.
 
 Exact rationals travel as "p/q" strings, points as {"nat": 3} or {"pair": [4, 2]}.
-All readers raise ParseError on malformed input, a number they would have to
-round included, so the CLI can map it to a stable exit code.  Files are read
-through `read_text`, so an unreadable or undecodable file, or JSON nested past
-the decoder's recursion limit, is a ParseError too.
+Each hypothesis and class record kind is one row of `_HYPOTHESES` or `_CLASSES`,
+read and written by walking that row.  Every reader raises ParseError on bad
+input, so the CLI exits 2: a number it would round, NaN or an infinity, and a
+file that `read_text` cannot read or decode, or nested past the recursion limit.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 
 from . import core
 from .errors import ParseError
@@ -31,8 +34,9 @@ def rational_from_str(text) -> Fraction:
 def coerce(default, value, key: str):
     """Read a raw JSON or command-line value as the type of `default`.
 
-    Numbers are never rounded: an int refuses a non-integral number, and no
-    number takes a bool.  Raises ParseError for anything it cannot read.
+    Numbers are never rounded: an int refuses a non-integral number, a float
+    refuses NaN and the infinities (JSON's NaN, Infinity and 1e400 included),
+    and no number takes a bool.  Raises ParseError for anything it cannot read.
     """
     try:
         if isinstance(default, Fraction):
@@ -46,7 +50,10 @@ def coerce(default, value, key: str):
                 raise ValueError("bool is not a number")
             if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
                 raise ValueError("not an integer")
-            return type(default)(value)
+            number = type(default)(value)
+            if isinstance(number, float) and not math.isfinite(number):
+                raise ValueError("not a finite number")
+            return number
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad value {key}={value!r}") from exc
     return value
@@ -72,103 +79,81 @@ def point_from_json(obj) -> core.Point:
     raise ParseError(f"bad point {obj!r}")
 
 
+#: One key of a record: `write` turns its attribute into JSON and `read(value,
+#: key)` turns the JSON value back.  An optional key may be missing or null.
+_Field = namedtuple("_Field", "key write read attr optional", defaults=("", False))
+
+
+def _zero_on(value, key):
+    if value not in ("members", "complement"):
+        raise ParseError(f"{key} {value!r} is not 'members' or 'complement'")
+    return value
+
+
+_RATIONAL = (rational_to_str, lambda value, key: rational_from_str(value))
+_INT = (lambda value: value, partial(coerce, 0))
+_MEMBERS = (sorted, lambda value, key: frozenset(coerce((0,), value, key)))
+
+#: Every hypothesis and class record: its "kind", the type it holds, and its
+#: keys in the order that type's constructor takes them.
+_HYPOTHESES = (
+    ("cantor_hypothesis", core.CantorHypothesis,
+     (_Field("members", *_MEMBERS), _Field("value", *_RATIONAL))),
+    ("split_cantor_hypothesis", core.SplitCantorHypothesis,
+     (_Field("k", *_INT), _Field("members", *_MEMBERS), _Field("zero_on", str, _zero_on),
+      _Field("value", *_RATIONAL))),
+    ("table_hypothesis", core.TableHypothesis,
+     (_Field("entries", lambda table: [[point_to_json(p), rational_to_str(v)] for p, v in table],
+             lambda value, key: tuple((point_from_json(p), rational_from_str(v)) for p, v in value),
+             attr="table"),
+      _Field("default", *_RATIONAL))),
+)
+_CLASSES = (
+    ("cantor", core.CantorClass,
+     (_Field("gamma", *_RATIONAL), _Field("d", *_INT), _Field("universe", *_INT))),
+    # an unknown variant is read as text and refused by the class itself
+    ("split_cantor", core.SplitCantorClass,
+     (_Field("gamma", *_RATIONAL), _Field("variant", str, lambda value, key: str(value)),
+      _Field("size_param", *_INT, optional=True), _Field("universe_cap", *_INT))),
+    ("finite", core.FiniteClass,
+     (_Field("hypotheses", lambda hs: [hypothesis_to_json(h) for h in hs],
+             lambda value, key: tuple(hypothesis_from_json(h) for h in value)),)),
+)
+
+
+def _to_json(records, obj, what):
+    for kind, type_, fields in records:
+        if type(obj) is type_:
+            return {"kind": kind, **{f.key: f.write(getattr(obj, f.attr or f.key)) for f in fields}}
+    raise ParseError(f"unknown {what} {obj!r}")
+
+
+def _from_json(records, obj, what):
+    try:
+        kind = obj["kind"]
+        for name, type_, fields in records:
+            if kind == name:
+                return type_(*(None if f.optional and obj.get(f.key) is None
+                               else f.read(obj[f.key], f.key) for f in fields))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad {what} record: {exc}") from exc
+    raise ParseError(f"unknown {what} kind {obj!r}")
+
+
 def hypothesis_to_json(h):
-    if isinstance(h, core.CantorHypothesis):
-        return {
-            "kind": "cantor_hypothesis",
-            "members": sorted(h.members),
-            "value": rational_to_str(h.value),
-        }
-    if isinstance(h, core.SplitCantorHypothesis):
-        return {
-            "kind": "split_cantor_hypothesis",
-            "k": h.k,
-            "members": sorted(h.members),
-            "zero_on": h.zero_on,
-            "value": rational_to_str(h.value),
-        }
-    if isinstance(h, core.TableHypothesis):
-        return {
-            "kind": "table_hypothesis",
-            "entries": [[point_to_json(p), rational_to_str(v)] for p, v in h.table],
-            "default": rational_to_str(h.default),
-        }
-    raise ParseError(f"unknown hypothesis {h!r}")
+    return _to_json(_HYPOTHESES, h, "hypothesis")
 
 
 def hypothesis_from_json(obj):
-    try:
-        kind = obj["kind"]
-        if kind == "cantor_hypothesis":
-            return core.CantorHypothesis(
-                frozenset(coerce((0,), obj["members"], "members")),
-                rational_from_str(obj["value"]),
-            )
-        if kind == "split_cantor_hypothesis":
-            if obj["zero_on"] not in ("members", "complement"):
-                raise ParseError(f"zero_on {obj['zero_on']!r} is not 'members' or 'complement'")
-            return core.SplitCantorHypothesis(
-                coerce(0, obj["k"], "k"),
-                frozenset(coerce((0,), obj["members"], "members")),
-                obj["zero_on"],
-                rational_from_str(obj["value"]),
-            )
-        if kind == "table_hypothesis":
-            entries = tuple(
-                (point_from_json(p), rational_from_str(v)) for p, v in obj["entries"]
-            )
-            return core.TableHypothesis(entries, rational_from_str(obj["default"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad hypothesis record: {exc}") from exc
-    raise ParseError(f"unknown hypothesis kind {obj!r}")
+    return _from_json(_HYPOTHESES, obj, "hypothesis")
 
 
 def class_to_json(cls):
-    if isinstance(cls, core.CantorClass):
-        return {
-            "kind": "cantor",
-            "gamma": rational_to_str(cls.gamma),
-            "d": cls.d,
-            "universe": cls.universe,
-        }
-    if isinstance(cls, core.SplitCantorClass):
-        return {
-            "kind": "split_cantor",
-            "gamma": rational_to_str(cls.gamma),
-            "variant": cls.variant,
-            "size_param": cls.size_param,
-            "universe_cap": cls.universe_cap,
-        }
-    if isinstance(cls, core.FiniteClass):
-        return {
-            "kind": "finite",
-            "hypotheses": [hypothesis_to_json(h) for h in cls.hypotheses],
-        }
-    raise ParseError(f"unknown class {cls!r}")
+    return _to_json(_CLASSES, cls, "class")
 
 
 def class_from_json(obj):
-    try:
-        kind = obj["kind"]
-        if kind == "cantor":
-            return core.CantorClass(
-                rational_from_str(obj["gamma"]),
-                coerce(0, obj["d"], "d"),
-                coerce(0, obj["universe"], "universe"),
-            )
-        if kind == "split_cantor":
-            size_param = obj.get("size_param")
-            return core.SplitCantorClass(
-                rational_from_str(obj["gamma"]),
-                str(obj["variant"]),
-                None if size_param is None else coerce(0, size_param, "size_param"),
-                coerce(0, obj["universe_cap"], "universe_cap"),
-            )
-        if kind == "finite":
-            return core.FiniteClass(tuple(hypothesis_from_json(h) for h in obj["hypotheses"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad class record: {exc}") from exc
-    raise ParseError(f"unknown class kind {obj!r}")
+    return _from_json(_CLASSES, obj, "class")
 
 
 def distribution_from_json(obj) -> core.FiniteDistribution:

@@ -772,6 +772,44 @@ class TestReplayOverrides:
         path.write_text('{"rows": []}')
         assert cli.main(["reproduce", "--replay", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["thm4"],
+            ["--epsilon", "1/64"],
+            ["--gamma", "1/2"],
+            ["--d", "3"],
+            ["--universe", "0"],
+            ["--n", "4"],
+            ["--trials", "30"],
+            ["--seed", "5"],
+            ["--seed", "0"],
+        ],
+        ids=["tag", "epsilon", "gamma", "d", "universe", "n", "trials", "seed-5", "seed-0"],
+    )
+    def test_replay_with_a_tag_or_flag_exits_2_before_the_check(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a check ran with a flag --replay does not read")
+
+        monkeypatch.setattr(experiments, "reproduce", must_not_run)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"tag": "thm1", "seed": 0, "config": {"epsilon": "1/32"}}))
+        assert cli.main(["reproduce", "--replay", str(path), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_refusal(captured.err)
+        assert f"drop {argv[0]}" in captured.err
+
+    def test_replay_takes_json_and_out(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"tag": "thm1", "seed": 4, "config": {}}))
+        rows = tmp_path / "rows.csv"
+        argv = ["reproduce", "--replay", str(path), "--json", "--out", str(rows)]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 4
+        assert rows.read_text().startswith(",".join(experiments.CSV_HEADER))
+
 
 class TestOigSubgraphs:
     def test_sweep_past_the_budget_exits_3_before_any_subgraph(
@@ -1095,6 +1133,32 @@ class TestParseBoundary:
         assert _one_line_refusal(captured.err)
 
     @pytest.mark.parametrize(
+        ("tag", "config"),
+        [
+            ("thm4", '{"min_r_squared": NaN}'),
+            ("thm4", '{"slope_range": [NaN, 1]}'),
+            ("thm4", '{"min_r_squared": Infinity}'),
+            ("thm4", '{"min_r_squared": -Infinity}'),
+            ("lemma-interp", '{"delta": NaN}'),
+            ("lemma-interp", '{"delta": 1e400}'),
+        ],
+        ids=["r2-nan", "slope-nan", "r2-inf", "r2-minus-inf", "delta-nan", "delta-1e400"],
+    )
+    def test_replayed_non_finite_number_exits_2_before_any_trial(
+        self, tmp_path, monkeypatch, capsys, tag, config
+    ):
+        # Python's json reads NaN, Infinity and 1e400; no threshold may be one
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a trial ran on a non-finite number")
+
+        monkeypatch.setattr(mc, "mc_expected_loss", must_not_run)
+        path = tmp_path / "report.json"
+        path.write_text(f'{{"tag": "{tag}", "seed": 0, "config": {config}}}')
+        assert cli.main(["reproduce", "--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_refusal(captured.err)
+
+    @pytest.mark.parametrize(
         ("argv", "what"),
         [
             (["oig", "--points", "4/1,4/2"], "one-inclusion graph of size at least 2^"),
@@ -1221,12 +1285,27 @@ class TestParseBoundary:
             ),
             pytest.param(_DIMS_PAIR, _finite_with(_split_h("membres")), id="zero-on-misspelt"),
             pytest.param(_DIMS_PAIR, _finite_with(_split_h(7)), id="zero-on-not-a-string"),
+            pytest.param(
+                _DIMS_PAIR,
+                {"kind": "split_cantor", "gamma": "1/2", "size_param": 3, "universe_cap": 5},
+                id="variant-missing",
+            ),
+            pytest.param(_DIMS_NAT, {"kind": "cantor", "gamma": "1/2", "d": 2},
+                         id="universe-missing"),
+            pytest.param(_DIMS_NAT, {**_CANTOR, "kind": ["cantor"]}, id="kind-a-list"),
         ],
     )
     def test_file_value_it_would_round_or_misread_exits_2(self, tmp_path, argv, data):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(data))
         assert cli.main([argv[0], str(path), *argv[1:]]) == 2
+
+    def test_unknown_variant_is_read_as_text_and_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "class.json"
+        path.write_text(json.dumps({"kind": "split_cantor", "gamma": "1/2", "variant": "sqrt",
+                                    "size_param": None, "universe_cap": 9}))
+        assert cli.main(["dims", str(path), *_DIMS_PAIR[1:]]) == 4
+        assert "unknown split variant 'sqrt'" in capsys.readouterr().err
 
     def test_threads_option_is_gone(self):
         with pytest.raises(SystemExit) as exc:
