@@ -1,10 +1,11 @@
-"""Hard-instance constructions for the lower-bound checks.
+"""Hard-instance constructions for the lower-bound and rate checks.
 
 Each builder packages a hypothesis class, a realizable distribution (or a
 seeded generator over random supports, when the construction averages over
 one), the realizability witness, and the sample-size ceiling the
-corresponding bound is stated at.  Universe sizes are re-verified by exact
-rational inequalities at construction time.
+corresponding bound is stated at.  Every fixed instance is two-tier and comes
+from `two_tier_instance`.  Universe sizes are re-verified by exact rational
+inequalities at construction time.
 """
 
 from __future__ import annotations
@@ -112,18 +113,20 @@ def two_tier_masses(count: int, light: Fraction) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Proper-rule aggregation lower bound (works for any class)
+# Two-tier instances: the proper-rule lower bound (thm1, any class) and the
+# median-of-three rate and interpolator envelope (thm4, lemma-interp)
 # ---------------------------------------------------------------------------
 
 
-def two_tier_distribution(witness, points, light_mass: Fraction) -> core.FiniteDistribution:
-    """Heavy mass on the first point, `light_mass` on each of the rest, all
-    labeled by the witness."""
+def two_tier_instance(theorem, cls, witness, points, light, **fields) -> HardInstance:
+    """Heavy mass on the first point, `light` on each of the rest, all
+    labeled by the witness; `fields` are the other HardInstance fields."""
     points = tuple(points)
-    masses = two_tier_masses(len(points), light_mass)
-    return core.FiniteDistribution.from_triples(
+    masses = two_tier_masses(len(points), light)
+    distribution = core.FiniteDistribution.from_triples(
         [(x, witness.value_at(x), m) for x, m in zip(points, masses)], witness
     )
+    return HardInstance(theorem, cls, distribution, witness, **fields)
 
 
 def thm1_instance(
@@ -143,20 +146,25 @@ def thm1_instance(
     if d < 2:
         raise PreconditionError(f"graph dimension must be >= 2, found {d}")
     cert = dims.find_shattered_set(cls, pool, gamma, d)
-    light = 4 * epsilon / (d - 1)
-    distribution = two_tier_distribution(cert.witness, cert.points, light)
-    n_max = math.floor(d / (32 * epsilon))
-    instance = HardInstance(
-        theorem="thm1",
-        cls=cls,
-        distribution=distribution,
-        witness=cert.witness,
-        gamma=gamma,
-        epsilon=epsilon,
-        d=d,
-        n_max=n_max,
+    instance = two_tier_instance(
+        "thm1", cls, cert.witness, cert.points, 4 * epsilon / (d - 1),
+        gamma=gamma, epsilon=epsilon, d=d, n_max=math.floor(d / (32 * epsilon)),
     )
     return instance, cert
+
+
+def thm4_instance(cls: core.CantorClass, n: int) -> HardInstance:
+    """Light mass 1/n on each point of the colex-last member set
+    {u-d+1, ..., u} of the Cantor class, labeled by that member.  The
+    canonical interpolator's fill never lands on this set, so unseen support
+    points stay gamma-far."""
+    if n < 1:
+        raise PreconditionError("need n >= 1")
+    members = range(cls.universe - cls.d + 1, cls.universe + 1)
+    return two_tier_instance(
+        "thm4", cls, cls.hypothesis(members), map(core.Point.nat, members), Fraction(1, n),
+        gamma=cls.gamma, d=cls.d, universe=cls.universe,
+    )
 
 
 # ---------------------------------------------------------------------------

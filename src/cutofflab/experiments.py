@@ -265,31 +265,6 @@ def run_thm3(
 # ---------------------------------------------------------------------------
 
 
-def thm4_instance_at(cls, witness, points, n: int) -> adversaries.HardInstance:
-    """Two-tier distribution with light mass 1/n per light point."""
-    if n < 1:
-        raise PreconditionError("need n >= 1")
-    dist = adversaries.two_tier_distribution(witness, points, Fraction(1, n))
-    return adversaries.HardInstance(
-        theorem="thm4",
-        cls=cls,
-        distribution=dist,
-        witness=witness,
-        gamma=cls.gamma,
-        d=len(points),
-        universe=cls.universe,
-    )
-
-
-def _colex_last_shattered(gamma, d, universe):
-    """Cantor class plus the witness and points of its colex-last shattered set."""
-    cls = core.CantorClass(gamma, d, universe)
-    # colex-last shattered set: the canonical interpolator's fill never lands
-    # on it, so unseen support points stay gamma-far.
-    members = tuple(range(universe - d + 1, universe + 1))
-    return cls, cls.hypothesis(members), tuple(core.Point.nat(i) for i in members)
-
-
 @_runner("thm4")
 def run_thm4(
     report,
@@ -306,12 +281,12 @@ def run_thm4(
         raise PreconditionError(f"slope_range needs two bounds, got {slope_range!r}")
     lo, hi = slope_range
     mc.check_fit_sizes(ns)
-    cls, witness, points = _colex_last_shattered(gamma, d, universe)
+    cls = core.CantorClass(gamma, d, universe)
     interp = partial(learners.generic_interpolator, cls)
     med = learners.MedianOfThree(interp)
     curve = []
     for i, n in enumerate(ns):
-        instance = thm4_instance_at(cls, witness, points, n)
+        instance = adversaries.thm4_instance(cls, n)
         est = mc.mc_expected_loss(med, instance, n, trials, core.stream_seed(seed, i))
         curve.append((n, est.mean))
         report.row(
@@ -322,7 +297,7 @@ def run_thm4(
     top_n = ns[-1]
     single = mc.mc_expected_loss(
         learners.SingleInterpolator(interp),
-        thm4_instance_at(cls, witness, points, top_n),
+        adversaries.thm4_instance(cls, top_n),
         top_n,
         trials,
         core.stream_seed(seed, len(ns)),
@@ -377,8 +352,8 @@ def run_lemma_interp(
     trials=400,
     seed=0,
 ):
-    cls, witness, points = _colex_last_shattered(gamma, d, universe)
-    instance = thm4_instance_at(cls, witness, points, n)
+    cls = core.CantorClass(gamma, d, universe)
+    instance = adversaries.thm4_instance(cls, n)
     mc.check_quantile_samples(trials, delta)
     interp = partial(learners.generic_interpolator, cls)
     est = mc.mc_expected_loss(learners.SingleInterpolator(interp), instance, n, trials, seed)

@@ -137,12 +137,15 @@ def mc_expected_loss(
     `source` is a fixed HardInstance or an InstanceFamily; families redraw
     their support each trial (stream-separated), estimating the
     support-averaged loss the constructions bound.  A trial's draws,
-    n per sample, are refused past `core.enumeration_budget()` before any
-    trial runs.
+    n per sample, then the run's fits, trials times blocks per trial, are
+    refused past `core.enumeration_budget()` before any trial runs.
     """
     if trials < 30:
         raise PreconditionError("need at least 30 trials for the normal CI")
     core._budgeted("draws per trial", n * learner.sample_arity)
+    # one fit per block; a learner with no partitioner fits each sample once
+    blocks = getattr(getattr(learner, "partitioner", None), "m", 1)
+    core._budgeted("fits per run", trials * learner.sample_arity * blocks)
     losses = tuple(_trial_loss(learner, source, n, seed, t) for t in range(trials))
     exact_mean = sum(losses, core.ZERO) / trials
     mean = float(exact_mean)

@@ -113,9 +113,9 @@ def test_criterion_6_single_interpolator_envelope():
 def test_criterion_6b_quantile_under_quoted_figure():
     # tighter reading: the empirical 90th percentile also sits under 0.116
     cls = core.CantorClass(HALF, 2, 6)
-    witness = cls.hypothesis({5, 6})
-    points = (NAT(5), NAT(6))
-    instance = experiments.thm4_instance_at(cls, witness, points, 4096)
+    instance = adversaries.thm4_instance(cls, 4096)
+    assert instance.witness == cls.hypothesis({5, 6})
+    assert [a.point for a in instance.distribution.atoms] == [NAT(5), NAT(6)]
     interp = bind(learners.generic_interpolator, cls)
     est = mc.mc_expected_loss(
         learners.SingleInterpolator(interp), instance, 4096, 400, SEED

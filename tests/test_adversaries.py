@@ -48,6 +48,36 @@ class TestThm1Instance:
         with pytest.raises(PreconditionError):
             adversaries.thm1_instance(cls, HALF, F(1, 32))
 
+    @pytest.mark.parametrize(
+        ("epsilon", "masses", "n_max"),
+        [(F(1, 32), (F(7, 8), F(1, 8)), 2), (F(1, 128), (F(31, 32), F(1, 32)), 8)],
+    )
+    def test_pinned_instance(self, epsilon, masses, n_max):
+        cls = core.CantorClass(HALF, 2, 5)
+        inst, cert = adversaries.thm1_instance(cls, HALF, epsilon)
+        dist = inst.distribution
+        assert [a.point for a in dist.atoms] == [NAT(1), NAT(2)] == list(cert.points)
+        assert dist.masses == masses and inst.n_max == n_max
+        assert all(a.label == 0 for a in dist.atoms)
+        assert (inst.theorem, inst.d, inst.universe, inst.epsilon) == ("thm1", 2, None, epsilon)
+
+
+class TestThm4Instance:
+    def test_pinned_instance(self):
+        cls = core.CantorClass(HALF, 4, 12)
+        inst = adversaries.thm4_instance(cls, 1024)
+        dist = inst.distribution
+        assert [a.point for a in dist.atoms] == [NAT(i) for i in range(9, 13)]
+        assert dist.masses == (F(1021, 1024),) + (F(1, 1024),) * 3
+        assert all(a.label == 0 for a in dist.atoms)
+        assert inst.witness == dist.witness == cls.hypothesis({9, 10, 11, 12})
+        assert (inst.theorem, inst.cls, inst.gamma) == ("thm4", cls, HALF)
+        assert (inst.d, inst.universe, inst.epsilon, inst.n_max) == (4, 12, None, None)
+
+    def test_n_below_one_rejected(self):
+        with pytest.raises(PreconditionError, match="need n >= 1"):
+            adversaries.thm4_instance(core.CantorClass(HALF, 4, 12), 0)
+
 
 class TestThm2Family:
     def test_reference_parameters(self):
@@ -258,16 +288,16 @@ class TestTwoTier:
         cls = core.CantorClass(HALF, 2, 5)
         witness = cls.hypothesis({4, 5})
         with pytest.raises(PreconditionError):
-            adversaries.two_tier_distribution(
-                witness, (NAT(4), NAT(5)), F(3, 2)
+            adversaries.two_tier_instance(
+                "two-tier", cls, witness, (NAT(4), NAT(5)), F(3, 2), gamma=HALF
             )
 
     def test_labels_follow_witness(self):
         cls = core.CantorClass(HALF, 2, 5)
         witness = cls.hypothesis({4, 5})
-        dist = adversaries.two_tier_distribution(
-            witness, (NAT(4), NAT(5), NAT(1)), F(1, 8)
-        )
+        dist = adversaries.two_tier_instance(
+            "two-tier", cls, witness, (NAT(4), NAT(5), NAT(1)), F(1, 8), gamma=HALF
+        ).distribution
         assert dist.masses == (F(3, 4), F(1, 8), F(1, 8))
         for atom in dist.atoms:
             assert atom.label == witness.value_at(atom.point)

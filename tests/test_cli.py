@@ -506,6 +506,37 @@ class TestEstimate:
         assert captured.err.startswith(f"budget exceeded: {message} exceeds budget 200000")
 
     @pytest.mark.parametrize(
+        ("config", "fits"),
+        [
+            ({**_agg(partition={"kind": "disjoint", "m": 20_001}), "trials": 30}, 600_030),
+            ({**_agg(partition={"kind": "windows", "m": 199_999, "width": 1}), "trials": 30},
+             5_999_970),
+            (_estimate_config(trials=100_000_000, learner_config={"learner": "single"}),
+             100_000_000),
+        ],
+        ids=["disjoint", "windows", "single"],
+    )
+    def test_fits_past_the_budget_exit_3_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, config, fits
+    ):
+        _no_trial(monkeypatch)
+        start = time.monotonic()
+        assert _within(10, _run_estimate, tmp_path, config) == 3
+        assert time.monotonic() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_refusal(captured.err)
+        assert captured.err.startswith(f"budget exceeded: fits per run of size {fits} exceeds")
+
+    def test_fits_budget_boundary(self, tmp_path, capsys, monkeypatch):
+        # 30 trials of three disjoint blocks: 90 fits
+        config = {**_agg(partition={"kind": "disjoint", "m": 3}), "trials": 30}
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "90")
+        assert _run_estimate(tmp_path, config) == 0
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "89")
+        assert _run_estimate(tmp_path, config) == 3
+        assert "fits per run of size 90 exceeds budget 89" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         ("keys", "message"),
         [
             ({"partition": {"kind": "disjoint", "m": 2}},
@@ -1102,6 +1133,15 @@ class TestParseBoundary:
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
         assert _one_line_refusal(captured.err)
+
+    def test_trials_past_the_fits_budget_exit_3_before_any_trial(self, capsys, monkeypatch):
+        _no_trial(monkeypatch)
+        start = time.monotonic()
+        assert _within(10, cli.main, ["reproduce", "thm5", "--trials", "100000000"]) == 3
+        assert time.monotonic() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_refusal(captured.err)
+        assert "fits per run of size 100000000 exceeds budget 200000" in captured.err
 
     @pytest.mark.parametrize(
         ("argv", "code", "message"),

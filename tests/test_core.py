@@ -11,7 +11,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cutofflab import adversaries, core, experiments, serialize
+from cutofflab import adversaries, core, serialize
 from cutofflab.errors import (
     DomainMismatchError,
     PreconditionError,
@@ -292,8 +292,7 @@ class TestSampling:
     )
     def test_thm4_draws_pinned(self, seed, digest):
         # the thm4 law at d = 4, n = 1024: masses 1021/1024 and 3 x 1/1024
-        cls, witness, points = experiments._colex_last_shattered(F(1, 2), 4, 12)
-        dist = experiments.thm4_instance_at(cls, witness, points, 1024).distribution
+        dist = adversaries.thm4_instance(core.CantorClass(F(1, 2), 4, 12), 1024).distribution
         index = {id(ex): k for k, ex in enumerate(dist.atoms)}
         indices = [index[id(ex)] for ex in core.sample_iid(dist, 1024, seed)]
         text = ",".join(map(str, indices))

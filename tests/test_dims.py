@@ -8,7 +8,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cutofflab import core, dims, experiments
+from cutofflab import adversaries, core, dims
 from cutofflab.errors import BudgetExceededError, PreconditionError
 
 import helpers
@@ -336,7 +336,7 @@ class TestGraphDimension:
     @pytest.mark.parametrize("d", [2, 3])
     def test_colex_last_construction_has_dimension_d(self, d):
         # the matching upper bound for the thm4 construction's shattered set
-        cls, _, _ = experiments._colex_last_shattered(HALF, d, 3 * d)
+        cls = adversaries.thm4_instance(core.CantorClass(HALF, d, 3 * d), d).cls
         assert dims.gamma_graph_dimension(cls, cls.default_pool(), HALF) == d
 
     def test_class_size_times_pool_size_is_budgeted(self, monkeypatch):

@@ -354,6 +354,26 @@ class TestSeenSetSharing:
 
 
 class TestMcEstimator:
+    @pytest.mark.parametrize(
+        ("build", "fits"),
+        [
+            (learners.MedianOfThree, 90),  # three samples, one block each
+            (bind(learners.InterpolatorAggregation, partitioner=learners.DisjointBlocks(3)), 90),
+            (lambda interp: ConstantLearner(0), 30),  # no partitioner: one fit per sample
+        ],
+        ids=["median3", "disjoint3", "no-partitioner"],
+    )
+    def test_fits_per_run_are_trials_times_blocks(self, monkeypatch, build, fits):
+        inst = fixed_instance()
+        learner = build(bind(learners.generic_interpolator, inst.cls))
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", str(fits - 1))
+        with pytest.raises(
+            BudgetExceededError, match=f"fits per run of size {fits} exceeds budget {fits - 1}"
+        ):
+            mc.mc_expected_loss(learner, inst, 2, 30, seed=1)
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", str(fits))
+        assert mc.mc_expected_loss(learner, inst, 2, 30, seed=1).trials == 30
+
     def test_constant_loss_degenerate(self):
         inst = fixed_instance()
         est = mc.mc_expected_loss(ConstantLearner(1), inst, 2, 50, seed=1)
