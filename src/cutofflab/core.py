@@ -228,7 +228,7 @@ class CantorHypothesis:
     def value_at(self, point: Point) -> Fraction:
         if point.kind != "nat":
             raise DomainMismatchError(f"Cantor hypothesis is defined on nat points, got {point}")
-        return ZERO if point.n in self.members else self.value
+        return ZERO if point.coords[0] in self.members else self.value
 
     __call__ = value_at
 
@@ -250,9 +250,10 @@ class SplitCantorHypothesis:
     def value_at(self, point: Point) -> Fraction:
         if point.kind != "pair":
             raise DomainMismatchError(f"split hypothesis is defined on pair points, got {point}")
-        if point.block != self.k:
+        block, index = point.coords
+        if block != self.k:
             return self.value
-        inside = point.index in self.members
+        inside = index in self.members
         if self.zero_on == "members":
             return ZERO if inside else self.value
         return self.value if inside else ZERO
@@ -666,12 +667,24 @@ def gamma_far(a: Fraction, b: Fraction, gamma: Fraction) -> bool:
 
 def cutoff_loss(predictor: Predictor, dist: FiniteDistribution, gamma: Fraction) -> Fraction:
     """Probability mass on which the prediction is `gamma_far` from the label,
-    summed as integer weights over the distribution's common denominator."""
+    summed as integer weights over the distribution's common denominator.
+
+    Predictors return a few shared Fractions and labels repeat, so each
+    (prediction, label) pair of objects is tested once.  The memo keys on
+    their ids and holds both objects, so a fresh prediction freed after its
+    atom cannot lend its id to the next; it lives for this call only.
+    """
     gamma = _exact(gamma)
     law = dist.law
+    far: dict[tuple[int, int], tuple] = {}
     total = 0
     for ex, weight in zip(dist.atoms, law.weights):
-        if gamma_far(predictor(ex.point), ex.label, gamma):
+        y, label = predictor(ex.point), ex.label
+        key = (id(y), id(label))
+        hit = far.get(key)
+        if hit is None:
+            hit = far[key] = (y, label, gamma_far(y, label, gamma))
+        if hit[2]:
             total += weight
     return Fraction(total, law.denominator)
 

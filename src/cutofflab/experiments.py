@@ -284,9 +284,11 @@ def run_thm4(
     cls = core.CantorClass(gamma, d, universe)
     interp = partial(learners.generic_interpolator, cls)
     med = learners.MedianOfThree(interp)
+    # every instance, the single interpolator's at ns[-1] last, before the
+    # first trial, so an n below 1 is refused at once
+    instances = [adversaries.thm4_instance(cls, n) for n in (*ns, ns[-1])]
     curve = []
-    for i, n in enumerate(ns):
-        instance = adversaries.thm4_instance(cls, n)
+    for i, (n, instance) in enumerate(zip(ns, instances)):
         est = mc.mc_expected_loss(med, instance, n, trials, core.stream_seed(seed, i))
         curve.append((n, est.mean))
         report.row(
@@ -297,7 +299,7 @@ def run_thm4(
     top_n = ns[-1]
     single = mc.mc_expected_loss(
         learners.SingleInterpolator(interp),
-        adversaries.thm4_instance(cls, top_n),
+        instances[-1],
         top_n,
         trials,
         core.stream_seed(seed, len(ns)),

@@ -3,15 +3,20 @@
 ``InterpolatorAggregation``, at the end of this module, is the one learner
 class: it declares its ``sample_arity`` and turns that many training samples
 into a predictor (callable Point -> Fraction) through ``predictor(samples)``,
-which fits its interpolator on exactly the blocks ``seen_blocks(samples)``
-gives.  The single interpolator, median-of-three and proper ERM are functions
-that build it.
+which fits its interpolator once on each distinct block object
+``seen_blocks(samples)`` gives.  The single interpolator, median-of-three and
+proper ERM are functions that build it.
 ``reads_seen_sets(learner)`` says whether that interpolator reads each block
 only through its set of distinct examples; the exact oracle in ``mc`` admits
 only such learners, and fits each distinct tuple of seen sets once.  An
 interpolator is a ``sample -> hypothesis`` fitter.  Proper rules (order
 statistics, the median) return one of their inputs; the mean stays inside the
 input range.  Everything is deterministic given its inputs and seeds.
+
+A predictor does its repeated work once, through memos keyed on ``id()``.
+Each memo lives only as long as the call or predictor that built it and
+holds every object whose id it keys on, so no id is freed and reused while
+the memo can still read it.
 """
 
 from __future__ import annotations
@@ -84,18 +89,52 @@ def _check_arity(rule: AggregationRule, m: int) -> None:
         raise PreconditionError(f"order statistic {rule.rank} out of range for m={m}")
 
 
+def _constant_winner(rule: AggregationRule, hs: tuple):
+    """The hypothesis whose value the rule returns at every point, or None.
+
+    That is one object filling `need` of the m inputs: all of them for the
+    mean, and max(r, m + 1 - r) for a rank rule taking the r-th smallest
+    value, as then at most r - 1 values lie strictly below its value and at
+    most m - r strictly above.  As need > m / 2, such an object holds the
+    middle place of the inputs sorted by id.
+    """
+    m = len(hs)
+    if isinstance(rule, Mean):
+        need = m
+    else:
+        r = rule.rank if isinstance(rule, OrderStatistic) else m // 2 + 1
+        need = max(r, m + 1 - r)
+    order = list(map(id, hs))
+    ids = sorted(order)
+    winner = ids[m // 2]
+    return hs[order.index(winner)] if ids.count(winner) >= need else None
+
+
 def aggregate(rule: AggregationRule, hypotheses: Sequence) -> core.Predictor:
-    """Pointwise application of the rule to the hypotheses' values."""
+    """Pointwise application of the rule to the hypotheses' values.
+
+    Where one hypothesis decides the rule at every point (`_constant_winner`)
+    the predictor is its `value_at`.  Otherwise the predictor combines each
+    tuple of input value objects once: hypotheses return a few shared
+    Fractions, so points repeat tuples.  The memo keys on the values' ids
+    and holds the values, and lives as long as the predictor.
+    """
     hs = tuple(hypotheses)
     if not hs:
         raise PreconditionError("cannot aggregate zero hypotheses")
     _check_arity(rule, len(hs))
-    if len(hs) == 1:
-        # every rule returns its one input exactly
-        return hs[0].value_at
+    winner = _constant_winner(rule, hs)
+    if winner is not None:
+        return winner.value_at
+    combined: dict[tuple[int, ...], tuple] = {}
 
     def predictor(x: core.Point) -> Fraction:
-        return rule.combine([h(x) for h in hs])
+        values = [h(x) for h in hs]
+        key = tuple(map(id, values))
+        hit = combined.get(key)
+        if hit is None:
+            hit = combined[key] = (values, rule.combine(values))
+        return hit[1]
 
     return predictor
 
@@ -254,7 +293,16 @@ class InterpolatorAggregation:
         return [block for sample in samples for block in self.partitioner.split(tuple(sample))]
 
     def predictor(self, samples) -> core.Predictor:
-        return aggregate(self.rule, [self.interpolator(block) for block in self.seen_blocks(samples)])
+        """The rule over one fit per block, made once per distinct block
+        object: interpolators are deterministic, and the one empty block
+        object `()` stands for every empty block.  The memo keys on id(block)
+        while `blocks` holds every block."""
+        blocks = self.seen_blocks(samples)
+        fits = {}
+        for block in blocks:
+            if id(block) not in fits:
+                fits[id(block)] = self.interpolator(block)
+        return aggregate(self.rule, [fits[id(block)] for block in blocks])
 
 
 def SingleInterpolator(interpolator: Interpolator) -> InterpolatorAggregation:

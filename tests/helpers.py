@@ -119,3 +119,19 @@ def reference_loss_distribution(learner, instance, n):
         predictor = learner.predictor(samples)
         out.append((weight, core.cutoff_loss(predictor, dist, instance.gamma)))
     return out
+
+
+def reference_aggregate(rule, hypotheses):
+    """The rule combined afresh at every point, with no shortcut or memo."""
+    hs = tuple(hypotheses)
+    return lambda x: rule.combine([h.value_at(x) for h in hs])
+
+
+def reference_cutoff_loss(predictor, dist, gamma) -> Fraction:
+    """The cutoff loss with no memo: the total mass of the atoms whose
+    prediction is `core.gamma_far` from the label."""
+    return sum(
+        (mass for ex, mass in zip(dist.atoms, dist.masses)
+         if core.gamma_far(predictor(ex.point), ex.label, gamma)),
+        core.ZERO,
+    )

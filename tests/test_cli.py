@@ -1074,6 +1074,12 @@ class TestParseBoundary:
         err = capsys.readouterr().err
         assert message in err and _one_line_refusal(err)
 
+    def test_sample_size_below_one_exits_4_before_any_trial(self, monkeypatch, capsys):
+        _no_trial(monkeypatch)
+        assert cli.main(["reproduce", "thm4", "--n", "1024,1024,512,0", "--trials", "2000"]) == 4
+        err = capsys.readouterr().err
+        assert "need n >= 1" in err and _one_line_refusal(err)
+
     @pytest.mark.parametrize(
         ("config", "message"),
         [

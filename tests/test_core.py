@@ -102,6 +102,33 @@ class TestCutoffLoss:
         p = two_point_predictor(values).value_at
         assert core.cutoff_loss(p, dist, lo) >= core.cutoff_loss(p, dist, hi)
 
+    @given(
+        gamma=st.fractions(min_value=F(1, 100), max_value=F(1, 4), max_denominator=100),
+        picks=st.lists(st.tuples(st.integers(0, 2), st.integers(-2, 2)), min_size=1, max_size=12),
+        fresh=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_each_pair_tested_once_equals_the_reference(self, gamma, picks, fresh):
+        # each atom takes one of three shared label objects, the first and
+        # last equal in value, and predicts label + step * gamma: not far for
+        # |step| <= 1 (label +- gamma exactly at 1), far for |step| = 2
+        labels = (F(1, 2), F(1, 3), F(1, 2))
+        dist = core.FiniteDistribution.from_triples(
+            [(NAT(i + 1), labels[l], F(1, len(picks))) for i, (l, _) in enumerate(picks)]
+        )
+        steps = {ex.point: (ex.label, step) for ex, (_, step) in zip(dist.atoms, picks)}
+        shared = {key: key[0] + key[1] * gamma for key in set(steps.values())}
+
+        def predictor(x):
+            label, step = steps[x]
+            if fresh:  # a new object each call, freed once the atom is scored
+                y = label + step * gamma
+                return F(y.numerator, y.denominator)
+            return shared[label, step]
+
+        expected = helpers.reference_cutoff_loss(predictor, dist, gamma)
+        assert core.cutoff_loss(predictor, dist, gamma) == expected
+
 
 _TINY = F(1, 2**70)
 #: values in [0, 1] over small denominators and over denominators above 2**64

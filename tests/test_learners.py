@@ -165,6 +165,48 @@ class TestAggregationRules:
             assert learners.OrderStatistic(rank).combine(values) == sorted(values)[rank - 1]
 
     @given(
+        pool=st.lists(
+            st.builds(
+                core.CantorHypothesis,
+                st.frozensets(st.integers(1, 4), max_size=3),
+                # shared value objects, so equal values are often one object
+                st.sampled_from([F(1, 2), F(3, 4), F(1)]),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        picks=st.lists(st.integers(0, 2), min_size=1, max_size=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_aggregate_is_the_pointwise_rule(self, pool, picks):
+        # a pool of at most three objects over up to five inputs, so one
+        # object often fills enough inputs to decide a rank rule, and often not
+        hs = [pool[p % len(pool)] for p in picks]
+        m = len(hs)
+        rules = [learners.Mean(), *map(learners.OrderStatistic, range(1, m + 1))]
+        if m % 2:
+            rules.append(learners.Median())
+        points = [NAT(i) for i in range(1, 6)] * 2  # each point twice, to hit the memo
+        for rule in rules:
+            got, want = learners.aggregate(rule, hs), helpers.reference_aggregate(rule, hs)
+            assert [got(x) for x in points] == [want(x) for x in points]
+
+    @pytest.mark.parametrize(
+        ("rule", "picks", "winner"),
+        [
+            (learners.Median(), (0, 1, 1), 1),
+            (learners.Median(), (0, 1, 0, 2, 0), 0),
+            (learners.OrderStatistic(1), (1, 1, 1), 1),
+            (learners.OrderStatistic(2), (0, 1, 1, 1), 1),
+            (learners.Mean(), (2, 2), 2),
+        ],
+    )
+    def test_a_hypothesis_that_decides_the_rule_is_the_predictor(self, rule, picks, winner):
+        pool = [core.CantorHypothesis(frozenset({i}), F(3, 4)) for i in (1, 2, 3)]
+        agg = learners.aggregate(rule, [pool[p] for p in picks])
+        assert agg == pool[winner].value_at
+
+    @given(
         st.lists(st.fractions(min_value=0, max_value=1), min_size=1, max_size=7),
         st.integers(min_value=0, max_value=6),
     )
@@ -304,6 +346,22 @@ class TestComposites:
             arity_samples = samples[: learner.sample_arity]
             learner.predictor(arity_samples)
             assert calls == list(learner.seen_blocks(arity_samples))
+
+        # one draw over m = 3 blocks: disjoint blocks share the empty block
+        # object, and every window is the whole sample, so each distinct
+        # block object is fitted once and predicts as a fit per block would
+        sample = core.sample_iid(self.dist, 1, 6, stream=1)
+        learner = learners.InterpolatorAggregation(recording, partitioner, learners.Median())
+        blocks = learner.seen_blocks((sample,))
+        distinct = list({id(block): block for block in blocks}.values())
+        expected = {learners.DisjointBlocks: 2, learners.OverlappingWindows: 1, learners.Bootstrap: 3}
+        assert len(distinct) == expected[type(partitioner)]
+        calls.clear()
+        predictor = learner.predictor((sample,))
+        assert calls == distinct
+        per_block = helpers.reference_aggregate(learner.rule, [self.interp(b) for b in blocks])
+        for i in range(1, 7):
+            assert predictor(NAT(i)) == per_block(NAT(i))
 
     def test_two_of_three_correct_wins(self):
         h_good = self.witness
