@@ -3,8 +3,11 @@
 The CLI maps these onto stable exit codes: ParseError -> 2,
 BudgetExceededError -> 3, PreconditionError and its subclasses
 DomainMismatchError and NotRealizableError -> 4.  Every learner fits
-realizable samples only, so a sample or distribution no class member matches
-is refused with NotRealizableError, never fitted approximately.
+realizable blocks only, so a block it fits that no class member matches is
+refused with NotRealizableError, never fitted approximately.  A learner may
+skip a block that cannot change its prediction, and with it that block's
+refusal; ``estimate`` refuses a support no class member realizes before any
+trial.
 """
 
 

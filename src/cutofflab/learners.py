@@ -2,10 +2,12 @@
 
 ``InterpolatorAggregation``, at the end of this module, is the one learner
 class: it declares its ``sample_arity`` and turns that many training samples
-into a predictor (callable Point -> Fraction) through ``predictor(samples)``,
-which fits its interpolator once on each distinct block object
-``seen_blocks(samples)`` gives.  The single interpolator, median-of-three and
-proper ERM are functions that build it.
+into a predictor (callable Point -> Fraction) through ``predictor(samples)``.
+That decides the rule on the block objects ``seen_blocks(samples)`` gives
+before it fits any: where one block object fills enough inputs to decide the
+rule it fits only that block, and otherwise it fits each distinct block
+object once.  The single interpolator, median-of-three and proper ERM are
+functions that build it.
 ``reads_seen_sets(learner)`` says whether that interpolator reads each block
 only through its set of distinct examples; the exact oracle in ``mc`` admits
 only such learners, and fits each distinct tuple of seen sets once.  An
@@ -16,7 +18,9 @@ input range.  Everything is deterministic given its inputs and seeds.
 A predictor does its repeated work once, through memos keyed on ``id()``.
 Each memo lives only as long as the call or predictor that built it and
 holds every object whose id it keys on, so no id is freed and reused while
-the memo can still read it.
+the memo can still read it.  The one piece of state that outlives a
+predictor call is each learner's fit of the empty block, made on first use
+and kept as long as the learner: one hypothesis per learner.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ def _check_arity(rule: AggregationRule, m: int) -> None:
         raise PreconditionError(f"order statistic {rule.rank} out of range for m={m}")
 
 
-def _constant_winner(rule: AggregationRule, hs: tuple):
+def _constant_winner(rule: AggregationRule, hs: Sequence):
     """The hypothesis whose value the rule returns at every point, or None.
 
     That is one object filling `need` of the m inputs: all of them for the
@@ -292,16 +296,40 @@ class InterpolatorAggregation:
     def seen_blocks(self, samples):
         return [block for sample in samples for block in self.partitioner.split(tuple(sample))]
 
+    @functools.cached_property
+    def _empty_fit(self) -> core.Hypothesis:
+        """The fit of the empty block, made once per learner."""
+        return self.interpolator(())
+
+    def _fit(self, block) -> core.Hypothesis:
+        return self.interpolator(block) if block else self._empty_fit
+
     def predictor(self, samples) -> core.Predictor:
-        """The rule over one fit per block, made once per distinct block
-        object: interpolators are deterministic, and the one empty block
-        object `()` stands for every empty block.  The memo keys on id(block)
-        while `blocks` holds every block."""
+        """The rule over one fit per block, fitting only what can change it.
+
+        Interpolators are deterministic, so one block object gives one fit:
+        the one empty block object `()` stands for every empty block, and
+        its fit is made once per learner (`_empty_fit`) and kept as long as
+        the learner.  When one block object fills enough inputs to decide
+        the rule (`_constant_winner`), only that block is fitted and the
+        predictor is its fit's `value_at`.  Otherwise each distinct block
+        object is fitted once, through a memo keyed on id(block) while
+        `blocks` holds every block, and `aggregate` checks the fits again,
+        as distinct blocks may share one fit.
+
+        A block that is not fitted cannot raise `NotRealizableError`.  No
+        reachable input exits differently for it: `estimate` refuses a
+        support no class member realizes before any trial, and every
+        family is realized by its witness.
+        """
         blocks = self.seen_blocks(samples)
+        winner = _constant_winner(self.rule, blocks)
+        if winner is not None:
+            return self._fit(winner).value_at
         fits = {}
         for block in blocks:
             if id(block) not in fits:
-                fits[id(block)] = self.interpolator(block)
+                fits[id(block)] = self._fit(block)
         return aggregate(self.rule, [fits[id(block)] for block in blocks])
 
 

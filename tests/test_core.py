@@ -489,6 +489,19 @@ class TestCanonicalEnumeration:
         assert len(subsets) == 1501
         assert subsets[0] == tuple(range(1, 1501)) and subsets[-1] == tuple(range(2, 1502))
 
+    @pytest.mark.parametrize(
+        "cls",
+        [core.CantorClass(F(1, 2), 2, 6), core.CantorClass(F(1, 3), 3, 7), SQRT9, COMPLEMENT36],
+        ids=["cantor-2-6", "cantor-3-7", "sqrt-9", "complement-3-6"],
+    )
+    def test_from_value_is_the_member_at_its_rank(self, cls):
+        # every rank decodes to the member listed there; past the last rank,
+        # and at gamma itself, there is no member
+        for rank, h in enumerate(cls.hypotheses, 1):
+            assert cls._from_value(core._value_of_rank(cls.gamma, rank)) == h
+        assert cls._from_value(core._value_of_rank(cls.gamma, cls.size() + 1)) is None
+        assert cls._from_value(cls.gamma) is None
+
     def test_colex_rank_roundtrip(self):
         for size in (1, 2, 3):
             for rank, subset in enumerate(core.iter_colex(7, size)):

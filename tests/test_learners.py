@@ -1,5 +1,6 @@
 """Interpolators, aggregation rules, partitioners, and composite learners."""
 
+import collections
 from fractions import Fraction as F
 from functools import partial as bind
 
@@ -348,8 +349,10 @@ class TestComposites:
             assert calls == list(learner.seen_blocks(arity_samples))
 
         # one draw over m = 3 blocks: disjoint blocks share the empty block
-        # object, and every window is the whole sample, so each distinct
-        # block object is fitted once and predicts as a fit per block would
+        # object, which fills 2 of the median's 3 inputs and so is the one
+        # block fitted; every window is the whole sample, fitted once; the
+        # three bootstrap blocks are distinct objects, each fitted once; and
+        # each predicts as a fit per block would
         sample = core.sample_iid(self.dist, 1, 6, stream=1)
         learner = learners.InterpolatorAggregation(recording, partitioner, learners.Median())
         blocks = learner.seen_blocks((sample,))
@@ -358,10 +361,70 @@ class TestComposites:
         assert len(distinct) == expected[type(partitioner)]
         calls.clear()
         predictor = learner.predictor((sample,))
-        assert calls == distinct
+        assert calls == ([()] if isinstance(partitioner, learners.DisjointBlocks) else distinct)
         per_block = helpers.reference_aggregate(learner.rule, [self.interp(b) for b in blocks])
         for i in range(1, 7):
             assert predictor(NAT(i)) == per_block(NAT(i))
+
+    @given(
+        m=st.sampled_from([1, 3, 5]),
+        pick=st.integers(0, 6),
+        # None for disjoint blocks, else the window width
+        width=st.one_of(st.none(), st.integers(1, 7)),
+        ns=st.lists(st.integers(0, 6), min_size=5, max_size=5),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_predictor_fits_only_the_blocks_that_can_change_it(self, m, pick, width, ns, seed):
+        # n from 0 to m + 1 over m disjoint blocks, so the empty block object
+        # often repeats; windows at least as wide as the sample are all the
+        # one sample object, and narrower windows are distinct objects
+        rules = [learners.Median(), learners.Mean(), *map(learners.OrderStatistic, range(1, m + 1))]
+        rule = rules[pick % len(rules)]
+        if isinstance(rule, learners.OrderStatistic):
+            need = max(rule.rank, m + 1 - rule.rank)
+        else:
+            need = m if isinstance(rule, learners.Mean) else m // 2 + 1
+        partitioner = learners.DisjointBlocks(m) if width is None else learners.OverlappingWindows(m, width)
+        calls = []
+
+        def recording(sample):
+            calls.append(sample)
+            return self.interp(sample)
+
+        learner = learners.InterpolatorAggregation(recording, partitioner, rule)
+        empty_fits = 0
+        for j, n in enumerate(n % (m + 2) for n in ns):
+            sample = core.sample_iid(self.dist, n, seed, stream=j)
+            blocks = learner.seen_blocks((sample,))
+            counts = collections.Counter(map(id, blocks))
+            deciding = [block for block in blocks if counts[id(block)] >= need]
+            fitted = deciding[:1] or list({id(block): block for block in blocks}.values())
+            if empty_fits:
+                fitted = [block for block in fitted if block]
+            calls.clear()
+            predictor = learner.predictor((sample,))
+            assert calls == fitted
+            empty_fits += calls.count(())
+            per_block = helpers.reference_aggregate(rule, [self.interp(b) for b in blocks])
+            for i in range(1, 7):
+                assert predictor(NAT(i)) == per_block(NAT(i))
+        assert empty_fits <= 1
+
+    def test_a_block_that_raises_raises_unless_another_block_decides(self):
+        def refusing(sample):
+            if sample:
+                raise NotRealizableError("refused")
+            return self.interp(sample)
+
+        learner = learners.InterpolatorAggregation(refusing, learners.DisjointBlocks(3), learners.Median())
+        # two draws: blocks of 1, 1 and 0 draws, none deciding the median
+        with pytest.raises(NotRealizableError, match="refused"):
+            learner.predictor((core.sample_iid(self.dist, 2, 6, stream=1),))
+        # one draw: the empty block fills 2 of 3 inputs, so the refusing
+        # block is never fitted
+        predictor = learner.predictor((core.sample_iid(self.dist, 1, 6, stream=1),))
+        assert predictor(NAT(1)) == self.interp(()).value_at(NAT(1))
 
     def test_two_of_three_correct_wins(self):
         h_good = self.witness
