@@ -406,13 +406,8 @@ def run_lemma_disamb(report, domain_size=10, max_size=40, classes=50, max_vc=3, 
         cls = random_partial_class(rng, domain_size, max_size, max_vc)
         total = partial_concepts.disambiguate(cls)
         d = partial_concepts.partial_vc_dimension(cls)
-        agrees = all(
-            any(
-                all(a == b for a, b in zip(concept, bar) if a != partial_concepts.STAR)
-                for bar in total.concepts
-            )
-            for concept in cls.concepts
-        )
+        bars = [bar for _, bar in total.masks]
+        agrees = all(any(not (value ^ bar) & ~star for bar in bars) for star, value in cls.masks)
         size_ok = total.size() <= cls.size()
         bound_ok = partial_concepts.within_disambiguation_bound(total.size(), d, domain_size)
         if d == 0:

@@ -2,10 +2,12 @@
 
 Concepts are strings over the alphabet "01*" ('*' = undefined), which is also
 the row file format the CLI reads and writes.  A class turns its strings into
-bitmasks, and searches its shattered family, once, on first use.  The search
-prunes hereditarily: a set can only be shattered if all of its subsets are, so
-candidates grow one element at a time from the shattered family of the
-previous size.
+bitmasks once, on first use: a (star, value) mask over the domain per concept,
+and per domain point the bitsets of the concepts labelled 0 and 1 there.  Its
+realizer table maps every shattered domain subset to one concept bitset per
+pattern on it.  The table is searched once per class, and it serves the VC
+dimension and every restriction of the greedy disambiguation, whose working
+classes are concept bitsets.
 """
 
 from __future__ import annotations
@@ -14,10 +16,15 @@ import functools
 import math
 from dataclasses import dataclass
 
+from . import core
 from .errors import BudgetExceededError, PreconditionError
 
 STAR = "*"
 MAX_DOMAIN = 16
+# a row's characters labelled 0, labelled 1 and undefined, as the 1s of a bit string
+_ZERO = str.maketrans("01*", "100")
+_ONE = str.maketrans("01*", "010")
+_STARS = str.maketrans("01*", "001")
 
 
 @dataclass(frozen=True)
@@ -41,42 +48,29 @@ class PartialClass:
     @functools.cached_property
     def masks(self) -> tuple[tuple[int, int], ...]:
         """(star_mask, value_mask) per concept; bit i = domain index i."""
-        def bits(concept, ch):
-            return sum(1 << i for i, c in enumerate(concept) if c == ch)
-
-        return tuple((bits(c, STAR), bits(c, "1")) for c in self.concepts)
+        return tuple((_bits(c, _STARS), _bits(c, _ONE)) for c in self.concepts)
 
     @functools.cached_property
-    def shattered_family(self) -> tuple[int, ...]:
-        """Bitmasks of every shattered domain subset (the empty set counts for
-        a nonempty class), found by size-layered search with hereditary
-        pruning."""
+    def sides(self) -> tuple[tuple[int, int], ...]:
+        """(zero_at, one_at) per domain point: the bitsets of the concepts
+        labelled 0 and 1 there; bit k = concept k."""
+        columns = map("".join, zip(*self.concepts))
+        return tuple((_bits(c, _ZERO), _bits(c, _ONE)) for c in columns)
+
+    @functools.cached_property
+    def realizers(self) -> dict[int, tuple[int, ...]]:
+        """Every shattered domain subset S as a bitmask (the empty set counts
+        for a nonempty class), mapped to its 2^|S| pattern bitsets: entry k
+        holds the concepts defined on S whose labels, read in point order as
+        the bits of k from the lowest, spell k."""
         check_domain_size(self.domain_size)
-        if not self.concepts:
-            return ()
-        masks = self.masks
-        family = [0]
-        layer = {0}
-        size = 0
-        n = self.domain_size
-        while layer:
-            size += 1
-            candidates = set()
-            for base in layer:
-                for i in range(n):
-                    bit = 1 << i
-                    if not base & bit:
-                        candidates.add(base | bit)
-            prev = layer
-            layer = set()
-            for cand in candidates:
-                # hereditary filter: every (size-1)-subset must be shattered
-                if size > 1 and any((cand & ~(1 << i)) not in prev for i in range(n) if cand & (1 << i)):
-                    continue
-                if _is_shattered(cand, size, masks):
-                    layer.add(cand)
-            family.extend(layer)
-        return tuple(family)
+        return _realizer_table(self.sides, len(self.concepts))
+
+
+def _bits(text: str, table: dict) -> int:
+    """The int whose bit i is text[i] mapped through `table` to 0 or 1; 0 for
+    empty text."""
+    return int("0" + text[::-1].translate(table), 2)
 
 
 def check_domain_size(domain_size: int) -> None:
@@ -86,24 +80,46 @@ def check_domain_size(domain_size: int) -> None:
         raise BudgetExceededError(f"domain size {domain_size} exceeds the cap of {MAX_DOMAIN}")
 
 
-def _is_shattered(subset_mask, subset_size, masks):
-    need = 1 << subset_size
-    seen = set()
-    for star, val in masks:
-        if star & subset_mask:
-            continue
-        seen.add(val & subset_mask)
-        if len(seen) == need:
-            return True
-    return len(seen) == need
+def _realizer_table(sides, size):
+    """The realizer table of `size` concepts with these sides, by size layers.
+
+    A set grows only by points above its largest, so each shattered set is
+    reached once, from itself less its largest point.  S | {i} is shattered
+    exactly when every pattern bitset of S meets both sides of i, and its
+    pattern bitsets are those ANDs.  Each layer is charged to the enumeration
+    ceiling before it is stored, each pattern bitset once per 1,024 concepts
+    (128 bytes), so a class of up to 1,024 concepts is charged its pattern
+    count."""
+    if not size:
+        return {}
+    budget = core.enumeration_budget()
+    units = -(-size // 1024)
+    table = {}
+    charged = 0
+    layer = {0: ((1 << size) - 1,)}
+    width = 1
+    while layer:
+        charged += len(layer) * width * units
+        if charged > budget:  # the ceiling is read once; _budgeted phrases the refusal
+            core._budgeted("partial-class realizer table", charged)
+        table.update(layer)
+        grown = {}
+        for subset, patterns in layer.items():
+            for i in range(subset.bit_length(), len(sides)):
+                zero, one = sides[i]
+                low = tuple(map(zero.__and__, patterns))
+                if all(low):
+                    high = tuple(map(one.__and__, patterns))
+                    if all(high):
+                        grown[subset | 1 << i] = low + high
+        layer = grown
+        width *= 2
+    return table
 
 
 def partial_vc_dimension(cls: PartialClass) -> int:
     """Largest shattered-set size; 0 for the empty class (flagged convention)."""
-    family = cls.shattered_family
-    if not family:
-        return 0
-    return max(mask.bit_count() for mask in family)
+    return max((subset.bit_count() for subset in cls.realizers), default=0)
 
 
 def ln_disambiguation_bound(d: int, n: int) -> float:
@@ -134,49 +150,46 @@ def disambiguate(cls: PartialClass) -> PartialClass:
     output disambiguates the input: it agrees with every concept wherever that
     concept is defined.
 
-    A working class is its tuple of concept indices.  Restriction can only
-    shrink the shattered family, so a new working class's family is filtered
-    from its parent's, and each working class is split at each coordinate
-    once, however many concepts pass through it.
+    A working class is a concept bitset, and its children at a coordinate are
+    its ANDs with that coordinate's two sides.  A working class's family holds
+    each set it shatters as the set's pattern bitsets in the class's realizer
+    table.  Restriction can only shrink the family, so a child keeps the sets
+    of its parent's family whose every pattern bitset it meets, and each
+    working class is split at each coordinate once, however many concepts
+    pass through it.
     """
     check_domain_size(cls.domain_size)
     if not cls.concepts:
         raise PreconditionError("disambiguation needs a nonempty class")
-    masks = cls.masks
-    root = tuple(range(len(cls.concepts)))
-    families = {root: cls.shattered_family}
+    sides = cls.sides
+    root = (1 << len(cls.concepts)) - 1
+    families = {root: tuple(cls.realizers.values())}
 
     @functools.cache
     def split(kept, coord):
-        """The majority label at coord (ties toward 1), and the concepts of
-        `kept` labelled 0 and 1 there."""
-        bit = 1 << coord
-        zero, one = (
-            tuple(i for i in kept if not masks[i][0] & bit and masks[i][1] & bit == want)
-            for want in (0, bit)
-        )
+        """The majority label at coord (ties toward 1), and the bitsets of
+        the concepts of `kept` labelled 0 and 1 there."""
+        zero, one = (kept & side for side in sides[coord])
         for sub in (zero, one):
             if sub not in families:
-                sub_masks = [masks[i] for i in sub]
-                families[sub] = [m for m in families[kept] if _is_shattered(m, m.bit_count(), sub_masks)]
+                families[sub] = [p for p in families[kept] if all(map(sub.__and__, p))]
         return int(len(families[one]) >= len(families[zero])), (zero, one)
 
     out = []
-    for concept in cls.concepts:
+    for concept, (star, value) in zip(cls.concepts, cls.masks):
         kept = root
+        bar = 0
         written = []
         for coord, ch in enumerate(concept):
-            majority, branches = split(kept, coord)
-            if ch == STAR or int(ch) == majority:
-                written.append(str(majority))
-            else:
-                written.append(ch)
-                kept = branches[int(ch)]
+            label, branches = split(kept, coord)
+            if ch != STAR and int(ch) != label:
+                label = int(ch)
+                kept = branches[label]
+            bar |= label << coord
+            written.append("01"[label])
+        if (value ^ bar) & ~star:  # pragma: no cover - internal check
+            raise AssertionError("greedy disambiguation violated agreement")
         out.append("".join(written))
-    for concept, bar in zip(cls.concepts, out):
-        agrees = all(a in (STAR, b) for a, b in zip(concept, bar))
-        if STAR in bar or not agrees:  # pragma: no cover - internal check
-            raise AssertionError("greedy disambiguation left a star or violated agreement")
     return PartialClass(cls.domain_size, tuple(out))
 
 

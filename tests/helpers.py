@@ -49,7 +49,7 @@ def edge_key(vertex, coord: int):
 def shattering_strength(cls: pc.PartialClass) -> int:
     """Number of shattered domain subsets; the empty set counts whenever the
     class is nonempty, and the empty class has strength 0."""
-    return len(cls.shattered_family)
+    return len(cls.realizers)
 
 
 def reference_disambiguate(cls: pc.PartialClass) -> pc.PartialClass:
@@ -66,7 +66,7 @@ def reference_disambiguate(cls: pc.PartialClass) -> pc.PartialClass:
         written = ""
         for coord, ch in enumerate(concept):
             branches = [tuple(c for c in kept if c[coord] == label) for label in "01"]
-            zero, one = (len(pc.PartialClass(n, b).shattered_family) for b in branches)
+            zero, one = (len(pc.PartialClass(n, b).realizers) for b in branches)
             majority = "1" if one >= zero else "0"
             if ch in (pc.STAR, majority):
                 written += majority

@@ -285,6 +285,37 @@ class TestDisambiguate:
         )
         assert outfile.read_text() == "010\n"
 
+    @staticmethod
+    def _cube(tmp_path, n):
+        rows = ["".join(bits) for bits in itertools.product("01", repeat=n)]
+        infile = tmp_path / f"cube{n}.rows"
+        infile.write_text("\n".join(reversed(rows)) + "\n")
+        return str(infile), rows
+
+    def test_full_cube_is_its_own_disambiguation(self, tmp_path, capsys):
+        # 256 rows whose realizer table holds 3^8 = 6,561 pattern bitsets
+        infile, rows = self._cube(tmp_path, 8)
+        outfile = tmp_path / "total.txt"
+        assert cli.main(["disambiguate", infile, "--out", str(outfile)]) == 0
+        assert outfile.read_text().splitlines() == sorted(rows)
+        assert "|H|: 256  |H~|: 256  d: 8  n: 8" in capsys.readouterr().out
+
+    def test_realizer_table_past_the_budget_exits_3(self, tmp_path, capsys, monkeypatch):
+        infile, _ = self._cube(tmp_path, 8)
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "6560")
+        assert cli.main(["disambiguate", infile]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_refusal(captured.err)
+        assert "partial-class realizer table" in captured.err
+
+    def test_12_point_cube_exits_3_at_the_default_ceiling(self, tmp_path, capsys):
+        # 3^12 = 531,441 pattern bitsets; the unbudgeted search ran past a minute
+        infile, _ = self._cube(tmp_path, 12)
+        assert _within(10, cli.main, ["disambiguate", infile]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_refusal(captured.err)
+        assert "partial-class realizer table" in captured.err
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert cli.main(["disambiguate", str(tmp_path / "missing.txt")]) == 2
         captured = capsys.readouterr()

@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction as F
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,10 +50,79 @@ class TestMasks:
         def must_not_search(*args):
             raise AssertionError("the shattered family was searched again")
 
-        monkeypatch.setattr(pc, "_is_shattered", must_not_search)
+        monkeypatch.setattr(pc, "_realizer_table", must_not_search)
         assert pc.partial_vc_dimension(cls) == 1
         assert helpers.shattering_strength(cls) == len(brute_force_shattered_subsets(cls))
         assert total.size() <= cls.size()
+
+
+@st.composite
+def partial_rows(draw):
+    """A domain of at most 8 points and at most 20 rows with stars, some of
+    them repeated, and at times an all-star row; the class may be empty."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    rows = draw(st.lists(st.text(alphabet="01*", min_size=n, max_size=n), max_size=20))
+    rows += rows[: draw(st.integers(min_value=0, max_value=3))]
+    if draw(st.booleans()):
+        rows.append(pc.STAR * n)
+    return n, rows
+
+
+class TestRealizerTable:
+    @given(partial_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_table_is_the_shattered_family_with_its_realizers(self, case):
+        n, rows = case
+        cls = pc.PartialClass(n, tuple(rows))
+        table = cls.realizers
+        shattered = [sum(1 << i for i in subset) for subset in brute_force_shattered_subsets(cls)]
+        assert sorted(table) == sorted(shattered)
+        for subset, patterns in table.items():
+            points = [i for i in range(n) if subset >> i & 1]
+            assert len(patterns) == 2 ** len(points)
+            for k, bits in enumerate(patterns):
+                spelled = [str(k >> j & 1) for j in range(len(points))]
+                expected = sum(
+                    1 << idx for idx, concept in enumerate(cls.concepts)
+                    if [concept[i] for i in points] == spelled
+                )
+                assert bits == expected
+
+    def test_sides_are_the_concepts_labelled_0_and_1(self):
+        cls = pc.PartialClass(3, ("0*1", "11*", "*00"))
+        assert cls.concepts == ("*00", "0*1", "11*")
+        assert cls.sides == ((0b010, 0b100), (0b001, 0b100), (0b001, 0b010))
+
+    def test_table_is_charged_its_pattern_count_before_it_is_stored(self, monkeypatch):
+        # the 8-point cube: 3^8 = 6,561 pattern bitsets
+        rows = tuple("".join(bits) for bits in product("01", repeat=8))
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", str(3**8))
+        assert sum(map(len, pc.PartialClass(8, rows).realizers.values())) == 3**8
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", str(3**8 - 1))
+        with pytest.raises(BudgetExceededError, match="realizer table of size 6561 exceeds"):
+            pc.PartialClass(8, rows).realizers
+
+    def test_a_class_past_1024_concepts_is_charged_per_1024(self, monkeypatch):
+        rows = tuple(islice(("".join(bits) for bits in product("01*", repeat=7)), 1025))
+        patterns = sum(map(len, pc.PartialClass(7, rows).realizers.values()))
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", str(2 * patterns))
+        assert sum(map(len, pc.PartialClass(7, rows).realizers.values())) == patterns
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", str(2 * patterns - 1))
+        with pytest.raises(BudgetExceededError, match=f"realizer table of size {2 * patterns} exceeds"):
+            pc.PartialClass(7, rows).realizers
+
+    def test_ceiling_is_read_once_per_search(self, monkeypatch):
+        reads = []
+        budget = core.enumeration_budget
+
+        def counted():
+            reads.append(1)
+            return budget()
+
+        monkeypatch.setattr(core, "enumeration_budget", counted)
+        cube = pc.PartialClass(4, tuple("".join(bits) for bits in product("01", repeat=4)))
+        assert pc.partial_vc_dimension(cube) == 4
+        assert len(reads) == 1
 
 
 class TestVcDimension:
