@@ -388,6 +388,10 @@ def main(argv=None) -> int:
     if args.command == "reproduce" and not args.tag and not args.replay:
         parser.error("reproduce needs a tag or --replay")
     try:
+        # up to Python 3.12, argparse reads "--opt=--" as an empty list, not "--"
+        listed = [key for key, value in vars(args).items() if isinstance(value, list)]
+        if listed:
+            raise ParseError(f"--{listed[0].replace('_', '-')} takes one value, got '--'")
         return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -10,6 +10,8 @@ integer arithmetic, while a loss is still returned as an exact `Fraction`.
 Distributions drawn from one family share one law.
 Randomness is counter-based: every draw derives from a 64-bit master seed
 plus a stream index, so trials are order independent and bit-reproducible.
+`sample_iid` draws atom indices from a law, and the same draws as the
+distribution's own examples from a distribution.
 """
 
 from __future__ import annotations
@@ -724,17 +726,19 @@ def sample_without_replacement(rng: random.Random, pool: Sequence[int], k: int) 
 
 
 def sample_iid(
-    dist: FiniteDistribution, n: int, seed: int, stream: int = 0
-) -> TrainingSequence:
-    """n i.i.d. draws by inverse CDF over the exact cumulative masses.
+    source: FiniteDistribution | IntegerLaw, n: int, seed: int, stream: int = 0
+) -> TrainingSequence | tuple[int, ...]:
+    """n i.i.d. draws by inverse CDF over the exact cumulative masses: from a
+    law, the atom index of each draw; from a distribution, its example at
+    that index.  A distribution and its law give the same draws.
 
     Each draw takes a 64-bit integer r, i.e. the uniform variate r / 2**64,
     and picks the first atom k with r / 2**64 < cum_k.  For integer r that
     holds exactly when r < ceil(cum_k * 2**64) = T_k, so bisecting r into the
     integer thresholds T_k picks the atom the exact Fraction comparison
     picks, and atom selection never rounds.  The masses sum to 1, so the last
-    threshold is 2**64 and every r lands on an atom.  Each draw is the
-    distribution's own example, so draws of one atom share one object.
+    threshold is 2**64 and every r lands on an atom.  Each draw from a
+    distribution is its own example, so draws of one atom share one object.
 
     The n variates come from one ``getrandbits(64 * n)`` call: from Python
     3.9 on, its 64-bit chunk j (least significant first) is the j-th of n
@@ -748,7 +752,7 @@ def sample_iid(
     """
     if n < 0:
         raise PreconditionError("sample size must be >= 0")
-    law = dist.law
+    law = source if isinstance(source, IntegerLaw) else source.law
     raw = rng_for(seed, stream).getrandbits(64 * n).to_bytes(8 * n, "little")
     tops = raw[7::8].translate(law.top_byte_atoms)
     picks = list(tops)
@@ -757,6 +761,8 @@ def sample_iid(
         r = int.from_bytes(raw[8 * j : 8 * j + 8], "little")
         picks[j] = bisect.bisect_right(law.thresholds, r)
         j = tops.find(_FALLBACK, j + 1)
+    if source is law:
+        return tuple(picks)
     if n < 2:  # an itemgetter of one index returns the bare item, of none fails
-        return tuple([dist.atoms[k] for k in picks])
-    return operator.itemgetter(*picks)(dist.atoms)
+        return tuple([source.atoms[k] for k in picks])
+    return operator.itemgetter(*picks)(source.atoms)

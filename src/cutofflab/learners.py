@@ -9,8 +9,11 @@ rule it fits only that block, and otherwise it fits each distinct block
 object once.  The single interpolator, median-of-three and proper ERM are
 functions that build it.
 ``reads_seen_sets(learner)`` says whether that interpolator reads each block
-only through its set of distinct examples; the exact oracle in ``mc`` admits
-only such learners, and fits each distinct tuple of seen sets once.  An
+only through its set of distinct examples.  Such a learner also takes
+samples of atom indices through ``predictor(samples, table)``, which fits
+each block's seen set once per ``FitTable``, a table of one distribution's
+fits that the caller keeps; ``mc`` does so in the exact oracle, which admits
+only such learners, and in a Monte Carlo run on a fixed instance.  An
 interpolator is a ``sample -> hypothesis`` fitter.  Proper rules (order
 statistics, the median) return one of their inputs; the mean stays inside the
 input range.  Everything is deterministic given its inputs and seeds.
@@ -20,7 +23,9 @@ Each memo lives only as long as the call or predictor that built it and
 holds every object whose id it keys on, so no id is freed and reused while
 the memo can still read it.  The one piece of state that outlives a
 predictor call is each learner's fit of the empty block, made on first use
-and kept as long as the learner: one hypothesis per learner.
+and kept as long as the learner: one hypothesis per learner.  A
+``FitTable`` outlives a call only as its caller keeps it: ``mc`` keeps one
+for an oracle call or for a Monte Carlo run on a fixed instance.
 """
 
 from __future__ import annotations
@@ -273,6 +278,28 @@ def reads_seen_sets(learner) -> bool:
     return interpolator in (generic_interpolator, adversarial_interpolator)
 
 
+class FitTable(dict):
+    """Fits by seen set, a frozenset of atom indices, for one distribution,
+    whose `atoms` it holds.  A learner that passes `reads_seen_sets` is
+    deterministic in each block's seen set, so a stored fit is the fit a new
+    predictor call would make.
+
+    It stores at most `core.enumeration_budget()` atom indices in all; a seen
+    set past that is fitted without being stored, so its memory stays
+    bounded for large supports and long samples.
+    """
+
+    def __init__(self, dist: core.FiniteDistribution):
+        super().__init__()
+        self.atoms = dist.atoms
+        self.room = core.enumeration_budget()
+
+    def __setitem__(self, seen, fit):
+        if len(seen) <= self.room:
+            self.room -= len(seen)
+            super().__setitem__(seen, fit)
+
+
 # ---------------------------------------------------------------------------
 # The learner: one class, and constructors for its named members
 # ---------------------------------------------------------------------------
@@ -304,7 +331,17 @@ class InterpolatorAggregation:
     def _fit(self, block) -> core.Hypothesis:
         return self.interpolator(block) if block else self._empty_fit
 
-    def predictor(self, samples) -> core.Predictor:
+    def _table_fit(self, table: FitTable, block) -> core.Hypothesis:
+        """`_fit` of a block of atom indices, once per seen set in `table`."""
+        if not block:
+            return self._empty_fit
+        seen = frozenset(block)
+        h = table.get(seen)
+        if h is None:
+            h = table[seen] = self.interpolator(tuple([table.atoms[k] for k in seen]))
+        return h
+
+    def predictor(self, samples, table=None) -> core.Predictor:
         """The rule over one fit per block, fitting only what can change it.
 
         Interpolators are deterministic, so one block object gives one fit:
@@ -317,19 +354,28 @@ class InterpolatorAggregation:
         `blocks` holds every block, and `aggregate` checks the fits again,
         as distinct blocks may share one fit.
 
+        With a `FitTable` of a distribution, which the caller keeps across
+        calls, the samples are atom indices into that distribution (as
+        `core.sample_iid` draws them from its law), and each nonempty block
+        is fitted on its seen set, its distinct atoms, once per table.  That
+        is sound for a learner that passes `reads_seen_sets`, whose fit
+        depends only on the seen set; its values are those this gives on the
+        samples of the atoms at those indices.
+
         A block that is not fitted cannot raise `NotRealizableError`.  No
         reachable input exits differently for it: `estimate` refuses a
         support no class member realizes before any trial, and every
         family is realized by its witness.
         """
         blocks = self.seen_blocks(samples)
+        fit = self._fit if table is None else functools.partial(self._table_fit, table)
         winner = _constant_winner(self.rule, blocks)
         if winner is not None:
-            return self._fit(winner).value_at
+            return fit(winner).value_at
         fits = {}
         for block in blocks:
             if id(block) not in fits:
-                fits[id(block)] = self._fit(block)
+                fits[id(block)] = fit(block)
         return aggregate(self.rule, [fits[id(block)] for block in blocks])
 
 

@@ -5,6 +5,11 @@ floating point, which keeps Monte Carlo error cleanly separated from
 arithmetic error.  Float sums go through `math.fsum`, which rounds correctly
 on every Python version.  Trials are stream-indexed off the master seed, so
 results are identical under any execution order.
+
+A learner that reads only seen sets works on atom indices, from the draw to
+the fit, through a `learners.FitTable` of one distribution: each seen set is
+fitted once per oracle call, and once per Monte Carlo run on a fixed
+instance.
 """
 
 from __future__ import annotations
@@ -52,8 +57,10 @@ def exact_loss_distribution(learner, instance: HardInstance, n: int) -> list[tup
     enumerates the triple product.  Its draws per trial, then its
     sequences, are charged to `core.enumeration_budget()`.  The learner must
     pass `learners.reads_seen_sets`, as its fit then depends only on the seen
-    sets of its `seen_blocks`: it is fitted and scored once per distinct tuple
-    of them, and every sequence with that tuple shares the loss.
+    sets of its `seen_blocks`: it is scored once per distinct tuple of them,
+    and every sequence with that tuple shares the loss.  Its predictors take
+    the sequences' atom indices and fit through one `learners.FitTable` per
+    call, so each seen set is fitted once.
     """
     dist = instance.distribution
     arity = learner.sample_arity
@@ -66,6 +73,7 @@ def exact_loss_distribution(learner, instance: HardInstance, n: int) -> list[tup
             "the exact oracle needs an interpolator that reads only seen sets")
     weights = dist.law.weights
     denominator = dist.law.denominator**total_len
+    table = learners.FitTable(dist)
     losses: dict[tuple, Fraction] = {}
     out = []
     for combo in itertools.product(range(support), repeat=total_len):
@@ -76,9 +84,8 @@ def exact_loss_distribution(learner, instance: HardInstance, n: int) -> list[tup
         key = tuple(frozenset(b) for b in learner.seen_blocks(samples))
         loss = losses.get(key)
         if loss is None:
-            # the distribution's own examples, shared by every sequence as by sample_iid
-            examples = tuple(tuple(dist.atoms[k] for k in s) for s in samples)
-            loss = losses[key] = core.cutoff_loss(learner.predictor(examples), dist, instance.gamma)
+            predictor = learner.predictor(samples, table)
+            loss = losses[key] = core.cutoff_loss(predictor, dist, instance.gamma)
         out.append((Fraction(weight, denominator), loss))
     return out
 
@@ -110,19 +117,23 @@ def exact_exceed_probability(learner, instance: HardInstance, n: int, threshold)
     return sum((mass for loss, mass in masses.items() if loss > threshold), core.ZERO)
 
 
-def _trial_loss(learner, source, n: int, seed: int, trial: int) -> Fraction:
+def _trial_loss(learner, source, n: int, seed: int, trial: int, table) -> Fraction:
+    """One trial's exact loss: on samples of examples, or, given `table`,
+    on samples of atom indices drawn from the law and fitted through it."""
     base = core.stream_seed(seed, trial)
     if isinstance(source, InstanceFamily):
         rng = core.rng_for(base, 0)
         instance = source.draw_instance(rng)
     else:
         instance = source
-    samples = tuple(
-        core.sample_iid(instance.distribution, n, base, stream=j + 1)
-        for j in range(learner.sample_arity)
-    )
-    predictor = learner.predictor(samples)
-    return core.cutoff_loss(predictor, instance.distribution, instance.gamma)
+    dist = instance.distribution
+    streams = range(1, learner.sample_arity + 1)
+    if table is None:
+        predictor = learner.predictor(tuple(core.sample_iid(dist, n, base, j) for j in streams))
+    else:
+        samples = tuple(core.sample_iid(dist.law, n, base, j) for j in streams)
+        predictor = learner.predictor(samples, table)
+    return core.cutoff_loss(predictor, dist, instance.gamma)
 
 
 def mc_expected_loss(
@@ -139,6 +150,12 @@ def mc_expected_loss(
     support-averaged loss the constructions bound.  A trial's draws,
     n per sample, then the run's fits, trials times blocks per trial, are
     refused past `core.enumeration_budget()` before any trial runs.
+
+    On a fixed instance a learner that passes `learners.reads_seen_sets`
+    draws atom indices and fits through one `learners.FitTable` per run.  A
+    family draws a new distribution each trial, and a table serves one, so
+    there, as for any other learner, each trial draws examples and fits its
+    own block objects.
     """
     if trials < 30:
         raise PreconditionError("need at least 30 trials for the normal CI")
@@ -146,7 +163,10 @@ def mc_expected_loss(
     # one fit per block; a learner with no partitioner fits each sample once
     blocks = getattr(getattr(learner, "partitioner", None), "m", 1)
     core._budgeted("fits per run", trials * learner.sample_arity * blocks)
-    losses = tuple(_trial_loss(learner, source, n, seed, t) for t in range(trials))
+    table = None
+    if not isinstance(source, InstanceFamily) and learners.reads_seen_sets(learner):
+        table = learners.FitTable(source.distribution)
+    losses = tuple(_trial_loss(learner, source, n, seed, t, table) for t in range(trials))
     exact_mean = sum(losses, core.ZERO) / trials
     mean = float(exact_mean)
     var = math.fsum((float(l) - mean) ** 2 for l in losses) / (trials - 1)

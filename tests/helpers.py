@@ -8,7 +8,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from cutofflab import core, serialize
+from cutofflab import adversaries, core, serialize
 from cutofflab import partial as pc
 
 
@@ -119,6 +119,24 @@ def reference_loss_distribution(learner, instance, n):
         predictor = learner.predictor(samples)
         out.append((weight, core.cutoff_loss(predictor, dist, instance.gamma)))
     return out
+
+
+def reference_trial_loss(learner, source, n, seed, trial):
+    """One Monte Carlo trial on samples of examples, fitted afresh through
+    `predictor`: the reference for trials that draw atom indices and fit
+    through a `learners.FitTable`."""
+    base = core.stream_seed(seed, trial)
+    if isinstance(source, adversaries.InstanceFamily):
+        rng = core.rng_for(base, 0)
+        instance = source.draw_instance(rng)
+    else:
+        instance = source
+    samples = tuple(
+        core.sample_iid(instance.distribution, n, base, stream=j + 1)
+        for j in range(learner.sample_arity)
+    )
+    predictor = learner.predictor(samples)
+    return core.cutoff_loss(predictor, instance.distribution, instance.gamma)
 
 
 def reference_aggregate(rule, hypotheses):

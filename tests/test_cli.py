@@ -16,7 +16,7 @@ from fractions import Fraction as F
 from functools import partial as bind
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cutofflab import adversaries, cli, core, dims, experiments, learners, mc, serialize
 
@@ -1070,6 +1070,24 @@ class TestParseBoundary:
     def test_non_integer_n_exits_2(self):
         assert cli.main(["reproduce", "thm4", "--n", "a"]) == 2
 
+    # "--opt=--" gives "--" on Python 3.13 and an empty list up to 3.12;
+    # either way it is refused on one line, before any command runs
+    def test_dashes_for_n_exits_2(self, capsys):
+        assert cli.main(["reproduce", "thm4", "--n=--"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_dashes_for_seed_exits_2(self, capsys):
+        try:
+            code = cli.main(["reproduce", "thm1", "--seed=--"])
+        except SystemExit as exc:  # from 3.13 "--" reaches type=int, which refuses it
+            code = exc.code
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_dashes_for_pool_exits_2(self, cantor_file, capsys):
+        assert cli.main(["dims", cantor_file, "--gamma", "1/2", "--pool=--"]) == 2
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [["thm4", "--n", "0,1,2,3"], ["lemma-interp", "--n", "0"]],
@@ -1444,6 +1462,7 @@ def fuzz_dir(tmp_path_factory):
 
 @settings(max_examples=80, deadline=None)
 @given(spec=_point_spec)
+@example(spec="--")
 def test_point_specs_never_escape(fuzz_dir, spec):
     class_file = str(fuzz_dir / "cantor24.json")
     for argv in (

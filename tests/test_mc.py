@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from functools import partial as bind
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cutofflab import adversaries, core, learners, mc
 from cutofflab.errors import BudgetExceededError, PreconditionError
@@ -448,6 +449,160 @@ class TestMcEstimator:
             if est.ci_lo <= 0.25 <= est.ci_hi:
                 covered += 1
         assert covered >= 90
+
+
+def _with_generic(source):
+    return source, bind(learners.generic_interpolator, source.cls)
+
+
+def _thm4_instance():
+    return _with_generic(adversaries.thm4_instance(core.CantorClass(HALF, 4, 12), 16))
+
+
+#: (source, interpolator) builders: small fixed instances, and the thm2 and
+#: thm5 families, whose trials each draw a new distribution
+_SOURCES = {
+    "fixed": lambda: _with_generic(fixed_instance()),
+    "zero_mass": lambda: _with_generic(zero_mass_instance()),
+    "thm1": thm1_setup,
+    "thm4": _thm4_instance,
+    "thm2": lambda: _with_generic(adversaries.thm2_family(HALF, 2, F(1, 64), 3)),
+    "thm5": lambda: _with_generic(adversaries.thm5_family(HALF, 2, F(1, 256))),
+}
+
+
+def _record_fits(monkeypatch) -> list:
+    """The seen set of every fit a Cantor class makes from now on, in order."""
+    fitted = []
+    real = core.CantorClass.first_consistent
+
+    def counting(cls, sample):
+        fitted.append(frozenset(sample))
+        return real(cls, sample)
+
+    monkeypatch.setattr(core.CantorClass, "first_consistent", counting)
+    return fitted
+
+
+@st.composite
+def _mc_cases(draw):
+    """A seen-set reading learner of arity 1 or 3 over every partitioner and
+    rule, a source, a sample size and a seed."""
+    arity = draw(st.sampled_from([1, 3]))
+    n = draw(st.integers(0, 6))
+    m = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["disjoint", "windows", "bootstrap"]))
+    if kind == "disjoint":
+        partitioner = learners.DisjointBlocks(m)
+    elif kind == "windows":  # widths up to and past n
+        partitioner = learners.OverlappingWindows(m, draw(st.integers(1, n + 2)))
+    else:
+        partitioner = learners.Bootstrap(m, draw(st.integers(0, 4)), draw(st.integers(0, 99)))
+    inputs = m * arity
+    rules = [learners.Mean(), *(learners.OrderStatistic(r) for r in range(1, inputs + 1))]
+    if inputs % 2:
+        rules.append(learners.Median())
+    rule = draw(st.sampled_from(rules))
+    source, interp = _SOURCES[draw(st.sampled_from(sorted(_SOURCES)))]()
+    learner = learners.InterpolatorAggregation(interp, partitioner, rule, arity)
+    return learner, source, n, draw(st.integers(0, 2**64 - 1))
+
+
+def _reference_losses(learner, source, n, trials, seed):
+    return tuple(helpers.reference_trial_loss(learner, source, n, seed, t) for t in range(trials))
+
+
+def _record_tables(monkeypatch) -> list:
+    """(samples, table) of every predictor call from now on, in order."""
+    calls = []
+    real = learners.InterpolatorAggregation.predictor
+
+    def recording(self, samples, table=None):
+        calls.append((samples, table))
+        return real(self, samples, table)
+
+    monkeypatch.setattr(learners.InterpolatorAggregation, "predictor", recording)
+    return calls
+
+
+class TestFitTable:
+    """Trials of a learner that reads only seen sets on a fixed instance
+    draw atom indices and fit through a table from seen set to fit, and
+    give the losses of samples of examples fitted through `predictor`
+    afresh, trial by trial."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_mc_cases())
+    def test_losses_equal_the_example_path(self, case):
+        learner, source, n, seed = case
+        assert learners.reads_seen_sets(learner)
+        est = mc.mc_expected_loss(learner, source, n, 30, seed)
+        assert est.losses == _reference_losses(learner, source, n, 30, seed)
+
+    @pytest.mark.parametrize("name", ["thm2", "thm5", "fixed", "thm4"])
+    def test_a_table_serves_one_distribution(self, monkeypatch, name):
+        # equal index sets name different points in different trials'
+        # supports, so a family's trials fit examples and share no table
+        source, interp = _SOURCES[name]()
+        calls = _record_tables(monkeypatch)
+        for learner in (
+            learners.SingleInterpolator(interp),
+            learners.MedianOfThree(interp),
+            learners.InterpolatorAggregation(interp, learners.DisjointBlocks(3)),
+        ):
+            calls.clear()
+            est = mc.mc_expected_loss(learner, source, 3, 200, seed=11)
+            tables = {id(table): table for _, table in calls}
+            assert est.losses == _reference_losses(learner, source, 3, 200, 11)
+            if isinstance(source, adversaries.InstanceFamily):
+                assert list(tables.values()) == [None]
+            else:
+                (table,) = tables.values()
+                assert table.atoms is source.distribution.atoms
+                drawn = [k for samples, t in calls if t is not None for s in samples for k in s]
+                assert drawn and all(type(k) is int for k in drawn)
+
+    def test_fixed_instance_fits_each_seen_set_once(self, monkeypatch):
+        inst, interp = _thm4_instance()
+        fitted = _record_fits(monkeypatch)
+        for learner in (
+            learners.MedianOfThree(interp),
+            learners.InterpolatorAggregation(interp, learners.DisjointBlocks(3)),
+        ):
+            fitted.clear()
+            est = mc.mc_expected_loss(learner, inst, 8, 100, seed=4)
+            nonempty = [seen for seen in fitted if seen]
+            assert nonempty and len(nonempty) == len(set(nonempty))
+            assert est.losses == _reference_losses(learner, inst, 8, 100, 4)
+
+    def test_table_stops_at_the_budget(self, monkeypatch):
+        # eight atoms, seen sets of up to five: 40 indices hold a few of them
+        cls = core.CantorClass(HALF, 8, 16)
+        witness = cls.hypothesis(range(1, 9))
+        dist = core.FiniteDistribution.from_triples(
+            [(NAT(i), 0, F(1, 8)) for i in range(1, 9)], witness
+        )
+        inst = adversaries.HardInstance(
+            theorem="test", cls=cls, distribution=dist, witness=witness,
+            gamma=HALF, epsilon=None, d=8, universe=16, n_max=None,
+        )
+        learner = learners.SingleInterpolator(bind(learners.generic_interpolator, cls))
+        unbounded = mc.mc_expected_loss(learner, inst, 5, 40, seed=2)
+        tables = []
+
+        class Recorded(learners.FitTable):
+            def __init__(self, dist):
+                super().__init__(dist)
+                tables.append(self)
+
+        monkeypatch.setattr(learners, "FitTable", Recorded)
+        fitted = _record_fits(monkeypatch)
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "40")
+        bounded = mc.mc_expected_loss(learner, inst, 5, 40, seed=2)
+        (table,) = tables
+        assert sum(map(len, table)) <= 40 < sum(map(len, set(fitted)))
+        assert len(fitted) > len(set(fitted))  # a seen set past the bound is fitted again
+        assert bounded.losses == unbounded.losses
 
 
 class TestScalingFit:
