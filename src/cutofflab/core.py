@@ -3,15 +3,15 @@
 Everything that a strict comparison like |h(x) - y| > gamma touches is a
 `fractions.Fraction`, so every loss value, mass, and threshold comparison in
 the package is exact, and `gamma_far` is the one test of that comparison.  A
-distribution holds one `LabeledExample` per atom, which every sample drawn
-from it shares, and its masses once, as its `law`: integers over one common
-denominator, on which validation, sampling thresholds and cutoff losses are
-integer arithmetic, while a loss is still returned as an exact `Fraction`.
+distribution holds one `LabeledExample` per atom, and its masses once, as
+its `law`: integers over one common denominator, on which validation,
+sampling thresholds and cutoff losses are integer arithmetic, while a loss
+is still returned as an exact `Fraction`.
 Distributions drawn from one family share one law.
 Randomness is counter-based: every draw derives from a 64-bit master seed
 plus a stream index, so trials are order independent and bit-reproducible.
-`sample_iid` draws atom indices from a law, and the same draws as the
-distribution's own examples from a distribution.
+`sample_iid` draws from a law, and a draw is an atom index: a sample is a
+tuple of indices into the distribution's `atoms`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import bisect
 import functools
 import itertools
 import math
-import operator
 import os
 import random
 from dataclasses import dataclass
@@ -306,8 +305,7 @@ def _scan(
     nonzero label (None if all are 0).  None when the sample contradicts
     itself, leaves the domain, or carries two distinct nonzero labels."""
     labels: dict[Point, Fraction] = {}
-    # a drawn sample repeats a few shared example objects, so each is read once
-    for ex in {id(ex): ex for ex in sample}.values():
+    for ex in sample:
         if labels.setdefault(ex.point, ex.label) != ex.label:
             return None
     zeros: list[Point] = []
@@ -626,9 +624,9 @@ class IntegerLaw:
 class FiniteDistribution:
     """Finite support of distinct-point examples with masses summing to one.
 
-    The k-th atom is the example atoms[k] with mass law.masses[k], and every
-    sample drawn from the distribution shares these example objects.
-    Distributions drawn from one family share the family's `law`.
+    The k-th atom is the example atoms[k] with mass law.masses[k].  A sample
+    drawn from the distribution is a tuple of indices into `atoms`, drawn
+    from its `law`, which the distributions drawn from one family share.
     """
 
     atoms: tuple[LabeledExample, ...]
@@ -725,20 +723,16 @@ def sample_without_replacement(rng: random.Random, pool: Sequence[int], k: int) 
     return work[:k]
 
 
-def sample_iid(
-    source: FiniteDistribution | IntegerLaw, n: int, seed: int, stream: int = 0
-) -> TrainingSequence | tuple[int, ...]:
-    """n i.i.d. draws by inverse CDF over the exact cumulative masses: from a
-    law, the atom index of each draw; from a distribution, its example at
-    that index.  A distribution and its law give the same draws.
+def sample_iid(law: IntegerLaw, n: int, seed: int, stream: int = 0) -> tuple[int, ...]:
+    """The atom indices of n i.i.d. draws from `law`, by inverse CDF over
+    the exact cumulative masses.
 
     Each draw takes a 64-bit integer r, i.e. the uniform variate r / 2**64,
     and picks the first atom k with r / 2**64 < cum_k.  For integer r that
     holds exactly when r < ceil(cum_k * 2**64) = T_k, so bisecting r into the
     integer thresholds T_k picks the atom the exact Fraction comparison
     picks, and atom selection never rounds.  The masses sum to 1, so the last
-    threshold is 2**64 and every r lands on an atom.  Each draw from a
-    distribution is its own example, so draws of one atom share one object.
+    threshold is 2**64 and every r lands on an atom.
 
     The n variates come from one ``getrandbits(64 * n)`` call: from Python
     3.9 on, its 64-bit chunk j (least significant first) is the j-th of n
@@ -752,7 +746,6 @@ def sample_iid(
     """
     if n < 0:
         raise PreconditionError("sample size must be >= 0")
-    law = source if isinstance(source, IntegerLaw) else source.law
     raw = rng_for(seed, stream).getrandbits(64 * n).to_bytes(8 * n, "little")
     tops = raw[7::8].translate(law.top_byte_atoms)
     picks = list(tops)
@@ -761,8 +754,4 @@ def sample_iid(
         r = int.from_bytes(raw[8 * j : 8 * j + 8], "little")
         picks[j] = bisect.bisect_right(law.thresholds, r)
         j = tops.find(_FALLBACK, j + 1)
-    if source is law:
-        return tuple(picks)
-    if n < 2:  # an itemgetter of one index returns the bare item, of none fails
-        return tuple([source.atoms[k] for k in picks])
-    return operator.itemgetter(*picks)(source.atoms)
+    return tuple(picks)

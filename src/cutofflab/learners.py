@@ -2,30 +2,29 @@
 
 ``InterpolatorAggregation``, at the end of this module, is the one learner
 class: it declares its ``sample_arity`` and turns that many training samples
-into a predictor (callable Point -> Fraction) through ``predictor(samples)``.
-That decides the rule on the block objects ``seen_blocks(samples)`` gives
-before it fits any: where one block object fills enough inputs to decide the
-rule it fits only that block, and otherwise it fits each distinct block
-object once.  The single interpolator, median-of-three and proper ERM are
-functions that build it.
-``reads_seen_sets(learner)`` says whether that interpolator reads each block
-only through its set of distinct examples.  Such a learner also takes
-samples of atom indices through ``predictor(samples, table)``, which fits
-each block's seen set once per ``FitTable``, a table of one distribution's
-fits that the caller keeps; ``mc`` does so in the exact oracle, which admits
-only such learners, and in a Monte Carlo run on a fixed instance.  An
-interpolator is a ``sample -> hypothesis`` fitter.  Proper rules (order
-statistics, the median) return one of their inputs; the mean stays inside the
-input range.  Everything is deterministic given its inputs and seeds.
+into a predictor (callable Point -> Fraction) through
+``predictor(samples, table)``.  A sample is a tuple of atom indices, as
+``core.sample_iid`` draws it, and ``table`` is a ``FitTable`` of the
+distribution whose ``atoms`` they index: the fits made so far, each keyed by
+what the interpolator reads of a block.  ``reads_seen_sets(learner)`` says
+whether it reads each block only through its set of distinct examples; such
+a block is keyed by its seen set, and any other by its ordered indices.
+The predictor decides the rule on the block objects ``seen_blocks(samples)``
+gives before it fits any: where one block object fills enough inputs to
+decide the rule it fits only that block, and otherwise every block, once
+per key per table.  The single interpolator, median-of-three and proper ERM
+are functions that build it.  An interpolator is a ``sample -> hypothesis``
+fitter on examples.  Proper rules (order statistics, the median) return one
+of their inputs; the mean stays inside the input range.  Everything is
+deterministic given its inputs and seeds.
 
-A predictor does its repeated work once, through memos keyed on ``id()``.
-Each memo lives only as long as the call or predictor that built it and
-holds every object whose id it keys on, so no id is freed and reused while
-the memo can still read it.  The one piece of state that outlives a
-predictor call is each learner's fit of the empty block, made on first use
-and kept as long as the learner: one hypothesis per learner.  A
-``FitTable`` outlives a call only as its caller keeps it: ``mc`` keeps one
-for an oracle call or for a Monte Carlo run on a fixed instance.
+``aggregate`` does its repeated work once, through a memo keyed on ``id()``
+that holds every object whose id it keys on and lives as long as the
+predictor, so no id is freed and reused while the memo can still read it.
+Two pieces of state outlive a predictor call: each learner's fit of the
+empty block, made on first use and kept as long as the learner, and the
+``FitTable`` its caller keeps; ``mc`` keeps one per oracle call, per Monte
+Carlo run on a fixed instance, and per trial on a family.
 """
 
 from __future__ import annotations
@@ -165,7 +164,7 @@ class DisjointBlocks:
             raise PreconditionError("need at least one block")
         core._budgeted("partition", self.m)
 
-    def split(self, sample: core.TrainingSequence):
+    def split(self, sample: tuple):
         n = len(sample)
         base, extra = divmod(n, self.m)
         blocks, start = [], 0
@@ -188,7 +187,7 @@ class OverlappingWindows:
             raise PreconditionError("windows need m >= 1 and width >= 1")
         core._budgeted("partition", self.m)
 
-    def split(self, sample: core.TrainingSequence):
+    def split(self, sample: tuple):
         n = len(sample)
         width = min(self.width, n)
         if n == 0:
@@ -214,7 +213,7 @@ class Bootstrap:
         core._budgeted("partition", self.m)
         core._budgeted("bootstrap draws", self.m * self.size)
 
-    def split(self, sample: core.TrainingSequence):
+    def split(self, sample: tuple):
         n = len(sample)
         blocks = []
         for j in range(self.m):
@@ -279,14 +278,14 @@ def reads_seen_sets(learner) -> bool:
 
 
 class FitTable(dict):
-    """Fits by seen set, a frozenset of atom indices, for one distribution,
-    whose `atoms` it holds.  A learner that passes `reads_seen_sets` is
-    deterministic in each block's seen set, so a stored fit is the fit a new
-    predictor call would make.
+    """One learner's fits on one distribution, whose `atoms` it holds, by
+    block key: a frozenset of atom indices, or a tuple of them (see
+    `InterpolatorAggregation.predictor`).  Interpolators are deterministic
+    in what they read, so a stored fit is the fit a new call would make.
 
-    It stores at most `core.enumeration_budget()` atom indices in all; a seen
-    set past that is fitted without being stored, so its memory stays
-    bounded for large supports and long samples.
+    It stores at most `core.enumeration_budget()` atom indices in all; a key
+    past that is fitted without being stored, so its memory stays bounded
+    for large supports and long samples.
     """
 
     def __init__(self, dist: core.FiniteDistribution):
@@ -294,10 +293,10 @@ class FitTable(dict):
         self.atoms = dist.atoms
         self.room = core.enumeration_budget()
 
-    def __setitem__(self, seen, fit):
-        if len(seen) <= self.room:
-            self.room -= len(seen)
-            super().__setitem__(seen, fit)
+    def __setitem__(self, key, fit):
+        if len(key) <= self.room:
+            self.room -= len(key)
+            super().__setitem__(key, fit)
 
 
 # ---------------------------------------------------------------------------
@@ -328,39 +327,35 @@ class InterpolatorAggregation:
         """The fit of the empty block, made once per learner."""
         return self.interpolator(())
 
-    def _fit(self, block) -> core.Hypothesis:
-        return self.interpolator(block) if block else self._empty_fit
+    @functools.cached_property
+    def _key(self):
+        """What the interpolator reads of a block of atom indices."""
+        return frozenset if reads_seen_sets(self) else tuple
 
-    def _table_fit(self, table: FitTable, block) -> core.Hypothesis:
-        """`_fit` of a block of atom indices, once per seen set in `table`."""
+    def _fit(self, table: FitTable, block) -> core.Hypothesis:
+        """The fit of a block of atom indices, once per key in `table`."""
         if not block:
             return self._empty_fit
-        seen = frozenset(block)
-        h = table.get(seen)
+        key = self._key(block)
+        h = table.get(key)
         if h is None:
-            h = table[seen] = self.interpolator(tuple([table.atoms[k] for k in seen]))
+            h = table[key] = self.interpolator(tuple([table.atoms[k] for k in key]))
         return h
 
-    def predictor(self, samples, table=None) -> core.Predictor:
+    def predictor(self, samples, table: FitTable) -> core.Predictor:
         """The rule over one fit per block, fitting only what can change it.
 
-        Interpolators are deterministic, so one block object gives one fit:
-        the one empty block object `()` stands for every empty block, and
-        its fit is made once per learner (`_empty_fit`) and kept as long as
-        the learner.  When one block object fills enough inputs to decide
-        the rule (`_constant_winner`), only that block is fitted and the
-        predictor is its fit's `value_at`.  Otherwise each distinct block
-        object is fitted once, through a memo keyed on id(block) while
-        `blocks` holds every block, and `aggregate` checks the fits again,
-        as distinct blocks may share one fit.
-
-        With a `FitTable` of a distribution, which the caller keeps across
-        calls, the samples are atom indices into that distribution (as
-        `core.sample_iid` draws them from its law), and each nonempty block
-        is fitted on its seen set, its distinct atoms, once per table.  That
-        is sound for a learner that passes `reads_seen_sets`, whose fit
-        depends only on the seen set; its values are those this gives on the
-        samples of the atoms at those indices.
+        The samples are atom indices into `table.atoms`, and `table`, which
+        the caller keeps across calls, holds the fits made so far.  A block
+        is keyed by what the interpolator reads of it: its seen set, its
+        distinct atoms, for a learner that passes `reads_seen_sets`, and its
+        ordered indices otherwise.  Each key is fitted once per table, on
+        the atoms it names, and the empty block once per learner
+        (`_empty_fit`), kept as long as the learner.  When one block object
+        fills enough inputs to decide the rule (`_constant_winner`), only
+        that block is fitted and the predictor is its fit's `value_at`.
+        Otherwise every block is fitted, and `aggregate` checks the fits
+        again, as distinct blocks may share one fit.
 
         A block that is not fitted cannot raise `NotRealizableError`.  No
         reachable input exits differently for it: `estimate` refuses a
@@ -368,15 +363,10 @@ class InterpolatorAggregation:
         family is realized by its witness.
         """
         blocks = self.seen_blocks(samples)
-        fit = self._fit if table is None else functools.partial(self._table_fit, table)
         winner = _constant_winner(self.rule, blocks)
         if winner is not None:
-            return fit(winner).value_at
-        fits = {}
-        for block in blocks:
-            if id(block) not in fits:
-                fits[id(block)] = fit(block)
-        return aggregate(self.rule, [fits[id(block)] for block in blocks])
+            return self._fit(table, winner).value_at
+        return aggregate(self.rule, [self._fit(table, block) for block in blocks])
 
 
 def SingleInterpolator(interpolator: Interpolator) -> InterpolatorAggregation:

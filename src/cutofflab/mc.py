@@ -6,10 +6,10 @@ arithmetic error.  Float sums go through `math.fsum`, which rounds correctly
 on every Python version.  Trials are stream-indexed off the master seed, so
 results are identical under any execution order.
 
-A learner that reads only seen sets works on atom indices, from the draw to
-the fit, through a `learners.FitTable` of one distribution: each seen set is
-fitted once per oracle call, and once per Monte Carlo run on a fixed
-instance.
+A sample is a tuple of atom indices from the draw to the fit, and a learner
+fits through a `learners.FitTable` of one distribution: one per oracle call,
+one per Monte Carlo run on a fixed instance, and one per trial on a family,
+whose trials each draw a new distribution.
 """
 
 from __future__ import annotations
@@ -118,22 +118,19 @@ def exact_exceed_probability(learner, instance: HardInstance, n: int, threshold)
 
 
 def _trial_loss(learner, source, n: int, seed: int, trial: int, table) -> Fraction:
-    """One trial's exact loss: on samples of examples, or, given `table`,
-    on samples of atom indices drawn from the law and fitted through it."""
+    """One trial's exact loss on samples of atom indices drawn from the law,
+    fitted through `table`, or through a new table of the trial's
+    distribution when `source` is a family."""
     base = core.stream_seed(seed, trial)
     if isinstance(source, InstanceFamily):
-        rng = core.rng_for(base, 0)
-        instance = source.draw_instance(rng)
+        instance = source.draw_instance(core.rng_for(base, 0))
+        table = learners.FitTable(instance.distribution)
     else:
         instance = source
     dist = instance.distribution
     streams = range(1, learner.sample_arity + 1)
-    if table is None:
-        predictor = learner.predictor(tuple(core.sample_iid(dist, n, base, j) for j in streams))
-    else:
-        samples = tuple(core.sample_iid(dist.law, n, base, j) for j in streams)
-        predictor = learner.predictor(samples, table)
-    return core.cutoff_loss(predictor, dist, instance.gamma)
+    samples = tuple(core.sample_iid(dist.law, n, base, j) for j in streams)
+    return core.cutoff_loss(learner.predictor(samples, table), dist, instance.gamma)
 
 
 def mc_expected_loss(
@@ -148,24 +145,20 @@ def mc_expected_loss(
     `source` is a fixed HardInstance or an InstanceFamily; families redraw
     their support each trial (stream-separated), estimating the
     support-averaged loss the constructions bound.  A trial's draws,
-    n per sample, then the run's fits, trials times blocks per trial, are
+    n per sample, then the run's blocks, trials times blocks per trial, are
     refused past `core.enumeration_budget()` before any trial runs.
 
-    On a fixed instance a learner that passes `learners.reads_seen_sets`
-    draws atom indices and fits through one `learners.FitTable` per run.  A
-    family draws a new distribution each trial, and a table serves one, so
-    there, as for any other learner, each trial draws examples and fits its
-    own block objects.
+    Each trial draws atom indices and calls `predictor(samples, table)`
+    with a `learners.FitTable` that serves one distribution: one per run on
+    a fixed instance, and one per trial on a family.
     """
     if trials < 30:
         raise PreconditionError("need at least 30 trials for the normal CI")
     core._budgeted("draws per trial", n * learner.sample_arity)
-    # one fit per block; a learner with no partitioner fits each sample once
+    # a learner with no partitioner reads each sample as one block
     blocks = getattr(getattr(learner, "partitioner", None), "m", 1)
-    core._budgeted("fits per run", trials * learner.sample_arity * blocks)
-    table = None
-    if not isinstance(source, InstanceFamily) and learners.reads_seen_sets(learner):
-        table = learners.FitTable(source.distribution)
+    core._budgeted("blocks per run", trials * learner.sample_arity * blocks)
+    table = None if isinstance(source, InstanceFamily) else learners.FitTable(source.distribution)
     losses = tuple(_trial_loss(learner, source, n, seed, t, table) for t in range(trials))
     exact_mean = sum(losses, core.ZERO) / trials
     mean = float(exact_mean)

@@ -8,7 +8,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from cutofflab import adversaries, core, serialize
+from cutofflab import adversaries, core, learners, serialize
 from cutofflab import partial as pc
 
 
@@ -103,40 +103,58 @@ def loss_pattern_reduction(cls, examples, gamma) -> pc.PartialClass:
     return pc.PartialClass(len(examples), tuple(rows))
 
 
+def examples_of(dist, sample) -> core.TrainingSequence:
+    """The examples a sample of atom indices names in `dist`, in order."""
+    return tuple(dist.atoms[k] for k in sample)
+
+
+def reference_predictor(learner, samples, dist):
+    """The learner's predictor on samples of atom indices into `dist`, with
+    no table, memo or shortcut for an `InterpolatorAggregation`: every block
+    of examples is fitted by its interpolator, and the fits are combined
+    afresh at every point.  Any other learner is called through `predictor`
+    with a new `learners.FitTable`."""
+    if not isinstance(learner, learners.InterpolatorAggregation):
+        return learner.predictor(samples, learners.FitTable(dist))
+    blocks = [
+        block
+        for sample in samples
+        for block in learner.partitioner.split(examples_of(dist, sample))
+    ]
+    return reference_aggregate(learner.rule, [learner.interpolator(b) for b in blocks])
+
+
 def reference_loss_distribution(learner, instance, n):
-    """The exact oracle's plain enumeration: one fit per weighted sequence,
-    for any learner deterministic given its samples."""
+    """The exact oracle's plain enumeration: one `reference_predictor` per
+    weighted sequence, for any learner deterministic given its samples."""
     dist = instance.distribution
     arity = learner.sample_arity
-    weighted = list(zip(dist.masses, dist.atoms))
     out = []
-    for combo in itertools.product(weighted, repeat=n * arity):
-        weight = math.prod((mass for mass, _ in combo), start=core.ONE)
+    for combo in itertools.product(range(len(dist.atoms)), repeat=n * arity):
+        weight = math.prod((dist.masses[k] for k in combo), start=core.ONE)
         if weight == core.ZERO:
             continue
-        examples = [ex for _, ex in combo]
-        samples = tuple(tuple(examples[j * n : (j + 1) * n]) for j in range(arity))
-        predictor = learner.predictor(samples)
+        samples = tuple(combo[j * n : (j + 1) * n] for j in range(arity))
+        predictor = reference_predictor(learner, samples, dist)
         out.append((weight, core.cutoff_loss(predictor, dist, instance.gamma)))
     return out
 
 
 def reference_trial_loss(learner, source, n, seed, trial):
-    """One Monte Carlo trial on samples of examples, fitted afresh through
-    `predictor`: the reference for trials that draw atom indices and fit
-    through a `learners.FitTable`."""
+    """One Monte Carlo trial, drawn as `mc` draws it and scored through
+    `reference_predictor`."""
     base = core.stream_seed(seed, trial)
     if isinstance(source, adversaries.InstanceFamily):
         rng = core.rng_for(base, 0)
         instance = source.draw_instance(rng)
     else:
         instance = source
+    dist = instance.distribution
     samples = tuple(
-        core.sample_iid(instance.distribution, n, base, stream=j + 1)
-        for j in range(learner.sample_arity)
+        core.sample_iid(dist.law, n, base, stream=j + 1) for j in range(learner.sample_arity)
     )
-    predictor = learner.predictor(samples)
-    return core.cutoff_loss(predictor, instance.distribution, instance.gamma)
+    predictor = reference_predictor(learner, samples, dist)
+    return core.cutoff_loss(predictor, dist, instance.gamma)
 
 
 def reference_aggregate(rule, hypotheses):

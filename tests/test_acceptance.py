@@ -244,13 +244,13 @@ def _small_instances():
         def __init__(self, witness):
             self.witness = witness
 
-        def predictor(self, samples):
+        def predictor(self, samples, table):
             return self.witness.value_at
 
     class ConstantOne:
         sample_arity = 1
 
-        def predictor(self, samples):
+        def predictor(self, samples, table):
             return lambda x: F(1)
 
     out.append((inst6, WitnessLearner(w6), 2))

@@ -107,7 +107,8 @@ class TestThm2Family:
         # interpolating aggregate exceeds gamma everywhere else in [k_u]
         fam = adversaries.thm2_family(HALF, 2, F(1, 64), 3)
         inst = fam.draw_instance(core.rng_for(1, 0))
-        sample = core.sample_iid(inst.distribution, fam.n_max, 2)
+        drawn = core.sample_iid(inst.distribution.law, fam.n_max, 2)
+        sample = tuple(inst.distribution.atoms[k] for k in drawn)
         blocks = learners.DisjointBlocks(3).split(sample)
         interp = lambda s: learners.generic_interpolator(fam.cls, s)
         hs = [interp(b) for b in blocks]
@@ -223,7 +224,9 @@ class TestFamilyLaw:
             assert dist.law.weights == ref.law.weights
             assert dist.law.denominator == ref.law.denominator
             assert dist.law.thresholds == ref.law.thresholds
-            assert core.sample_iid(dist, 40, 9, t) == core.sample_iid(ref, 40, 9, t)
+            drawn = core.sample_iid(dist.law, 40, 9, t)
+            assert drawn == core.sample_iid(ref.law, 40, 9, t)
+            assert [dist.atoms[k] for k in drawn] == [ref.atoms[k] for k in drawn]
 
     def test_drawn_distribution_shares_the_family_law(self, theorem):
         fam = FAMILIES[theorem]()
@@ -276,9 +279,9 @@ class TestMissingIndices:
         for t in range(2000):
             inst = fam.draw_instance(core.rng_for(13, t))
             sample = core.sample_iid(
-                inst.distribution, fam.n_max, core.stream_seed(13, t), stream=1
+                inst.distribution.law, fam.n_max, core.stream_seed(13, t), stream=1
             )
-            seen = {ex.point for ex in sample}
+            seen = {inst.distribution.atoms[k].point for k in sample}
             unseen = [a for a in inst.distribution.atoms if a.point not in seen]
             assert len(unseen) >= fam.d
 

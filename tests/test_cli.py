@@ -556,16 +556,16 @@ class TestEstimate:
         assert time.monotonic() - start < 1
         captured = capsys.readouterr()
         assert captured.out == "" and _one_line_refusal(captured.err)
-        assert captured.err.startswith(f"budget exceeded: fits per run of size {fits} exceeds")
+        assert captured.err.startswith(f"budget exceeded: blocks per run of size {fits} exceeds")
 
     def test_fits_budget_boundary(self, tmp_path, capsys, monkeypatch):
-        # 30 trials of three disjoint blocks: 90 fits
+        # 30 trials of three disjoint blocks: 90 blocks
         config = {**_agg(partition={"kind": "disjoint", "m": 3}), "trials": 30}
         monkeypatch.setenv("CUTOFFLAB_BUDGET", "90")
         assert _run_estimate(tmp_path, config) == 0
         monkeypatch.setenv("CUTOFFLAB_BUDGET", "89")
         assert _run_estimate(tmp_path, config) == 3
-        assert "fits per run of size 90 exceeds budget 89" in capsys.readouterr().err
+        assert "blocks per run of size 90 exceeds budget 89" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         ("keys", "message"),
@@ -1196,7 +1196,7 @@ class TestParseBoundary:
         assert time.monotonic() - start < 1
         captured = capsys.readouterr()
         assert captured.out == "" and _one_line_refusal(captured.err)
-        assert "fits per run of size 100000000 exceeds budget 200000" in captured.err
+        assert "blocks per run of size 100000000 exceeds budget 200000" in captured.err
 
     @pytest.mark.parametrize(
         ("argv", "code", "message"),

@@ -297,8 +297,7 @@ class TestSampling:
         for n in (0, 1, 2, 255, 1024):
             getrandbits = core.rng_for(seed, n).getrandbits
             expected = [atom(getrandbits(64)) for _ in range(n)]
-            sample = core.sample_iid(dist, n, seed, stream=n)
-            assert [ex.point.n - 1 for ex in sample] == expected
+            assert list(core.sample_iid(dist.law, n, seed, stream=n)) == expected
         # variates at both edges of, and just below, every bucket a threshold
         # falls strictly inside
         straddled = sorted({threshold >> 56 for threshold in thresholds if threshold % 2**56})
@@ -308,8 +307,8 @@ class TestSampling:
         ]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "rng_for", lambda seed, stream: FixedVariates(variates))
-            sample = core.sample_iid(dist, len(variates), seed=0)
-        assert [ex.point.n - 1 for ex in sample] == [atom(r) for r in variates]
+            sample = core.sample_iid(dist.law, len(variates), seed=0)
+        assert list(sample) == [atom(r) for r in variates]
 
     @pytest.mark.parametrize(
         "seed,digest",
@@ -320,29 +319,25 @@ class TestSampling:
     def test_thm4_draws_pinned(self, seed, digest):
         # the thm4 law at d = 4, n = 1024: masses 1021/1024 and 3 x 1/1024
         dist = adversaries.thm4_instance(core.CantorClass(F(1, 2), 4, 12), 1024).distribution
-        index = {id(ex): k for k, ex in enumerate(dist.atoms)}
-        indices = [index[id(ex)] for ex in core.sample_iid(dist, 1024, seed)]
-        text = ",".join(map(str, indices))
+        text = ",".join(map(str, core.sample_iid(dist.law, 1024, seed)))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_zero_draws(self):
         dist = core.FiniteDistribution.from_triples([(NAT(1), 0, F(1))])
-        assert core.sample_iid(dist, 0, 1) == ()
+        assert core.sample_iid(dist.law, 0, 1) == ()
 
     def test_single_atom(self):
         dist = core.FiniteDistribution.from_triples([(NAT(3), F(1, 3), F(1))])
-        sample = core.sample_iid(dist, 5, 9)
-        assert len(sample) == 5
-        assert all(ex.point == NAT(3) and ex.label == F(1, 3) for ex in sample)
+        assert core.sample_iid(dist.law, 5, 9) == (0, 0, 0, 0, 0)
 
     def test_determinism_contract(self):
         dist = core.FiniteDistribution.from_triples(
             [(NAT(1), 0, F(1, 3)), (NAT(2), 0, F(2, 3))]
         )
-        a = core.sample_iid(dist, 50, seed=123, stream=7)
-        b = core.sample_iid(dist, 50, seed=123, stream=7)
+        a = core.sample_iid(dist.law, 50, seed=123, stream=7)
+        b = core.sample_iid(dist.law, 50, seed=123, stream=7)
         assert a == b
-        c = core.sample_iid(dist, 50, seed=123, stream=8)
+        c = core.sample_iid(dist.law, 50, seed=123, stream=8)
         assert a != c  # different stream decouples
 
     def test_empirical_frequencies_converge(self):
@@ -353,15 +348,12 @@ class TestSampling:
         n = 10_000
         good = 0
         for seed in range(100):
-            sample = core.sample_iid(dist, n, seed)
-            counts = {NAT(1): 0, NAT(2): 0}
-            for ex in sample:
-                counts[ex.point] += 1
+            sample = core.sample_iid(dist.law, n, seed)
             ok = True
-            for ex, exact_mass in zip(dist.atoms, dist.masses):
+            for k, exact_mass in enumerate(dist.masses):
                 mass = float(exact_mass)
                 tol = 5 * math.sqrt(mass * (1 - mass) / n)
-                if abs(counts[ex.point] / n - mass) > tol:
+                if abs(sample.count(k) / n - mass) > tol:
                     ok = False
             good += ok
         assert good >= 99
@@ -398,8 +390,8 @@ class TestSampling:
             [(NAT(i + 1), 0, m) for i, m in enumerate(masses)]
         )
         monkeypatch.setattr(core, "rng_for", lambda seed, stream: FixedVariates(variates))
-        sample = core.sample_iid(dist, len(variates), seed=0)
-        assert [ex.point.n - 1 for ex in sample] == expected
+        sample = core.sample_iid(dist.law, len(variates), seed=0)
+        assert list(sample) == expected
         assert all(masses[k] > 0 for k in expected)
 
     @pytest.mark.parametrize(
@@ -418,22 +410,14 @@ class TestSampling:
             [(NAT(1), 0, F(1, 3)), (NAT(2), 0, F(0)), (NAT(3), 0, F(1, 6)),
              (NAT(4), 0, F(1, 2)), (NAT(5), 0, F(0))]
         )
-        sample = core.sample_iid(dist, len(indices), seed, stream)
-        assert [ex.point.n - 1 for ex in sample] == indices
-        # draws of one atom share one example object
-        assert len({id(ex) for ex in sample}) == len(set(indices))
+        assert core.sample_iid(dist.law, len(indices), seed, stream) == tuple(indices)
 
-    def test_draws_are_the_distributions_own_examples(self):
-        dist = core.FiniteDistribution.from_triples(
-            [(NAT(1), 0, F(1, 3)), (NAT(2), F(1, 2), F(1, 6)), (NAT(3), 1, F(1, 2))]
+    def test_golden_draws_of_a_three_atom_law(self):
+        law = core.IntegerLaw((F(1, 3), F(1, 6), F(1, 2)))
+        # the draws the sampler made when a draw was the atom's example
+        assert core.sample_iid(law, 24, seed=11, stream=2) == (
+            1, 2, 2, 2, 1, 2, 2, 0, 1, 1, 0, 2, 2, 0, 0, 0, 2, 2, 0, 1, 0, 2, 0, 0
         )
-        sample = core.sample_iid(dist, 24, seed=11, stream=2)
-        assert all(any(ex is atom for atom in dist.atoms) for ex in sample)
-        # the point sequence the sampler drew before examples and masses
-        # were held apart
-        assert [ex.point.n for ex in sample] == [
-            2, 3, 3, 3, 2, 3, 3, 1, 2, 2, 1, 3, 3, 1, 1, 1, 3, 3, 1, 2, 1, 3, 1, 1
-        ]
 
 
 class TestCanonicalEnumeration:

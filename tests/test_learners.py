@@ -50,7 +50,7 @@ class TestGenericInterpolator:
             witness=cls.hypothesis({5, 6, 7}),
         )
         for seed in range(5):
-            sample = core.sample_iid(dist, 6, seed)
+            sample = helpers.examples_of(dist, core.sample_iid(dist.law, 6, seed))
             h = learners.generic_interpolator(cls, sample)
             assert all(h.value_at(ex.point) == ex.label for ex in sample)
 
@@ -299,29 +299,37 @@ class TestComposites:
         )
         self.interp = bind(learners.generic_interpolator, self.cls)
 
+    def draw(self, n, seed, stream=0):
+        return core.sample_iid(self.dist.law, n, seed, stream)
+
+    def examples(self, sample):
+        return helpers.examples_of(self.dist, sample)
+
     def test_single_block_equals_single_interpolator(self):
-        sample = core.sample_iid(self.dist, 4, 3)
-        direct = self.interp(sample)
+        sample = self.draw(4, 3)
+        direct = self.interp(self.examples(sample))
         agg = learners.InterpolatorAggregation(
             self.interp, learners.DisjointBlocks(1), learners.Median()
-        ).predictor((sample,))
+        ).predictor((sample,), learners.FitTable(self.dist))
         for i in range(1, 7):
             assert agg(NAT(i)) == direct.value_at(NAT(i))
 
     def test_three_blocks_median_is_a_median_of_three(self):
-        sample = core.sample_iid(self.dist, 6, 4)
-        blocks = learners.DisjointBlocks(3).split(sample)
+        sample = self.draw(6, 4)
+        blocks = learners.DisjointBlocks(3).split(self.examples(sample))
         hs = [self.interp(b) for b in blocks]
         agg = learners.InterpolatorAggregation(
             self.interp, learners.DisjointBlocks(3), learners.Median()
-        ).predictor((sample,))
+        ).predictor((sample,), learners.FitTable(self.dist))
         for i in range(1, 7):
             assert agg(NAT(i)) == sorted(h.value_at(NAT(i)) for h in hs)[1]
 
     def test_median_of_three_same_stream_collapses(self):
-        sample = core.sample_iid(self.dist, 5, 9, stream=2)
-        med = learners.MedianOfThree(self.interp).predictor((sample, sample, sample))
-        single = self.interp(sample)
+        sample = self.draw(5, 9, stream=2)
+        med = learners.MedianOfThree(self.interp).predictor(
+            (sample, sample, sample), learners.FitTable(self.dist)
+        )
+        single = self.interp(self.examples(sample))
         for i in range(1, 7):
             assert med(NAT(i)) == single.value_at(NAT(i))
 
@@ -337,7 +345,9 @@ class TestComposites:
             calls.append(sample)
             return self.interp(sample)
 
-        samples = tuple(core.sample_iid(self.dist, 5, 6, stream=j) for j in (1, 2, 3))
+        # the interpolator reads order, so each distinct index tuple is
+        # fitted once, on its examples in order
+        samples = tuple(self.draw(5, 6, stream=j) for j in (1, 2, 3))
         for learner in (
             learners.SingleInterpolator(recording),
             learners.MedianOfThree(recording),
@@ -345,24 +355,27 @@ class TestComposites:
         ):
             calls.clear()
             arity_samples = samples[: learner.sample_arity]
-            learner.predictor(arity_samples)
-            assert calls == list(learner.seen_blocks(arity_samples))
+            learner.predictor(arity_samples, learners.FitTable(self.dist))
+            keys = dict.fromkeys(learner.seen_blocks(arity_samples))
+            assert calls == [self.examples(block) for block in keys]
 
         # one draw over m = 3 blocks: disjoint blocks share the empty block
         # object, which fills 2 of the median's 3 inputs and so is the one
         # block fitted; every window is the whole sample, fitted once; the
-        # three bootstrap blocks are distinct objects, each fitted once; and
-        # each predicts as a fit per block would
-        sample = core.sample_iid(self.dist, 1, 6, stream=1)
+        # three bootstrap blocks are distinct objects of one index tuple,
+        # fitted once; and each predicts as a fit per block would
+        sample = self.draw(1, 6, stream=1)
         learner = learners.InterpolatorAggregation(recording, partitioner, learners.Median())
         blocks = learner.seen_blocks((sample,))
         distinct = list({id(block): block for block in blocks}.values())
         expected = {learners.DisjointBlocks: 2, learners.OverlappingWindows: 1, learners.Bootstrap: 3}
         assert len(distinct) == expected[type(partitioner)]
         calls.clear()
-        predictor = learner.predictor((sample,))
-        assert calls == ([()] if isinstance(partitioner, learners.DisjointBlocks) else distinct)
-        per_block = helpers.reference_aggregate(learner.rule, [self.interp(b) for b in blocks])
+        predictor = learner.predictor((sample,), learners.FitTable(self.dist))
+        disjoint = isinstance(partitioner, learners.DisjointBlocks)
+        assert calls == ([()] if disjoint else [self.examples(blocks[0])])
+        hs = [self.interp(self.examples(b)) for b in blocks]
+        per_block = helpers.reference_aggregate(learner.rule, hs)
         for i in range(1, 7):
             assert predictor(NAT(i)) == per_block(NAT(i))
 
@@ -395,18 +408,19 @@ class TestComposites:
         learner = learners.InterpolatorAggregation(recording, partitioner, rule)
         empty_fits = 0
         for j, n in enumerate(n % (m + 2) for n in ns):
-            sample = core.sample_iid(self.dist, n, seed, stream=j)
+            sample = self.draw(n, seed, stream=j)
             blocks = learner.seen_blocks((sample,))
             counts = collections.Counter(map(id, blocks))
             deciding = [block for block in blocks if counts[id(block)] >= need]
-            fitted = deciding[:1] or list({id(block): block for block in blocks}.values())
+            fitted = deciding[:1] or list(dict.fromkeys(blocks))
             if empty_fits:
                 fitted = [block for block in fitted if block]
             calls.clear()
-            predictor = learner.predictor((sample,))
-            assert calls == fitted
+            predictor = learner.predictor((sample,), learners.FitTable(self.dist))
+            assert calls == [self.examples(block) for block in fitted]
             empty_fits += calls.count(())
-            per_block = helpers.reference_aggregate(rule, [self.interp(b) for b in blocks])
+            hs = [self.interp(self.examples(b)) for b in blocks]
+            per_block = helpers.reference_aggregate(rule, hs)
             for i in range(1, 7):
                 assert predictor(NAT(i)) == per_block(NAT(i))
         assert empty_fits <= 1
@@ -420,10 +434,10 @@ class TestComposites:
         learner = learners.InterpolatorAggregation(refusing, learners.DisjointBlocks(3), learners.Median())
         # two draws: blocks of 1, 1 and 0 draws, none deciding the median
         with pytest.raises(NotRealizableError, match="refused"):
-            learner.predictor((core.sample_iid(self.dist, 2, 6, stream=1),))
+            learner.predictor((self.draw(2, 6, stream=1),), learners.FitTable(self.dist))
         # one draw: the empty block fills 2 of 3 inputs, so the refusing
         # block is never fitted
-        predictor = learner.predictor((core.sample_iid(self.dist, 1, 6, stream=1),))
+        predictor = learner.predictor((self.draw(1, 6, stream=1),), learners.FitTable(self.dist))
         assert predictor(NAT(1)) == self.interp(()).value_at(NAT(1))
 
     def test_two_of_three_correct_wins(self):
@@ -435,7 +449,7 @@ class TestComposites:
 
     def test_median_of_three_errs_only_when_two_err(self):
         for seed in range(10):
-            samples = [core.sample_iid(self.dist, 3, seed, s) for s in (1, 2, 3)]
+            samples = [self.examples(self.draw(3, seed, s)) for s in (1, 2, 3)]
             hs = [self.interp(s) for s in samples]
             med = learners.aggregate(learners.Median(), hs)
             for atom in self.dist.atoms:
@@ -447,23 +461,29 @@ class TestComposites:
                     assert errs >= 2
 
 
+def _drawn_once(pairs):
+    """The sample that draws each example of (point, label) pairs once, in
+    order, and a fit table of their uniform distribution."""
+    dist = core.FiniteDistribution.from_triples([(p, y, F(1, len(pairs))) for p, y in pairs])
+    return tuple(range(len(pairs))), learners.FitTable(dist)
+
+
 class TestProperErm:
     def test_realizable_gives_consistent(self):
         cls = core.CantorClass(HALF, 2, 5)
-        sample = helpers.training_sequence([(NAT(3), 0)])
-        h = learners.ProperERM(cls).predictor((sample,))
-        assert all(h(ex.point) == ex.label for ex in sample)
+        sample, table = _drawn_once([(NAT(3), 0)])
+        h = learners.ProperERM(cls).predictor((sample,), table)
+        assert all(h(ex.point) == ex.label for ex in table.atoms)
 
     def test_thm5_class_avoids_observed_points(self):
         fam = adversaries.thm5_family(HALF, 4, F(1, 256))
-        sample = helpers.training_sequence(
-            [(PAIR(64, 10), 0), (PAIR(64, 20), 0), (PAIR(64, 30), 0)]
-        )
-        h = learners.ProperERM(fam.cls).predictor((sample,))
+        sample, table = _drawn_once([(PAIR(64, 10), 0), (PAIR(64, 20), 0), (PAIR(64, 30), 0)])
+        h = learners.ProperERM(fam.cls).predictor((sample,), table)
         # colex-first member set of block 64 avoiding the observations
         nonzero = [x for x in range(1, 65) if h(PAIR(64, x)) != 0]
         assert nonzero == [1, 2, 3]
 
     def test_empty_class_rejected(self):
+        _, table = _drawn_once([(NAT(1), 0)])
         with pytest.raises(NotRealizableError):
-            learners.ProperERM(core.FiniteClass(())).predictor(((),))
+            learners.ProperERM(core.FiniteClass(())).predictor(((),), table)

@@ -36,7 +36,7 @@ class ConstantLearner:
     def __init__(self, value):
         self.value = F(value)
 
-    def predictor(self, samples):
+    def predictor(self, samples, table):
         return lambda x: self.value
 
 
@@ -46,7 +46,7 @@ class WitnessLearner:
     def __init__(self, witness):
         self.witness = witness
 
-    def predictor(self, samples):
+    def predictor(self, samples, table):
         return self.witness.value_at
 
 
@@ -360,7 +360,7 @@ class TestMcEstimator:
         [
             (learners.MedianOfThree, 90),  # three samples, one block each
             (bind(learners.InterpolatorAggregation, partitioner=learners.DisjointBlocks(3)), 90),
-            (lambda interp: ConstantLearner(0), 30),  # no partitioner: one fit per sample
+            (lambda interp: ConstantLearner(0), 30),  # no partitioner: one block per sample
         ],
         ids=["median3", "disjoint3", "no-partitioner"],
     )
@@ -369,7 +369,7 @@ class TestMcEstimator:
         learner = build(bind(learners.generic_interpolator, inst.cls))
         monkeypatch.setenv("CUTOFFLAB_BUDGET", str(fits - 1))
         with pytest.raises(
-            BudgetExceededError, match=f"fits per run of size {fits} exceeds budget {fits - 1}"
+            BudgetExceededError, match=f"blocks per run of size {fits} exceeds budget {fits - 1}"
         ):
             mc.mc_expected_loss(learner, inst, 2, 30, seed=1)
         monkeypatch.setenv("CUTOFFLAB_BUDGET", str(fits))
@@ -439,8 +439,8 @@ class TestMcEstimator:
             # loss 1 exactly when the first draw hits the 1/4-mass atom
             sample_arity = 1
 
-            def predictor(self, samples):
-                bad = samples[0][0].point == NAT(1)
+            def predictor(self, samples, table):
+                bad = table.atoms[samples[0][0]].point == NAT(1)
                 return lambda x: F(1) if bad else F(0)
 
         covered = 0
@@ -517,7 +517,7 @@ def _record_tables(monkeypatch) -> list:
     calls = []
     real = learners.InterpolatorAggregation.predictor
 
-    def recording(self, samples, table=None):
+    def recording(self, samples, table):
         calls.append((samples, table))
         return real(self, samples, table)
 
@@ -525,11 +525,23 @@ def _record_tables(monkeypatch) -> list:
     return calls
 
 
+def _record_instances(monkeypatch) -> list:
+    """The instance of every family draw from now on, in order."""
+    drawn = []
+    real = adversaries.InstanceFamily.draw_instance
+
+    def recording(self, rng):
+        drawn.append(real(self, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(adversaries.InstanceFamily, "draw_instance", recording)
+    return drawn
+
+
 class TestFitTable:
-    """Trials of a learner that reads only seen sets on a fixed instance
-    draw atom indices and fit through a table from seen set to fit, and
-    give the losses of samples of examples fitted through `predictor`
-    afresh, trial by trial."""
+    """Trials draw atom indices and fit through a table of one
+    distribution's fits, and give the losses of blocks of examples fitted
+    by the interpolator afresh, trial by trial."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=_mc_cases())
@@ -542,25 +554,51 @@ class TestFitTable:
     @pytest.mark.parametrize("name", ["thm2", "thm5", "fixed", "thm4"])
     def test_a_table_serves_one_distribution(self, monkeypatch, name):
         # equal index sets name different points in different trials'
-        # supports, so a family's trials fit examples and share no table
+        # supports, so each family trial fits through a table of its own
         source, interp = _SOURCES[name]()
         calls = _record_tables(monkeypatch)
+        instances = _record_instances(monkeypatch)
         for learner in (
             learners.SingleInterpolator(interp),
             learners.MedianOfThree(interp),
             learners.InterpolatorAggregation(interp, learners.DisjointBlocks(3)),
         ):
             calls.clear()
+            instances.clear()
             est = mc.mc_expected_loss(learner, source, 3, 200, seed=11)
-            tables = {id(table): table for _, table in calls}
-            assert est.losses == _reference_losses(learner, source, 3, 200, 11)
+            tables = [table for _, table in calls]
+            assert len(tables) == 200
             if isinstance(source, adversaries.InstanceFamily):
-                assert list(tables.values()) == [None]
+                assert len({id(table) for table in tables}) == len(instances) == 200
+                for table, instance in zip(tables, instances):
+                    assert table.atoms is instance.distribution.atoms
             else:
-                (table,) = tables.values()
-                assert table.atoms is source.distribution.atoms
-                drawn = [k for samples, t in calls if t is not None for s in samples for k in s]
-                assert drawn and all(type(k) is int for k in drawn)
+                assert instances == []
+                assert all(table is tables[0] for table in tables)
+                assert tables[0].atoms is source.distribution.atoms
+            drawn = [k for samples, _ in calls for s in samples for k in s]
+            assert drawn and all(type(k) is int for k in drawn)
+            assert est.losses == _reference_losses(learner, source, 3, 200, 11)
+
+    @pytest.mark.parametrize("name", ["fixed", "thm2", "thm5"])
+    def test_order_reading_interpolator_is_exact(self, name):
+        # the fit reads the first example of each block, so a block is
+        # keyed by its ordered indices, not its seen set
+        source, _ = _SOURCES[name]()
+        cls = source.cls
+
+        def first_only(sample):
+            return cls.first_consistent(sample[:1])
+
+        for interp in (first_only, bind(lambda c, s: c.first_consistent(s[:1]), cls)):
+            for learner in (
+                learners.SingleInterpolator(interp),
+                learners.MedianOfThree(interp),
+                learners.InterpolatorAggregation(interp, learners.DisjointBlocks(3)),
+            ):
+                assert not learners.reads_seen_sets(learner)
+                est = mc.mc_expected_loss(learner, source, 6, 100, seed=5)
+                assert est.losses == _reference_losses(learner, source, 6, 100, 5)
 
     def test_fixed_instance_fits_each_seen_set_once(self, monkeypatch):
         inst, interp = _thm4_instance()
