@@ -56,6 +56,24 @@ def enumeration_budget() -> int:
     return value
 
 
+class BoundedTable(dict):
+    """A memo that stores at most `enumeration_budget()` atom indices in
+    all, counting `size(key)` for each key: a key past that is not stored,
+    so its caller computes that value again, and memory stays bounded
+    whatever the keys are."""
+
+    def __init__(self, size: Callable[[object], int] = len):
+        super().__init__()
+        self.size = size
+        self.room = enumeration_budget()
+
+    def __setitem__(self, key, value):
+        size = self.size(key)
+        if size <= self.room:
+            self.room -= size
+            super().__setitem__(key, value)
+
+
 def _exact(value) -> Fraction:
     """`value` as a Fraction, without a copy when it already is one."""
     return value if type(value) is Fraction else Fraction(value)
@@ -713,12 +731,26 @@ def rng_for(seed: int, stream: int = 0) -> random.Random:
 
 
 def sample_without_replacement(rng: random.Random, pool: Sequence[int], k: int) -> list[int]:
-    """Uniform k-subset as an ordered vector, via a partial Fisher-Yates."""
-    if k > len(pool):
+    """Uniform k-subset as an ordered vector, via a partial Fisher-Yates.
+
+    Step i swaps entry i with entry i + r for r uniform below the width
+    len(pool) - i, drawn as ``rng.randrange(i, len(pool))`` draws it on
+    Python 3.10 to 3.13: ``getrandbits(width.bit_length())`` until the
+    draw falls below the width.  So every stream is the one that
+    ``randrange`` gives, without its argument checks on each draw.
+    """
+    size = len(pool)
+    if k > size:
         raise PreconditionError("cannot sample more entries than the pool holds")
     work = list(pool)
+    getrandbits = rng.getrandbits
     for i in range(k):
-        j = rng.randrange(i, len(work))
+        width = size - i
+        bits = width.bit_length()
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        j = i + r
         work[i], work[j] = work[j], work[i]
     return work[:k]
 

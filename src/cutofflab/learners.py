@@ -24,7 +24,8 @@ predictor, so no id is freed and reused while the memo can still read it.
 Two pieces of state outlive a predictor call: each learner's fit of the
 empty block, made on first use and kept as long as the learner, and the
 ``FitTable`` its caller keeps; ``mc`` keeps one per oracle call, per Monte
-Carlo run on a fixed instance, and per trial on a family.
+Carlo run on a fixed instance, and per distinct (support, samples) of a
+family run.
 """
 
 from __future__ import annotations
@@ -277,26 +278,21 @@ def reads_seen_sets(learner) -> bool:
     return interpolator in (generic_interpolator, adversarial_interpolator)
 
 
-class FitTable(dict):
+class FitTable(core.BoundedTable):
     """One learner's fits on one distribution, whose `atoms` it holds, by
     block key: a frozenset of atom indices, or a tuple of them (see
     `InterpolatorAggregation.predictor`).  Interpolators are deterministic
     in what they read, so a stored fit is the fit a new call would make.
 
-    It stores at most `core.enumeration_budget()` atom indices in all; a key
-    past that is fitted without being stored, so its memory stays bounded
-    for large supports and long samples.
+    As a `core.BoundedTable` it stores at most `core.enumeration_budget()`
+    atom indices in all, a key's length each; a key past that is fitted
+    without being stored, so its memory stays bounded for large supports
+    and long samples.
     """
 
     def __init__(self, dist: core.FiniteDistribution):
         super().__init__()
         self.atoms = dist.atoms
-        self.room = core.enumeration_budget()
-
-    def __setitem__(self, key, fit):
-        if len(key) <= self.room:
-            self.room -= len(key)
-            super().__setitem__(key, fit)
 
 
 # ---------------------------------------------------------------------------

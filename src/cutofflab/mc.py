@@ -8,8 +8,8 @@ results are identical under any execution order.
 
 A sample is a tuple of atom indices from the draw to the fit, and a learner
 fits through a `learners.FitTable` of one distribution: one per oracle call,
-one per Monte Carlo run on a fixed instance, and one per trial on a family,
-whose trials each draw a new distribution.
+one per Monte Carlo run on a fixed instance, and one per distinct (support,
+samples) of a family run, whose trials each draw a new distribution.
 """
 
 from __future__ import annotations
@@ -93,9 +93,9 @@ def exact_loss_distribution(learner, instance: HardInstance, n: int) -> list[tup
 def _mass_by_loss(pairs) -> dict[Fraction, Fraction]:
     """Total probability of each distinct loss among (probability, loss)
     pairs.  Numerators are summed as integers per loss object and
-    probability denominator: the sequences that share a fit share its loss
-    object, so the groups are few, and no Fraction is hashed or added per
-    pair."""
+    probability denominator: the sequences that share a fit, and the Monte
+    Carlo trials that share a score, share its loss object, so the groups
+    are few, and no Fraction is hashed or added per pair."""
     groups: dict[tuple[int, int], list] = {}
     for w, loss in pairs:  # every loss object lives in `pairs`, so ids are unique
         groups.setdefault((id(loss), w.denominator), [loss, 0])[1] += w.numerator
@@ -105,10 +105,16 @@ def _mass_by_loss(pairs) -> dict[Fraction, Fraction]:
     return masses
 
 
+def _expectation(pairs) -> Fraction:
+    """The exact mean of the losses under their probabilities, summed once
+    per distinct loss."""
+    masses = _mass_by_loss(pairs)
+    return sum((mass * loss for loss, mass in masses.items()), core.ZERO)
+
+
 def exact_expected_loss(learner, instance: HardInstance, n: int) -> Fraction:
     """Exact E[loss] by weighted enumeration of all sample sequences."""
-    masses = _mass_by_loss(exact_loss_distribution(learner, instance, n))
-    return sum((mass * loss for loss, mass in masses.items()), core.ZERO)
+    return _expectation(exact_loss_distribution(learner, instance, n))
 
 
 def exact_exceed_probability(learner, instance: HardInstance, n: int, threshold) -> Fraction:
@@ -117,20 +123,52 @@ def exact_exceed_probability(learner, instance: HardInstance, n: int, threshold)
     return sum((mass for loss, mass in masses.items() if loss > threshold), core.ZERO)
 
 
-def _trial_loss(learner, source, n: int, seed: int, trial: int, table) -> Fraction:
-    """One trial's exact loss on samples of atom indices drawn from the law,
-    fitted through `table`, or through a new table of the trial's
-    distribution when `source` is a family."""
-    base = core.stream_seed(seed, trial)
-    if isinstance(source, InstanceFamily):
-        instance = source.draw_instance(core.rng_for(base, 0))
-        table = learners.FitTable(instance.distribution)
-    else:
-        instance = source
+def _draw(learner, law: core.IntegerLaw, n: int, base: int) -> tuple:
+    """A trial's samples: n atom indices from `law` on each of the streams
+    1..sample_arity of the trial's seed `base`."""
+    return tuple(core.sample_iid(law, n, base, j) for j in range(1, learner.sample_arity + 1))
+
+
+def _score(learner, instance: HardInstance, samples, table) -> Fraction:
+    """The exact loss of the learner's predictor on `samples`, fitted
+    through `table`."""
     dist = instance.distribution
-    streams = range(1, learner.sample_arity + 1)
-    samples = tuple(core.sample_iid(dist.law, n, base, j) for j in streams)
     return core.cutoff_loss(learner.predictor(samples, table), dist, instance.gamma)
+
+
+def _trial_losses(learner, source, n: int, trials: int, seed: int) -> tuple[Fraction, ...]:
+    """Every trial's exact loss, in trial order.
+
+    On a fixed instance every trial fits through one table of its
+    distribution.  A family trial draws its support from stream 0 of the
+    trial's seed and its samples from the family's law before it builds
+    anything.  Its loss is a function of that (support, samples) pair, as
+    `instance_for` and every learner are deterministic, so the run scores
+    each distinct pair once, through the pair's instance and a new table,
+    and keeps the loss in a memo that lives as long as the run.  The memo
+    is a `core.BoundedTable` that counts len(support) + n * sample_arity
+    indices per pair.
+    """
+    if not isinstance(source, InstanceFamily):
+        table = learners.FitTable(source.distribution)
+        law = source.distribution.law
+        return tuple(
+            _score(learner, source, _draw(learner, law, n, core.stream_seed(seed, t)), table)
+            for t in range(trials))
+    drawn = n * learner.sample_arity
+    memo = core.BoundedTable(lambda key: len(key[0]) + drawn)
+    losses = []
+    for t in range(trials):
+        base = core.stream_seed(seed, t)
+        support = source.draw_support(core.rng_for(base, 0))
+        samples = _draw(learner, source.law, n, base)
+        loss = memo.get((support, samples))
+        if loss is None:
+            instance = source.instance_for(support)
+            loss = _score(learner, instance, samples, learners.FitTable(instance.distribution))
+            memo[support, samples] = loss
+        losses.append(loss)
+    return tuple(losses)
 
 
 def mc_expected_loss(
@@ -150,7 +188,9 @@ def mc_expected_loss(
 
     Each trial draws atom indices and calls `predictor(samples, table)`
     with a `learners.FitTable` that serves one distribution: one per run on
-    a fixed instance, and one per trial on a family.
+    a fixed instance, and one per distinct (support, samples) of a family
+    run (`_trial_losses`).  The exact mean is summed once per distinct loss
+    object; the variance sums every trial's float.
     """
     if trials < 30:
         raise PreconditionError("need at least 30 trials for the normal CI")
@@ -158,10 +198,8 @@ def mc_expected_loss(
     # a learner with no partitioner reads each sample as one block
     blocks = getattr(getattr(learner, "partitioner", None), "m", 1)
     core._budgeted("blocks per run", trials * learner.sample_arity * blocks)
-    table = None if isinstance(source, InstanceFamily) else learners.FitTable(source.distribution)
-    losses = tuple(_trial_loss(learner, source, n, seed, t, table) for t in range(trials))
-    exact_mean = sum(losses, core.ZERO) / trials
-    mean = float(exact_mean)
+    losses = _trial_losses(learner, source, n, trials, seed)
+    mean = float(_expectation(zip(itertools.repeat(Fraction(1, trials)), losses)))
     var = math.fsum((float(l) - mean) ** 2 for l in losses) / (trials - 1)
     stderr = math.sqrt(var / trials)
     half = 1.96 * stderr

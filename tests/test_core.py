@@ -412,6 +412,33 @@ class TestSampling:
         )
         assert core.sample_iid(dist.law, len(indices), seed, stream) == tuple(indices)
 
+    def test_fisher_yates_draws_as_randrange_does(self):
+        # every support stream must be the one rng.randrange(i, len(pool))
+        # gives; a reference step leaves the entries before i alone, so its
+        # k-subset is the prefix of its full draw
+        def reference(rng, pool, k):
+            work = list(pool)
+            for i in range(k):
+                j = rng.randrange(i, len(work))
+                work[i], work[j] = work[j], work[i]
+            return work[:k]
+
+        # every k of the small pools; at the thm3 universe, the thm3 and
+        # thm5 support sizes, both sides of the power-of-two widths, and all
+        for size in (*range(1, 71), 784):
+            pool = tuple(range(2, size + 2))
+            ks = range(size + 1) if size <= 70 else (0, 1, 2, 28, 61, 272, 273, 783, 784)
+            for seed in range(200):
+                rng = core.rng_for(seed)
+                start = rng.getstate()
+                full = reference(rng, pool, size)
+                after = rng.getrandbits(64)
+                for k in ks:
+                    rng.setstate(start)
+                    assert core.sample_without_replacement(rng, pool, k) == full[:k]
+                # the last k is the whole pool: the stream ends where it ends
+                assert rng.getrandbits(64) == after
+
     def test_golden_draws_of_a_three_atom_law(self):
         law = core.IntegerLaw((F(1, 3), F(1, 6), F(1, 2)))
         # the draws the sampler made when a draw was the atom's example

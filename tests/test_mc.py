@@ -526,16 +526,44 @@ def _record_tables(monkeypatch) -> list:
 
 
 def _record_instances(monkeypatch) -> list:
-    """The instance of every family draw from now on, in order."""
-    drawn = []
-    real = adversaries.InstanceFamily.draw_instance
+    """(support, instance) of every family instance built from now on, in
+    order."""
+    built = []
+    real = adversaries.InstanceFamily.instance_for
 
-    def recording(self, rng):
-        drawn.append(real(self, rng))
-        return drawn[-1]
+    def recording(self, support):
+        built.append((support, real(self, support)))
+        return built[-1][1]
 
-    monkeypatch.setattr(adversaries.InstanceFamily, "draw_instance", recording)
-    return drawn
+    monkeypatch.setattr(adversaries.InstanceFamily, "instance_for", recording)
+    return built
+
+
+def _trial_pairs(learner, family, n, trials, seed) -> list:
+    """The distinct (support, samples) of a family run, in order of first
+    draw, drawn as `mc` draws them."""
+    pairs = {}
+    for t in range(trials):
+        base = core.stream_seed(seed, t)
+        support = family.draw_support(core.rng_for(base, 0))
+        samples = tuple(
+            core.sample_iid(family.law, n, base, j) for j in range(1, learner.sample_arity + 1))
+        pairs.setdefault((support, samples), None)
+    return list(pairs)
+
+
+def _record_memos(monkeypatch) -> list:
+    """Every `core.BoundedTable` built from now on but a `FitTable`, whose
+    base class is bound when it is defined: `mc`'s memo of family trials."""
+    memos = []
+
+    class Recorded(core.BoundedTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            memos.append(self)
+
+    monkeypatch.setattr(core, "BoundedTable", Recorded)
+    return memos
 
 
 class TestFitTable:
@@ -553,32 +581,59 @@ class TestFitTable:
 
     @pytest.mark.parametrize("name", ["thm2", "thm5", "fixed", "thm4"])
     def test_a_table_serves_one_distribution(self, monkeypatch, name):
-        # equal index sets name different points in different trials'
-        # supports, so each family trial fits through a table of its own
+        # equal index sets name different points in different supports, so a
+        # family run builds an instance and a table for each distinct
+        # (support, samples) it draws, once per run; the learners run one
+        # after the other, so a memo kept across runs fails the reference
         source, interp = _SOURCES[name]()
         calls = _record_tables(monkeypatch)
         instances = _record_instances(monkeypatch)
+        family = isinstance(source, adversaries.InstanceFamily)
         for learner in (
             learners.SingleInterpolator(interp),
             learners.MedianOfThree(interp),
             learners.InterpolatorAggregation(interp, learners.DisjointBlocks(3)),
         ):
-            calls.clear()
-            instances.clear()
-            est = mc.mc_expected_loss(learner, source, 3, 200, seed=11)
-            tables = [table for _, table in calls]
-            assert len(tables) == 200
-            if isinstance(source, adversaries.InstanceFamily):
-                assert len({id(table) for table in tables}) == len(instances) == 200
-                for table, instance in zip(tables, instances):
-                    assert table.atoms is instance.distribution.atoms
-            else:
-                assert instances == []
-                assert all(table is tables[0] for table in tables)
-                assert tables[0].atoms is source.distribution.atoms
-            drawn = [k for samples, _ in calls for s in samples for k in s]
-            assert drawn and all(type(k) is int for k in drawn)
-            assert est.losses == _reference_losses(learner, source, 3, 200, 11)
+            for n in (3, source.n_max) if family else (3,):
+                calls.clear()
+                instances.clear()
+                est = mc.mc_expected_loss(learner, source, n, 200, seed=11)
+                tables = [table for _, table in calls]
+                if family:
+                    pairs = _trial_pairs(learner, source, n, 200, 11)
+                    assert [(support, samples) for (support, _), (samples, _)
+                            in zip(instances, calls)] == pairs
+                    assert len({id(table) for table in tables}) == len(instances) == len(pairs)
+                    for table, (_, instance) in zip(tables, instances):
+                        assert table.atoms is instance.distribution.atoms
+                    if name == "thm2" and n == source.n_max:
+                        # 13 supports of 2 atoms, n = 1: 26 pairs for one sample
+                        assert len(pairs) <= 13 * 2**learner.sample_arity
+                else:
+                    assert len(tables) == 200
+                    assert instances == []
+                    assert all(table is tables[0] for table in tables)
+                    assert tables[0].atoms is source.distribution.atoms
+                drawn = [k for samples, _ in calls for s in samples for k in s]
+                assert drawn and all(type(k) is int for k in drawn)
+                assert est.losses == _reference_losses(learner, source, n, 200, 11)
+
+    @pytest.mark.parametrize("name", ["thm2", "thm5"])
+    def test_trial_memo_stops_at_the_budget(self, monkeypatch, name):
+        # a thm2 pair counts 2 + 3 indices and a thm5 pair 31 + 3, so 60
+        # indices hold a few pairs of the run's first draws and no more
+        source, interp = _SOURCES[name]()
+        learner = learners.SingleInterpolator(interp)
+        memos = _record_memos(monkeypatch)
+        instances = _record_instances(monkeypatch)
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "60")
+        est = mc.mc_expected_loss(learner, source, 3, 60, seed=3)
+        (memo,) = memos
+        stored = [len(support) + len(samples[0]) for support, samples in memo]
+        assert stored and sum(stored) <= 60 < sum(stored) + stored[0]
+        pairs = _trial_pairs(learner, source, 3, 60, 3)
+        assert len(memo) < len(pairs) <= len(instances)
+        assert est.losses == _reference_losses(learner, source, 3, 60, 3)
 
     @pytest.mark.parametrize("name", ["fixed", "thm2", "thm5"])
     def test_order_reading_interpolator_is_exact(self, name):
@@ -641,6 +696,48 @@ class TestFitTable:
         assert sum(map(len, table)) <= 40 < sum(map(len, set(fitted)))
         assert len(fitted) > len(set(fitted))  # a seen set past the bound is fitted again
         assert bounded.losses == unbounded.losses
+
+
+class TestFamilyMean:
+    """A Monte Carlo mean against exact values: the exact mean of its own
+    trials, and for the thm2 family, which is uniform over its supports,
+    the average of the exact oracle over them."""
+
+    @pytest.mark.parametrize("name", ["fixed", "thm4", "thm2", "thm5"])
+    def test_mean_is_the_exact_mean_of_every_trial(self, name):
+        # family trials share loss objects, which the mean sums once each
+        source, interp = _SOURCES[name]()
+        for learner in (learners.SingleInterpolator(interp), learners.MedianOfThree(interp)):
+            est = mc.mc_expected_loss(learner, source, 3, 300, seed=9)
+            assert est.mean == float(sum(est.losses, 0) / est.trials)
+
+    #: epsilon: the exact mean and P(loss > 2 epsilon) of thm2's median of
+    #: three blocks at n_max (1 at epsilon 1/64, 4 at 1/256)
+    THM2_EXACT = {
+        F(1, 64): (F(3, 13), F(12, 13)),
+        F(1, 256): (F(7425, 131072), F(7425, 8192)),
+    }
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("epsilon", sorted(THM2_EXACT), ids=str)
+    def test_thm2_family_is_within_four_standard_errors(self, epsilon, seed):
+        family = adversaries.thm2_family(HALF, 2, epsilon, 3)
+        learner = learners.InterpolatorAggregation(
+            bind(learners.generic_interpolator, family.cls), learners.DisjointBlocks(3),
+            learners.Median())
+        n, threshold = family.n_max, 2 * epsilon
+        # the heavy index 1 is pinned and the other entry is uniform
+        instances = [family.instance_for((1, a)) for a in range(2, family.universe + 1)]
+        assert len(instances) == 13
+        mean = sum(mc.exact_expected_loss(learner, inst, n) for inst in instances) / 13
+        exceed = sum(
+            mc.exact_exceed_probability(learner, inst, n, threshold) for inst in instances) / 13
+        assert (mean, exceed) == self.THM2_EXACT[epsilon]
+        trials = 400
+        est = mc.mc_expected_loss(learner, family, n, trials, seed)
+        assert abs(est.mean - mean) <= 4 * est.stderr
+        binomial = math.sqrt(exceed * (1 - exceed) / trials)
+        assert abs(est.exceed_fraction(threshold) - exceed) <= 4 * binomial
 
 
 class TestScalingFit:
