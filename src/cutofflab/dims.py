@@ -304,15 +304,17 @@ def orient_smallest_value(graph: OneInclusionGraph) -> Orientation:
 
 def _max_outdegree(graph: OneInclusionGraph, orientation: Orientation, thresholds) -> int:
     """Most edges any vertex loses to a target whose scaled value differs by
-    more than the coordinate's threshold (0 on a graph with no vertices)."""
-    coords = tuple(enumerate(thresholds))
-    return max(
-        (
-            sum(abs(orientation[i, v[:i] + v[i + 1 :]][i] - v[i]) > t for i, t in coords)
-            for v in graph.vertices
-        ),
-        default=0,
-    )
+    more than the coordinate's threshold (0 on a graph with no vertices).
+    Each edge is walked once, as each (vertex, coordinate) pair lies in
+    exactly one edge: the one free in that coordinate."""
+    degrees = dict.fromkeys(graph.vertices, 0)
+    for key, members in graph.edges.items():
+        i = key[0]
+        target, threshold = orientation[key][i], thresholds[i]
+        for v in members:
+            if abs(target - v[i]) > threshold:
+                degrees[v] += 1
+    return max(degrees.values(), default=0)
 
 
 def max_gamma_outdegree(graph: OneInclusionGraph, orientation: Orientation, gamma) -> int:

@@ -150,7 +150,10 @@ def aggregate(rule: AggregationRule, hypotheses: Sequence) -> core.Predictor:
 
 # ---------------------------------------------------------------------------
 # Partitioners: each checks its fields once, when it is built, and refuses
-# more blocks, or bootstrap draws, than enumeration_budget()
+# more blocks, or bootstrap draws, than enumeration_budget().  `split` picks
+# block positions from len(sample) alone, so splitting
+# tuple(range(len(sample))) gives the positions of every sample of that
+# length; `mc.exact_loss_distribution` splits once per call on that.
 # ---------------------------------------------------------------------------
 
 

@@ -9,7 +9,10 @@ results are identical under any execution order.
 A sample is a tuple of atom indices from the draw to the fit, and a learner
 fits through a `learners.FitTable` of one distribution: one per oracle call,
 one per Monte Carlo run on a fixed instance, and one per distinct (support,
-samples) of a family run, whose trials each draw a new distribution.
+samples) of a family run, whose trials each draw a new distribution.  The
+exact oracle splits block positions once per call, and its sequences share
+one probability object per weight and one loss object per tuple of seen
+sets, so the exact sums count pairs by object before any Fraction adds.
 """
 
 from __future__ import annotations
@@ -61,6 +64,12 @@ def exact_loss_distribution(learner, instance: HardInstance, n: int) -> list[tup
     and every sequence with that tuple shares the loss.  Its predictors take
     the sequences' atom indices and fit through one `learners.FitTable` per
     call, so each seen set is fitted once.
+
+    A partitioner picks block positions from a sample's length alone, so
+    the blocks are split once per call, on position tuples, and a
+    sequence's key reads its atoms at those positions; only a new key
+    builds the samples.  Sequences of one integer weight share one
+    probability object.
     """
     dist = instance.distribution
     arity = learner.sample_arity
@@ -73,32 +82,48 @@ def exact_loss_distribution(learner, instance: HardInstance, n: int) -> list[tup
             "the exact oracle needs an interpolator that reads only seen sets")
     weights = dist.law.weights
     denominator = dist.law.denominator**total_len
+    positions = learner.seen_blocks(
+        tuple(tuple(range(j * n, (j + 1) * n)) for j in range(arity)))
     table = learners.FitTable(dist)
     losses: dict[tuple, Fraction] = {}
+    probabilities: dict[int, Fraction] = {}
     out = []
     for combo in itertools.product(range(support), repeat=total_len):
         weight = math.prod([weights[k] for k in combo])
         if weight == 0:
             continue
-        samples = tuple(combo[j * n : (j + 1) * n] for j in range(arity))
-        key = tuple(frozenset(b) for b in learner.seen_blocks(samples))
+        key = tuple([frozenset([combo[p] for p in block]) for block in positions])
         loss = losses.get(key)
         if loss is None:
+            samples = tuple(combo[j * n : (j + 1) * n] for j in range(arity))
             predictor = learner.predictor(samples, table)
             loss = losses[key] = core.cutoff_loss(predictor, dist, instance.gamma)
-        out.append((Fraction(weight, denominator), loss))
+        probability = probabilities.get(weight)
+        if probability is None:
+            probability = probabilities[weight] = Fraction(weight, denominator)
+        out.append((probability, loss))
     return out
 
 
 def _mass_by_loss(pairs) -> dict[Fraction, Fraction]:
     """Total probability of each distinct loss among (probability, loss)
-    pairs.  Numerators are summed as integers per loss object and
-    probability denominator: the sequences that share a fit, and the Monte
-    Carlo trials that share a score, share its loss object, so the groups
-    are few, and no Fraction is hashed or added per pair."""
+    pairs.  The pairs are counted first, by the ids of their two objects;
+    then each loss object's mass is summed per probability denominator as
+    integer numerators times counts.  The oracle's sequences share one
+    probability object per weight and one loss object per fit, and the
+    Monte Carlo trials that share a score share its loss object, so the
+    groups are few, and no Fraction is hashed or added per pair."""
+    counts: dict[tuple[int, int], list] = {}
+    for pair in pairs:  # each id pair's first pair is kept, so no id is reused
+        key = id(pair[0]), id(pair[1])
+        entry = counts.get(key)
+        if entry is None:
+            counts[key] = [pair, 1]
+        else:
+            entry[1] += 1
     groups: dict[tuple[int, int], list] = {}
-    for w, loss in pairs:  # every loss object lives in `pairs`, so ids are unique
-        groups.setdefault((id(loss), w.denominator), [loss, 0])[1] += w.numerator
+    for (w, loss), count in counts.values():
+        groups.setdefault((id(loss), w.denominator), [loss, 0])[1] += w.numerator * count
     masses: dict[Fraction, Fraction] = {}
     for (_, denominator), (loss, numerator) in groups.items():
         masses[loss] = masses.get(loss, core.ZERO) + Fraction(numerator, denominator)

@@ -46,6 +46,27 @@ def edge_key(vertex, coord: int):
     return (coord, vertex[:coord] + vertex[coord + 1 :])
 
 
+def reference_max_outdegree(graph, orientation, gamma) -> int:
+    """The most edges any vertex of a one-inclusion graph loses to a
+    `core.gamma_far` target, walked vertex by vertex over every coordinate
+    on the restrictions' Fraction values (0 on a graph with no vertices)."""
+    gamma = Fraction(gamma)
+
+    def value(vertex, coord):
+        return Fraction(vertex[coord], graph.scales[coord])
+
+    return max(
+        (
+            sum(
+                core.gamma_far(value(orientation[edge_key(v, i)], i), value(v, i), gamma)
+                for i in range(len(graph.points))
+            )
+            for v in graph.vertices
+        ),
+        default=0,
+    )
+
+
 def shattering_strength(cls: pc.PartialClass) -> int:
     """Number of shattered domain subsets; the empty set counts whenever the
     class is nonempty, and the empty class has strength 0."""

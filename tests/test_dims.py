@@ -1,5 +1,6 @@
 """Graph shattering, graph dimension, one-inclusion graph orientations."""
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
@@ -183,16 +184,9 @@ class TestAgainstFractionDefinition:
                     for key, members in sub.edges.items()
                 }
                 orientation = {key: rng.choice(ms) for key, ms in sub.edges.items()}
-                expected = max(
-                    sum(
-                        1
-                        for i in range(len(pool))
-                        if abs(values(sub, orientation[helpers.edge_key(v, i)])[i] - values(sub, v)[i])
-                        > gamma
-                    )
-                    for v in sub.vertices
+                assert dims.max_gamma_outdegree(sub, orientation, gamma) == (
+                    helpers.reference_max_outdegree(sub, orientation, gamma)
                 )
-                assert dims.max_gamma_outdegree(sub, orientation, gamma) == expected
 
 
 def fraction_graph(vectors, width):
@@ -436,6 +430,15 @@ class TestOneInclusionGraph:
         assert all(graph == graphs[0] for graph in graphs)
 
 
+_OIG_CLASSES = (
+    core.CantorClass(HALF, 2, 5),
+    core.CantorClass(HALF, 2, 6),
+    core.CantorClass(HALF, 3, 8),
+    core.SplitCantorClass(HALF, core.SQRT_SIZE, None, 9),
+    core.SplitCantorClass(HALF, core.D_MINUS_ONE_COMPLEMENT, 3, 6),
+)
+
+
 class TestOrientations:
     def test_all_zero_vertex_gets_every_edge(self):
         pool = (NAT(1), NAT(2))
@@ -579,6 +582,33 @@ class TestOrientations:
         graph = dims.build_oig(core.CantorClass(HALF, 2, 5), (PAIR(1, 1),))
         assert graph.vertices == () and graph.edges == {}
         assert dims.max_gamma_outdegree(graph, {}, HALF) == 0
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_outdegree_equals_the_vertex_walk(self, data):
+        cls = data.draw(st.sampled_from(_OIG_CLASSES), label="class")
+        pool = list(cls.default_pool())
+        points = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+        graph = dims.build_oig(cls, points)
+        if graph.vertices:
+            kept = data.draw(st.lists(st.sampled_from(graph.vertices), min_size=1, unique=True))
+            graph = dims.induced_subgraph(graph, kept)
+        # gamma is often a value gap at a coordinate, where a scaled
+        # difference meets its threshold exactly
+        rows = [values(graph, v) for v in graph.vertices]
+        gaps = {abs(a[i] - b[i]) for a in rows for b in rows for i in range(len(points))}
+        gamma = data.draw(st.sampled_from(sorted(g for g in gaps | {HALF} if 0 < g < 1)))
+        orientation = {
+            key: data.draw(st.sampled_from(members)) for key, members in graph.edges.items()
+        }
+        expected = helpers.reference_max_outdegree(graph, orientation, gamma)
+        assert dims.max_gamma_outdegree(graph, orientation, gamma) == expected
+        if math.prod(map(len, graph.edges.values())) <= 64:
+            _, best = dims.exhaustive_orientation_min(graph, gamma)
+            assert best == min(
+                helpers.reference_max_outdegree(graph, dict(zip(graph.edges, choice)), gamma)
+                for choice in product(*graph.edges.values())
+            )
 
     def test_unoriented_edge_rejected(self):
         pool = (NAT(1), NAT(2))

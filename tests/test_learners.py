@@ -256,6 +256,22 @@ class TestPartitioners:
             for ex in block:
                 assert ex in sample
 
+    @given(
+        partitioner=st.one_of(
+            st.builds(learners.DisjointBlocks, st.integers(1, 4)),
+            st.builds(learners.OverlappingWindows, st.integers(1, 4), st.integers(1, 12)),
+            st.builds(
+                learners.Bootstrap, st.integers(1, 4), st.integers(0, 12), st.integers(0, 2**32)
+            ),
+        ),
+        sample=st.lists(st.integers(0, 5), max_size=9).map(tuple),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_split_picks_positions_from_the_length_alone(self, partitioner, sample):
+        # widths and bootstrap sizes reach past the sample's length
+        positions = partitioner.split(tuple(range(len(sample))))
+        assert partitioner.split(sample) == [tuple(sample[p] for p in b) for b in positions]
+
     @pytest.mark.parametrize(
         "build",
         [

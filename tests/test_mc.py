@@ -1,5 +1,6 @@
 """Exact oracles, Monte Carlo estimation, scaling fits, envelope checks."""
 
+import collections
 import math
 from fractions import Fraction as F
 from functools import partial as bind
@@ -193,6 +194,12 @@ def test_loss_sums_equal_the_plain_fraction_sums(learner, inst, n):
         assert mc.exact_exceed_probability(learner, inst, n, threshold) == plain
 
 
+def test_mass_by_loss_reads_a_stream_of_new_objects():
+    # every pair is dropped once read, so an id not held could be reused
+    pairs = ((F(1, 8), F(k % 3, 4)) for k in range(8))
+    assert mc._mass_by_loss(pairs) == {F(0): F(3, 8), F(1, 4): F(3, 8), F(1, 2): F(1, 4)}
+
+
 def zero_mass_instance():
     """Three atoms, the middle one of mass zero, labelled by the witness."""
     inst = fixed_instance()
@@ -251,6 +258,76 @@ class TestSeenSetSharing:
     def test_pairs_equal_the_plain_enumeration(self, learner, instance, n):
         reference = helpers.reference_loss_distribution(learner, instance, n)
         assert mc.exact_loss_distribution(learner, instance, n) == reference
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pairs_equal_the_plain_enumeration_on_random_instances(self, data):
+        arity = data.draw(st.sampled_from((1, 3)), label="arity")
+        n = data.draw(st.integers(0, 4), label="n")
+        # at most 729 sequences: one atom at arity 3 past n = 3
+        most = max(k for k in range(1, 5) if k ** (n * arity) <= 729)
+        count = data.draw(st.integers(1, most), label="atoms")
+        weights = data.draw(st.lists(st.integers(1, 4), min_size=count, max_size=count))
+        if count > 1 and data.draw(st.booleans(), label="zero mass"):
+            weights[data.draw(st.integers(0, count - 1))] = 0
+        cls = core.CantorClass(HALF, 2, 6)
+        witness = cls.hypothesis(set(data.draw(st.sampled_from(((5, 6), (1, 4), (2, 3))))))
+        points = data.draw(st.lists(st.integers(1, 6), min_size=count, max_size=count, unique=True))
+        dist = core.FiniteDistribution.from_triples(
+            [(NAT(p), witness.value_at(NAT(p)), F(w, sum(weights))) for p, w in zip(points, weights)],
+            witness=witness,
+        )
+        inst = adversaries.HardInstance(
+            theorem="test", cls=cls, distribution=dist, witness=witness,
+            gamma=HALF, epsilon=None, d=2, universe=6, n_max=None,
+        )
+        m = data.draw(st.integers(1, 3), label="m")
+        partitioner = data.draw(st.sampled_from((
+            learners.DisjointBlocks(m),
+            learners.OverlappingWindows(m, data.draw(st.integers(1, 5), label="width")),
+            learners.Bootstrap(m, data.draw(st.integers(0, 5), label="size"), 17),
+        )))
+        rank = data.draw(st.integers(1, m * arity), label="rank")
+        rule = data.draw(st.sampled_from(
+            (learners.Mean(), learners.OrderStatistic(rank))
+            + ((learners.Median(),) if m * arity % 2 else ())
+        ))
+        learner = learners.InterpolatorAggregation(
+            bind(learners.generic_interpolator, cls), partitioner, rule, arity
+        )
+        reference = helpers.reference_loss_distribution(learner, inst, n)
+        assert mc.exact_loss_distribution(learner, inst, n) == reference
+
+    @pytest.mark.parametrize(("arity", "n"), [(1, 2), (1, 8), (3, 1), (3, 2)])
+    def test_blocks_are_split_once_per_call_and_per_fit(self, monkeypatch, arity, n):
+        inst = fixed_instance()
+        learner = learners.InterpolatorAggregation(
+            bind(learners.generic_interpolator, inst.cls),
+            learners.Bootstrap(3, 2, 17),
+            learners.OrderStatistic(1),
+            arity,
+        )
+        counts = collections.Counter()
+
+        def counted(name, real):
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(learners.Bootstrap, "split", counted("split", learners.Bootstrap.split))
+        monkeypatch.setattr(
+            learners.InterpolatorAggregation, "predictor",
+            counted("predictor", learners.InterpolatorAggregation.predictor),
+        )
+        pairs = mc.exact_loss_distribution(learner, inst, n)
+        assert len(pairs) == 2 ** (n * arity)
+        assert counts["split"] == arity * (1 + counts["predictor"])
+
+    @pytest.mark.parametrize(("learner", "instance", "n"), list(_oracle_cases()))
+    def test_one_probability_object_per_weight(self, learner, instance, n):
+        pairs = mc.exact_loss_distribution(learner, instance, n)
+        assert len({id(w) for w, _ in pairs}) == len({w for w, _ in pairs})
 
     def test_zero_mass_atom_is_skipped(self):
         inst = zero_mass_instance()
