@@ -97,9 +97,6 @@ class InstanceFamily:
             n_max=self.n_max,
         )
 
-    def draw_instance(self, rng) -> HardInstance:
-        return self.instance_for(self.draw_support(rng))
-
 
 def two_tier_masses(count: int, light: Fraction) -> tuple[Fraction, ...]:
     """One heavy mass, 1 - light*(count-1), then count-1 masses `light`:

@@ -30,8 +30,9 @@ EXIT_PRECONDITION = 4
 
 def _parse_points(spec: str) -> tuple[core.Point, ...]:
     """Point list: "1..8" or "1,2,5" for nat points, "4/1,4/2" for
-    block/index pairs.  A range is refused before it is built when it would
-    take the list past enumeration_budget()."""
+    block/index pairs.  A descending range is refused, and a range is
+    refused before it is built when it would take the list past
+    enumeration_budget()."""
     points = []
     for chunk in spec.split(","):
         chunk = chunk.strip()
@@ -43,6 +44,8 @@ def _parse_points(spec: str) -> tuple[core.Point, ...]:
                 points.append(core.Point.pair(int(k), int(x)))
             elif ".." in chunk:
                 lo, hi = (int(v) for v in chunk.split(".."))
+                if hi < lo:
+                    raise ParseError(f"descending range {chunk!r} in {spec!r}")
                 core._budgeted(f"point list with range {chunk!r}", len(points) + hi - lo + 1)
                 points.extend(core.Point.nat(i) for i in range(lo, hi + 1))
             else:

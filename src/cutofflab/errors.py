@@ -3,11 +3,9 @@
 The CLI maps these onto stable exit codes: ParseError -> 2,
 BudgetExceededError -> 3, PreconditionError and its subclasses
 DomainMismatchError and NotRealizableError -> 4.  Every learner fits
-realizable blocks only, so a block it fits that no class member matches is
-refused with NotRealizableError, never fitted approximately.  A learner may
-skip a block that cannot change its prediction, and with it that block's
-refusal; ``estimate`` refuses a support no class member realizes before any
-trial.
+realizable blocks only, so a block that no class member matches is refused
+with NotRealizableError, never fitted approximately; ``estimate`` refuses a
+support no class member realizes before any trial.
 """
 
 

@@ -9,23 +9,21 @@ distribution whose ``atoms`` they index: the fits made so far, each keyed by
 what the interpolator reads of a block.  ``reads_seen_sets(learner)`` says
 whether it reads each block only through its set of distinct examples; such
 a block is keyed by its seen set, and any other by its ordered indices.
-The predictor decides the rule on the block objects ``seen_blocks(samples)``
-gives before it fits any: where one block object fills enough inputs to
-decide the rule it fits only that block, and otherwise every block, once
-per key per table.  The single interpolator, median-of-three and proper ERM
-are functions that build it.  An interpolator is a ``sample -> hypothesis``
-fitter on examples.  Proper rules (order statistics, the median) return one
-of their inputs; the mean stays inside the input range.  Everything is
-deterministic given its inputs and seeds.
+The predictor fits every block ``seen_blocks(samples)`` gives, once per key
+per table, and ``aggregate`` decides the rule on the fits.  The single
+interpolator, median-of-three and proper ERM are functions that build it.
+An interpolator is a ``sample -> hypothesis`` fitter on examples.  Proper
+rules (order statistics, the median) return one of their inputs; the mean
+stays inside the input range.  Everything is deterministic given its inputs
+and seeds.
 
 ``aggregate`` does its repeated work once, through a memo keyed on ``id()``
 that holds every object whose id it keys on and lives as long as the
 predictor, so no id is freed and reused while the memo can still read it.
-Two pieces of state outlive a predictor call: each learner's fit of the
-empty block, made on first use and kept as long as the learner, and the
-``FitTable`` its caller keeps; ``mc`` keeps one per oracle call, per Monte
-Carlo run on a fixed instance, and per distinct (support, samples) of a
-family run.
+A learner holds no fit: the one piece of state that outlives a predictor
+call is the ``FitTable`` its caller keeps; ``mc`` keeps one per oracle call,
+per Monte Carlo run on a fixed instance, and per distinct (support, samples)
+of a family run.
 """
 
 from __future__ import annotations
@@ -322,19 +320,12 @@ class InterpolatorAggregation:
         return [block for sample in samples for block in self.partitioner.split(tuple(sample))]
 
     @functools.cached_property
-    def _empty_fit(self) -> core.Hypothesis:
-        """The fit of the empty block, made once per learner."""
-        return self.interpolator(())
-
-    @functools.cached_property
     def _key(self):
         """What the interpolator reads of a block of atom indices."""
         return frozenset if reads_seen_sets(self) else tuple
 
     def _fit(self, table: FitTable, block) -> core.Hypothesis:
         """The fit of a block of atom indices, once per key in `table`."""
-        if not block:
-            return self._empty_fit
         key = self._key(block)
         h = table.get(key)
         if h is None:
@@ -342,30 +333,19 @@ class InterpolatorAggregation:
         return h
 
     def predictor(self, samples, table: FitTable) -> core.Predictor:
-        """The rule over one fit per block, fitting only what can change it.
+        """The rule over one fit per block of `seen_blocks(samples)`.
 
         The samples are atom indices into `table.atoms`, and `table`, which
         the caller keeps across calls, holds the fits made so far.  A block
         is keyed by what the interpolator reads of it: its seen set, its
         distinct atoms, for a learner that passes `reads_seen_sets`, and its
-        ordered indices otherwise.  Each key is fitted once per table, on
-        the atoms it names, and the empty block once per learner
-        (`_empty_fit`), kept as long as the learner.  When one block object
-        fills enough inputs to decide the rule (`_constant_winner`), only
-        that block is fitted and the predictor is its fit's `value_at`.
-        Otherwise every block is fitted, and `aggregate` checks the fits
-        again, as distinct blocks may share one fit.
-
-        A block that is not fitted cannot raise `NotRealizableError`.  No
-        reachable input exits differently for it: `estimate` refuses a
-        support no class member realizes before any trial, and every
-        family is realized by its witness.
+        ordered indices otherwise.  Each key, the empty one included, is
+        fitted once per table, on the atoms it names, so every block is
+        fitted and a block the interpolator refuses always raises.
+        `aggregate` then decides the rule once on the fits: blocks of one
+        key share one fit, which decides it where it fills enough inputs.
         """
-        blocks = self.seen_blocks(samples)
-        winner = _constant_winner(self.rule, blocks)
-        if winner is not None:
-            return self._fit(table, winner).value_at
-        return aggregate(self.rule, [self._fit(table, block) for block in blocks])
+        return aggregate(self.rule, [self._fit(table, b) for b in self.seen_blocks(samples)])
 
 
 def SingleInterpolator(interpolator: Interpolator) -> InterpolatorAggregation:

@@ -96,8 +96,7 @@ def exact_loss_distribution(learner, instance: HardInstance, n: int) -> list[tup
         loss = losses.get(key)
         if loss is None:
             samples = tuple(combo[j * n : (j + 1) * n] for j in range(arity))
-            predictor = learner.predictor(samples, table)
-            loss = losses[key] = core.cutoff_loss(predictor, dist, instance.gamma)
+            loss = losses[key] = _score(learner, instance, samples, table)
         probability = probabilities.get(weight)
         if probability is None:
             probability = probabilities[weight] = Fraction(weight, denominator)

@@ -166,8 +166,7 @@ def reference_trial_loss(learner, source, n, seed, trial):
     `reference_predictor`."""
     base = core.stream_seed(seed, trial)
     if isinstance(source, adversaries.InstanceFamily):
-        rng = core.rng_for(base, 0)
-        instance = source.draw_instance(rng)
+        instance = source.instance_for(source.draw_support(core.rng_for(base, 0)))
     else:
         instance = source
     dist = instance.distribution

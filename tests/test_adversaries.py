@@ -106,7 +106,7 @@ class TestThm2Family:
         # any aggregation run touches <= d * m_bound zero points; the
         # interpolating aggregate exceeds gamma everywhere else in [k_u]
         fam = adversaries.thm2_family(HALF, 2, F(1, 64), 3)
-        inst = fam.draw_instance(core.rng_for(1, 0))
+        inst = fam.instance_for(fam.draw_support(core.rng_for(1, 0)))
         drawn = core.sample_iid(inst.distribution.law, fam.n_max, 2)
         sample = tuple(inst.distribution.atoms[k] for k in drawn)
         blocks = learners.DisjointBlocks(3).split(sample)
@@ -181,7 +181,7 @@ class TestThm5Family:
 
     def test_witness_zero_on_every_atom(self):
         fam = adversaries.thm5_family(HALF, 4, F(1, 256))
-        inst = fam.draw_instance(core.rng_for(2, 0))
+        inst = fam.instance_for(fam.draw_support(core.rng_for(2, 0)))
         for atom in inst.distribution.atoms:
             assert inst.witness.value_at(atom.point) == 0
 
@@ -231,7 +231,8 @@ class TestFamilyLaw:
     def test_drawn_distribution_shares_the_family_law(self, theorem):
         fam = FAMILIES[theorem]()
         for t in range(5):
-            assert fam.draw_instance(core.rng_for(22, t)).distribution.law is fam.law
+            inst = fam.instance_for(fam.draw_support(core.rng_for(22, t)))
+            assert inst.distribution.law is fam.law
 
     def test_support_outside_the_universe_refused(self, theorem):
         fam = FAMILIES[theorem]()
@@ -277,7 +278,7 @@ class TestMissingIndices:
         # a trial, leave at least 61 - 12 >= d = 4 atoms unseen in every trial
         fam = adversaries.thm5_family(HALF, 4, F(1, 256))
         for t in range(2000):
-            inst = fam.draw_instance(core.rng_for(13, t))
+            inst = fam.instance_for(fam.draw_support(core.rng_for(13, t)))
             sample = core.sample_iid(
                 inst.distribution.law, fam.n_max, core.stream_seed(13, t), stream=1
             )

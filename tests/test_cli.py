@@ -1049,7 +1049,7 @@ def _split_h(zero_on):
 
 
 class TestParseBoundary:
-    @pytest.mark.parametrize("spec", ["a,b", "1/2/3", "1..x"])
+    @pytest.mark.parametrize("spec", ["a,b", "1/2/3", "1..x", "1,5..1"])
     def test_bad_point_spec_exits_2(self, cantor_file, spec):
         assert cli.main(["dims", cantor_file, "--gamma", "1/2", "--pool", spec]) == 2
         assert cli.main(["oig", cantor_file, "--gamma", "1/2", "--points", spec]) == 2

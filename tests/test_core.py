@@ -669,8 +669,8 @@ class TestValidation:
                 "2b8d581a86d1f319a7ebf4f3a811a03687cd99f82406209cecfa39c1d296da9b",
             ),
             (
-                lambda: adversaries.thm5_family(F(1, 2), 4, F(1, 256)).draw_instance(
-                    core.rng_for(2, 0)
+                lambda: (fam := adversaries.thm5_family(F(1, 2), 4, F(1, 256))).instance_for(
+                    fam.draw_support(core.rng_for(2, 0))
                 ),
                 "754eb66bbfc5117a574bdc8416efd1cd48a61b36a10358c812edd9f3de967119",
             ),

@@ -1,6 +1,5 @@
 """Interpolators, aggregation rules, partitioners, and composite learners."""
 
-import collections
 from fractions import Fraction as F
 from functools import partial as bind
 
@@ -375,21 +374,25 @@ class TestComposites:
             keys = dict.fromkeys(learner.seen_blocks(arity_samples))
             assert calls == [self.examples(block) for block in keys]
 
-        # one draw over m = 3 blocks: disjoint blocks share the empty block
-        # object, which fills 2 of the median's 3 inputs and so is the one
-        # block fitted; every window is the whole sample, fitted once; the
-        # three bootstrap blocks are distinct objects of one index tuple,
-        # fitted once; and each predicts as a fit per block would
+        # one draw over m = 3 blocks: the disjoint blocks are the draw and
+        # two empty blocks, so the empty key, though it decides the median,
+        # is fitted like any other; every window is the whole sample, and
+        # the three bootstrap blocks draw one index tuple; each key is
+        # fitted once, in block order, and the predictor is the rule over a
+        # fit per block
         sample = self.draw(1, 6, stream=1)
         learner = learners.InterpolatorAggregation(recording, partitioner, learners.Median())
         blocks = learner.seen_blocks((sample,))
-        distinct = list({id(block): block for block in blocks}.values())
-        expected = {learners.DisjointBlocks: 2, learners.OverlappingWindows: 1, learners.Bootstrap: 3}
-        assert len(distinct) == expected[type(partitioner)]
+        keys = list(dict.fromkeys(blocks))
+        expected = {
+            learners.DisjointBlocks: [sample, ()],
+            learners.OverlappingWindows: [sample],
+            learners.Bootstrap: [sample * 2],
+        }
+        assert keys == expected[type(partitioner)]
         calls.clear()
         predictor = learner.predictor((sample,), learners.FitTable(self.dist))
-        disjoint = isinstance(partitioner, learners.DisjointBlocks)
-        assert calls == ([()] if disjoint else [self.examples(blocks[0])])
+        assert calls == [self.examples(key) for key in keys]
         hs = [self.interp(self.examples(b)) for b in blocks]
         per_block = helpers.reference_aggregate(learner.rule, hs)
         for i in range(1, 7):
@@ -404,16 +407,12 @@ class TestComposites:
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=150, deadline=None)
-    def test_predictor_fits_only_the_blocks_that_can_change_it(self, m, pick, width, ns, seed):
-        # n from 0 to m + 1 over m disjoint blocks, so the empty block object
-        # often repeats; windows at least as wide as the sample are all the
-        # one sample object, and narrower windows are distinct objects
+    def test_predictor_fits_each_block_key_once_per_table(self, m, pick, width, ns, seed):
+        # n from 0 to m + 1 over m disjoint blocks, so empty blocks often
+        # repeat and often decide the rule; windows at least as wide as the
+        # sample are all the one sample
         rules = [learners.Median(), learners.Mean(), *map(learners.OrderStatistic, range(1, m + 1))]
         rule = rules[pick % len(rules)]
-        if isinstance(rule, learners.OrderStatistic):
-            need = max(rule.rank, m + 1 - rule.rank)
-        else:
-            need = m if isinstance(rule, learners.Mean) else m // 2 + 1
         partitioner = learners.DisjointBlocks(m) if width is None else learners.OverlappingWindows(m, width)
         calls = []
 
@@ -422,39 +421,50 @@ class TestComposites:
             return self.interp(sample)
 
         learner = learners.InterpolatorAggregation(recording, partitioner, rule)
-        empty_fits = 0
+        shared = learners.FitTable(self.dist)
+        fitted = set()
         for j, n in enumerate(n % (m + 2) for n in ns):
             sample = self.draw(n, seed, stream=j)
             blocks = learner.seen_blocks((sample,))
-            counts = collections.Counter(map(id, blocks))
-            deciding = [block for block in blocks if counts[id(block)] >= need]
-            fitted = deciding[:1] or list(dict.fromkeys(blocks))
-            if empty_fits:
-                fitted = [block for block in fitted if block]
+            keys = list(dict.fromkeys(blocks))
+            # a new table fits every key, the empty one included: the
+            # learner keeps no fit of its own
             calls.clear()
             predictor = learner.predictor((sample,), learners.FitTable(self.dist))
-            assert calls == [self.examples(block) for block in fitted]
-            empty_fits += calls.count(())
+            assert calls == [self.examples(key) for key in keys]
+            # a table kept across calls fits only the keys it lacks
+            calls.clear()
+            kept = learner.predictor((sample,), shared)
+            assert calls == [self.examples(key) for key in keys if key not in fitted]
+            fitted.update(keys)
             hs = [self.interp(self.examples(b)) for b in blocks]
             per_block = helpers.reference_aggregate(rule, hs)
             for i in range(1, 7):
-                assert predictor(NAT(i)) == per_block(NAT(i))
-        assert empty_fits <= 1
+                assert predictor(NAT(i)) == kept(NAT(i)) == per_block(NAT(i))
 
-    def test_a_block_that_raises_raises_unless_another_block_decides(self):
+    @pytest.mark.parametrize("refuses", [len, lambda sample: not sample], ids=["nonempty", "empty"])
+    @pytest.mark.parametrize("n", range(4))
+    def test_a_block_that_raises_raises_whatever_the_other_blocks_are(self, refuses, n):
         def refusing(sample):
-            if sample:
+            if refuses(sample):
                 raise NotRealizableError("refused")
             return self.interp(sample)
 
+        # n draws over three disjoint blocks: at n = 1 the two empty blocks
+        # decide the median, yet a refused draw still raises, as does a
+        # refused empty block beside the draw
         learner = learners.InterpolatorAggregation(refusing, learners.DisjointBlocks(3), learners.Median())
-        # two draws: blocks of 1, 1 and 0 draws, none deciding the median
-        with pytest.raises(NotRealizableError, match="refused"):
-            learner.predictor((self.draw(2, 6, stream=1),), learners.FitTable(self.dist))
-        # one draw: the empty block fills 2 of 3 inputs, so the refusing
-        # block is never fitted
-        predictor = learner.predictor((self.draw(1, 6, stream=1),), learners.FitTable(self.dist))
-        assert predictor(NAT(1)) == self.interp(()).value_at(NAT(1))
+        sample = self.draw(n, 6, stream=1)
+        blocks = learner.seen_blocks((sample,))
+        if any(refuses(block) for block in blocks):
+            with pytest.raises(NotRealizableError, match="refused"):
+                learner.predictor((sample,), learners.FitTable(self.dist))
+        else:
+            predictor = learner.predictor((sample,), learners.FitTable(self.dist))
+            per_block = helpers.reference_aggregate(
+                learner.rule, [self.interp(self.examples(b)) for b in blocks])
+            for i in range(1, 7):
+                assert predictor(NAT(i)) == per_block(NAT(i))
 
     def test_two_of_three_correct_wins(self):
         h_good = self.witness

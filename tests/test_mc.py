@@ -194,6 +194,19 @@ def test_loss_sums_equal_the_plain_fraction_sums(learner, inst, n):
         assert mc.exact_exceed_probability(learner, inst, n, threshold) == plain
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize(("learner", "inst", "n"), _thm1_oracle_cases() + _benchmark_oracle_cases())
+def test_monte_carlo_mean_lies_within_four_exact_sigmas(learner, inst, n, seed):
+    # sigma is the exact law's, not the sample's: thm1's max rule can draw
+    # one loss in all 400 trials, a sample stderr of 0, off the exact mean
+    trials = 400
+    masses = mc._mass_by_loss(mc.exact_loss_distribution(learner, inst, n))
+    mean = sum((mass * loss for loss, mass in masses.items()), core.ZERO)
+    variance = sum((mass * (loss - mean) ** 2 for loss, mass in masses.items()), core.ZERO)
+    estimate = mc.mc_expected_loss(learner, inst, n, trials, seed)
+    assert abs(estimate.mean - float(mean)) <= 4 * math.sqrt(variance) / math.sqrt(trials)
+
+
 def test_mass_by_loss_reads_a_stream_of_new_objects():
     # every pair is dropped once read, so an id not held could be reused
     pairs = ((F(1, 8), F(k % 3, 4)) for k in range(8))
