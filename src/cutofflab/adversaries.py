@@ -11,7 +11,7 @@ inequalities at construction time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional
@@ -49,6 +49,10 @@ class InstanceFamily:
     rest come from 2..universe.  The example of every universe entry and the
     draw pool are built once, at construction, after a universe past
     ``core.enumeration_budget()`` is refused.
+
+    `distribution_for` is the one builder of a support's atoms.  A Monte
+    Carlo trial scores through it alone and builds no witness;
+    `instance_for` adds the witness, for callers that read it.
     """
 
     theorem: str
@@ -78,17 +82,24 @@ class InstanceFamily:
             rng, self._pool, len(self.law.masses) - len(pinned))
         return (*pinned, *rest)
 
-    def instance_for(self, support: tuple[int, ...]) -> HardInstance:
+    def distribution_for(self, support: tuple[int, ...]) -> core.FiniteDistribution:
+        """The family's law on the shared examples of the support entries,
+        with no witness: all a Monte Carlo trial scores against.  Entries
+        outside 1..universe are refused, and repeated ones by
+        `core.FiniteDistribution`."""
         if support and (min(support) < 1 or max(support) > self.universe):
             raise PreconditionError(f"support entries must lie in 1..{self.universe}")
-        witness = self.witness(support)
         examples = self._examples
-        atoms = tuple([examples[a - 1] for a in support])
-        distribution = core.FiniteDistribution(atoms, self.law, witness)
+        return core.FiniteDistribution(tuple([examples[a - 1] for a in support]), self.law)
+
+    def instance_for(self, support: tuple[int, ...]) -> HardInstance:
+        """`distribution_for(support)` labelled by the support's witness."""
+        distribution = self.distribution_for(support)
+        witness = self.witness(support)
         return HardInstance(
             theorem=self.theorem,
             cls=self.cls,
-            distribution=distribution,
+            distribution=replace(distribution, witness=witness),
             witness=witness,
             gamma=self.cls.gamma,
             epsilon=self.epsilon,

@@ -11,7 +11,8 @@ Distributions drawn from one family share one law.
 Randomness is counter-based: every draw derives from a 64-bit master seed
 plus a stream index, so trials are order independent and bit-reproducible.
 `sample_iid` draws from a law, and a draw is an atom index: a sample is a
-tuple of indices into the distribution's `atoms`.
+tuple of indices into the distribution's `atoms`.  A stream's Mersenne
+Twister is seeded in C (`bits_for`), as `random.Random` seeds it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import itertools
 import math
 import os
 import random
+from _random import Random as _CRandom
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -727,17 +729,28 @@ def stream_seed(seed: int, stream: int) -> int:
 
 
 def rng_for(seed: int, stream: int = 0) -> random.Random:
+    """The stream's generator with every `random.Random` method."""
     return random.Random(stream_seed(seed, stream))
 
 
-def sample_without_replacement(rng: random.Random, pool: Sequence[int], k: int) -> list[int]:
+def bits_for(seed: int, stream: int = 0) -> _CRandom:
+    """The stream's Mersenne Twister as the C type that `random.Random`
+    extends, seeded once, in C, from the same integer.  On Python 3.10 to
+    3.13 ``random.Random(x)`` seeds an int x through that same C seed, so
+    its ``getrandbits`` draws exactly what ``rng_for(seed, stream)`` draws,
+    without the Python-level constructor and its ``seed`` wrapper."""
+    return _CRandom(stream_seed(seed, stream))
+
+
+def sample_without_replacement(rng: _CRandom, pool: Sequence[int], k: int) -> list[int]:
     """Uniform k-subset as an ordered vector, via a partial Fisher-Yates.
 
     Step i swaps entry i with entry i + r for r uniform below the width
     len(pool) - i, drawn as ``rng.randrange(i, len(pool))`` draws it on
     Python 3.10 to 3.13: ``getrandbits(width.bit_length())`` until the
     draw falls below the width.  So every stream is the one that
-    ``randrange`` gives, without its argument checks on each draw.
+    ``randrange`` gives, without its argument checks on each draw.  It
+    reads only ``rng.getrandbits``, so a `bits_for` generator serves.
     """
     size = len(pool)
     if k > size:
@@ -775,10 +788,13 @@ def sample_iid(law: IntegerLaw, n: int, seed: int, stream: int = 0) -> tuple[int
     `top_byte_atoms` entry t, so a bytes translate picks it; every other draw
     (entry 255) is settled by the bisect above, so no draw changes.  The
     interpreter loops only over those others.
+
+    The variates come from the stream's C-seeded generator, `bits_for`,
+    which draws what ``rng_for(seed, stream)`` draws.
     """
     if n < 0:
         raise PreconditionError("sample size must be >= 0")
-    raw = rng_for(seed, stream).getrandbits(64 * n).to_bytes(8 * n, "little")
+    raw = bits_for(seed, stream).getrandbits(64 * n).to_bytes(8 * n, "little")
     tops = raw[7::8].translate(law.top_byte_atoms)
     picks = list(tops)
     j = tops.find(_FALLBACK)

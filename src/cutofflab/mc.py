@@ -9,7 +9,10 @@ results are identical under any execution order.
 A sample is a tuple of atom indices from the draw to the fit, and a learner
 fits through a `learners.FitTable` of one distribution: one per oracle call,
 one per Monte Carlo run on a fixed instance, and one per distinct (support,
-samples) of a family run, whose trials each draw a new distribution.  The
+samples) of a family run, whose trials each draw a new distribution.  A
+family trial builds only what its score reads: its C-seeded streams
+(`core.bits_for`) give its support and samples, and a new pair builds its
+support's distribution with no witness and no `HardInstance`.  The
 exact oracle splits block positions once per call, and its sequences share
 one probability object per weight and one loss object per tuple of seen
 sets, so the exact sums count pairs by object before any Fraction adds.
@@ -96,7 +99,7 @@ def exact_loss_distribution(learner, instance: HardInstance, n: int) -> list[tup
         loss = losses.get(key)
         if loss is None:
             samples = tuple(combo[j * n : (j + 1) * n] for j in range(arity))
-            loss = losses[key] = _score(learner, instance, samples, table)
+            loss = losses[key] = _score(learner, samples, table, dist, instance.gamma)
         probability = probabilities.get(weight)
         if probability is None:
             probability = probabilities[weight] = Fraction(weight, denominator)
@@ -153,11 +156,10 @@ def _draw(learner, law: core.IntegerLaw, n: int, base: int) -> tuple:
     return tuple(core.sample_iid(law, n, base, j) for j in range(1, learner.sample_arity + 1))
 
 
-def _score(learner, instance: HardInstance, samples, table) -> Fraction:
-    """The exact loss of the learner's predictor on `samples`, fitted
-    through `table`."""
-    dist = instance.distribution
-    return core.cutoff_loss(learner.predictor(samples, table), dist, instance.gamma)
+def _score(learner, samples, table, dist: core.FiniteDistribution, gamma: Fraction) -> Fraction:
+    """The exact loss on `dist` of the learner's predictor on `samples`,
+    fitted through `table`."""
+    return core.cutoff_loss(learner.predictor(samples, table), dist, gamma)
 
 
 def _trial_losses(learner, source, n: int, trials: int, seed: int) -> tuple[Fraction, ...]:
@@ -167,29 +169,36 @@ def _trial_losses(learner, source, n: int, trials: int, seed: int) -> tuple[Frac
     distribution.  A family trial draws its support from stream 0 of the
     trial's seed and its samples from the family's law before it builds
     anything.  Its loss is a function of that (support, samples) pair, as
-    `instance_for` and every learner are deterministic, so the run scores
-    each distinct pair once, through the pair's instance and a new table,
-    and keeps the loss in a memo that lives as long as the run.  The memo
-    is a `core.BoundedTable` that counts len(support) + n * sample_arity
-    indices per pair.
+    the family's distributions and every learner are deterministic, so the
+    run scores each distinct pair once and keeps the loss in a memo that
+    lives as long as the run.  The memo is a `core.BoundedTable` that
+    counts len(support) + n * sample_arity indices per pair.
+
+    A new pair builds only what its score reads: the support's
+    distribution, `InstanceFamily.distribution_for`, with no witness and no
+    `HardInstance`, and a new table.  The cutoff gamma is read once per
+    run, from the family's class.  Each stream of a trial, its support's
+    and its samples', seeds its generator in C (`core.bits_for`).
     """
     if not isinstance(source, InstanceFamily):
-        table = learners.FitTable(source.distribution)
-        law = source.distribution.law
+        dist, gamma = source.distribution, source.gamma
+        table = learners.FitTable(dist)
         return tuple(
-            _score(learner, source, _draw(learner, law, n, core.stream_seed(seed, t)), table)
+            _score(learner, _draw(learner, dist.law, n, core.stream_seed(seed, t)), table,
+                   dist, gamma)
             for t in range(trials))
     drawn = n * learner.sample_arity
     memo = core.BoundedTable(lambda key: len(key[0]) + drawn)
+    gamma = source.cls.gamma
     losses = []
     for t in range(trials):
         base = core.stream_seed(seed, t)
-        support = source.draw_support(core.rng_for(base, 0))
+        support = source.draw_support(core.bits_for(base, 0))
         samples = _draw(learner, source.law, n, base)
         loss = memo.get((support, samples))
         if loss is None:
-            instance = source.instance_for(support)
-            loss = _score(learner, instance, samples, learners.FitTable(instance.distribution))
+            dist = source.distribution_for(support)
+            loss = _score(learner, samples, learners.FitTable(dist), dist, gamma)
             memo[support, samples] = loss
         losses.append(loss)
     return tuple(losses)
@@ -273,27 +282,41 @@ def interpolator_envelope_bound(d: int, n: int, delta: float) -> float:
     return 8.0 * (d * ln_term**2 + math.log(2 / delta)) / n
 
 
-def check_quantile_samples(count: int, delta: float) -> None:
+def _exact_delta(delta) -> Fraction:
+    """delta as the exact Fraction of the decimal it prints as: 0.7 reads as
+    7/10, so 1 - delta is 3/10, where the floats give 0.30000000000000004
+    and a ceiling one too high.  A delta with no such decimal (NaN, inf, a
+    bool) is refused as outside (0, 1)."""
+    try:
+        return Fraction(str(delta))
+    except (TypeError, ValueError):
+        raise PreconditionError("need 0 < delta < 1") from None
+
+
+def check_quantile_samples(count: int, delta) -> None:
     """Refuse a delta outside (0, 1), or fewer than ceil(1/delta) samples,
-    whatever the samples are, so a caller can refuse them before drawing any."""
-    if not 0 < delta < 1:
+    whatever the samples are, so a caller can refuse them before drawing any.
+    Both are decided on the exact delta (`_exact_delta`)."""
+    exact = _exact_delta(delta)
+    if not core.ZERO < exact < core.ONE:
         raise PreconditionError("need 0 < delta < 1")
-    need = 1 / delta
+    need = 1 / exact
     if count < need:
-        # a delta so small that 1/delta overflows to inf has no integer ceiling
-        at_least = math.ceil(need) if math.isfinite(need) else f"1/{delta}"
+        # named as 1/delta past 2^64, as a budget names its sizes
+        at_least = math.ceil(need) if need <= 1 << 64 else f"1/{delta}"
         raise PreconditionError(f"need at least {at_least} samples")
 
 
-def quantile_envelope_check(losses, delta: float, bound: float) -> tuple[bool, float]:
+def quantile_envelope_check(losses, delta, bound: float) -> tuple[bool, float]:
     """Empirical (1-delta)-quantile against the bound (clamped at 1).
 
     Returns (passed, margin).  The quantile is the ceil((1-delta) T)-th order
-    statistic.  Bounds above 1 are vacuous and always pass.
+    statistic, its index taken on the exact delta (`_exact_delta`).  Bounds
+    above 1 are vacuous and always pass.
     """
     losses = sorted(Fraction(l) for l in losses)
     check_quantile_samples(len(losses), delta)
-    idx = math.ceil((1 - delta) * len(losses)) - 1
+    idx = math.ceil((1 - _exact_delta(delta)) * len(losses)) - 1
     quantile = float(losses[idx])
     effective = min(bound, 1.0)
     return quantile <= effective, effective - quantile

@@ -228,6 +228,19 @@ class TestFamilyLaw:
             assert drawn == core.sample_iid(ref.law, 40, 9, t)
             assert [dist.atoms[k] for k in drawn] == [ref.atoms[k] for k in drawn]
 
+    def test_trial_distribution_is_the_instance_distribution(self, theorem):
+        # what a Monte Carlo trial scores against: the instance's atoms and
+        # law, without the witness, which still realizes every atom
+        fam = FAMILIES[theorem]()
+        for t in range(300):
+            support = fam.draw_support(core.bits_for(31, t))
+            dist = fam.distribution_for(support)
+            inst = fam.instance_for(support)
+            assert dist.witness is None and inst.distribution.witness is inst.witness
+            assert dist.atoms == inst.distribution.atoms
+            assert dist.law is inst.distribution.law is fam.law
+            assert all(inst.witness.value_at(ex.point) == ex.label for ex in dist.atoms)
+
     def test_drawn_distribution_shares_the_family_law(self, theorem):
         fam = FAMILIES[theorem]()
         for t in range(5):
@@ -242,6 +255,10 @@ class TestFamilyLaw:
         for entries in bad:
             with pytest.raises(PreconditionError):
                 fam.instance_for(entries)
+            with pytest.raises(PreconditionError, match="must lie in"):
+                fam.distribution_for(entries)
+        with pytest.raises(PreconditionError, match="distinct"):
+            fam.distribution_for((*support[:-1], support[0]))
 
 
 class TestCoupledSampling:

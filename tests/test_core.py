@@ -306,7 +306,7 @@ class TestSampling:
             for r in ((t << 56) - 1, t << 56, ((t + 1) << 56) - 1) if r >= 0
         ]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(core, "rng_for", lambda seed, stream: FixedVariates(variates))
+            patch.setattr(core, "bits_for", lambda seed, stream: FixedVariates(variates))
             sample = core.sample_iid(dist.law, len(variates), seed=0)
         assert list(sample) == [atom(r) for r in variates]
 
@@ -389,7 +389,7 @@ class TestSampling:
         dist = core.FiniteDistribution.from_triples(
             [(NAT(i + 1), 0, m) for i, m in enumerate(masses)]
         )
-        monkeypatch.setattr(core, "rng_for", lambda seed, stream: FixedVariates(variates))
+        monkeypatch.setattr(core, "bits_for", lambda seed, stream: FixedVariates(variates))
         sample = core.sample_iid(dist.law, len(variates), seed=0)
         assert list(sample) == expected
         assert all(masses[k] > 0 for k in expected)
@@ -438,6 +438,18 @@ class TestSampling:
                     assert core.sample_without_replacement(rng, pool, k) == full[:k]
                 # the last k is the whole pool: the stream ends where it ends
                 assert rng.getrandbits(64) == after
+
+    @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2000))
+    @settings(max_examples=60, deadline=None)
+    def test_c_seeded_streams_draw_as_random_does(self, seed, stream):
+        # the sampler's and the support draw's generator against the
+        # Python-level one, the bits of every width and the Fisher-Yates draw
+        fast, reference = core.bits_for(seed, stream), core.rng_for(seed, stream)
+        for bits in (0, 1, 7, 64, 64 * 5, 1000):
+            assert fast.getrandbits(bits) == reference.getrandbits(bits)
+        pool = tuple(range(2, 786))
+        assert core.sample_without_replacement(core.bits_for(seed, stream), pool, 28) == \
+            core.sample_without_replacement(core.rng_for(seed, stream), pool, 28)
 
     def test_golden_draws_of_a_three_atom_law(self):
         law = core.IntegerLaw((F(1, 3), F(1, 6), F(1, 2)))

@@ -615,17 +615,17 @@ def _record_tables(monkeypatch) -> list:
     return calls
 
 
-def _record_instances(monkeypatch) -> list:
-    """(support, instance) of every family instance built from now on, in
-    order."""
+def _record_distributions(monkeypatch) -> list:
+    """(support, distribution) of every family distribution built from now
+    on, in order."""
     built = []
-    real = adversaries.InstanceFamily.instance_for
+    real = adversaries.InstanceFamily.distribution_for
 
     def recording(self, support):
         built.append((support, real(self, support)))
         return built[-1][1]
 
-    monkeypatch.setattr(adversaries.InstanceFamily, "instance_for", recording)
+    monkeypatch.setattr(adversaries.InstanceFamily, "distribution_for", recording)
     return built
 
 
@@ -672,12 +672,12 @@ class TestFitTable:
     @pytest.mark.parametrize("name", ["thm2", "thm5", "fixed", "thm4"])
     def test_a_table_serves_one_distribution(self, monkeypatch, name):
         # equal index sets name different points in different supports, so a
-        # family run builds an instance and a table for each distinct
+        # family run builds a distribution and a table for each distinct
         # (support, samples) it draws, once per run; the learners run one
         # after the other, so a memo kept across runs fails the reference
         source, interp = _SOURCES[name]()
         calls = _record_tables(monkeypatch)
-        instances = _record_instances(monkeypatch)
+        built = _record_distributions(monkeypatch)
         family = isinstance(source, adversaries.InstanceFamily)
         for learner in (
             learners.SingleInterpolator(interp),
@@ -686,22 +686,23 @@ class TestFitTable:
         ):
             for n in (3, source.n_max) if family else (3,):
                 calls.clear()
-                instances.clear()
+                built.clear()
                 est = mc.mc_expected_loss(learner, source, n, 200, seed=11)
                 tables = [table for _, table in calls]
                 if family:
                     pairs = _trial_pairs(learner, source, n, 200, 11)
                     assert [(support, samples) for (support, _), (samples, _)
-                            in zip(instances, calls)] == pairs
-                    assert len({id(table) for table in tables}) == len(instances) == len(pairs)
-                    for table, (_, instance) in zip(tables, instances):
-                        assert table.atoms is instance.distribution.atoms
+                            in zip(built, calls)] == pairs
+                    assert len({id(table) for table in tables}) == len(built) == len(pairs)
+                    for table, (_, dist) in zip(tables, built):
+                        assert table.atoms is dist.atoms
+                        assert dist.witness is None
                     if name == "thm2" and n == source.n_max:
                         # 13 supports of 2 atoms, n = 1: 26 pairs for one sample
                         assert len(pairs) <= 13 * 2**learner.sample_arity
                 else:
                     assert len(tables) == 200
-                    assert instances == []
+                    assert built == []
                     assert all(table is tables[0] for table in tables)
                     assert tables[0].atoms is source.distribution.atoms
                 drawn = [k for samples, _ in calls for s in samples for k in s]
@@ -715,14 +716,14 @@ class TestFitTable:
         source, interp = _SOURCES[name]()
         learner = learners.SingleInterpolator(interp)
         memos = _record_memos(monkeypatch)
-        instances = _record_instances(monkeypatch)
+        built = _record_distributions(monkeypatch)
         monkeypatch.setenv("CUTOFFLAB_BUDGET", "60")
         est = mc.mc_expected_loss(learner, source, 3, 60, seed=3)
         (memo,) = memos
         stored = [len(support) + len(samples[0]) for support, samples in memo]
         assert stored and sum(stored) <= 60 < sum(stored) + stored[0]
         pairs = _trial_pairs(learner, source, 3, 60, 3)
-        assert len(memo) < len(pairs) <= len(instances)
+        assert len(memo) < len(pairs) <= len(built)
         assert est.losses == _reference_losses(learner, source, 3, 60, 3)
 
     @pytest.mark.parametrize("name", ["fixed", "thm2", "thm5"])
@@ -902,3 +903,46 @@ class TestEnvelope:
     def test_sample_floor(self):
         with pytest.raises(PreconditionError):
             mc.quantile_envelope_check([F(0)] * 5, 0.1, 0.5)
+
+    @pytest.mark.parametrize(("delta", "count"), [(0.7, 10), (0.7, 30), (0.45, 100)])
+    def test_index_reads_the_decimal_delta(self, delta, count):
+        # 1 - 0.7 is 0.30000000000000004 in floats, whose ceiling at T = 30
+        # is 10, where ceil(3/10 * 30) = 9 names the 9th smallest loss
+        losses = [F(k, 100) for k in range(count)]
+        index = math.ceil((1 - F(str(delta))) * count) - 1
+        ok, margin = mc.quantile_envelope_check(losses, delta, float(losses[index]))
+        assert ok and margin == 0.0
+        assert mc.quantile_envelope_check([k / 100 for k in range(30)], 0.7, 0.085)[0]
+
+    @given(
+        delta=st.decimals(min_value="0.001", max_value="0.999", places=3),
+        count=st.integers(1, 3000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_quantile_and_floor_match_a_fraction_reference(self, delta, count):
+        exact = F(delta)
+        losses = [F(k, count) for k in range(count)]
+        if count < 1 / exact:
+            with pytest.raises(PreconditionError, match="need at least"):
+                mc.check_quantile_samples(count, float(delta))
+            return
+        mc.check_quantile_samples(count, float(delta))
+        index = math.ceil((1 - exact) * count) - 1
+        ok, margin = mc.quantile_envelope_check(losses, float(delta), 1.0)
+        assert ok and margin == 1.0 - float(losses[index])
+
+    def test_sample_floor_reads_the_decimal_delta(self):
+        # 1 / 0.7 and 1 / (7/10) both need 2 samples; at 1e-320 the floor is
+        # named as 1/delta
+        mc.check_quantile_samples(2, 0.7)
+        with pytest.raises(PreconditionError, match="need at least 2 samples"):
+            mc.check_quantile_samples(1, 0.7)
+        with pytest.raises(PreconditionError, match="need at least 1/1e-320 samples"):
+            mc.check_quantile_samples(400, 1e-320)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, True, None])
+    def test_delta_with_no_decimal_is_refused_as_a_precondition(self, delta):
+        with pytest.raises(PreconditionError, match="need 0 < delta < 1"):
+            mc.check_quantile_samples(100, delta)
+        with pytest.raises(PreconditionError, match="need 0 < delta < 1"):
+            mc.quantile_envelope_check([F(0)] * 100, delta, 0.5)
