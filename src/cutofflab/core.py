@@ -12,7 +12,12 @@ Randomness is counter-based: every draw derives from a 64-bit master seed
 plus a stream index, so trials are order independent and bit-reproducible.
 `sample_iid` draws from a law, and a draw is an atom index: a sample is a
 tuple of indices into the distribution's `atoms`.  A stream's Mersenne
-Twister is seeded in C (`bits_for`), as `random.Random` seeds it.
+Twister is seeded in C (`bits_for`), as `random.Random` seeds it.  Its seed
+(`stream_seed`) reuses each seed's mix: the mixes of values below 1,024 are
+a table built at import, and the last larger seed's mix is kept, so a
+trial's base seed is mixed once for all of its streams.  A `Point` hashes
+once, when it is built, so label maps and the distinct-point check of
+every family trial hash no point again.
 """
 
 from __future__ import annotations
@@ -108,6 +113,18 @@ class Point:
 
     kind: str
     coords: tuple[int, ...]
+
+    def __post_init__(self):
+        # the dataclass's own hash, computed once: label maps and the
+        # distinct-point check hash every atom's point on every trial
+        object.__setattr__(self, "_hash", hash((self.kind, self.coords)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not restored: a str hash differs from process to process
+        return Point, (self.kind, self.coords)
 
     @staticmethod
     def nat(n: int) -> "Point":
@@ -326,14 +343,16 @@ def _scan(
     itself, leaves the domain, or carries two distinct nonzero labels."""
     labels: dict[Point, Fraction] = {}
     for ex in sample:
-        if labels.setdefault(ex.point, ex.label) != ex.label:
+        # a repeated point mostly repeats its label object
+        label = labels.setdefault(ex.point, ex.label)
+        if label is not ex.label and label != ex.label:
             return None
     zeros: list[Point] = []
     value: Fraction | None = None
     for point, label in labels.items():
         if not on_domain(point):
             return None
-        if label == ZERO:
+        if not label.numerator:
             zeros.append(point)
         elif value is None:
             value = label
@@ -424,7 +443,7 @@ class CantorClass:
         )
 
     def _on_domain(self, point: Point) -> bool:
-        return point.kind == "nat" and point.n <= self.universe
+        return point.kind == "nat" and point.coords[0] <= self.universe
 
     def _from_value(self, value: Fraction) -> Optional[CantorHypothesis]:
         rank = _rank_of_value(self.gamma, value)
@@ -434,7 +453,7 @@ class CantorClass:
 
     def _fill(self, zeros: list[Point]) -> Optional[CantorHypothesis]:
         """Colex-smallest member set containing every zero-labelled point."""
-        indices = {p.n for p in zeros}
+        indices = {p.coords[0] for p in zeros}
         if len(indices) > self.d:
             return None
         return self.hypothesis(colex_min_superset(indices, self.d, self.universe))
@@ -534,7 +553,7 @@ class SplitCantorClass:
         )
 
     def _on_domain(self, point: Point) -> bool:
-        return point.kind == "pair" and point.block <= self.universe_cap
+        return point.kind == "pair" and point.coords[0] <= self.universe_cap
 
     def _from_value(self, value: Fraction) -> Optional[SplitCantorHypothesis]:
         rank = _rank_of_value(self.gamma, value)
@@ -551,11 +570,11 @@ class SplitCantorClass:
     def _fill(self, zeros: list[Point]) -> Optional[SplitCantorHypothesis]:
         """First member vanishing on every zero-labelled point: all of them
         must share one block (the first block when there are none)."""
-        block = zeros[0].block if zeros else next(self.blocks())[0]
+        block = zeros[0].coords[0] if zeros else next(self.blocks())[0]
         m = self.member_size(block)
-        if m is None or any(p.block != block for p in zeros):
+        if m is None or any(p.coords[0] != block for p in zeros):
             return None
-        indices = {p.index for p in zeros}
+        indices = {p.coords[1] for p in zeros}
         if self.variant == SQRT_SIZE:
             if len(indices) > m:
                 return None
@@ -723,9 +742,34 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+#: `_splitmix64` of each value below _MIXED_BELOW: the stream indices of
+#: trials and samples, and small seeds, are mixed once, at import.
+_MIXED_BELOW = 1024
+_SMALL_MIXES = tuple(_splitmix64(value) for value in range(_MIXED_BELOW))
+#: (seed, _splitmix64(seed)) of the last seed past the table: the streams
+#: of one seed come in a row, so it is mixed once.  It is replaced as one
+#: tuple, so no caller, in any thread, reads a seed with another's mix.
+_last_mix = (-1, 0)
+
+
 def stream_seed(seed: int, stream: int) -> int:
-    """Derive an independent 64-bit seed for (seed, stream)."""
-    return _splitmix64(_splitmix64(seed & _MASK64) ^ _splitmix64(stream & _MASK64))
+    """Derive an independent 64-bit seed for (seed, stream):
+    ``_splitmix64(_splitmix64(seed) ^ _splitmix64(stream))`` on the low 64
+    bits of each.  The mixes of small values come from `_SMALL_MIXES`, and
+    a larger seed's from `_last_mix` while its streams follow one another,
+    so a trial's base seed is mixed once however many streams it gives."""
+    global _last_mix
+    seed &= _MASK64
+    stream &= _MASK64
+    if seed < _MIXED_BELOW:
+        seed_mix = _SMALL_MIXES[seed]
+    else:
+        last = _last_mix
+        if last[0] != seed:
+            last = _last_mix = (seed, _splitmix64(seed))
+        seed_mix = last[1]
+    stream_mix = _SMALL_MIXES[stream] if stream < _MIXED_BELOW else _splitmix64(stream)
+    return _splitmix64(seed_mix ^ stream_mix)
 
 
 def rng_for(seed: int, stream: int = 0) -> random.Random:

@@ -5,6 +5,11 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import pickle
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -451,12 +456,115 @@ class TestSampling:
         assert core.sample_without_replacement(core.bits_for(seed, stream), pool, 28) == \
             core.sample_without_replacement(core.rng_for(seed, stream), pool, 28)
 
+    #: seeds and streams that are negative, small, 64-bit, and past 2^64
+    WIDE = st.one_of(
+        st.integers(-(2**70), -1), st.integers(0, 2048), st.integers(0, 2**64 - 1),
+        st.integers(2**64, 2**70),
+    )
+
+    @given(a=WIDE, b=WIDE, stream=WIDE)
+    @example(a=83, b=2**40, stream=3)
+    @example(a=2**40, b=2**40 + 2**64, stream=2**64 + 1)
+    @settings(max_examples=200, deadline=None)
+    def test_stream_seed_is_the_mix_of_the_two_mixes(self, a, b, stream):
+        # called for a, b, then a again, so that a memo of the last seed
+        # mixed cannot answer for another seed
+        mask, mix = core._MASK64, core._splitmix64
+        for seed in (a, b, a):
+            expected = mix(mix(seed & mask) ^ mix(stream & mask))
+            assert core.stream_seed(seed, stream) == expected
+            assert core.bits_for(seed, stream).getrandbits(64) == \
+                random.Random(expected).getrandbits(64)
+
     def test_golden_draws_of_a_three_atom_law(self):
         law = core.IntegerLaw((F(1, 3), F(1, 6), F(1, 2)))
         # the draws the sampler made when a draw was the atom's example
         assert core.sample_iid(law, 24, seed=11, stream=2) == (
             1, 2, 2, 2, 1, 2, 2, 0, 1, 1, 0, 2, 2, 0, 0, 0, 2, 2, 0, 1, 0, 2, 0, 0
         )
+
+
+class TestPointHash:
+    """A point hashes once, when built, to the value the dataclass's own
+    hash gives: the hash of (kind, coords)."""
+
+    @given(k=st.integers(1, 2**70), x=st.integers(1, 2**70))
+    @settings(max_examples=60, deadline=None)
+    def test_hash_is_the_hash_of_kind_and_coords(self, k, x):
+        assert hash(NAT(k)) == hash(("nat", (k,)))
+        x = min(x, k)
+        assert hash(PAIR(k, x)) == hash(("pair", (k, x)))
+
+    @pytest.mark.parametrize("point", [NAT(7), PAIR(9, 2)], ids=repr)
+    def test_equal_points_built_apart_are_one_point(self, point):
+        again = core.Point(point.kind, tuple(list(point.coords)))
+        assert again is not point and again == point and hash(again) == hash(point)
+        assert len({point, again}) == 1
+        with pytest.raises(PreconditionError, match="distinct"):
+            core.FiniteDistribution.from_triples([(point, 0, F(1, 2)), (again, 0, F(1, 2))])
+
+    def test_a_pickled_point_hashes_as_a_new_one(self):
+        # str hashes differ between processes, so a point from another one
+        # must not bring its hash along
+        here = os.environ.get("PYTHONHASHSEED")
+        env = dict(os.environ, PYTHONHASHSEED="2" if here == "1" else "1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(core.__file__)))
+        code = ("import pickle, sys; from cutofflab import core; "
+                "sys.stdout.buffer.write(pickle.dumps([core.Point.pair(9, 2), core.Point.nat(7)]))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             check=True).stdout
+        pair, nat = pickle.loads(out)
+        assert {PAIR(9, 2): "pair", NAT(7): "nat"}[pair] == "pair"
+        assert hash(pair) == hash(PAIR(9, 2)) and hash(nat) == hash(NAT(7))
+
+
+def _first_listed(cls, sample):
+    """The first member in the class's listing that is exact on the sample."""
+    return next(
+        (h for h in cls.hypotheses if all(h.value_at(ex.point) == ex.label for ex in sample)),
+        None)
+
+
+class TestScanLabels:
+    """The canonical fit of both unique-value classes reads a repeated
+    point's labels, and a zero label, by value, whatever objects carry them."""
+
+    CASES = [
+        pytest.param(core.CantorClass(F(1, 2), 2, 6), NAT(4), id="cantor"),
+        pytest.param(SQRT9, PAIR(4, 3), id="split-sqrt"),
+        pytest.param(COMPLEMENT36, PAIR(5, 3), id="split-complement"),
+    ]
+
+    @staticmethod
+    def nonzero_values(cls, point):
+        """Two members' distinct nonzero values at the point."""
+        values = [h.value_at(point) for h in cls.hypotheses if h.value_at(point)]
+        return values[0], values[1]
+
+    @pytest.mark.parametrize(("cls", "point"), CASES)
+    def test_equal_labels_as_distinct_objects_fit(self, cls, point):
+        value, _ = self.nonzero_values(cls, point)
+        for label in (value, F(0)):
+            copy = F(label.numerator, label.denominator)
+            assert copy is not label and copy == label
+            sample = (core.LabeledExample(point, label), core.LabeledExample(point, copy))
+            fit = cls.first_consistent(sample)
+            assert fit is not None and fit == _first_listed(cls, sample)
+
+    @pytest.mark.parametrize(("cls", "point"), CASES)
+    def test_unequal_labels_at_one_point_are_refused(self, cls, point):
+        value, other = self.nonzero_values(cls, point)
+        for first, second in ((value, other), (value, core.ZERO), (core.ZERO, value)):
+            sample = (core.LabeledExample(point, first), core.LabeledExample(point, second))
+            assert cls.first_consistent(sample) is None
+
+    @pytest.mark.parametrize(("cls", "point"), CASES)
+    def test_a_zero_label_not_the_shared_zero_counts_as_zero(self, cls, point):
+        sample = (core.LabeledExample(point, F(0, 9)),)
+        assert sample[0].label is not core.ZERO
+        fit = cls.first_consistent(sample)
+        assert fit is not None and fit.value_at(point) == 0
+        assert fit == _first_listed(cls, sample)
 
 
 class TestCanonicalEnumeration:

@@ -201,10 +201,27 @@ def test_monte_carlo_mean_lies_within_four_exact_sigmas(learner, inst, n, seed):
     # one loss in all 400 trials, a sample stderr of 0, off the exact mean
     trials = 400
     masses = mc._mass_by_loss(mc.exact_loss_distribution(learner, inst, n))
-    mean = sum((mass * loss for loss, mass in masses.items()), core.ZERO)
-    variance = sum((mass * (loss - mean) ** 2 for loss, mass in masses.items()), core.ZERO)
+    mean, variance = _moments(masses)
     estimate = mc.mc_expected_loss(learner, inst, n, trials, seed)
     assert abs(estimate.mean - float(mean)) <= 4 * math.sqrt(variance) / math.sqrt(trials)
+    _assert_exceed_shares_are_binomial(estimate, masses)
+
+
+def _moments(masses) -> tuple[F, F]:
+    """The exact mean and variance of a {loss: probability} law."""
+    mean = sum((mass * loss for loss, mass in masses.items()), core.ZERO)
+    variance = sum((mass * (loss - mean) ** 2 for loss, mass in masses.items()), core.ZERO)
+    return mean, variance
+
+
+def _assert_exceed_shares_are_binomial(estimate, masses):
+    """At every loss l of the law, the share of trials that lose more than
+    l lies within four binomial sigmas of the exact p = P(loss > l): it
+    equals p when p is 0 or 1."""
+    for level in masses:
+        p = sum((mass for loss, mass in masses.items() if loss > level), core.ZERO)
+        share = estimate.exceed_fraction(level)
+        assert abs(share - p) <= 4 * math.sqrt(p * (1 - p) / estimate.trials)
 
 
 def test_mass_by_loss_reads_a_stream_of_new_objects():
@@ -817,18 +834,24 @@ class TestFamilyMean:
             bind(learners.generic_interpolator, family.cls), learners.DisjointBlocks(3),
             learners.Median())
         n, threshold = family.n_max, 2 * epsilon
-        # the heavy index 1 is pinned and the other entry is uniform
+        # the heavy index 1 is pinned and the other entry is uniform, so the
+        # family law is the average of the 13 supports' exact laws
         instances = [family.instance_for((1, a)) for a in range(2, family.universe + 1)]
         assert len(instances) == 13
-        mean = sum(mc.exact_expected_loss(learner, inst, n) for inst in instances) / 13
-        exceed = sum(
-            mc.exact_exceed_probability(learner, inst, n, threshold) for inst in instances) / 13
+        law = collections.Counter()
+        for inst in instances:
+            for loss, mass in mc._mass_by_loss(mc.exact_loss_distribution(learner, inst, n)).items():
+                law[loss] += mass / 13
+        mean, variance = _moments(law)
+        exceed = sum((mass for loss, mass in law.items() if loss > threshold), core.ZERO)
         assert (mean, exceed) == self.THM2_EXACT[epsilon]
         trials = 400
         est = mc.mc_expected_loss(learner, family, n, trials, seed)
-        assert abs(est.mean - mean) <= 4 * est.stderr
+        # sigma is the exact family law's, not the sample's
+        assert abs(est.mean - mean) <= 4 * math.sqrt(variance / trials)
         binomial = math.sqrt(exceed * (1 - exceed) / trials)
         assert abs(est.exceed_fraction(threshold) - exceed) <= 4 * binomial
+        _assert_exceed_shares_are_binomial(est, law)
 
 
 class TestScalingFit:
