@@ -12,12 +12,12 @@ Randomness is counter-based: every draw derives from a 64-bit master seed
 plus a stream index, so trials are order independent and bit-reproducible.
 `sample_iid` draws from a law, and a draw is an atom index: a sample is a
 tuple of indices into the distribution's `atoms`.  A stream's Mersenne
-Twister is seeded in C (`bits_for`), as `random.Random` seeds it.  Its seed
-(`stream_seed`) reuses each seed's mix: the mixes of values below 1,024 are
-a table built at import, and the last larger seed's mix is kept, so a
-trial's base seed is mixed once for all of its streams.  A `Point` hashes
-once, when it is built, so label maps and the distinct-point check of
-every family trial hash no point again.
+Twister is seeded in C (`bits_for`), as `random.Random` seeds it.  A Monte
+Carlo run derives its trials' streams through `trial_seeds`, which mixes
+the run's seed once and each trial's seed once for all of its streams, and
+keeps nothing past the run.  A `Point` hashes once, when it is built, so
+label maps and the distinct-point check of every family trial hash no
+point again.
 """
 
 from __future__ import annotations
@@ -742,34 +742,21 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-#: `_splitmix64` of each value below _MIXED_BELOW: the stream indices of
-#: trials and samples, and small seeds, are mixed once, at import.
-_MIXED_BELOW = 1024
-_SMALL_MIXES = tuple(_splitmix64(value) for value in range(_MIXED_BELOW))
-#: (seed, _splitmix64(seed)) of the last seed past the table: the streams
-#: of one seed come in a row, so it is mixed once.  It is replaced as one
-#: tuple, so no caller, in any thread, reads a seed with another's mix.
-_last_mix = (-1, 0)
-
-
 def stream_seed(seed: int, stream: int) -> int:
-    """Derive an independent 64-bit seed for (seed, stream):
-    ``_splitmix64(_splitmix64(seed) ^ _splitmix64(stream))`` on the low 64
-    bits of each.  The mixes of small values come from `_SMALL_MIXES`, and
-    a larger seed's from `_last_mix` while its streams follow one another,
-    so a trial's base seed is mixed once however many streams it gives."""
-    global _last_mix
-    seed &= _MASK64
-    stream &= _MASK64
-    if seed < _MIXED_BELOW:
-        seed_mix = _SMALL_MIXES[seed]
-    else:
-        last = _last_mix
-        if last[0] != seed:
-            last = _last_mix = (seed, _splitmix64(seed))
-        seed_mix = last[1]
-    stream_mix = _SMALL_MIXES[stream] if stream < _MIXED_BELOW else _splitmix64(stream)
-    return _splitmix64(seed_mix ^ stream_mix)
+    """Derive an independent 64-bit seed for (seed, stream)."""
+    return _splitmix64(_splitmix64(seed & _MASK64) ^ _splitmix64(stream & _MASK64))
+
+
+def trial_seeds(seed: int, trials: int, streams: Sequence[int]) -> Iterator[list[int]]:
+    """For each trial t below `trials`, the seeds of its `streams`:
+    ``stream_seed(stream_seed(seed, t), s)`` for each s of `streams`.  The
+    seed and each stream index are mixed once, and each trial's seed once,
+    where `stream_seed` mixes both of its arguments on every call."""
+    seed_mix = _splitmix64(seed & _MASK64)
+    mixes = [_splitmix64(stream & _MASK64) for stream in streams]
+    for t in range(trials):
+        trial_mix = _splitmix64(_splitmix64(seed_mix ^ _splitmix64(t)))
+        yield [_splitmix64(trial_mix ^ mix) for mix in mixes]
 
 
 def rng_for(seed: int, stream: int = 0) -> random.Random:
@@ -777,13 +764,15 @@ def rng_for(seed: int, stream: int = 0) -> random.Random:
     return random.Random(stream_seed(seed, stream))
 
 
-def bits_for(seed: int, stream: int = 0) -> _CRandom:
+def bits_for(seed: int, stream: Optional[int] = 0) -> _CRandom:
     """The stream's Mersenne Twister as the C type that `random.Random`
     extends, seeded once, in C, from the same integer.  On Python 3.10 to
     3.13 ``random.Random(x)`` seeds an int x through that same C seed, so
     its ``getrandbits`` draws exactly what ``rng_for(seed, stream)`` draws,
-    without the Python-level constructor and its ``seed`` wrapper."""
-    return _CRandom(stream_seed(seed, stream))
+    without the Python-level constructor and its ``seed`` wrapper.  With
+    `stream` None, `seed` is a stream's seed already, as `trial_seeds`
+    gives it, and seeds the generator as it is."""
+    return _CRandom(seed if stream is None else stream_seed(seed, stream))
 
 
 def sample_without_replacement(rng: _CRandom, pool: Sequence[int], k: int) -> list[int]:
@@ -812,7 +801,9 @@ def sample_without_replacement(rng: _CRandom, pool: Sequence[int], k: int) -> li
     return work[:k]
 
 
-def sample_iid(law: IntegerLaw, n: int, seed: int, stream: int = 0) -> tuple[int, ...]:
+def sample_iid(
+    law: IntegerLaw, n: int, seed: int, stream: Optional[int] = 0
+) -> tuple[int, ...]:
     """The atom indices of n i.i.d. draws from `law`, by inverse CDF over
     the exact cumulative masses.
 
@@ -834,7 +825,8 @@ def sample_iid(law: IntegerLaw, n: int, seed: int, stream: int = 0) -> tuple[int
     interpreter loops only over those others.
 
     The variates come from the stream's C-seeded generator, `bits_for`,
-    which draws what ``rng_for(seed, stream)`` draws.
+    which draws what ``rng_for(seed, stream)`` draws; with `stream` None,
+    `seed` is the stream's seed, as `trial_seeds` gives it.
     """
     if n < 0:
         raise PreconditionError("sample size must be >= 0")

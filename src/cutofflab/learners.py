@@ -216,24 +216,14 @@ class Bootstrap:
         core._budgeted("bootstrap draws", self.m * self.size)
 
     def split(self, sample: tuple):
-        """Block j draws its positions from stream j of the seed, each as
-        ``core.rng_for(seed, j).randrange(len(sample))`` draws it on Python
-        3.10 to 3.13: ``getrandbits(n.bit_length())`` until the draw falls
-        below n, from the C-seeded `core.bits_for` generator."""
         n = len(sample)
-        if n == 0:
-            return [()] * self.m
-        bits = n.bit_length()
         blocks = []
         for j in range(self.m):
-            getrandbits = core.bits_for(self.seed, j).getrandbits
-            picks = []
-            for _ in range(self.size):
-                r = getrandbits(bits)
-                while r >= n:
-                    r = getrandbits(bits)
-                picks.append(sample[r])
-            blocks.append(tuple(picks))
+            rng = core.rng_for(self.seed, j)
+            if n == 0:
+                blocks.append(())
+            else:
+                blocks.append(tuple(sample[rng.randrange(n)] for _ in range(self.size)))
         return blocks
 
 

@@ -150,10 +150,10 @@ def exact_exceed_probability(learner, instance: HardInstance, n: int, threshold)
     return sum((mass for loss, mass in masses.items() if loss > threshold), core.ZERO)
 
 
-def _draw(learner, law: core.IntegerLaw, n: int, base: int) -> tuple:
-    """A trial's samples: n atom indices from `law` on each of the streams
-    1..sample_arity of the trial's seed `base`."""
-    return tuple(core.sample_iid(law, n, base, j) for j in range(1, learner.sample_arity + 1))
+def _draw(law: core.IntegerLaw, n: int, seeds) -> tuple:
+    """A trial's samples: n atom indices from `law` on each stream seed of
+    `seeds`, one per sample."""
+    return tuple(core.sample_iid(law, n, seed, None) for seed in seeds)
 
 
 def _score(learner, samples, table, dist: core.FiniteDistribution, gamma: Fraction) -> Fraction:
@@ -179,22 +179,26 @@ def _trial_losses(learner, source, n: int, trials: int, seed: int) -> tuple[Frac
     `HardInstance`, and a new table.  The cutoff gamma is read once per
     run, from the family's class.  Each stream of a trial, its support's
     and its samples', seeds its generator in C (`core.bits_for`).
+
+    Trial t's support and its sample j draw from streams 0 and j of
+    ``stream_seed(seed, t)``, whose seeds `core.trial_seeds` derives with
+    the run's seed and each trial's mixed once.
     """
     if not isinstance(source, InstanceFamily):
         dist, gamma = source.distribution, source.gamma
         table = learners.FitTable(dist)
         return tuple(
-            _score(learner, _draw(learner, dist.law, n, core.stream_seed(seed, t)), table,
-                   dist, gamma)
-            for t in range(trials))
+            _score(learner, _draw(dist.law, n, sample_seeds), table, dist, gamma)
+            for sample_seeds in core.trial_seeds(
+                seed, trials, range(1, learner.sample_arity + 1)))
     drawn = n * learner.sample_arity
     memo = core.BoundedTable(lambda key: len(key[0]) + drawn)
     gamma = source.cls.gamma
     losses = []
-    for t in range(trials):
-        base = core.stream_seed(seed, t)
-        support = source.draw_support(core.bits_for(base, 0))
-        samples = _draw(learner, source.law, n, base)
+    for support_seed, *sample_seeds in core.trial_seeds(
+            seed, trials, range(learner.sample_arity + 1)):
+        support = source.draw_support(core.bits_for(support_seed, None))
+        samples = _draw(source.law, n, sample_seeds)
         loss = memo.get((support, samples))
         if loss is None:
             dist = source.distribution_for(support)

@@ -475,6 +475,17 @@ class TestSampling:
             assert core.stream_seed(seed, stream) == expected
             assert core.bits_for(seed, stream).getrandbits(64) == \
                 random.Random(expected).getrandbits(64)
+            assert core.bits_for(expected, None).getrandbits(64) == \
+                random.Random(expected).getrandbits(64)
+
+    @given(seed=WIDE, trials=st.integers(0, 40),
+           streams=st.lists(WIDE, max_size=5) | st.sampled_from([range(2), range(1, 4)]))
+    @example(seed=83, trials=3, streams=range(2))
+    @settings(max_examples=100, deadline=None)
+    def test_trial_seeds_are_the_streams_of_each_trial_seed(self, seed, trials, streams):
+        assert list(core.trial_seeds(seed, trials, streams)) == [
+            [core.stream_seed(core.stream_seed(seed, t), s) for s in streams]
+            for t in range(trials)]
 
     def test_golden_draws_of_a_three_atom_law(self):
         law = core.IntegerLaw((F(1, 3), F(1, 6), F(1, 2)))

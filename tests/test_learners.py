@@ -255,18 +255,6 @@ class TestPartitioners:
             for ex in block:
                 assert ex in sample
 
-    @pytest.mark.parametrize(
-        ("m", "size", "seed"), [(1, 1, 0), (3, 2, 17), (2, 7, 5), (4, 12, 2**40 + 3), (2, 3, -7)])
-    def test_bootstrap_positions_are_randrange_draws(self, m, size, seed):
-        # block j draws what core.rng_for(seed, j).randrange(n) draws
-        part = learners.Bootstrap(m, size, seed)
-        for n in range(65):
-            expected = []
-            for j in range(m):
-                rng = core.rng_for(seed, j)
-                expected.append(tuple(rng.randrange(n) for _ in range(size)) if n else ())
-            assert part.split(tuple(range(n))) == expected
-
     @given(
         partitioner=st.one_of(
             st.builds(learners.DisjointBlocks, st.integers(1, 4)),
