@@ -1,11 +1,11 @@
 """Hard-instance constructions for the lower-bound and rate checks.
 
 Each builder packages a hypothesis class, a realizable distribution (or a
-seeded generator over random supports, when the construction averages over
-one), the realizability witness, and the sample-size ceiling the
-corresponding bound is stated at.  Every fixed instance is two-tier and comes
-from `two_tier_instance`.  Universe sizes are re-verified by exact rational
-inequalities at construction time.
+family over random supports, when the construction averages over one, whose
+`draw_support` takes a stream's seed), the realizability witness, and the
+sample-size ceiling the corresponding bound is stated at.  Every fixed
+instance is two-tier and comes from `two_tier_instance`.  Universe sizes
+are re-verified by exact rational inequalities at construction time.
 """
 
 from __future__ import annotations
@@ -74,12 +74,12 @@ class InstanceFamily:
         object.__setattr__(self, "_examples", examples)
         object.__setattr__(self, "_pool", tuple(range(first, self.universe + 1)))
 
-    def draw_support(self, rng) -> tuple[int, ...]:
+    def draw_support(self, seed: int) -> tuple[int, ...]:
         """The pinned heavy index, if any, then distinct entries drawn
-        without replacement."""
+        without replacement from the stream whose seed is `seed`."""
         pinned = (1,) if self.pinned_first else ()
         rest = core.sample_without_replacement(
-            rng, self._pool, len(self.law.masses) - len(pinned))
+            core.bits_for(seed), self._pool, len(self.law.masses) - len(pinned))
         return (*pinned, *rest)
 
     def distribution_for(self, support: tuple[int, ...]) -> core.FiniteDistribution:

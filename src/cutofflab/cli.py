@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import inspect
 import json
+import random
 import sys
 from functools import cache, partial as bind
 
@@ -137,7 +138,7 @@ def cmd_oig(args) -> int:
         _, best = dims.exhaustive_orientation_min(graph, gamma)
         out["min_outdegree"] = best
     if args.subgraphs:
-        rng = core.rng_for(args.seed, 0)
+        rng = random.Random(core.stream_seed(args.seed, 0))
         worst = 0
         # a graph without vertices has no nonempty subgraph to sample
         for _ in range(args.subgraphs if graph.vertices else 0):
@@ -243,11 +244,14 @@ def cmd_estimate(args) -> int:
     learner = _learner_from_config(learner_config, cls)
     gamma = core.read_gamma(gamma)
     # every learner fits realizable samples only: a support no class member
-    # realizes is refused here, before the first trial
+    # realizes, or a given witness that contradicts it, is refused here,
+    # before the first trial
     support = tuple(ex for ex, mass in zip(dist.atoms, dist.masses) if mass)
     realizer = cls.first_consistent(support)
     if realizer is None:
         raise NotRealizableError("no class member realizes the distribution's support")
+    if dist.witness is not None and not core._consistent(dist.witness, support):
+        raise NotRealizableError("the distribution's witness contradicts its support")
     instance = adversaries.HardInstance(
         theorem="estimate",
         cls=cls,

@@ -8,16 +8,14 @@ its `law`: integers over one common denominator, on which validation,
 sampling thresholds and cutoff losses are integer arithmetic, while a loss
 is still returned as an exact `Fraction`.
 Distributions drawn from one family share one law.
-Randomness is counter-based: every draw derives from a 64-bit master seed
-plus a stream index, so trials are order independent and bit-reproducible.
+Randomness is counter-based: a stream is named by one integer, its seed,
+which only `stream_seed` and `trial_seeds` derive, so trials are order
+independent and bit-reproducible.  Every draw takes its stream's seed and
+seeds a Mersenne Twister in C (`bits_for`), as `random.Random` seeds it.
 `sample_iid` draws from a law, and a draw is an atom index: a sample is a
-tuple of indices into the distribution's `atoms`.  A stream's Mersenne
-Twister is seeded in C (`bits_for`), as `random.Random` seeds it.  A Monte
-Carlo run derives its trials' streams through `trial_seeds`, which mixes
-the run's seed once and each trial's seed once for all of its streams, and
-keeps nothing past the run.  A `Point` hashes once, when it is built, so
-label maps and the distinct-point check of every family trial hash no
-point again.
+tuple of indices into the distribution's `atoms`.  A `Point` hashes once,
+when it is built, so label maps and the distinct-point check of every
+family trial hash no point again.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import functools
 import itertools
 import math
 import os
-import random
 from _random import Random as _CRandom
 from dataclasses import dataclass
 from fractions import Fraction
@@ -743,7 +740,7 @@ def _splitmix64(z: int) -> int:
 
 
 def stream_seed(seed: int, stream: int) -> int:
-    """Derive an independent 64-bit seed for (seed, stream)."""
+    """The 64-bit seed of stream `stream` of `seed`."""
     return _splitmix64(_splitmix64(seed & _MASK64) ^ _splitmix64(stream & _MASK64))
 
 
@@ -759,20 +756,11 @@ def trial_seeds(seed: int, trials: int, streams: Sequence[int]) -> Iterator[list
         yield [_splitmix64(trial_mix ^ mix) for mix in mixes]
 
 
-def rng_for(seed: int, stream: int = 0) -> random.Random:
-    """The stream's generator with every `random.Random` method."""
-    return random.Random(stream_seed(seed, stream))
-
-
-def bits_for(seed: int, stream: Optional[int] = 0) -> _CRandom:
-    """The stream's Mersenne Twister as the C type that `random.Random`
-    extends, seeded once, in C, from the same integer.  On Python 3.10 to
-    3.13 ``random.Random(x)`` seeds an int x through that same C seed, so
-    its ``getrandbits`` draws exactly what ``rng_for(seed, stream)`` draws,
-    without the Python-level constructor and its ``seed`` wrapper.  With
-    `stream` None, `seed` is a stream's seed already, as `trial_seeds`
-    gives it, and seeds the generator as it is."""
-    return _CRandom(seed if stream is None else stream_seed(seed, stream))
+def bits_for(seed: int) -> _CRandom:
+    """The generator of the stream whose seed is `seed`: the C type that
+    `random.Random` extends, whose C seed ``random.Random(seed)`` also
+    calls on Python 3.10 to 3.13, so both draw the same bits."""
+    return _CRandom(seed)
 
 
 def sample_without_replacement(rng: _CRandom, pool: Sequence[int], k: int) -> list[int]:
@@ -801,9 +789,7 @@ def sample_without_replacement(rng: _CRandom, pool: Sequence[int], k: int) -> li
     return work[:k]
 
 
-def sample_iid(
-    law: IntegerLaw, n: int, seed: int, stream: Optional[int] = 0
-) -> tuple[int, ...]:
+def sample_iid(law: IntegerLaw, n: int, seed: int) -> tuple[int, ...]:
     """The atom indices of n i.i.d. draws from `law`, by inverse CDF over
     the exact cumulative masses.
 
@@ -824,13 +810,12 @@ def sample_iid(
     (entry 255) is settled by the bisect above, so no draw changes.  The
     interpreter loops only over those others.
 
-    The variates come from the stream's C-seeded generator, `bits_for`,
-    which draws what ``rng_for(seed, stream)`` draws; with `stream` None,
-    `seed` is the stream's seed, as `trial_seeds` gives it.
+    The variates come from `bits_for(seed)`, the generator of the stream
+    whose seed is `seed`.
     """
     if n < 0:
         raise PreconditionError("sample size must be >= 0")
-    raw = bits_for(seed, stream).getrandbits(64 * n).to_bytes(8 * n, "little")
+    raw = bits_for(seed).getrandbits(64 * n).to_bytes(8 * n, "little")
     tops = raw[7::8].translate(law.top_byte_atoms)
     picks = list(tops)
     j = tops.find(_FALLBACK)

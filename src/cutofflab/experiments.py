@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -399,7 +400,7 @@ def run_lemma_disamb(report, domain_size=10, max_size=40, classes=50, max_vc=3, 
             f"{domain_size}, {max_size}, {classes}, {max_vc}"
         )
     partial_concepts.check_domain_size(domain_size)  # before any row is drawn
-    rng = core.rng_for(seed, 0)
+    rng = random.Random(core.stream_seed(seed, 0))
     all_ok = True
     worst = ""
     for idx in range(classes):

@@ -29,6 +29,7 @@ of a family run.
 from __future__ import annotations
 
 import functools
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -219,7 +220,7 @@ class Bootstrap:
         n = len(sample)
         blocks = []
         for j in range(self.m):
-            rng = core.rng_for(self.seed, j)
+            rng = random.Random(core.stream_seed(self.seed, j))
             if n == 0:
                 blocks.append(())
             else:

@@ -10,12 +10,13 @@ A sample is a tuple of atom indices from the draw to the fit, and a learner
 fits through a `learners.FitTable` of one distribution: one per oracle call,
 one per Monte Carlo run on a fixed instance, and one per distinct (support,
 samples) of a family run, whose trials each draw a new distribution.  A
-family trial builds only what its score reads: its C-seeded streams
-(`core.bits_for`) give its support and samples, and a new pair builds its
-support's distribution with no witness and no `HardInstance`.  The
-exact oracle splits block positions once per call, and its sequences share
-one probability object per weight and one loss object per tuple of seen
-sets, so the exact sums count pairs by object before any Fraction adds.
+family trial builds only what its score reads: the seeds of its streams,
+from `core.trial_seeds`, give its support and samples, and a new pair
+builds its support's distribution with no witness and no `HardInstance`.
+The exact oracle splits block positions once per call, and its sequences
+share one probability object per weight and one loss object per tuple of
+seen sets, so the exact sums count pairs by object before any Fraction
+adds.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def exact_exceed_probability(learner, instance: HardInstance, n: int, threshold)
 def _draw(law: core.IntegerLaw, n: int, seeds) -> tuple:
     """A trial's samples: n atom indices from `law` on each stream seed of
     `seeds`, one per sample."""
-    return tuple(core.sample_iid(law, n, seed, None) for seed in seeds)
+    return tuple(core.sample_iid(law, n, seed) for seed in seeds)
 
 
 def _score(learner, samples, table, dist: core.FiniteDistribution, gamma: Fraction) -> Fraction:
@@ -177,12 +178,10 @@ def _trial_losses(learner, source, n: int, trials: int, seed: int) -> tuple[Frac
     A new pair builds only what its score reads: the support's
     distribution, `InstanceFamily.distribution_for`, with no witness and no
     `HardInstance`, and a new table.  The cutoff gamma is read once per
-    run, from the family's class.  Each stream of a trial, its support's
-    and its samples', seeds its generator in C (`core.bits_for`).
+    run, from the family's class.
 
     Trial t's support and its sample j draw from streams 0 and j of
-    ``stream_seed(seed, t)``, whose seeds `core.trial_seeds` derives with
-    the run's seed and each trial's mixed once.
+    ``stream_seed(seed, t)``, whose seeds `core.trial_seeds` derives.
     """
     if not isinstance(source, InstanceFamily):
         dist, gamma = source.distribution, source.gamma
@@ -197,7 +196,7 @@ def _trial_losses(learner, source, n: int, trials: int, seed: int) -> tuple[Frac
     losses = []
     for support_seed, *sample_seeds in core.trial_seeds(
             seed, trials, range(learner.sample_arity + 1)):
-        support = source.draw_support(core.bits_for(support_seed, None))
+        support = source.draw_support(support_seed)
         samples = _draw(source.law, n, sample_seeds)
         loss = memo.get((support, samples))
         if loss is None:

@@ -166,15 +166,52 @@ def reference_trial_loss(learner, source, n, seed, trial):
     `reference_predictor`."""
     base = core.stream_seed(seed, trial)
     if isinstance(source, adversaries.InstanceFamily):
-        instance = source.instance_for(source.draw_support(core.rng_for(base, 0)))
+        instance = source.instance_for(source.draw_support(core.stream_seed(base, 0)))
     else:
         instance = source
     dist = instance.distribution
     samples = tuple(
-        core.sample_iid(dist.law, n, base, stream=j + 1) for j in range(learner.sample_arity)
+        core.sample_iid(dist.law, n, core.stream_seed(base, j + 1))
+        for j in range(learner.sample_arity)
     )
     predictor = reference_predictor(learner, samples, dist)
     return core.cutoff_loss(predictor, dist, instance.gamma)
+
+
+def complement_family_law(family, n):
+    """The exact loss law, as {loss: probability}, of every consistent proper
+    learner on a complement-split family (thm5's) with n draws, averaged
+    over the family's uniformly random supports.
+
+    The support S holds u - d + 1 of the u indices, each of mass
+    1/(u - d + 1), and the witness is nonzero on the d - 1 others, A*.
+    With j distinct indices seen, A* is a uniform (d - 1)-subset of the
+    u - j unseen ones, whatever the seen set.  A consistent proper learner
+    outputs a member A of size d - 1 that avoids every seen index, so the
+    overlap k = |A & A*| is hypergeometric, whichever A it picks, and its
+    loss is the mass of A outside A*: (d - 1 - k)/(u - d + 1).  The number
+    j of distinct indices follows the occupancy law of n draws from
+    u - d + 1 equal atoms."""
+    u, d = family.universe, family.d
+    atoms = u - d + 1
+    # ways[j]: the draw sequences so far that see exactly j distinct atoms
+    ways = [1]
+    for _ in range(n):
+        ways = [(ways[j] * j if j < len(ways) else 0)
+                + (ways[j - 1] * (atoms - j + 1) if j else 0)
+                for j in range(len(ways) + 1)]
+    law = {}
+    for j, count in enumerate(ways):
+        if not count:
+            continue
+        p_seen = Fraction(count, atoms**n)
+        for k in range(d):
+            ways_k = math.comb(d - 1, k) * math.comb(u - j - d + 1, d - 1 - k)
+            if ways_k:
+                loss = Fraction(d - 1 - k, atoms)
+                law[loss] = law.get(loss, core.ZERO) + p_seen * Fraction(
+                    ways_k, math.comb(u - j, d - 1))
+    return law
 
 
 def reference_aggregate(rule, hypotheses):

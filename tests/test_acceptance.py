@@ -280,7 +280,7 @@ def test_criterion_9_oracle_agreement_and_coupling():
 
     for d in (2, 3, 4):
         fam = adversaries.thm2_family(HALF, d, F(1, 64), 1)
-        support = fam.draw_support(core.rng_for(SEED, d))
+        support = fam.draw_support(core.stream_seed(SEED, d))
         inst = fam.instance_for(support)
         for n in (1, 2, 3):
             coupling = {}

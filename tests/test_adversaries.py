@@ -95,7 +95,7 @@ class TestThm2Family:
     def test_draws_are_pinned_distinct_and_realizable(self):
         fam = adversaries.thm2_family(HALF, 3, F(1, 64), 2)
         for t in range(20):
-            support = fam.draw_support(core.rng_for(5, t))
+            support = fam.draw_support(core.stream_seed(5, t))
             inst = fam.instance_for(support)
             assert support[0] == 1
             assert len(set(support)) == 3
@@ -106,8 +106,8 @@ class TestThm2Family:
         # any aggregation run touches <= d * m_bound zero points; the
         # interpolating aggregate exceeds gamma everywhere else in [k_u]
         fam = adversaries.thm2_family(HALF, 2, F(1, 64), 3)
-        inst = fam.instance_for(fam.draw_support(core.rng_for(1, 0)))
-        drawn = core.sample_iid(inst.distribution.law, fam.n_max, 2)
+        inst = fam.instance_for(fam.draw_support(core.stream_seed(1, 0)))
+        drawn = core.sample_iid(inst.distribution.law, fam.n_max, core.stream_seed(2, 0))
         sample = tuple(inst.distribution.atoms[k] for k in drawn)
         blocks = learners.DisjointBlocks(3).split(sample)
         interp = lambda s: learners.generic_interpolator(fam.cls, s)
@@ -159,7 +159,7 @@ class TestThm3Family:
     def test_draws_realizable(self):
         fam = adversaries.thm3_family(HALF, HALF, 4, 3, universe=729)
         for t in range(5):
-            support = fam.draw_support(core.rng_for(8, t))
+            support = fam.draw_support(core.stream_seed(8, t))
             inst = fam.instance_for(support)
             assert len(set(support)) == 27
             assert core.cutoff_loss(inst.witness, inst.distribution, HALF) == 0
@@ -181,7 +181,7 @@ class TestThm5Family:
 
     def test_witness_zero_on_every_atom(self):
         fam = adversaries.thm5_family(HALF, 4, F(1, 256))
-        inst = fam.instance_for(fam.draw_support(core.rng_for(2, 0)))
+        inst = fam.instance_for(fam.draw_support(core.stream_seed(2, 0)))
         for atom in inst.distribution.atoms:
             assert inst.witness.value_at(atom.point) == 0
 
@@ -195,7 +195,7 @@ class TestThm5Family:
         counts = [0] * fam.universe
         draws = 10_000
         for t in range(draws):
-            support = fam.draw_support(core.rng_for(77, t))
+            support = fam.draw_support(core.stream_seed(77, t))
             counts[support[0] - 1] += 1
         expected = draws / fam.universe
         statistic = sum((c - expected) ** 2 / expected for c in counts)
@@ -216,7 +216,7 @@ class TestFamilyLaw:
         # its own triples it is the same distribution, law and draws
         fam = FAMILIES[theorem]()
         for t in range(50):
-            support = fam.draw_support(core.rng_for(21, t))
+            support = fam.draw_support(core.stream_seed(21, t))
             dist = fam.instance_for(support).distribution
             triples = [(fam.point(a), 0, m) for a, m in zip(support, fam.law.masses)]
             ref = core.FiniteDistribution.from_triples(triples, fam.witness(support))
@@ -224,8 +224,8 @@ class TestFamilyLaw:
             assert dist.law.weights == ref.law.weights
             assert dist.law.denominator == ref.law.denominator
             assert dist.law.thresholds == ref.law.thresholds
-            drawn = core.sample_iid(dist.law, 40, 9, t)
-            assert drawn == core.sample_iid(ref.law, 40, 9, t)
+            drawn = core.sample_iid(dist.law, 40, core.stream_seed(9, t))
+            assert drawn == core.sample_iid(ref.law, 40, core.stream_seed(9, t))
             assert [dist.atoms[k] for k in drawn] == [ref.atoms[k] for k in drawn]
 
     def test_trial_distribution_is_the_instance_distribution(self, theorem):
@@ -233,7 +233,7 @@ class TestFamilyLaw:
         # law, without the witness, which still realizes every atom
         fam = FAMILIES[theorem]()
         for t in range(300):
-            support = fam.draw_support(core.bits_for(31, t))
+            support = fam.draw_support(core.stream_seed(31, t))
             dist = fam.distribution_for(support)
             inst = fam.instance_for(support)
             assert dist.witness is None and inst.distribution.witness is inst.witness
@@ -244,12 +244,12 @@ class TestFamilyLaw:
     def test_drawn_distribution_shares_the_family_law(self, theorem):
         fam = FAMILIES[theorem]()
         for t in range(5):
-            inst = fam.instance_for(fam.draw_support(core.rng_for(22, t)))
+            inst = fam.instance_for(fam.draw_support(core.stream_seed(22, t)))
             assert inst.distribution.law is fam.law
 
     def test_support_outside_the_universe_refused(self, theorem):
         fam = FAMILIES[theorem]()
-        support = fam.draw_support(core.rng_for(3, 0))
+        support = fam.draw_support(core.stream_seed(3, 0))
         bad = [(*support[:-1], 0), (*support[:-1], fam.universe + 1),
                (*support, fam.universe + 1)]
         for entries in bad:
@@ -275,7 +275,7 @@ class TestCoupledSampling:
     def test_law_equality_exhaustive(self, d):
         eps = F(1, 64)
         fam = adversaries.thm2_family(HALF, d, eps, 1)
-        support = fam.draw_support(core.rng_for(4, d))
+        support = fam.draw_support(core.stream_seed(4, d))
         inst = fam.instance_for(support)
         masses = fam.law.masses
         for n in (1, 2, 3):
@@ -295,9 +295,9 @@ class TestMissingIndices:
         # a trial, leave at least 61 - 12 >= d = 4 atoms unseen in every trial
         fam = adversaries.thm5_family(HALF, 4, F(1, 256))
         for t in range(2000):
-            inst = fam.instance_for(fam.draw_support(core.rng_for(13, t)))
+            inst = fam.instance_for(fam.draw_support(core.stream_seed(13, t)))
             sample = core.sample_iid(
-                inst.distribution.law, fam.n_max, core.stream_seed(13, t), stream=1
+                inst.distribution.law, fam.n_max, core.stream_seed(core.stream_seed(13, t), 1)
             )
             seen = {inst.distribution.atoms[k].point for k in sample}
             unseen = [a for a in inst.distribution.atoms if a.point not in seen]

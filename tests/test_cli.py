@@ -445,7 +445,10 @@ def _no_trial(monkeypatch):
 
 class TestEstimate:
     def test_config_run(self, tmp_path, capsys):
-        assert _run_estimate(tmp_path, _estimate_config(n=2, trials=64)) == 0
+        # the distribution's witness, zero on both atoms, realizes it
+        config = _estimate_config(n=2, trials=64)
+        assert config["distribution"]["witness"]["members"] == [5, 6]
+        assert _run_estimate(tmp_path, config) == 0
         out = json.loads(capsys.readouterr().out)
         assert 0 <= out["mean"] <= 1
         assert out["trials"] == 64
@@ -483,6 +486,33 @@ class TestEstimate:
         config = _estimate_config(
             distribution={"atoms": atoms}, learner_config={"learner": "proper_erm"}
         )
+        assert _run_estimate(tmp_path, config) == 0
+
+    @pytest.mark.parametrize("witness", [
+        # zero on 1 and 2, so 9/10 at the two atoms labelled 0
+        pytest.param({"kind": "cantor_hypothesis", "members": [1, 2], "value": "9/10"},
+                     id="cantor-elsewhere"),
+        # defined on pair points only, so on neither nat atom
+        pytest.param({"kind": "split_cantor_hypothesis", "k": 2, "members": [1],
+                      "zero_on": "members", "value": "3/4"}, id="split-off-domain"),
+    ])
+    def test_witness_contradicting_the_support_exits_4(
+        self, tmp_path, capsys, monkeypatch, witness
+    ):
+        _no_trial(monkeypatch)
+        config = _estimate_config()
+        config["distribution"]["witness"] = witness
+        assert _run_estimate(tmp_path, config) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_refusal(captured.err)
+        assert "witness contradicts" in captured.err
+
+    def test_witness_may_disagree_on_a_zero_mass_atom(self, tmp_path):
+        # the class member zero on 5 and 6 is nonzero at nat 4, labelled 0
+        # but never drawn; the realizer check ignores that atom too
+        atoms = [dict(atom, mass=m) for atom, m in zip(_THREE_ZEROS["atoms"], ("0", "1/2", "1/2"))]
+        witness = serialize.hypothesis_to_json(core.CantorClass(F(1, 2), 2, 6).hypothesis({5, 6}))
+        config = _estimate_config(distribution={"atoms": atoms, "witness": witness}, n=2)
         assert _run_estimate(tmp_path, config) == 0
 
     @pytest.mark.parametrize("gamma", ["-1/2", "0", "1", "3/2"])

@@ -266,6 +266,16 @@ def sampled_laws(draw):
     return weights, denominator
 
 
+def randrange_fisher_yates(rng, pool, k):
+    """The first k entries of the partial Fisher-Yates that swaps entry i
+    with ``rng.randrange(i, len(pool))``."""
+    work = list(pool)
+    for i in range(k):
+        j = rng.randrange(i, len(work))
+        work[i], work[j] = work[j], work[i]
+    return work[:k]
+
+
 class FixedVariates:
     """Stands in for the sampler's RNG: serves `variates` as the one
     getrandbits(64 * n) call, packed little-endian, that draws them."""
@@ -300,9 +310,9 @@ class TestSampling:
             assert entry == (low if low == high and low < 255 else 255)
         # the reference sampler: one getrandbits(64) and one bisect per draw
         for n in (0, 1, 2, 255, 1024):
-            getrandbits = core.rng_for(seed, n).getrandbits
+            getrandbits = random.Random(core.stream_seed(seed, n)).getrandbits
             expected = [atom(getrandbits(64)) for _ in range(n)]
-            assert list(core.sample_iid(dist.law, n, seed, stream=n)) == expected
+            assert list(core.sample_iid(dist.law, n, core.stream_seed(seed, n))) == expected
         # variates at both edges of, and just below, every bucket a threshold
         # falls strictly inside
         straddled = sorted({threshold >> 56 for threshold in thresholds if threshold % 2**56})
@@ -311,7 +321,7 @@ class TestSampling:
             for r in ((t << 56) - 1, t << 56, ((t + 1) << 56) - 1) if r >= 0
         ]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(core, "bits_for", lambda seed, stream: FixedVariates(variates))
+            patch.setattr(core, "bits_for", lambda seed: FixedVariates(variates))
             sample = core.sample_iid(dist.law, len(variates), seed=0)
         assert list(sample) == [atom(r) for r in variates]
 
@@ -324,25 +334,25 @@ class TestSampling:
     def test_thm4_draws_pinned(self, seed, digest):
         # the thm4 law at d = 4, n = 1024: masses 1021/1024 and 3 x 1/1024
         dist = adversaries.thm4_instance(core.CantorClass(F(1, 2), 4, 12), 1024).distribution
-        text = ",".join(map(str, core.sample_iid(dist.law, 1024, seed)))
+        text = ",".join(map(str, core.sample_iid(dist.law, 1024, core.stream_seed(seed, 0))))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_zero_draws(self):
         dist = core.FiniteDistribution.from_triples([(NAT(1), 0, F(1))])
-        assert core.sample_iid(dist.law, 0, 1) == ()
+        assert core.sample_iid(dist.law, 0, core.stream_seed(1, 0)) == ()
 
     def test_single_atom(self):
         dist = core.FiniteDistribution.from_triples([(NAT(3), F(1, 3), F(1))])
-        assert core.sample_iid(dist.law, 5, 9) == (0, 0, 0, 0, 0)
+        assert core.sample_iid(dist.law, 5, core.stream_seed(9, 0)) == (0, 0, 0, 0, 0)
 
     def test_determinism_contract(self):
         dist = core.FiniteDistribution.from_triples(
             [(NAT(1), 0, F(1, 3)), (NAT(2), 0, F(2, 3))]
         )
-        a = core.sample_iid(dist.law, 50, seed=123, stream=7)
-        b = core.sample_iid(dist.law, 50, seed=123, stream=7)
+        a = core.sample_iid(dist.law, 50, core.stream_seed(123, 7))
+        b = core.sample_iid(dist.law, 50, core.stream_seed(123, 7))
         assert a == b
-        c = core.sample_iid(dist.law, 50, seed=123, stream=8)
+        c = core.sample_iid(dist.law, 50, core.stream_seed(123, 8))
         assert a != c  # different stream decouples
 
     def test_empirical_frequencies_converge(self):
@@ -353,7 +363,7 @@ class TestSampling:
         n = 10_000
         good = 0
         for seed in range(100):
-            sample = core.sample_iid(dist.law, n, seed)
+            sample = core.sample_iid(dist.law, n, core.stream_seed(seed, 0))
             ok = True
             for k, exact_mass in enumerate(dist.masses):
                 mass = float(exact_mass)
@@ -394,7 +404,7 @@ class TestSampling:
         dist = core.FiniteDistribution.from_triples(
             [(NAT(i + 1), 0, m) for i, m in enumerate(masses)]
         )
-        monkeypatch.setattr(core, "bits_for", lambda seed, stream: FixedVariates(variates))
+        monkeypatch.setattr(core, "bits_for", lambda seed: FixedVariates(variates))
         sample = core.sample_iid(dist.law, len(variates), seed=0)
         assert list(sample) == expected
         assert all(masses[k] > 0 for k in expected)
@@ -415,28 +425,22 @@ class TestSampling:
             [(NAT(1), 0, F(1, 3)), (NAT(2), 0, F(0)), (NAT(3), 0, F(1, 6)),
              (NAT(4), 0, F(1, 2)), (NAT(5), 0, F(0))]
         )
-        assert core.sample_iid(dist.law, len(indices), seed, stream) == tuple(indices)
+        assert core.sample_iid(dist.law, len(indices), core.stream_seed(seed, stream)) == \
+            tuple(indices)
 
     def test_fisher_yates_draws_as_randrange_does(self):
         # every support stream must be the one rng.randrange(i, len(pool))
         # gives; a reference step leaves the entries before i alone, so its
         # k-subset is the prefix of its full draw
-        def reference(rng, pool, k):
-            work = list(pool)
-            for i in range(k):
-                j = rng.randrange(i, len(work))
-                work[i], work[j] = work[j], work[i]
-            return work[:k]
-
         # every k of the small pools; at the thm3 universe, the thm3 and
         # thm5 support sizes, both sides of the power-of-two widths, and all
         for size in (*range(1, 71), 784):
             pool = tuple(range(2, size + 2))
             ks = range(size + 1) if size <= 70 else (0, 1, 2, 28, 61, 272, 273, 783, 784)
             for seed in range(200):
-                rng = core.rng_for(seed)
+                rng = random.Random(core.stream_seed(seed, 0))
                 start = rng.getstate()
-                full = reference(rng, pool, size)
+                full = randrange_fisher_yates(rng, pool, size)
                 after = rng.getrandbits(64)
                 for k in ks:
                     rng.setstate(start)
@@ -444,23 +448,32 @@ class TestSampling:
                 # the last k is the whole pool: the stream ends where it ends
                 assert rng.getrandbits(64) == after
 
-    @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2000))
-    @settings(max_examples=60, deadline=None)
-    def test_c_seeded_streams_draw_as_random_does(self, seed, stream):
-        # the sampler's and the support draw's generator against the
-        # Python-level one, the bits of every width and the Fisher-Yates draw
-        fast, reference = core.bits_for(seed, stream), core.rng_for(seed, stream)
-        for bits in (0, 1, 7, 64, 64 * 5, 1000):
-            assert fast.getrandbits(bits) == reference.getrandbits(bits)
-        pool = tuple(range(2, 786))
-        assert core.sample_without_replacement(core.bits_for(seed, stream), pool, 28) == \
-            core.sample_without_replacement(core.rng_for(seed, stream), pool, 28)
-
     #: seeds and streams that are negative, small, 64-bit, and past 2^64
     WIDE = st.one_of(
         st.integers(-(2**70), -1), st.integers(0, 2048), st.integers(0, 2**64 - 1),
         st.integers(2**64, 2**70),
     )
+    #: a family whose support starts at the pinned index 1, and one without
+    FAMILIES = (adversaries.thm2_family(F(1, 2), 3, F(1, 64), 2),
+                adversaries.thm3_family(F(1, 2), F(1, 2), 4, 3, universe=784))
+
+    @given(seed=WIDE)
+    @example(seed=core.stream_seed(83, 0))
+    @settings(max_examples=100, deadline=None)
+    def test_c_seeded_streams_draw_as_random_does(self, seed):
+        # a stream's seed drawn through `bits_for` against `random.Random`:
+        # the bits of every width the sampler reads, and each family's
+        # support draw against the randrange Fisher-Yates
+        fast, reference = core.bits_for(seed), random.Random(seed)
+        for bits in (0, 1, 7, 64, 64 * 5, 1000):
+            assert fast.getrandbits(bits) == reference.getrandbits(bits)
+        for fam in self.FAMILIES:
+            assert fam.pinned_first == (fam is self.FAMILIES[0])
+            pinned = (1,) if fam.pinned_first else ()
+            pool = range(len(pinned) + 1, fam.universe + 1)
+            k = len(fam.law.masses) - len(pinned)
+            assert fam.draw_support(seed) == \
+                (*pinned, *randrange_fisher_yates(random.Random(seed), pool, k))
 
     @given(a=WIDE, b=WIDE, stream=WIDE)
     @example(a=83, b=2**40, stream=3)
@@ -473,9 +486,7 @@ class TestSampling:
         for seed in (a, b, a):
             expected = mix(mix(seed & mask) ^ mix(stream & mask))
             assert core.stream_seed(seed, stream) == expected
-            assert core.bits_for(seed, stream).getrandbits(64) == \
-                random.Random(expected).getrandbits(64)
-            assert core.bits_for(expected, None).getrandbits(64) == \
+            assert core.bits_for(core.stream_seed(seed, stream)).getrandbits(64) == \
                 random.Random(expected).getrandbits(64)
 
     @given(seed=WIDE, trials=st.integers(0, 40),
@@ -490,7 +501,7 @@ class TestSampling:
     def test_golden_draws_of_a_three_atom_law(self):
         law = core.IntegerLaw((F(1, 3), F(1, 6), F(1, 2)))
         # the draws the sampler made when a draw was the atom's example
-        assert core.sample_iid(law, 24, seed=11, stream=2) == (
+        assert core.sample_iid(law, 24, core.stream_seed(11, 2)) == (
             1, 2, 2, 2, 1, 2, 2, 0, 1, 1, 0, 2, 2, 0, 0, 0, 2, 2, 0, 1, 0, 2, 0, 0
         )
 
@@ -801,7 +812,7 @@ class TestValidation:
             ),
             (
                 lambda: (fam := adversaries.thm5_family(F(1, 2), 4, F(1, 256))).instance_for(
-                    fam.draw_support(core.rng_for(2, 0))
+                    fam.draw_support(core.stream_seed(2, 0))
                 ),
                 "754eb66bbfc5117a574bdc8416efd1cd48a61b36a10358c812edd9f3de967119",
             ),

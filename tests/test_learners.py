@@ -1,5 +1,6 @@
 """Interpolators, aggregation rules, partitioners, and composite learners."""
 
+import random
 from fractions import Fraction as F
 from functools import partial as bind
 
@@ -49,7 +50,8 @@ class TestGenericInterpolator:
             witness=cls.hypothesis({5, 6, 7}),
         )
         for seed in range(5):
-            sample = helpers.examples_of(dist, core.sample_iid(dist.law, 6, seed))
+            drawn = core.sample_iid(dist.law, 6, core.stream_seed(seed, 0))
+            sample = helpers.examples_of(dist, drawn)
             h = learners.generic_interpolator(cls, sample)
             assert all(h.value_at(ex.point) == ex.label for ex in sample)
 
@@ -255,6 +257,18 @@ class TestPartitioners:
             for ex in block:
                 assert ex in sample
 
+    @pytest.mark.parametrize(("m", "size", "seed"), [
+        (1, 0, 0), (1, 5, 0), (3, 2, 17), (4, 7, 5), (2, 3, -9), (5, 1, 2**64 + 3),
+    ])
+    def test_bootstrap_positions_are_randrange_on_each_block_stream(self, m, size, seed):
+        # block j draws its positions from stream j of the partitioner's seed
+        for n in range(65):
+            expected = []
+            for j in range(m):
+                rng = random.Random(core.stream_seed(seed, j))
+                expected.append(tuple(rng.randrange(n) for _ in range(size)) if n else ())
+            assert learners.Bootstrap(m, size, seed).split(tuple(range(n))) == expected
+
     @given(
         partitioner=st.one_of(
             st.builds(learners.DisjointBlocks, st.integers(1, 4)),
@@ -315,7 +329,7 @@ class TestComposites:
         self.interp = bind(learners.generic_interpolator, self.cls)
 
     def draw(self, n, seed, stream=0):
-        return core.sample_iid(self.dist.law, n, seed, stream)
+        return core.sample_iid(self.dist.law, n, core.stream_seed(seed, stream))
 
     def examples(self, sample):
         return helpers.examples_of(self.dist, sample)

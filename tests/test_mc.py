@@ -1,6 +1,7 @@
 """Exact oracles, Monte Carlo estimation, scaling fits, envelope checks."""
 
 import collections
+import itertools
 import math
 from fractions import Fraction as F
 from functools import partial as bind
@@ -652,9 +653,10 @@ def _trial_pairs(learner, family, n, trials, seed) -> list:
     pairs = {}
     for t in range(trials):
         base = core.stream_seed(seed, t)
-        support = family.draw_support(core.rng_for(base, 0))
+        support = family.draw_support(core.stream_seed(base, 0))
         samples = tuple(
-            core.sample_iid(family.law, n, base, j) for j in range(1, learner.sample_arity + 1))
+            core.sample_iid(family.law, n, core.stream_seed(base, j))
+            for j in range(1, learner.sample_arity + 1))
         pairs.setdefault((support, samples), None)
     return list(pairs)
 
@@ -852,6 +854,75 @@ class TestFamilyMean:
         binomial = math.sqrt(exceed * (1 - exceed) / trials)
         assert abs(est.exceed_fraction(threshold) - exceed) <= 4 * binomial
         _assert_exceed_shares_are_binomial(est, law)
+
+
+def _complement_family(u, d):
+    """thm5's family on a universe of u with d - 1 witness members, at any
+    size: uniform mass on a random support of u - d + 1 indices."""
+    cls = core.SplitCantorClass(HALF, core.D_MINUS_ONE_COMPLEMENT, d, u)
+    atoms = u - d + 1
+    return adversaries.InstanceFamily(
+        theorem="thm5", cls=cls, epsilon=None, d=d, universe=u, n_max=None,
+        law=core.IntegerLaw((F(1, atoms),) * atoms), pinned_first=False,
+        point=bind(core.Point.pair, u),
+        witness=bind(adversaries._complement_witness, cls, u))
+
+
+def _largest_unseen_fill(cls, universe, sample):
+    """A consistent proper rule other than ERM's: on a zero-labelled sample,
+    the member whose d - 1 indices are the largest unseen ones."""
+    seen = {ex.point.index for ex in sample}
+    free = [x for x in range(universe, 0, -1) if x not in seen]
+    return cls.hypothesis(universe, free[: cls.size_param - 1])
+
+
+class TestThm5FamilyLaw:
+    """`helpers.complement_family_law` is the exact law of proper ERM on
+    thm5's family, and of every consistent proper rule."""
+
+    @staticmethod
+    def _brute_force(learner, family, n):
+        """The exact oracle's law averaged over every support."""
+        indices = range(1, family.universe + 1)
+        supports = list(itertools.combinations(indices, len(family.law.masses)))
+        law = collections.Counter()
+        for support in supports:
+            pairs = helpers.reference_loss_distribution(learner, family.instance_for(support), n)
+            for loss, mass in mc._mass_by_loss(pairs).items():
+                law[loss] += mass / len(supports)
+        return dict(law)
+
+    @pytest.mark.parametrize(("u", "d", "n"), [(6, 2, 3), (7, 3, 3), (8, 3, 4)])
+    def test_law_equals_the_average_over_every_support(self, u, d, n):
+        family = _complement_family(u, d)
+        law = helpers.complement_family_law(family, n)
+        assert sum(law.values()) == 1
+        assert self._brute_force(learners.ProperERM(family.cls), family, n) == law
+
+    @pytest.mark.parametrize(("u", "d", "n"), [(6, 2, 3), (7, 3, 3)])
+    def test_every_consistent_proper_rule_has_the_law(self, u, d, n):
+        family = _complement_family(u, d)
+        largest = learners.SingleInterpolator(bind(_largest_unseen_fill, family.cls, u))
+        erm = learners.ProperERM(family.cls)
+        # the two rules differ on some sample, and still share the law
+        sample = (core.LabeledExample(core.Point.pair(u, 1), core.ZERO),)
+        assert largest.interpolator(sample) != erm.interpolator(sample)
+        assert self._brute_force(largest, family, n) == \
+            helpers.complement_family_law(family, n)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_monte_carlo_at_the_defaults_is_within_four_exact_sigmas(self, seed):
+        family = adversaries.thm5_family(HALF, 4, F(1, 256))
+        assert (family.universe, family.d, family.n_max) == (64, 4, 12)
+        law = helpers.complement_family_law(family, 12)
+        mean, variance = _moments(law)
+        exceed = sum((mass for loss, mass in law.items() if loss > family.epsilon), core.ZERO)
+        assert round(float(mean), 7) == 0.0463971 and round(float(exceed), 5) == 0.99996
+        trials = 400
+        est = mc.mc_expected_loss(learners.ProperERM(family.cls), family, 12, trials, seed)
+        assert abs(est.mean - mean) <= 4 * math.sqrt(variance / trials)
+        binomial = math.sqrt(exceed * (1 - exceed) / trials)
+        assert abs(est.exceed_fraction(family.epsilon) - exceed) <= 4 * binomial
 
 
 class TestScalingFit:
