@@ -226,6 +226,15 @@ def _learner_from_config(config, cls):
     raise ParseError(f"unknown learner config {config!r}")
 
 
+def _is_member(cls, h) -> bool:
+    """Whether `h` is a member of `cls`: listed by a finite class, or, in a
+    Cantor-type class, the member that carries its unique value."""
+    if isinstance(cls, core.FiniteClass):
+        return h in cls.hypotheses
+    value = getattr(h, "value", None)
+    return value is not None and cls._from_value(value) == h
+
+
 def cmd_estimate(args) -> int:
     config = serialize.load_json(args.config)
     if not isinstance(config, dict):
@@ -244,14 +253,17 @@ def cmd_estimate(args) -> int:
     learner = _learner_from_config(learner_config, cls)
     gamma = core.read_gamma(gamma)
     # every learner fits realizable samples only: a support no class member
-    # realizes, or a given witness that contradicts it, is refused here,
-    # before the first trial
+    # realizes, or a given witness that contradicts it or is no member, is
+    # refused here, before the first trial
     support = tuple(ex for ex, mass in zip(dist.atoms, dist.masses) if mass)
     realizer = cls.first_consistent(support)
     if realizer is None:
         raise NotRealizableError("no class member realizes the distribution's support")
-    if dist.witness is not None and not core._consistent(dist.witness, support):
-        raise NotRealizableError("the distribution's witness contradicts its support")
+    if dist.witness is not None:
+        if not core._consistent(dist.witness, support):
+            raise NotRealizableError("the distribution's witness contradicts its support")
+        if not _is_member(cls, dist.witness):
+            raise NotRealizableError("the distribution's witness is no member of the class")
     instance = adversaries.HardInstance(
         theorem="estimate",
         cls=cls,

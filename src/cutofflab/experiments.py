@@ -340,6 +340,36 @@ def run_thm5(
 
 
 # ---------------------------------------------------------------------------
+# thm5-exact: proper ERM's exact loss law on the thm5 family, at two rungs
+# ---------------------------------------------------------------------------
+
+
+@_runner("thm5-exact")
+def run_thm5_exact(report, gamma=Fraction(1, 2), d=4, epsilon=Fraction(1, 256), seed=0):
+    """Decide thm5's two floors on `mc.complement_family_law` at epsilon and
+    epsilon/4, each at the family's n_max: E[loss] >= 4 eps/3 and
+    P[loss > eps] >= 1/48, on Fractions.  Nothing is drawn, so the seed
+    changes only its echo."""
+    families = [adversaries.thm5_family(gamma, d, eps) for eps in (epsilon, epsilon / 4)]
+    report.config.update(universe=[f.universe for f in families],
+                         n=[f.n_max for f in families])
+    for family in families:
+        eps = family.epsilon
+        law = mc.complement_family_law(family, family.n_max)
+        expected = sum((mass * loss for loss, mass in law.items()), core.ZERO)
+        exceed = sum((mass for loss, mass in law.items() if loss > eps), core.ZERO)
+        target, floor = 4 * eps / 3, Fraction(1, 48)
+        ok_mean, ok_exceed = expected >= target, exceed >= floor
+        report.verdict(f"exact_mean_{eps}", ok_mean,
+                       f"E[loss]={float(expected):.6g} >= 4eps/3={float(target):.6g}")
+        report.verdict(f"exact_exceed_{eps}", ok_exceed,
+                       f"P[loss>eps]={float(exceed):.6g} >= 1/48")
+        report.row(experiment=f"thm5_exact_{eps}", gamma=gamma, epsilon=eps, d=d,
+                   n=family.n_max, trials="exact", mean=f"{float(expected):.6g}",
+                   threshold=f">={float(target):.6g}", passed=ok_mean and ok_exceed)
+
+
+# ---------------------------------------------------------------------------
 # lemma-interp: high-probability envelope for a single interpolator
 # ---------------------------------------------------------------------------
 

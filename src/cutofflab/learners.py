@@ -6,16 +6,16 @@ into a predictor (callable Point -> Fraction) through
 ``predictor(samples, table)``.  A sample is a tuple of atom indices, as
 ``core.sample_iid`` draws it, and ``table`` is a ``FitTable`` of the
 distribution whose ``atoms`` they index: the fits made so far, each keyed by
-what the interpolator reads of a block.  ``reads_seen_sets(learner)`` says
-whether it reads each block only through its set of distinct examples; such
-a block is keyed by its seen set, and any other by its ordered indices.
-The predictor fits every block ``seen_blocks(samples)`` gives, once per key
-per table, and ``aggregate`` decides the rule on the fits.  The single
-interpolator, median-of-three and proper ERM are functions that build it.
-An interpolator is a ``sample -> hypothesis`` fitter on examples.  Proper
-rules (order statistics, the median) return one of their inputs; the mean
-stays inside the input range.  Everything is deterministic given its inputs
-and seeds.
+a block's seen set, the set of its distinct atom indices.  A learner is a
+function of its blocks' seen sets: each is fitted on its atoms in ascending
+index order, so no interpolator sees how often, or in what order, a block
+drew them.  The predictor fits every block ``seen_blocks(samples)`` gives,
+once per seen set per table, and ``aggregate`` decides the rule on the fits.
+The single interpolator, median-of-three and proper ERM are functions that
+build it.  An interpolator is a ``sample -> hypothesis`` fitter on examples.
+Proper rules (order statistics, the median) return one of their inputs; the
+mean stays inside the input range.  Everything is deterministic given its
+inputs and seeds.
 
 ``aggregate`` does its repeated work once, through a memo keyed on ``id()``
 that holds every object whose id it keys on and lives as long as the
@@ -270,21 +270,11 @@ def adversarial_interpolator(cert, sample: core.TrainingSequence) -> core.Hypoth
     return h
 
 
-def reads_seen_sets(learner) -> bool:
-    """Whether the learner's interpolator reads a sample only through its set
-    of distinct examples: the two interpolators above, bound or not.  A
-    learner with no `interpolator` does not."""
-    interpolator = getattr(learner, "interpolator", None)
-    if isinstance(interpolator, functools.partial):
-        interpolator = interpolator.func
-    return interpolator in (generic_interpolator, adversarial_interpolator)
-
-
 class FitTable(core.BoundedTable):
     """One learner's fits on one distribution, whose `atoms` it holds, by
-    block key: a frozenset of atom indices, or a tuple of them (see
-    `InterpolatorAggregation.predictor`).  Interpolators are deterministic
-    in what they read, so a stored fit is the fit a new call would make.
+    seen set: the frozenset of a block's atom indices (see
+    `InterpolatorAggregation.predictor`).  Interpolators are deterministic,
+    so a stored fit is the fit a new call would make.
 
     As a `core.BoundedTable` it stores at most `core.enumeration_budget()`
     atom indices in all, a key's length each; a key past that is fitted
@@ -320,17 +310,12 @@ class InterpolatorAggregation:
     def seen_blocks(self, samples):
         return [block for sample in samples for block in self.partitioner.split(tuple(sample))]
 
-    @functools.cached_property
-    def _key(self):
-        """What the interpolator reads of a block of atom indices."""
-        return frozenset if reads_seen_sets(self) else tuple
-
     def _fit(self, table: FitTable, block) -> core.Hypothesis:
-        """The fit of a block of atom indices, once per key in `table`."""
-        key = self._key(block)
-        h = table.get(key)
+        """The fit of a block of atom indices, once per seen set in `table`."""
+        seen = frozenset(block)
+        h = table.get(seen)
         if h is None:
-            h = table[key] = self.interpolator(tuple([table.atoms[k] for k in key]))
+            h = table[seen] = self.interpolator(tuple([table.atoms[k] for k in sorted(seen)]))
         return h
 
     def predictor(self, samples, table: FitTable) -> core.Predictor:
@@ -338,13 +323,12 @@ class InterpolatorAggregation:
 
         The samples are atom indices into `table.atoms`, and `table`, which
         the caller keeps across calls, holds the fits made so far.  A block
-        is keyed by what the interpolator reads of it: its seen set, its
-        distinct atoms, for a learner that passes `reads_seen_sets`, and its
-        ordered indices otherwise.  Each key, the empty one included, is
-        fitted once per table, on the atoms it names, so every block is
-        fitted and a block the interpolator refuses always raises.
-        `aggregate` then decides the rule once on the fits: blocks of one
-        key share one fit, which decides it where it fills enough inputs.
+        is fitted through its seen set, the set of its distinct atoms: each
+        seen set, the empty one included, is fitted once per table, on its
+        atoms in ascending index order, so every block is fitted and a block
+        the interpolator refuses always raises.  `aggregate` then decides
+        the rule once on the fits: blocks of one seen set share one fit,
+        which decides it where it fills enough inputs.
         """
         return aggregate(self.rule, [self._fit(table, b) for b in self.seen_blocks(samples)])
 

@@ -63,11 +63,12 @@ def exact_loss_distribution(learner, instance: HardInstance, n: int) -> list[tup
     Enumerates support^(n * arity) sequences; a three-sample learner
     enumerates the triple product.  Its draws per trial, then its
     sequences, are charged to `core.enumeration_budget()`.  The learner must
-    pass `learners.reads_seen_sets`, as its fit then depends only on the seen
-    sets of its `seen_blocks`: it is scored once per distinct tuple of them,
-    and every sequence with that tuple shares the loss.  Its predictors take
-    the sequences' atom indices and fit through one `learners.FitTable` per
-    call, so each seen set is fitted once.
+    be a `learners.InterpolatorAggregation`, a function of the seen sets of
+    its `seen_blocks`: it is scored once per distinct tuple of them, and
+    every sequence with that tuple shares the loss.  Any other learner is
+    refused before any fit.  Its predictors take the sequences' atom
+    indices and fit through one `learners.FitTable` per call, so each seen
+    set is fitted once.
 
     A partitioner picks block positions from a sample's length alone, so
     the blocks are split once per call, on position tuples, and a
@@ -81,9 +82,9 @@ def exact_loss_distribution(learner, instance: HardInstance, n: int) -> list[tup
     support = len(dist.atoms)
     core._budgeted("draws per trial", total_len)
     core._budgeted("oracle sequences", support**total_len)
-    if not learners.reads_seen_sets(learner):
+    if not isinstance(learner, learners.InterpolatorAggregation):
         raise PreconditionError(
-            "the exact oracle needs an interpolator that reads only seen sets")
+            "the exact oracle scores only an InterpolatorAggregation, a function of seen sets")
     weights = dist.law.weights
     denominator = dist.law.denominator**total_len
     positions = learner.seen_blocks(
@@ -149,6 +150,55 @@ def exact_exceed_probability(learner, instance: HardInstance, n: int, threshold)
     threshold = Fraction(threshold)
     masses = _mass_by_loss(exact_loss_distribution(learner, instance, n))
     return sum((mass for loss, mass in masses.items() if loss > threshold), core.ZERO)
+
+
+def complement_family_law(family, n: int) -> dict[Fraction, Fraction]:
+    """The exact loss law, as {loss: probability}, of proper ERM on a
+    complement-split family (thm5's) with n >= 1 draws, averaged over the
+    family's uniformly random supports.
+
+    The support S holds u - d + 1 of the u indices of block u, each of mass
+    1/(u - d + 1), and the witness is nonzero on the d - 1 others, A*.  With
+    j >= 1 distinct indices seen, A* is a uniform (d - 1)-subset of the
+    u - j unseen ones, whatever the seen set.  ERM outputs the class's fill,
+    the member A whose d - 1 indices are the smallest unseen ones; the
+    argument reads only that A is a member of block u avoiding every seen
+    index, so the law holds for every consistent proper learner.  The
+    overlap k = |A & A*| is hypergeometric, and the loss is the mass of A
+    outside A*: (d - 1 - k)/(u - d + 1).  The number j follows the
+    occupancy law of n draws from u - d + 1 equal atoms, whose recurrence
+    is charged n * (u - d + 1) to `core.enumeration_budget()`.
+    """
+    cls = family.cls if isinstance(family, InstanceFamily) else None
+    if not (isinstance(cls, core.SplitCantorClass)
+            and cls.variant == core.D_MINUS_ONE_COMPLEMENT and not family.pinned_first
+            and len(set(family.law.weights)) == 1
+            and len(family.law.weights) == family.universe - cls.size_param + 1):
+        raise PreconditionError(
+            "the complement law needs a d-1 complement family, uniform on u - d + 1 atoms")
+    if n < 1:
+        raise PreconditionError(f"the complement law needs n >= 1, got {n}")
+    u, d = family.universe, cls.size_param
+    atoms = u - d + 1
+    core._budgeted("complement law", n * atoms)
+    # ways[j]: the draw sequences so far that see exactly j distinct atoms
+    ways = [1]
+    for _ in range(n):
+        ways = [(ways[j] * j if j < len(ways) else 0)
+                + (ways[j - 1] * (atoms - j + 1) if j else 0)
+                for j in range(len(ways) + 1)]
+    law: dict[Fraction, Fraction] = {}
+    for j, count in enumerate(ways):
+        if not count:
+            continue
+        p_seen = Fraction(count, atoms**n)
+        for k in range(d):
+            ways_k = math.comb(d - 1, k) * math.comb(u - j - d + 1, d - 1 - k)
+            if ways_k:
+                loss = Fraction(d - 1 - k, atoms)
+                law[loss] = law.get(loss, core.ZERO) + p_seen * Fraction(
+                    ways_k, math.comb(u - j, d - 1))
+    return law
 
 
 def _draw(law: core.IntegerLaw, n: int, seeds) -> tuple:

@@ -132,17 +132,14 @@ def examples_of(dist, sample) -> core.TrainingSequence:
 def reference_predictor(learner, samples, dist):
     """The learner's predictor on samples of atom indices into `dist`, with
     no table, memo or shortcut for an `InterpolatorAggregation`: every block
-    of examples is fitted by its interpolator, and the fits are combined
-    afresh at every point.  Any other learner is called through `predictor`
-    with a new `learners.FitTable`."""
+    is fitted by its interpolator on its distinct examples in atom order,
+    and the fits are combined afresh at every point.  Any other learner is
+    called through `predictor` with a new `learners.FitTable`."""
     if not isinstance(learner, learners.InterpolatorAggregation):
         return learner.predictor(samples, learners.FitTable(dist))
-    blocks = [
-        block
-        for sample in samples
-        for block in learner.partitioner.split(examples_of(dist, sample))
-    ]
-    return reference_aggregate(learner.rule, [learner.interpolator(b) for b in blocks])
+    blocks = [block for sample in samples for block in learner.partitioner.split(sample)]
+    fits = [learner.interpolator(examples_of(dist, sorted(set(b)))) for b in blocks]
+    return reference_aggregate(learner.rule, fits)
 
 
 def reference_loss_distribution(learner, instance, n):
@@ -176,42 +173,6 @@ def reference_trial_loss(learner, source, n, seed, trial):
     )
     predictor = reference_predictor(learner, samples, dist)
     return core.cutoff_loss(predictor, dist, instance.gamma)
-
-
-def complement_family_law(family, n):
-    """The exact loss law, as {loss: probability}, of every consistent proper
-    learner on a complement-split family (thm5's) with n draws, averaged
-    over the family's uniformly random supports.
-
-    The support S holds u - d + 1 of the u indices, each of mass
-    1/(u - d + 1), and the witness is nonzero on the d - 1 others, A*.
-    With j distinct indices seen, A* is a uniform (d - 1)-subset of the
-    u - j unseen ones, whatever the seen set.  A consistent proper learner
-    outputs a member A of size d - 1 that avoids every seen index, so the
-    overlap k = |A & A*| is hypergeometric, whichever A it picks, and its
-    loss is the mass of A outside A*: (d - 1 - k)/(u - d + 1).  The number
-    j of distinct indices follows the occupancy law of n draws from
-    u - d + 1 equal atoms."""
-    u, d = family.universe, family.d
-    atoms = u - d + 1
-    # ways[j]: the draw sequences so far that see exactly j distinct atoms
-    ways = [1]
-    for _ in range(n):
-        ways = [(ways[j] * j if j < len(ways) else 0)
-                + (ways[j - 1] * (atoms - j + 1) if j else 0)
-                for j in range(len(ways) + 1)]
-    law = {}
-    for j, count in enumerate(ways):
-        if not count:
-            continue
-        p_seen = Fraction(count, atoms**n)
-        for k in range(d):
-            ways_k = math.comb(d - 1, k) * math.comb(u - j - d + 1, d - 1 - k)
-            if ways_k:
-                loss = Fraction(d - 1 - k, atoms)
-                law[loss] = law.get(loss, core.ZERO) + p_seen * Fraction(
-                    ways_k, math.comb(u - j, d - 1))
-    return law
 
 
 def reference_aggregate(rule, hypotheses):

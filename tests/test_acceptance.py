@@ -263,7 +263,7 @@ def test_criterion_9_oracle_agreement_and_coupling():
     start = time.perf_counter()
     problems = []
     for idx, (instance, learner, n) in enumerate(_small_instances()):
-        if learners.reads_seen_sets(learner):
+        if isinstance(learner, learners.InterpolatorAggregation):
             exact = mc.exact_expected_loss(learner, instance, n)
         else:  # the oracle refuses these, so the plain enumeration scores them
             pairs = helpers.reference_loss_distribution(learner, instance, n)

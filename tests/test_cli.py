@@ -340,6 +340,12 @@ def _estimate_config(**overrides):
     return config
 
 
+def _zero_on_5_and_6(default):
+    """The record of a table hypothesis zero at nat 5 and nat 6."""
+    table = helpers.table_hypothesis({core.Point.nat(5): 0, core.Point.nat(6): 0}, default)
+    return serialize.hypothesis_to_json(table)
+
+
 def _generic(cls):
     return bind(learners.generic_interpolator, cls)
 
@@ -515,6 +521,32 @@ class TestEstimate:
         config = _estimate_config(distribution={"atoms": atoms, "witness": witness}, n=2)
         assert _run_estimate(tmp_path, config) == 0
 
+    @pytest.mark.parametrize(("finite", "witness", "rc"), [
+        # zero on both atoms, but the class's member on {5, 6} carries 8/15
+        pytest.param(False, {"kind": "cantor_hypothesis", "members": [5, 6], "value": "3/4"}, 4,
+                     id="cantor-non-member"),
+        pytest.param(False, serialize.hypothesis_to_json(
+            core.CantorClass(F(1, 2), 2, 6).hypothesis({5, 6})), 0, id="cantor-member"),
+        pytest.param(True, _zero_on_5_and_6(1), 0, id="finite-member"),
+        pytest.param(True, _zero_on_5_and_6(F(1, 2)), 4, id="finite-non-member"),
+    ])
+    def test_witness_must_be_a_member_of_the_class(
+        self, tmp_path, capsys, monkeypatch, finite, witness, rc
+    ):
+        if rc:
+            _no_trial(monkeypatch)
+        config = _estimate_config()
+        config["distribution"]["witness"] = witness
+        if finite:  # the one member is zero on both atoms and 1 elsewhere
+            config["class"] = _finite_with(_zero_on_5_and_6(1))
+        assert _run_estimate(tmp_path, config) == rc
+        captured = capsys.readouterr()
+        if rc:
+            assert captured.out == "" and _one_line_refusal(captured.err)
+            assert "witness is no member of the class" in captured.err
+        else:
+            assert 0 <= json.loads(captured.out)["mean"] <= 1
+
     @pytest.mark.parametrize("gamma", ["-1/2", "0", "1", "3/2"])
     @pytest.mark.parametrize("learner", ["single", "median3", "proper_erm", "agg"])
     def test_gamma_outside_unit_interval_exits_4(
@@ -689,6 +721,18 @@ class TestReproduce:
 
     def test_thm5_epsilon_precondition_exits_4(self):
         assert cli.main(["reproduce", "thm5", "--epsilon", "1/2"]) == 4
+
+    @pytest.mark.parametrize(("epsilon", "code", "message"), [
+        # the rung at 1/4096 charges 1,617 draws times 1,021 atoms
+        ("1/1024", 3, "complement law of size 1650957 exceeds budget 200000"),
+        # an epsilon just under 1/(64 e) has n_max 0, where the law fails
+        ("57/10000", 4, "the complement law needs n >= 1, got 0"),
+    ])
+    def test_thm5_exact_refusals(self, capsys, epsilon, code, message):
+        assert _within(10, cli.main, ["reproduce", "thm5-exact", "--epsilon", epsilon]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert _one_line_refusal(captured.err)
 
     def test_csv_roundtrip_and_replay(self, tmp_path, capsys):
         out_csv = tmp_path / "rows.csv"
@@ -1058,6 +1102,15 @@ class TestReproducePinned:
         del report["wall_clock_s"]
         text = json.dumps(report, indent=2, sort_keys=True)
         assert (rc, hashlib.sha256(text.encode()).hexdigest()[:16]) == expected
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_thm5_exact_report_is_one_at_every_seed(self, capsys, seed):
+        # the check draws nothing: minus its seed echo, one report
+        rc = cli.main(["reproduce", "thm5-exact", "--seed", str(seed), "--json"])
+        report = json.loads(capsys.readouterr().out)
+        del report["wall_clock_s"], report["seed"], report["config"]["seed"]
+        text = json.dumps(report, indent=2, sort_keys=True)
+        assert (rc, hashlib.sha256(text.encode()).hexdigest()[:16]) == (0, "eafdbcc31cc5dc8d")
 
 
 _CANTOR = {"kind": "cantor", "gamma": "1/2", "d": 2, "universe": 5}

@@ -374,8 +374,9 @@ class TestComposites:
             calls.append(sample)
             return self.interp(sample)
 
-        # the interpolator reads order, so each distinct index tuple is
-        # fitted once, on its examples in order
+        # whatever the interpolator reads, each distinct seen set is fitted
+        # once, on its examples in ascending atom order: the recording sees
+        # no repeat and no draw order
         samples = tuple(self.draw(5, 6, stream=j) for j in (1, 2, 3))
         for learner in (
             learners.SingleInterpolator(recording),
@@ -385,28 +386,28 @@ class TestComposites:
             calls.clear()
             arity_samples = samples[: learner.sample_arity]
             learner.predictor(arity_samples, learners.FitTable(self.dist))
-            keys = dict.fromkeys(learner.seen_blocks(arity_samples))
-            assert calls == [self.examples(block) for block in keys]
+            keys = dict.fromkeys(map(frozenset, learner.seen_blocks(arity_samples)))
+            assert calls == [self.examples(sorted(key)) for key in keys]
 
         # one draw over m = 3 blocks: the disjoint blocks are the draw and
-        # two empty blocks, so the empty key, though it decides the median,
-        # is fitted like any other; every window is the whole sample, and
-        # the three bootstrap blocks draw one index tuple; each key is
-        # fitted once, in block order, and the predictor is the rule over a
-        # fit per block
+        # two empty blocks, so the empty seen set, though it decides the
+        # median, is fitted like any other; every window is the whole
+        # sample, and the three bootstrap blocks draw the one index twice;
+        # each seen set is fitted once, in block order, and the predictor is
+        # the rule over a fit per block
         sample = self.draw(1, 6, stream=1)
         learner = learners.InterpolatorAggregation(recording, partitioner, learners.Median())
         blocks = learner.seen_blocks((sample,))
-        keys = list(dict.fromkeys(blocks))
+        keys = list(dict.fromkeys(map(frozenset, blocks)))
         expected = {
-            learners.DisjointBlocks: [sample, ()],
-            learners.OverlappingWindows: [sample],
-            learners.Bootstrap: [sample * 2],
+            learners.DisjointBlocks: [frozenset(sample), frozenset()],
+            learners.OverlappingWindows: [frozenset(sample)],
+            learners.Bootstrap: [frozenset(sample)],
         }
         assert keys == expected[type(partitioner)]
         calls.clear()
         predictor = learner.predictor((sample,), learners.FitTable(self.dist))
-        assert calls == [self.examples(key) for key in keys]
+        assert calls == [self.examples(sorted(key)) for key in keys]
         hs = [self.interp(self.examples(b)) for b in blocks]
         per_block = helpers.reference_aggregate(learner.rule, hs)
         for i in range(1, 7):
@@ -440,16 +441,16 @@ class TestComposites:
         for j, n in enumerate(n % (m + 2) for n in ns):
             sample = self.draw(n, seed, stream=j)
             blocks = learner.seen_blocks((sample,))
-            keys = list(dict.fromkeys(blocks))
-            # a new table fits every key, the empty one included: the
+            keys = list(dict.fromkeys(map(frozenset, blocks)))
+            # a new table fits every seen set, the empty one included: the
             # learner keeps no fit of its own
             calls.clear()
             predictor = learner.predictor((sample,), learners.FitTable(self.dist))
-            assert calls == [self.examples(key) for key in keys]
-            # a table kept across calls fits only the keys it lacks
+            assert calls == [self.examples(sorted(key)) for key in keys]
+            # a table kept across calls fits only the seen sets it lacks
             calls.clear()
             kept = learner.predictor((sample,), shared)
-            assert calls == [self.examples(key) for key in keys if key not in fitted]
+            assert calls == [self.examples(sorted(key)) for key in keys if key not in fitted]
             fitted.update(keys)
             hs = [self.interp(self.examples(b)) for b in blocks]
             per_block = helpers.reference_aggregate(rule, hs)
@@ -499,6 +500,50 @@ class TestComposites:
                 med_err = abs(med(atom.point) - atom.label) > HALF
                 if med_err:
                     assert errs >= 2
+
+
+def _labelled_by(witness, points):
+    """The uniform distribution on `points`, each labelled by the witness."""
+    return core.FiniteDistribution.from_triples(
+        [(p, witness.value_at(p), F(1, len(points))) for p in points], witness)
+
+
+def _interpolator_cases():
+    """Every interpolator in `learners`, bound to a class or certificate,
+    with a distribution that class realizes: nonzero labels as well as
+    zeros, so the fit is pinned by a value as often as filled."""
+    cantor = core.CantorClass(HALF, 3, 7)
+    sqrt = core.SplitCantorClass(HALF, core.SQRT_SIZE, None, 9)
+    complement = core.SplitCantorClass(HALF, core.D_MINUS_ONE_COMPLEMENT, 3, 6)
+    points = [NAT(i) for i in range(1, 6)]
+    tables = [helpers.table_hypothesis(dict(zip(points, values)), 1)
+              for values in ([0, 0, 1, 1, 0], [0, 1, 0, 1, 0], [0, 0, 1, 0, 0], [1, 0, 1, 1, 0])]
+    finite = core.FiniteClass(tuple(tables))
+    thm1, cert = adversaries.thm1_instance(core.CantorClass(HALF, 3, 7), HALF, F(1, 32))
+    return {
+        "cantor": (bind(learners.generic_interpolator, cantor),
+                   _labelled_by(cantor.hypothesis({2, 4, 6}), [NAT(i) for i in range(1, 8)])),
+        "sqrt_size": (bind(learners.generic_interpolator, sqrt), _labelled_by(
+            sqrt.hypothesis(4, {1, 3}), [PAIR(k, x) for k in (4, 9) for x in range(1, 5)])),
+        "complement": (bind(learners.generic_interpolator, complement), _labelled_by(
+            complement.hypothesis(6, {2, 5}), [PAIR(k, x) for k in (5, 6) for x in range(1, 6)])),
+        "finite": (bind(learners.generic_interpolator, finite), _labelled_by(tables[2], points)),
+        "thm1": (bind(learners.adversarial_interpolator, cert), thm1.distribution),
+    }
+
+
+_INTERPOLATOR_CASES = _interpolator_cases()
+
+
+@given(case=st.sampled_from(sorted(_INTERPOLATOR_CASES)), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_an_interpolator_reads_only_the_seen_set(case, data):
+    # every block is fitted on its seen set in atom order, so each
+    # interpolator must give the fit of any draw order and repetition there
+    interp, dist = _INTERPOLATOR_CASES[case]
+    drawn = data.draw(st.lists(st.integers(0, len(dist.atoms) - 1), max_size=10))
+    seen = helpers.examples_of(dist, sorted(set(drawn)))
+    assert interp(helpers.examples_of(dist, drawn)) == interp(seen)
 
 
 def _drawn_once(pairs):

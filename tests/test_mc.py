@@ -1,6 +1,7 @@
 """Exact oracles, Monte Carlo estimation, scaling fits, envelope checks."""
 
 import collections
+import dataclasses
 import itertools
 import math
 from fractions import Fraction as F
@@ -74,13 +75,12 @@ class TestExactOracle:
         inst = fixed_instance()
         monkeypatch.setattr(core, "cutoff_loss", _no_fit)
         for learner in (WitnessLearner(inst.witness), ConstantLearner(1)):
-            assert not learners.reads_seen_sets(learner)
             for oracle in (
                 mc.exact_loss_distribution,
                 mc.exact_expected_loss,
                 bind(mc.exact_exceed_probability, threshold=core.ZERO),
             ):
-                with pytest.raises(PreconditionError, match="reads only seen sets"):
+                with pytest.raises(PreconditionError, match="only an InterpolatorAggregation"):
                     oracle(learner, inst, 2)
 
     def test_thm1_reference_value(self):
@@ -367,7 +367,7 @@ class TestSeenSetSharing:
         assert len(pairs) == 2**3
         assert sum(w for w, _ in pairs) == 1
 
-    def test_order_reading_interpolator_is_refused(self, monkeypatch):
+    def test_order_reading_interpolator_is_fitted_on_seen_sets(self):
         inst = fixed_instance()
         cls = inst.cls
 
@@ -378,15 +378,11 @@ class TestSeenSetSharing:
             learner = learners.InterpolatorAggregation(
                 interp, learners.DisjointBlocks(1), learners.Median()
             )
-            assert not learners.reads_seen_sets(learner)
-            pairs = helpers.reference_loss_distribution(learner, inst, 3)
-            # (5, 6, 6) and (6, 5, 5) share a seen set but not a first example,
-            # so no loss could be keyed by seen sets
-            assert (pairs[3][1], pairs[4][1]) == (F(1, 4), F(3, 4))
-            with monkeypatch.context() as patched:
-                patched.setattr(core, "cutoff_loss", _no_fit)
-                with pytest.raises(PreconditionError, match="reads only seen sets"):
-                    mc.exact_loss_distribution(learner, inst, 3)
+            pairs = mc.exact_loss_distribution(learner, inst, 3)
+            assert pairs == helpers.reference_loss_distribution(learner, inst, 3)
+            # (5, 6, 6) and (6, 5, 5) share a seen set, fitted on (5, 6):
+            # both read the first example 5, and share its loss
+            assert (pairs[3][1], pairs[4][1]) == (F(1, 4), F(1, 4))
 
     def test_seen_blocks_gate(self):
         inst, adversary = thm1_setup()
@@ -407,15 +403,18 @@ class TestSeenSetSharing:
         assert learners.InterpolatorAggregation(generic, learners.DisjointBlocks(3)).seen_blocks(
             samples
         ) == [(1, 0), (1,), (1,)]
+        # the oracle takes every InterpolatorAggregation, whatever its
+        # interpolator reads, and no other learner
         for learner in (
             learners.SingleInterpolator(generic),
             learners.MedianOfThree(adversary),
             learners.InterpolatorAggregation(generic, learners.DisjointBlocks(3)),
             learners.ProperERM(inst.cls),
+            order_reader,
         ):
-            assert learners.reads_seen_sets(learner)
-        assert not learners.reads_seen_sets(order_reader)
-        assert not learners.reads_seen_sets(ConstantLearner(0))
+            assert mc.exact_loss_distribution(learner, inst, 1)
+        with pytest.raises(PreconditionError, match="only an InterpolatorAggregation"):
+            mc.exact_loss_distribution(ConstantLearner(0), inst, 1)
 
     def test_thm1_fits_each_seen_set_tuple_once(self, monkeypatch):
         inst, adversary = thm1_setup()
@@ -684,7 +683,6 @@ class TestFitTable:
     @given(case=_mc_cases())
     def test_losses_equal_the_example_path(self, case):
         learner, source, n, seed = case
-        assert learners.reads_seen_sets(learner)
         est = mc.mc_expected_loss(learner, source, n, 30, seed)
         assert est.losses == _reference_losses(learner, source, n, 30, seed)
 
@@ -747,8 +745,8 @@ class TestFitTable:
 
     @pytest.mark.parametrize("name", ["fixed", "thm2", "thm5"])
     def test_order_reading_interpolator_is_exact(self, name):
-        # the fit reads the first example of each block, so a block is
-        # keyed by its ordered indices, not its seen set
+        # the fit reads the first example of each block, which is its
+        # smallest atom, as a block is fitted on its seen set in atom order
         source, _ = _SOURCES[name]()
         cls = source.cls
 
@@ -761,7 +759,6 @@ class TestFitTable:
                 learners.MedianOfThree(interp),
                 learners.InterpolatorAggregation(interp, learners.DisjointBlocks(3)),
             ):
-                assert not learners.reads_seen_sets(learner)
                 est = mc.mc_expected_loss(learner, source, 6, 100, seed=5)
                 assert est.losses == _reference_losses(learner, source, 6, 100, 5)
 
@@ -877,7 +874,7 @@ def _largest_unseen_fill(cls, universe, sample):
 
 
 class TestThm5FamilyLaw:
-    """`helpers.complement_family_law` is the exact law of proper ERM on
+    """`mc.complement_family_law` is the exact law of proper ERM on
     thm5's family, and of every consistent proper rule."""
 
     @staticmethod
@@ -895,7 +892,7 @@ class TestThm5FamilyLaw:
     @pytest.mark.parametrize(("u", "d", "n"), [(6, 2, 3), (7, 3, 3), (8, 3, 4)])
     def test_law_equals_the_average_over_every_support(self, u, d, n):
         family = _complement_family(u, d)
-        law = helpers.complement_family_law(family, n)
+        law = mc.complement_family_law(family, n)
         assert sum(law.values()) == 1
         assert self._brute_force(learners.ProperERM(family.cls), family, n) == law
 
@@ -908,13 +905,35 @@ class TestThm5FamilyLaw:
         sample = (core.LabeledExample(core.Point.pair(u, 1), core.ZERO),)
         assert largest.interpolator(sample) != erm.interpolator(sample)
         assert self._brute_force(largest, family, n) == \
-            helpers.complement_family_law(family, n)
+            mc.complement_family_law(family, n)
+
+    def test_other_families_and_sizes_are_refused(self, monkeypatch):
+        family = _complement_family(6, 2)
+        two_tier = core.IntegerLaw(adversaries.two_tier_masses(5, F(1, 6)))
+        for other in (
+            adversaries.thm2_family(HALF, 2, F(1, 64), 3),
+            dataclasses.replace(family, law=two_tier),
+            dataclasses.replace(family, pinned_first=True),
+            # a uniform law on one atom too many for d = 2
+            dataclasses.replace(family, law=core.IntegerLaw((F(1, 6),) * 6)),
+            fixed_instance(),
+        ):
+            with pytest.raises(PreconditionError, match="complement family"):
+                mc.complement_family_law(other, 3)
+        with pytest.raises(PreconditionError, match="n >= 1"):
+            mc.complement_family_law(family, 0)
+        # n draws over 5 atoms charge 5n before the recurrence
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "15")
+        assert sum(mc.complement_family_law(family, 3).values()) == 1
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "14")
+        with pytest.raises(BudgetExceededError, match="complement law of size 15"):
+            mc.complement_family_law(family, 3)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_monte_carlo_at_the_defaults_is_within_four_exact_sigmas(self, seed):
         family = adversaries.thm5_family(HALF, 4, F(1, 256))
         assert (family.universe, family.d, family.n_max) == (64, 4, 12)
-        law = helpers.complement_family_law(family, 12)
+        law = mc.complement_family_law(family, 12)
         mean, variance = _moments(law)
         exceed = sum((mass for loss, mass in law.items() if loss > family.epsilon), core.ZERO)
         assert round(float(mean), 7) == 0.0463971 and round(float(exceed), 5) == 0.99996
