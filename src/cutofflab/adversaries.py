@@ -222,26 +222,19 @@ def thm3_universe_condition(i: int, n_prime: int, m_bound: int, epsilon: Fractio
 
 
 def thm3_universe_size(n_prime: int, m_bound: int, epsilon: Fraction) -> int:
-    """Smallest perfect square i*i satisfying the universe condition, for
-    0 < epsilon < 1, in closed form.
-
-    With epsilon = p/q the condition times 2q i^2 reads
-    p i^2 - 2q(n'+m) i + 2q n' m >= 0.  The quadratic is negative at
-    i = max(n', m), so the smallest i > max(n', m) meeting it is the ceiling of
-    its larger root (q(n'+m) + sqrt(D)) / p with D = q^2 (n'+m)^2 - 2pq n' m,
-    taken exactly through the integer ceiling of sqrt(D).
-    """
-    epsilon = Fraction(epsilon)
-    p, q = epsilon.numerator, epsilon.denominator
-    linear = q * (n_prime + m_bound)
-    discriminant = linear * linear - 2 * p * q * n_prime * m_bound
-    root = math.isqrt(discriminant - 1) + 1  # ceil(sqrt(D)), as D > 0
-    i = -(-(linear + root) // p)
-    if not thm3_universe_condition(i, n_prime, m_bound, epsilon) or thm3_universe_condition(
-        i - 1, n_prime, m_bound, epsilon
-    ):
-        raise ArithmeticError(f"closed-form universe root {i} misses the exact condition")
-    return i * i
+    """Smallest perfect square i*i satisfying the universe condition.  It
+    fails at i = max(n', m) and only gains as i grows past that, so the
+    smallest i is found by doubling, then bisecting, on the condition itself."""
+    if not (core.ZERO < Fraction(epsilon) < core.ONE and n_prime >= 1 and m_bound >= 1):
+        raise PreconditionError("need 0 < epsilon < 1, n' >= 1 and m_bound >= 1")
+    meets = partial(thm3_universe_condition, n_prime=n_prime, m_bound=m_bound, epsilon=epsilon)
+    low = high = max(n_prime, m_bound)  # the condition fails at low
+    while not meets(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if meets(mid) else (mid, high)
+    return high * high
 
 
 def thm3_family(
@@ -253,16 +246,18 @@ def thm3_family(
 ) -> InstanceFamily:
     """Sqrt-size split-class family with uniform mass on a random sqrt(k_u)-set.
 
-    `universe` overrides the ascending-scan choice; it must still be a perfect
-    square satisfying the exact universe condition.
+    `universe` overrides the smallest valid square, which None or 0 derives;
+    it must still be a perfect square satisfying the exact universe condition.
     """
     epsilon = Fraction(epsilon)
     if not core.ZERO < epsilon < core.ONE:
         raise PreconditionError("need 0 < epsilon < 1")
     if n_prime < 1 or m_bound < 1:
         raise PreconditionError("need n' >= 1 and m_bound >= 1")
-    if universe is None or universe <= 0:
+    if universe is None or universe == 0:
         universe = thm3_universe_size(n_prime, m_bound, epsilon)
+    elif universe < 0:
+        raise PreconditionError(f"need universe >= 0 (0 derives it), got {universe}")
     root = math.isqrt(universe)
     if root * root != universe or not thm3_universe_condition(root, n_prime, m_bound, epsilon):
         raise PreconditionError(

@@ -514,8 +514,11 @@ class SplitCantorClass:
         """Members of the blocks before block k, whose member sets have size m."""
         if self.variant == D_MINUS_ONE_COMPLEMENT:
             return math.comb(k, m + 1)  # hockey stick: sum of C(j, m) for m <= j < k
-        # blocks i*i for i < m, summed once per class as far as any caller asked
+        # blocks i*i for i < m, summed once per class as far as any caller
+        # asked; the walk is charged its largest block, (m - 1)^2, first
         prefix = self._sqrt_prefix
+        if len(prefix) < m:
+            _budgeted("sqrt-size block walk", (m - 1) ** 2)
         while len(prefix) < m:
             i = len(prefix)
             prefix.append(prefix[-1] + math.comb(i * i, i))

@@ -218,10 +218,7 @@ def gamma_graph_dimension(cls, pool, gamma, cap_d: int = DEFAULT_POINT_CAP) -> i
             return best
         best = d
     if best == cap_d < len(pool):
-        raise BudgetExceededError(
-            f"dimension is at least {best} but the search cap is {cap_d}",
-            lower_bound=best,
-        )
+        raise BudgetExceededError(f"dimension is at least {best} but the search cap is {cap_d}")
     return best
 
 

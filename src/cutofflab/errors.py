@@ -16,14 +16,9 @@ class CutoffLabError(Exception):
 class BudgetExceededError(CutoffLabError):
     """A combinatorial search would exceed its configured budget.
 
-    Refusal is explicit: we never silently return a truncated answer.
-    ``lower_bound`` carries partial progress where one is meaningful
-    (e.g. a dimension search that certified `lower_bound` before refusing).
+    Refusal is explicit: we never silently return a truncated answer, and any
+    progress certified before it (a dimension search's size) is in the message.
     """
-
-    def __init__(self, message, lower_bound=None):
-        super().__init__(message)
-        self.lower_bound = lower_bound
 
 
 class PreconditionError(CutoffLabError):

@@ -356,8 +356,7 @@ def run_thm5_exact(report, gamma=Fraction(1, 2), d=4, epsilon=Fraction(1, 256), 
     for family in families:
         eps = family.epsilon
         law = mc.complement_family_law(family, family.n_max)
-        expected = sum((mass * loss for loss, mass in law.items()), core.ZERO)
-        exceed = sum((mass for loss, mass in law.items() if loss > eps), core.ZERO)
+        expected, exceed = mc.law_mean(law), mc.law_exceed(law, eps)
         target, floor = 4 * eps / 3, Fraction(1, 48)
         ok_mean, ok_exceed = expected >= target, exceed >= floor
         report.verdict(f"exact_mean_{eps}", ok_mean,

@@ -13,10 +13,9 @@ samples) of a family run, whose trials each draw a new distribution.  A
 family trial builds only what its score reads: the seeds of its streams,
 from `core.trial_seeds`, give its support and samples, and a new pair
 builds its support's distribution with no witness and no `HardInstance`.
-The exact oracle splits block positions once per call, and its sequences
-share one probability object per weight and one loss object per tuple of
-seen sets, so the exact sums count pairs by object before any Fraction
-adds.
+The exact oracle splits block positions once per call, and `_mass_by_loss`
+sums its pairs by object into a law, {loss: probability}, before any Fraction
+adds; `law_mean` and `law_exceed` give every exact mean and tail.
 """
 
 from __future__ import annotations
@@ -134,22 +133,24 @@ def _mass_by_loss(pairs) -> dict[Fraction, Fraction]:
     return masses
 
 
-def _expectation(pairs) -> Fraction:
-    """The exact mean of the losses under their probabilities, summed once
-    per distinct loss."""
-    masses = _mass_by_loss(pairs)
-    return sum((mass * loss for loss, mass in masses.items()), core.ZERO)
+def law_mean(law: dict[Fraction, Fraction]) -> Fraction:
+    """The exact mean of a law given as {loss: probability}."""
+    return sum((mass * loss for loss, mass in law.items()), core.ZERO)
+
+
+def law_exceed(law: dict[Fraction, Fraction], threshold) -> Fraction:
+    """The exact P[loss > threshold] under a law given as {loss: probability}."""
+    threshold = Fraction(threshold)
+    return sum((mass for loss, mass in law.items() if loss > threshold), core.ZERO)
 
 
 def exact_expected_loss(learner, instance: HardInstance, n: int) -> Fraction:
     """Exact E[loss] by weighted enumeration of all sample sequences."""
-    return _expectation(exact_loss_distribution(learner, instance, n))
+    return law_mean(_mass_by_loss(exact_loss_distribution(learner, instance, n)))
 
 
 def exact_exceed_probability(learner, instance: HardInstance, n: int, threshold) -> Fraction:
-    threshold = Fraction(threshold)
-    masses = _mass_by_loss(exact_loss_distribution(learner, instance, n))
-    return sum((mass for loss, mass in masses.items() if loss > threshold), core.ZERO)
+    return law_exceed(_mass_by_loss(exact_loss_distribution(learner, instance, n)), threshold)
 
 
 def complement_family_law(family, n: int) -> dict[Fraction, Fraction]:
@@ -285,7 +286,7 @@ def mc_expected_loss(
     blocks = getattr(getattr(learner, "partitioner", None), "m", 1)
     core._budgeted("blocks per run", trials * learner.sample_arity * blocks)
     losses = _trial_losses(learner, source, n, trials, seed)
-    mean = float(_expectation(zip(itertools.repeat(Fraction(1, trials)), losses)))
+    mean = float(law_mean(_mass_by_loss(zip(itertools.repeat(Fraction(1, trials)), losses))))
     var = math.fsum((float(l) - mean) ** 2 for l in losses) / (trials - 1)
     stderr = math.sqrt(var / trials)
     half = 1.96 * stderr

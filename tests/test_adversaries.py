@@ -133,15 +133,37 @@ class TestThm3Family:
 
     def test_smallest_square(self):
         assert adversaries.thm3_universe_size(4, 3, HALF) == 729
+        # None and 0 alone derive the universe
+        for universe in (None, 0):
+            assert adversaries.thm3_family(HALF, HALF, 4, 3, universe=universe).universe == 729
 
     @pytest.mark.parametrize("epsilon", [F(1, 2), F(2, 3), F(99, 100), F(1, 7), F(5, 17),
                                          F(1, 64), F(3, 100)])
-    def test_closed_form_size_equals_the_scan(self, epsilon):
+    def test_size_equals_the_scan(self, epsilon):
         for n_prime, m_bound in product(range(1, 8), repeat=2):
             i = n_prime + 1
             while not adversaries.thm3_universe_condition(i, n_prime, m_bound, epsilon):
                 i += 1
             assert adversaries.thm3_universe_size(n_prime, m_bound, epsilon) == i * i
+
+    @pytest.mark.parametrize("epsilon", [F(1, 10**12), F(1, 10**6), F(1, 1000), F(1, 100),
+                                         F(1, 16), F(1, 8), F(1, 4), F(1, 3), F(1, 2),
+                                         F(3, 4), F(99, 100)])
+    def test_size_is_minimal(self, epsilon):
+        # the returned root meets the condition and the root below it does not
+        for n_prime, m_bound in product(range(1, 9), repeat=2):
+            size = adversaries.thm3_universe_size(n_prime, m_bound, epsilon)
+            i = math.isqrt(size)
+            assert i * i == size
+            assert adversaries.thm3_universe_condition(i, n_prime, m_bound, epsilon)
+            assert not adversaries.thm3_universe_condition(i - 1, n_prime, m_bound, epsilon)
+
+    def test_size_refuses_inputs_outside_its_domain(self):
+        # where the search would not end, too: at epsilon <= 0 no i meets the
+        # condition, and at n' = m = 0 the doubling stays at 0
+        for args in [(4, 3, F(0)), (4, 3, F(-1, 2)), (4, 3, F(1)), (0, 0, HALF), (4, 0, HALF)]:
+            with pytest.raises(PreconditionError, match="need 0 < epsilon < 1, n' >= 1"):
+                adversaries.thm3_universe_size(*args)
 
     def test_explicit_universe_override(self):
         fam = adversaries.thm3_family(HALF, HALF, 4, 3, universe=784)
@@ -155,6 +177,9 @@ class TestThm3Family:
             adversaries.thm3_family(HALF, HALF, 4, 3, universe=676)
         with pytest.raises(PreconditionError):
             adversaries.thm3_family(HALF, HALF, 4, 3, universe=730)
+        for universe in (-1, -729):  # refused, not derived
+            with pytest.raises(PreconditionError, match=f"need universe >= 0 .*got {universe}$"):
+                adversaries.thm3_family(HALF, HALF, 4, 3, universe=universe)
 
     def test_draws_realizable(self):
         fam = adversaries.thm3_family(HALF, HALF, 4, 3, universe=729)

@@ -734,6 +734,15 @@ class TestReproduce:
         assert captured.out == "" and message in captured.err
         assert _one_line_refusal(captured.err)
 
+    def test_thm3_negative_universe_exits_4(self, capsys, monkeypatch):
+        # only 0 derives the universe; a negative one is refused, not derived
+        _no_trial(monkeypatch)
+        argv = ["reproduce", "thm3", "--universe", "-5", "--trials", "30", "--json"]
+        assert cli.main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "need universe >= 0 (0 derives it), got -5" in captured.err
+        assert _one_line_refusal(captured.err)
+
     def test_csv_roundtrip_and_replay(self, tmp_path, capsys):
         out_csv = tmp_path / "rows.csv"
         report_json = tmp_path / "report.json"
@@ -1344,14 +1353,40 @@ class TestParseBoundary:
         ],
         ids=["oig", "dims"],
     )
-    def test_sqrt_class_past_4300_digits_exits_3(self, tmp_path, capsys, argv, what):
-        # the class size has about 5,400 decimal digits, more than Python prints
+    def test_sqrt_class_past_4300_digits_exits_3(self, tmp_path, monkeypatch, capsys, argv, what):
+        # the class size has about 5,400 decimal digits, more than Python prints;
+        # a ceiling of 1,500^2 admits the block walk that counts it
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "2250000")
         path = tmp_path / "sqrt.json"
         cls = core.SplitCantorClass(F(1, 2), core.SQRT_SIZE, None, 2_250_000)
         serialize.dump_json(serialize.class_to_json(cls), path)
         assert _within(10, cli.main, [argv[0], str(path), "--gamma", "1/2", *argv[1:]]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and what in captured.err and _one_line_refusal(captured.err)
+
+    @pytest.mark.parametrize("command", ["dims", "oig", "estimate"])
+    def test_sqrt_block_walk_past_the_budget_exits_3(self, tmp_path, capsys, command):
+        # blocks up to 10^8: the walk to block 10,000^2 sums C(i^2, i) for every
+        # block below it, so it is charged its largest block before it starts
+        cls = core.SplitCantorClass(F(1, 2), core.SQRT_SIZE, None, 10**8)
+        record = serialize.class_to_json(cls)
+        path = tmp_path / "sqrt.json"
+        if command == "estimate":
+            atom = {"point": {"pair": [10**8, 1]}, "label": "0", "mass": "1"}
+            path.write_text(json.dumps({
+                "class": record, "distribution": {"atoms": [atom]}, "gamma": "1/2",
+                "n": 1, "trials": 30, "learner_config": {"learner": "proper_erm"}}))
+            argv = [command, str(path)]
+        else:
+            serialize.dump_json(record, path)
+            argv = [command, str(path), "--gamma", "1/2",
+                    "--pool" if command == "dims" else "--points", "1/1"]
+        start = time.monotonic()
+        assert _within(10, cli.main, argv) == 3
+        assert time.monotonic() - start < 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "sqrt-size block walk of size" in captured.err
+        assert _one_line_refusal(captured.err)
 
     def test_complement_class_size_is_refused_at_once(self, tmp_path, capsys):
         # C(10^8 + 1, 3) members, counted in closed form rather than block by block

@@ -911,6 +911,20 @@ class TestBudgetEnv:
         monkeypatch.setenv("CUTOFFLAB_BUDGET", "1")
         assert cls.hypotheses is members  # listed once, not again
 
+    def test_sqrt_block_walk_is_charged_its_largest_block(self, monkeypatch):
+        # the size walks blocks 1, 4, ..., 100 (i < 11), charged 10^2 before it starts
+        cls = core.SplitCantorClass(F(1, 2), core.SQRT_SIZE, None, 120)
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "99")
+        with pytest.raises(core.BudgetExceededError, match="sqrt-size block walk of size 100 "):
+            cls.size()
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "100")
+        size = cls.size()
+        assert size == sum(math.comb(i * i, i) for i in range(1, 11))
+        # the walked prefix is kept: a member of a block below it is charged nothing
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "1")
+        assert cls.hypothesis(100, range(1, 11)).value == core._value_of_rank(
+            F(1, 2), size - math.comb(100, 10) + 1)
+
     @pytest.mark.parametrize(
         "cls",
         [

@@ -333,6 +333,16 @@ class TestGraphDimension:
         cls = adversaries.thm4_instance(core.CantorClass(HALF, d, 3 * d), d).cls
         assert dims.gamma_graph_dimension(cls, cls.default_pool(), HALF) == d
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_thm4_support_is_graph_shattered(self, d):
+        # the claims' lower side at dimension d: thm4's d support points, with
+        # the instance's own witness, realize all 2^d match/far patterns
+        instance = adversaries.thm4_instance(core.CantorClass(HALF, d, 3 * d), 32)
+        points = [atom.point for atom in instance.distribution.atoms]
+        cert = dims.check_graph_shattered(points, instance.cls, instance.witness, instance.gamma)
+        assert cert is not None and len(cert.pattern_witnesses) == 2**d
+        assert cert.verify(HALF)
+
     def test_class_size_times_pool_size_is_budgeted(self, monkeypatch):
         # 10 members on 3 points: 30 against the budget, whether the class
         # lists its members on first use or is its tuple of tables
@@ -361,7 +371,7 @@ class TestGraphDimension:
         cls = core.CantorClass(HALF, 3, 8)
         with pytest.raises(BudgetExceededError) as err:
             dims.gamma_graph_dimension(cls, cls.default_pool(), HALF, cap_d=2)
-        assert err.value.lower_bound == 2
+        assert str(err.value) == "dimension is at least 2 but the search cap is 2"
 
     @pytest.mark.parametrize("cap_d", [0, -1])
     def test_cap_below_one_refused(self, cap_d):
