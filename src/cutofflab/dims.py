@@ -3,18 +3,22 @@
 Every search here is exhaustive within an explicit budget and refuses (typed
 error) rather than returning a truncated answer.  Every gamma must lie in (0, 1).
 
-The shattering search decides patterns on integers.  It restricts the class to
-the pool once, scales each pool point's values by the lcm of their
-denominators, and gives each witness two bitmasks per hypothesis over the
-pool: ``far`` marks where `core.gamma_far(h, w, gamma)` holds and ``near``
-where h != w but not far.  A subset S of the pool, itself a bitmask, gets the
-pattern ``far & S`` from a hypothesis, or no pattern when ``near & S`` is
-nonzero.  Certificates are still re-verified on the hypotheses' own values,
-through `core.gamma_far`, before they leave this module.
+Every table of values is read as integers with one scale: each distinct value
+object is read once, and every value is multiplied by the lcm of their
+denominators, so gamma-farness is one integer comparison against
+floor(scale * gamma) at every coordinate.
+
+The shattering search restricts the class to the pool once and gives each
+witness two bitmasks per hypothesis over the pool: ``far`` marks where
+`core.gamma_far(h, w, gamma)` holds and ``near`` where h != w but not far.  A
+subset S of the pool, itself a bitmask, gets the pattern ``far & S`` from a
+hypothesis, or no pattern when ``near & S`` is nonzero.  Certificates are
+still re-verified on the hypotheses' own values, through `core.gamma_far`,
+before they leave this module.
 
 The one-inclusion graphs are integer-coded by the same scaling: a vertex is a
-restriction with each coordinate times its scale, and an out-degree counts
-the coordinates whose scaled difference exceeds the coordinate's threshold.
+restriction times the graph's scale, and an out-degree counts the coordinates
+whose scaled difference exceeds the threshold.
 """
 
 from __future__ import annotations
@@ -61,33 +65,42 @@ def _value_vectors(cls, points):
     out = []
     for h in cls.hypotheses:
         try:
-            out.append((h, tuple(h.value_at(x) for x in points)))
+            out.append((h, tuple(map(h.value_at, points))))
         except core.DomainMismatchError:
             continue
     return out
 
 
 def _scaled(vectors, width: int):
-    """The vectors as integer rows, each of the ``width`` coordinates scaled
-    by the lcm of its denominators (1 when there are no vectors), and the
-    scales.  A positive scale per coordinate keeps equality and
-    lexicographic order."""
-    scales = tuple(math.lcm(*(vec[i].denominator for vec in vectors)) for i in range(width))
-    table = [
-        tuple(v.numerator * (s // v.denominator) for v, s in zip(vec, scales))
-        for vec in vectors
-    ]
-    return table, scales
+    """The ``width``-wide vectors as integer rows, every value times one
+    scale, and the scale: the lcm of the denominators of the distinct value
+    objects (1 when there are none).  A positive scale keeps equality and
+    lexicographic order.
+
+    Each distinct object is read and scaled once, through a memo keyed by
+    ``id`` that holds the objects for the call: a Cantor member returns its
+    own value or the shared zero, so a table has about one object per row
+    but ``width`` cells per row, and cells holding one object share its
+    scaled integer."""
+    cells = list(itertools.chain.from_iterable(vectors))
+    ids = list(map(id, cells))
+    distinct = dict(zip(ids, cells))
+    ratios = [v.as_integer_ratio() for v in distinct.values()]
+    scale = math.lcm(*{d for _, d in ratios})
+    coded = dict(zip(distinct, [n * (scale // d) for n, d in ratios]))
+    flat = map(coded.__getitem__, ids)
+    # each row cut from the one stream of scaled cells
+    table = list(zip(*[flat] * width)) if width else [()] * len(vectors)
+    return table, scale
 
 
-def _thresholds(scales, gamma: Fraction) -> tuple[int, ...]:
-    """Per coordinate the largest scaled difference that is not gamma-far:
-    for scale s, `core.gamma_far(v, w, gamma)` holds iff
-    |s*v - s*w| > floor(s*gamma)."""
-    return tuple(gamma.numerator * s // gamma.denominator for s in scales)
+def _threshold(scale: int, gamma: Fraction) -> int:
+    """The largest scaled difference that is not gamma-far: for scale s,
+    `core.gamma_far(v, w, gamma)` holds iff |s*v - s*w| > floor(s*gamma)."""
+    return gamma.numerator * scale // gamma.denominator
 
 
-def _masks(table, witness_row, thresholds) -> list[tuple[int, int]]:
+def _masks(table, witness_row, threshold: int) -> list[tuple[int, int]]:
     """(far, near) bitmasks of each row against the witness row: bit j of
     ``far`` marks `core.gamma_far` at coordinate j, the definition this
     integer test must agree with, and bit j of ``near`` an inexact value
@@ -96,7 +109,7 @@ def _masks(table, witness_row, thresholds) -> list[tuple[int, int]]:
     for row in table:
         far = near = 0
         bit = 1
-        for a, b, threshold in zip(row, witness_row, thresholds):
+        for a, b in zip(row, witness_row):
             diff = abs(a - b)
             if diff > threshold:
                 far |= bit
@@ -154,14 +167,14 @@ class _ShatterSearch:
         if self.rows is None:
             core._budgeted("class restricted to the pool", self.cls.size() * len(self.pool))
             self.rows = _value_vectors(self.cls, self.pool)
-            self.table, scales = _scaled([vec for _, vec in self.rows], len(self.pool))
-            self.thresholds = _thresholds(scales, self.gamma)
+            self.table, scale = _scaled([vec for _, vec in self.rows], len(self.pool))
+            self.threshold = _threshold(scale, self.gamma)
             self.masks = [None] * len(self.rows)
         for idx in itertools.combinations(range(len(self.pool)), size):
             points = tuple(self.pool[i] for i in idx)
             for k, (witness, _) in enumerate(self.rows):
                 if self.masks[k] is None:
-                    self.masks[k] = _masks(self.table, self.table[k], self.thresholds)
+                    self.masks[k] = _masks(self.table, self.table[k], self.threshold)
                 cert = _certify(points, idx, witness, self.rows, self.masks[k], self.gamma)
                 if cert is not None:
                     return cert
@@ -184,10 +197,10 @@ def check_graph_shattered(points, cls, witness, gamma: Fraction) -> Optional[Sha
     if not points:
         return ShatterCertificate(points, witness, {(): witness})
     core._budgeted("class restricted to the points", cls.size() * len(points))
-    witness_vec = tuple(witness.value_at(x) for x in points)
+    witness_vec = tuple(map(witness.value_at, points))
     rows = _value_vectors(cls, points)
-    (witness_row, *table), scales = _scaled([witness_vec] + [vec for _, vec in rows], len(points))
-    masks = _masks(table, witness_row, _thresholds(scales, gamma))
+    (witness_row, *table), scale = _scaled([witness_vec] + [vec for _, vec in rows], len(points))
+    masks = _masks(table, witness_row, _threshold(scale, gamma))
     return _certify(points, range(len(points)), witness, rows, masks, gamma)
 
 
@@ -226,7 +239,7 @@ def gamma_graph_dimension(cls, pool, gamma, cap_d: int = DEFAULT_POINT_CAP) -> i
 # One-inclusion graphs
 # ---------------------------------------------------------------------------
 
-Vertex = tuple[int, ...]  # a restriction, coordinate i times the graph's scales[i]
+Vertex = tuple[int, ...]  # a restriction times the graph's scale
 EdgeKey = tuple[int, Vertex]  # (free coordinate, scaled values elsewhere)
 
 
@@ -235,14 +248,15 @@ class OneInclusionGraph:
     """Hypergraph on class restrictions: edge (f, i) groups the vertices that
     agree with f on every coordinate except i.
 
-    A vertex holds the restriction's value at points[i] times scales[i], the
-    lcm of the class's denominators there, so the value is
-    ``Fraction(vertex[i], scales[i])``.  Vertices are sorted, in the order of
-    the restrictions they scale, and so are the members of each edge.
+    A vertex holds the restriction's value at points[i] times the graph's one
+    scale, the lcm of the denominators of the class's values on the points,
+    so the value is ``Fraction(vertex[i], scale)``.  Vertices are sorted, in
+    the order of the restrictions they scale, and so are the members of each
+    edge.
     """
 
     points: tuple[core.Point, ...]
-    scales: tuple[int, ...]
+    scale: int
     vertices: tuple[Vertex, ...]
     edges: dict[EdgeKey, tuple[Vertex, ...]]
 
@@ -250,7 +264,7 @@ class OneInclusionGraph:
 Orientation = dict[EdgeKey, Vertex]
 
 
-def _graph_on(points, scales, vertices) -> OneInclusionGraph:
+def _graph_on(points, scale, vertices) -> OneInclusionGraph:
     """One-inclusion graph on sorted vertices: an edge joins the vertices
     that agree off one coordinate."""
     edges: dict[EdgeKey, list[Vertex]] = {}
@@ -258,7 +272,7 @@ def _graph_on(points, scales, vertices) -> OneInclusionGraph:
         for i in range(len(points)):
             edges.setdefault((i, v[:i] + v[i + 1 :]), []).append(v)
     return OneInclusionGraph(
-        points, scales, tuple(vertices), {k: tuple(ms) for k, ms in edges.items()}
+        points, scale, tuple(vertices), {k: tuple(ms) for k, ms in edges.items()}
     )
 
 
@@ -272,8 +286,8 @@ def build_oig(cls, points) -> OneInclusionGraph:
     if len(set(points)) != len(points):
         raise PreconditionError("points must be distinct")
     core._budgeted("one-inclusion graph", cls.size() * len(points) ** 2)
-    table, scales = _scaled([vec for _, vec in _value_vectors(cls, points)], len(points))
-    return _graph_on(points, scales, sorted(set(table)))
+    table, scale = _scaled([vec for _, vec in _value_vectors(cls, points)], len(points))
+    return _graph_on(points, scale, sorted(set(table)))
 
 
 def induced_subgraph(graph: OneInclusionGraph, vertices) -> OneInclusionGraph:
@@ -289,7 +303,7 @@ def induced_subgraph(graph: OneInclusionGraph, vertices) -> OneInclusionGraph:
         raise PreconditionError(f"{len(missing)} vertices are not in the graph")
     if not kept:
         raise PreconditionError("subgraph needs at least one vertex")
-    return _graph_on(graph.points, graph.scales, kept)
+    return _graph_on(graph.points, graph.scale, kept)
 
 
 def orient_smallest_value(graph: OneInclusionGraph) -> Orientation:
@@ -299,35 +313,40 @@ def orient_smallest_value(graph: OneInclusionGraph) -> Orientation:
     return {key: members[0] for key, members in graph.edges.items()}
 
 
-def _max_outdegree(graph: OneInclusionGraph, orientation: Orientation, thresholds) -> int:
+def _max_outdegree(graph: OneInclusionGraph, orientation: Orientation, threshold: int) -> int:
     """Most edges any vertex loses to a target whose scaled value differs by
-    more than the coordinate's threshold (0 on a graph with no vertices).
-    Each edge is walked once, as each (vertex, coordinate) pair lies in
-    exactly one edge: the one free in that coordinate."""
+    more than the threshold (0 on a graph with no vertices).  Each edge is
+    walked once, as each (vertex, coordinate) pair lies in exactly one edge:
+    the one free in that coordinate.  An edge whose one member is its target
+    loses nothing and is skipped."""
     degrees = dict.fromkeys(graph.vertices, 0)
     for key, members in graph.edges.items():
+        target = orientation[key]
+        if len(members) == 1 and target is members[0]:
+            continue
         i = key[0]
-        target, threshold = orientation[key][i], thresholds[i]
+        value = target[i]
         for v in members:
-            if abs(target - v[i]) > threshold:
+            if abs(value - v[i]) > threshold:
                 degrees[v] += 1
     return max(degrees.values(), default=0)
 
 
 def max_gamma_outdegree(graph: OneInclusionGraph, orientation: Orientation, gamma) -> int:
     """Most edges any vertex loses to a `core.gamma_far` target (0 on a graph
-    with no vertices), decided on the scaled values against `_thresholds`."""
-    thresholds = _thresholds(graph.scales, core.read_gamma(gamma))
-    missing = graph.edges.keys() - orientation.keys()
-    if missing:
-        raise PreconditionError(f"orientation leaves {len(missing)} edges unoriented")
-    return _max_outdegree(graph, orientation, thresholds)
+    with no vertices), decided on the scaled values against `_threshold`."""
+    threshold = _threshold(graph.scale, core.read_gamma(gamma))
+    try:
+        return _max_outdegree(graph, orientation, threshold)
+    except KeyError:  # an edge with no target: count them only to refuse
+        missing = graph.edges.keys() - orientation.keys()
+        raise PreconditionError(f"orientation leaves {len(missing)} edges unoriented") from None
 
 
 def exhaustive_orientation_min(graph: OneInclusionGraph, gamma) -> tuple[Orientation, int]:
     """Orientation minimizing the max gamma-out-degree, by product search over
     the multi-member edges, refused past enumeration_budget() orientations."""
-    thresholds = _thresholds(graph.scales, core.read_gamma(gamma))
+    threshold = _threshold(graph.scale, core.read_gamma(gamma))
     fixed = {k: ms[0] for k, ms in graph.edges.items() if len(ms) == 1}
     multi = [(k, ms) for k, ms in sorted(graph.edges.items()) if len(ms) > 1]
     # equal sizes as one power each: exact, and instant on many small edges
@@ -338,7 +357,7 @@ def exhaustive_orientation_min(graph: OneInclusionGraph, gamma) -> tuple[Orienta
     for choice in itertools.product(*(ms for _, ms in multi)):
         orientation = dict(fixed)
         orientation.update(zip(keys, choice))
-        value = _max_outdegree(graph, orientation, thresholds)
+        value = _max_outdegree(graph, orientation, threshold)
         if best_value is None or value < best_value:
             best_orientation, best_value = orientation, value
             if best_value == 0:

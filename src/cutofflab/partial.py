@@ -39,7 +39,7 @@ class PartialClass:
         concepts = tuple(sorted(set(self.concepts)))
         object.__setattr__(self, "concepts", concepts)
         for c in concepts:
-            if len(c) != self.domain_size or any(ch not in "01*" for ch in c):
+            if len(c) != self.domain_size or c.strip("01*"):
                 raise PreconditionError(f"bad concept row {c!r} for domain size {self.domain_size}")
 
     def size(self) -> int:
@@ -206,7 +206,7 @@ def read_rows(text: str) -> PartialClass:
         raise ParseError("empty partial-class file")
     width = len(lines[0])
     for line in lines:
-        if len(line) != width or any(ch not in "01*" for ch in line):
+        if len(line) != width or line.strip("01*"):
             raise ParseError(f"bad row {line!r}")
     return PartialClass(width, tuple(lines))
 

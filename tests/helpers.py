@@ -53,7 +53,7 @@ def reference_max_outdegree(graph, orientation, gamma) -> int:
     gamma = Fraction(gamma)
 
     def value(vertex, coord):
-        return Fraction(vertex[coord], graph.scales[coord])
+        return Fraction(vertex[coord], graph.scale)
 
     return max(
         (

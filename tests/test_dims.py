@@ -106,12 +106,12 @@ def same_certificate(cert, expected):
 
 def values(graph, v):
     """A graph vertex mapped back to the restriction's Fraction values."""
-    return tuple(F(x, s) for x, s in zip(v, graph.scales))
+    return tuple(F(x, graph.scale) for x in v)
 
 
 def vertex(graph, *restriction):
     """The graph vertex of a restriction given by its values."""
-    scaled = tuple(F(x) * s for x, s in zip(restriction, graph.scales))
+    scaled = tuple(F(x) * graph.scale for x in restriction)
     assert all(x.denominator == 1 for x in scaled)
     return tuple(x.numerator for x in scaled)
 
@@ -203,7 +203,7 @@ def fraction_graph(vectors, width):
 def fraction_key(graph, key):
     """An edge key mapped back to Fraction values off its free coordinate."""
     i, rest = key
-    return (i, tuple(F(x, s) for x, s in zip(rest, graph.scales[:i] + graph.scales[i + 1 :])))
+    return (i, tuple(F(x, graph.scale) for x in rest))
 
 
 class TestIntegerGraph:
@@ -251,6 +251,61 @@ class TestIntegerGraph:
                 assert dims.max_gamma_outdegree(sub, orientation, g) == expected
 
 
+def mixed_denominator_class(rng):
+    """Table class with thirds at the first point and fifths and sevenths at
+    the others, some value objects shared between members and some not."""
+    pool = (NAT(1), NAT(2), NAT(3))
+    grids = [[F(k, q) for k in range(q + 1)] for q in (3, 5, 7)]
+    hs = []
+    for _ in range(rng.randrange(2, 13)):
+        row = [rng.choice(grid) for grid in grids]
+        if rng.random() < 0.5:  # fresh, equal objects
+            row = [F(v.numerator, v.denominator) for v in row]
+        hs.append(core.TableHypothesis(tuple(zip(pool, row))))
+    return core.FiniteClass(tuple(hs)), pool
+
+
+class TestMixedDenominators:
+    """One scale for points whose values have different denominators."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_vertices_far_decisions_and_shattering(self, seed):
+        rng = random.Random(seed)
+        for _ in range(10):
+            cls, pool = mixed_denominator_class(rng)
+            rows = brute_rows(cls, pool)
+            graph = dims.build_oig(cls, pool)
+            vertices, _ = fraction_graph([tuple(vec) for _, vec in rows], len(pool))
+            assert [values(graph, v) for v in graph.vertices] == vertices
+            assert graph.scale == math.lcm(*(v.denominator for _, vec in rows for v in vec))
+            gaps = {abs(a[i] - b[i]) for a in vertices for b in vertices for i in range(3)}
+            for gamma in sorted(g for g in gaps | {F(1, 2)} if 0 < g < 1):
+                threshold = dims._threshold(graph.scale, gamma)
+                for u, w in product(graph.vertices, repeat=2):
+                    for i in range(3):
+                        assert (abs(u[i] - w[i]) > threshold) == core.gamma_far(
+                            values(graph, u)[i], values(graph, w)[i], gamma
+                        )
+                for _ in range(3):
+                    orientation = {
+                        key: rng.choice(graph.vertices) for key in graph.edges
+                    }
+                    assert dims.max_gamma_outdegree(graph, orientation, gamma) == (
+                        helpers.reference_max_outdegree(graph, orientation, gamma)
+                    )
+                for witness, wvec in rows:
+                    found = brute_patterns(range(3), witness, wvec, rows, gamma)
+                    expected = (pool, witness, found) if len(found) == 8 else None
+                    assert same_certificate(
+                        dims.check_graph_shattered(pool, cls, witness, gamma), expected
+                    )
+                for size in (1, 2, 3):
+                    assert same_certificate(
+                        dims.find_shattered_set(cls, pool, gamma, size),
+                        brute_find(cls, pool, gamma, size),
+                    )
+
+
 class TestShatterCertificates:
     def test_cantor_pair_is_shattered_with_its_own_witness(self):
         cls = core.CantorClass(HALF, 2, 5)
@@ -296,6 +351,11 @@ class TestGraphDimension:
         cls = table_class([(0, 0)], pool)
         assert dims.gamma_graph_dimension(cls, pool, HALF) == 0
 
+    def test_empty_pool_has_no_shattered_set(self):
+        cls = core.CantorClass(HALF, 2, 5)
+        assert dims.find_shattered_set(cls, (), HALF, 1) is None
+        assert dims.gamma_graph_dimension(cls, (), HALF) == 0
+
     @pytest.mark.parametrize("d,universe", [(2, 5), (2, 6), (3, 8)])
     def test_cantor_dimension_equals_d(self, d, universe):
         cls = core.CantorClass(HALF, d, universe)
@@ -333,7 +393,7 @@ class TestGraphDimension:
         cls = adversaries.thm4_instance(core.CantorClass(HALF, d, 3 * d), d).cls
         assert dims.gamma_graph_dimension(cls, cls.default_pool(), HALF) == d
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_thm4_support_is_graph_shattered(self, d):
         # the claims' lower side at dimension d: thm4's d support points, with
         # the instance's own witness, realize all 2^d match/far patterns
@@ -394,7 +454,7 @@ class TestOneInclusionGraph:
         cls = core.CantorClass(HALF, 1, 2)
         graph = dims.build_oig(cls, (NAT(1), NAT(2)))
         assert {values(graph, v) for v in graph.vertices} == {(F(0), F(1)), (F(3, 4), F(0))}
-        assert graph.scales == (4, 1) and graph.vertices == ((0, 1), (3, 0))
+        assert graph.scale == 4 and graph.vertices == ((0, 4), (3, 0))
         # restrictions differ in both coordinates: all edges are singletons
         assert all(len(ms) == 1 for ms in graph.edges.values())
 
@@ -613,6 +673,14 @@ class TestOrientations:
         }
         expected = helpers.reference_max_outdegree(graph, orientation, gamma)
         assert dims.max_gamma_outdegree(graph, orientation, gamma) == expected
+        # targets off their edge, and equal copies that are not the member
+        # itself, are walked like any other target
+        anywhere = {}
+        for key, members in graph.edges.items():
+            target = data.draw(st.sampled_from(members + graph.vertices))
+            anywhere[key] = tuple(list(target)) if data.draw(st.booleans()) else target
+        expected = helpers.reference_max_outdegree(graph, anywhere, gamma)
+        assert dims.max_gamma_outdegree(graph, anywhere, gamma) == expected
         if math.prod(map(len, graph.edges.values())) <= 64:
             _, best = dims.exhaustive_orientation_min(graph, gamma)
             assert best == min(

@@ -336,6 +336,17 @@ class TestRowFormat:
         with pytest.raises(ParseError):
             pc.read_rows("01*\n0101\n")
 
+    @pytest.mark.parametrize("bad", ["x01*", "01x*", "01*x", "0 1*", "01*\u00b2"])
+    def test_rejects_a_character_off_the_alphabet_anywhere(self, bad):
+        from cutofflab.errors import ParseError
+
+        with pytest.raises(ParseError) as err:
+            pc.read_rows(f"0101\n{bad}\n")
+        assert str(err.value) == f"bad row {bad!r}"
+        with pytest.raises(PreconditionError) as err:
+            pc.PartialClass(4, ("0101", bad))
+        assert str(err.value) == f"bad concept row {bad!r} for domain size 4"
+
     def test_rejects_empty(self):
         from cutofflab.errors import ParseError
 
