@@ -3,10 +3,9 @@
 Every search here is exhaustive within an explicit budget and refuses (typed
 error) rather than returning a truncated answer.  Every gamma must lie in (0, 1).
 
-Every table of values is read as integers with one scale: each distinct value
-object is read once, and every value is multiplied by the lcm of their
-denominators, so gamma-farness is one integer comparison against
-floor(scale * gamma) at every coordinate.
+Every table of values is read as integers with one scale: every value is
+multiplied by the lcm of the table's denominators, so gamma-farness is one
+integer comparison against floor(scale * gamma) at every coordinate.
 
 The shattering search restricts the class to the pool once and gives each
 witness two bitmasks per hypothesis over the pool: ``far`` marks where
@@ -73,22 +72,11 @@ def _value_vectors(cls, points):
 
 def _scaled(vectors, width: int):
     """The ``width``-wide vectors as integer rows, every value times one
-    scale, and the scale: the lcm of the denominators of the distinct value
-    objects (1 when there are none).  A positive scale keeps equality and
-    lexicographic order.
-
-    Each distinct object is read and scaled once, through a memo keyed by
-    ``id`` that holds the objects for the call: a Cantor member returns its
-    own value or the shared zero, so a table has about one object per row
-    but ``width`` cells per row, and cells holding one object share its
-    scaled integer."""
-    cells = list(itertools.chain.from_iterable(vectors))
-    ids = list(map(id, cells))
-    distinct = dict(zip(ids, cells))
-    ratios = [v.as_integer_ratio() for v in distinct.values()]
+    scale, and the scale: the lcm of the values' denominators (1 when there
+    are none).  A positive scale keeps equality and lexicographic order."""
+    ratios = [v.as_integer_ratio() for v in itertools.chain.from_iterable(vectors)]
     scale = math.lcm(*{d for _, d in ratios})
-    coded = dict(zip(distinct, [n * (scale // d) for n, d in ratios]))
-    flat = map(coded.__getitem__, ids)
+    flat = iter([n * (scale // d) for n, d in ratios])
     # each row cut from the one stream of scaled cells
     table = list(zip(*[flat] * width)) if width else [()] * len(vectors)
     return table, scale
@@ -336,11 +324,10 @@ def max_gamma_outdegree(graph: OneInclusionGraph, orientation: Orientation, gamm
     """Most edges any vertex loses to a `core.gamma_far` target (0 on a graph
     with no vertices), decided on the scaled values against `_threshold`."""
     threshold = _threshold(graph.scale, core.read_gamma(gamma))
-    try:
-        return _max_outdegree(graph, orientation, threshold)
-    except KeyError:  # an edge with no target: count them only to refuse
-        missing = graph.edges.keys() - orientation.keys()
-        raise PreconditionError(f"orientation leaves {len(missing)} edges unoriented") from None
+    missing = graph.edges.keys() - orientation.keys()
+    if missing:
+        raise PreconditionError(f"orientation leaves {len(missing)} edges unoriented")
+    return _max_outdegree(graph, orientation, threshold)
 
 
 def exhaustive_orientation_min(graph: OneInclusionGraph, gamma) -> tuple[Orientation, int]:
