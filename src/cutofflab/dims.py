@@ -7,13 +7,12 @@ Every table of values is read as integers with one scale: every value is
 multiplied by the lcm of the table's denominators, so gamma-farness is one
 integer comparison against floor(scale * gamma) at every coordinate.
 
-The shattering search restricts the class to the pool once and gives each
-witness two bitmasks per hypothesis over the pool: ``far`` marks where
-`core.gamma_far(h, w, gamma)` holds and ``near`` where h != w but not far.  A
-subset S of the pool, itself a bitmask, gets the pattern ``far & S`` from a
-hypothesis, or no pattern when ``near & S`` is nonzero.  Certificates are
-still re-verified on the hypotheses' own values, through `core.gamma_far`,
-before they leave this module.
+A set is gamma-graph shattered with witness w exactly when the loss patterns
+on w's values (0 where a member equals w, 1 where it is gamma-far from w)
+VC-shatter it, so the shattering search grows each witness's sets with
+`partial._realizer_table` from its sides at each pool point.  Certificates
+are still re-verified on the hypotheses' own values, through
+`core.gamma_far`, before they leave this module.
 
 The one-inclusion graphs are integer-coded by the same scaling: a vertex is a
 restriction times the graph's scale, and an out-degree counts the coordinates
@@ -25,11 +24,12 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import core
+from . import core, partial
 from .errors import BudgetExceededError, PreconditionError
 
 DEFAULT_POINT_CAP = 12
@@ -88,93 +88,45 @@ def _threshold(scale: int, gamma: Fraction) -> int:
     return gamma.numerator * scale // gamma.denominator
 
 
-def _masks(table, witness_row, threshold: int) -> list[tuple[int, int]]:
-    """(far, near) bitmasks of each row against the witness row: bit j of
-    ``far`` marks `core.gamma_far` at coordinate j, the definition this
-    integer test must agree with, and bit j of ``near`` an inexact value
-    that is not far."""
-    out = []
-    for row in table:
-        far = near = 0
-        bit = 1
-        for a, b in zip(row, witness_row):
-            diff = abs(a - b)
-            if diff > threshold:
-                far |= bit
-            elif diff:
-                near |= bit
-            bit <<= 1
-        out.append((far, near))
-    return out
+def _sides(column, threshold: int):
+    """A map from a value v of the integer column to v's sides: the bitsets
+    of the rows whose value is v and of those more than the threshold from v.
+    With the distinct values sorted and ``below[j]`` the rows of the j
+    smallest, the rows whose values lie in a range are found by bisection."""
+    values = sorted(set(column))
+    below = [0] * (len(values) + 1)
+    for k, v in enumerate(column):
+        below[bisect_right(values, v)] |= 1 << k
+    below = list(itertools.accumulate(below))  # disjoint groups: sums are unions
+
+    def within(low, high):
+        return below[bisect_right(values, high)] ^ below[bisect_left(values, low)]
+
+    return lambda v: (within(v, v), below[-1] ^ within(v - threshold, v + threshold))
 
 
-def _certify(points, idx, witness, rows, masks, gamma) -> Optional[ShatterCertificate]:
-    """Certificate iff the witness's masks realize all 2^d patterns on the
-    coordinates ``idx``.
-
-    A hypothesis gives the subset S (as a bitmask) the pattern ``far & S``,
-    or none when ``near & S`` is nonzero.  The witness takes the all-zeros
-    pattern; every other pattern goes to its first hypothesis in ``rows``.
-    """
-    subset = sum(1 << i for i in idx)
-    # count the patterns before naming witnesses: most pairs tried fail
-    realized = {far & subset for far, near in masks if not near & subset}
-    realized.add(0)
-    if len(realized) != 1 << len(idx):
-        return None
-    found = {0: witness}
-    for (h, _), (far, near) in zip(rows, masks):
-        if not near & subset:
-            found.setdefault(far & subset, h)
-    cert = ShatterCertificate(
-        points,
-        witness,
-        {tuple((p >> i) & 1 for i in idx): h for p, h in found.items()},
-    )
+def _certificate(points, witness, members, patterns, gamma: Fraction) -> ShatterCertificate:
+    """The certificate of 2^d pattern bitsets over the members, entry k for
+    the pattern whose bit i is bit i of k.  The witness takes the all-zeros
+    pattern, and every other pattern its first member, the lowest bit of its
+    bitset; they are listed in the order of those members."""
+    found = {(0,) * len(points): witness}
+    for i, k in sorted(((p & -p).bit_length() - 1, k) for k, p in enumerate(patterns) if k):
+        found[tuple(k >> t & 1 for t in range(len(points)))] = members[i]
+    cert = ShatterCertificate(points, witness, found)
     if not cert.verify(gamma):  # pragma: no cover - internal consistency check
         raise AssertionError("shattering certificate failed self-verification")
     return cert
 
 
-class _ShatterSearch:
-    """The class restricted to one pool at one gamma: its rows as integers,
-    built on the first search the budget admits (class size times pool size
-    within enumeration_budget()), and each witness row's masks, built on the
-    witness's first use."""
-
-    def __init__(self, cls, pool, gamma: Fraction):
-        self.cls, self.pool, self.gamma = cls, pool, gamma
-        self.rows = None
-
-    def first(self, size: int) -> Optional[ShatterCertificate]:
-        """First (in pool order, then enumeration order) shattered size-set;
-        refused when the pool has more size-sets than enumeration_budget()."""
-        if size > DEFAULT_POINT_CAP:
-            raise BudgetExceededError(f"size {size} exceeds the point cap {DEFAULT_POINT_CAP}")
-        core._budgeted(f"family of candidate {size}-point sets", math.comb(len(self.pool), size))
-        if self.rows is None:
-            core._budgeted("class restricted to the pool", self.cls.size() * len(self.pool))
-            self.rows = _value_vectors(self.cls, self.pool)
-            self.table, scale = _scaled([vec for _, vec in self.rows], len(self.pool))
-            self.threshold = _threshold(scale, self.gamma)
-            self.masks = [None] * len(self.rows)
-        for idx in itertools.combinations(range(len(self.pool)), size):
-            points = tuple(self.pool[i] for i in idx)
-            for k, (witness, _) in enumerate(self.rows):
-                if self.masks[k] is None:
-                    self.masks[k] = _masks(self.table, self.table[k], self.threshold)
-                cert = _certify(points, idx, witness, self.rows, self.masks[k], self.gamma)
-                if cert is not None:
-                    return cert
-        return None
-
-
 def check_graph_shattered(points, cls, witness, gamma: Fraction) -> Optional[ShatterCertificate]:
     """Certificate iff every one of the 2^d match/far patterns is realized.
 
-    The witness must be a member of the class (it serves as the all-zeros
-    pattern's witness directly); pattern witnesses are the first matches in
-    the class's canonical enumeration.
+    The witness serves as the all-zeros pattern's witness directly; pattern
+    witnesses are the first matches in the class's canonical enumeration.
+    The witness's values are read as one more row, after the class's, and
+    the points are folded in order as in `partial._realizer_table`, from the
+    one pattern bitset of all rows to the 2^d of the points.
     """
     points = tuple(points)
     gamma = core.read_gamma(gamma)
@@ -185,39 +137,83 @@ def check_graph_shattered(points, cls, witness, gamma: Fraction) -> Optional[Sha
     if not points:
         return ShatterCertificate(points, witness, {(): witness})
     core._budgeted("class restricted to the points", cls.size() * len(points))
-    witness_vec = tuple(map(witness.value_at, points))
     rows = _value_vectors(cls, points)
-    (witness_row, *table), scale = _scaled([witness_vec] + [vec for _, vec in rows], len(points))
-    masks = _masks(table, witness_row, _threshold(scale, gamma))
-    return _certify(points, range(len(points)), witness, rows, masks, gamma)
+    vectors = [vec for _, vec in rows] + [tuple(map(witness.value_at, points))]
+    table, scale = _scaled(vectors, len(points))
+    threshold = _threshold(scale, gamma)
+    patterns = ((1 << len(table)) - 1,)
+    for column, v in zip(zip(*table), table[-1]):
+        # one value's sides, so no `_sides` table: the loss-pattern row partial reads
+        labels = "".join("0" if a == v else "1" if abs(a - v) > threshold else "*" for a in column)
+        zero, one = partial._bits(labels, partial._ZERO), partial._bits(labels, partial._ONE)
+        patterns = tuple(zero & p for p in patterns) + tuple(one & p for p in patterns)
+        if not all(patterns):
+            return None
+    return _certificate(points, witness, [h for h, _ in rows], patterns, gamma)
+
+
+def _witness_tables(cls, pool, gamma: Fraction, most: int):
+    """The class's members defined on the pool, in enumeration order, and an
+    iterator of each one's `partial._realizer_table` up to sets of `most`
+    points, from its sides at each pool point.  The `_sides` bitsets are
+    charged as realizer tables are, each once per 1,024 members."""
+    core._budgeted("class restricted to the pool", cls.size() * len(pool))
+    rows = _value_vectors(cls, pool)
+    table, scale = _scaled([vec for _, vec in rows], len(pool))
+    bitsets = sum(len(set(column)) + 1 for column in zip(*table))
+    core._budgeted("side bitsets of the pool", -(-len(table) // 1024) * bitsets)
+    columns = [_sides(column, _threshold(scale, gamma)) for column in zip(*table)]
+    tables = (
+        partial._realizer_table([side(v) for side, v in zip(columns, row)], len(table), most)
+        for row in table
+    )
+    return [h for h, _ in rows], tables
 
 
 def find_shattered_set(cls, pool, gamma, size):
-    """First (in pool order, then enumeration order) shattered size-set."""
+    """First (in pool-combination order) shattered size-set, certified with
+    the first witness in enumeration order that shatters it."""
     gamma = core.read_gamma(gamma)
     if size == 0:
         members = cls.hypotheses
         return check_graph_shattered((), cls, members[0], gamma) if members else None
-    return _ShatterSearch(cls, tuple(pool), gamma).first(size)
+    if size > DEFAULT_POINT_CAP:
+        raise BudgetExceededError(f"size {size} exceeds the point cap {DEFAULT_POINT_CAP}")
+    pool = tuple(pool)
+    members, tables = _witness_tables(cls, pool, gamma, size)
+    # spelled from the lowest bit, the earlier of two sets of one size reads larger
+    best = ("",)
+    for witness, table in zip(members, tables):
+        for subset, patterns in table.items():
+            if subset.bit_count() == size and (key := format(subset, "b")[::-1]) > best[0]:
+                best = key, witness, patterns
+        if best[0] == "1" * size:  # the first set of all
+            break
+    if len(best) == 1:
+        return None
+    key, witness, patterns = best
+    points = tuple(x for x, bit in zip(pool, key) if bit == "1")
+    return _certificate(points, witness, members, patterns, gamma)
 
 
 def gamma_graph_dimension(cls, pool, gamma, cap_d: int = DEFAULT_POINT_CAP) -> int:
     """Largest d <= cap_d with a shattered d-sequence in the pool (exhaustive).
 
-    Shattering is monotone under taking subsets, so the search stops at the
-    first size with no shattered set.  If every size up to cap_d is shattered
-    the true dimension may exceed the cap and we refuse, reporting cap_d as a
-    certified lower bound.
+    Each witness's realizer table is grown up to cap_d points, or the point
+    cap.  If every size up to cap_d is shattered the true dimension may
+    exceed the cap and we refuse, reporting cap_d as a certified lower bound.
     """
     if cap_d < 1:
         raise PreconditionError(f"the dimension search cap must be at least 1, got {cap_d}")
     pool = tuple(pool)
-    search = _ShatterSearch(cls, pool, core.read_gamma(gamma))
-    best = 0
-    for d in range(1, min(cap_d, len(pool)) + 1):
-        if search.first(d) is None:
-            return best
-        best = d
+    gamma = core.read_gamma(gamma)
+    reach = min(cap_d, len(pool))
+    if not reach:
+        return 0
+    _, tables = _witness_tables(cls, pool, gamma, min(reach, DEFAULT_POINT_CAP))
+    best = max((max(map(int.bit_count, table)) for table in tables), default=0)
+    if best == DEFAULT_POINT_CAP < reach:
+        raise BudgetExceededError(f"size {best + 1} exceeds the point cap {DEFAULT_POINT_CAP}")
     if best == cap_d < len(pool):
         raise BudgetExceededError(f"dimension is at least {best} but the search cap is {cap_d}")
     return best

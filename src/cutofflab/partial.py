@@ -80,8 +80,9 @@ def check_domain_size(domain_size: int) -> None:
         raise BudgetExceededError(f"domain size {domain_size} exceeds the cap of {MAX_DOMAIN}")
 
 
-def _realizer_table(sides, size):
-    """The realizer table of `size` concepts with these sides, by size layers.
+def _realizer_table(sides, size, most=MAX_DOMAIN):
+    """The realizer table of `size` concepts with these sides, by size layers
+    up to sets of `most` points.
 
     A set grows only by points above its largest, so each shattered set is
     reached once, from itself less its largest point.  S | {i} is shattered
@@ -103,6 +104,8 @@ def _realizer_table(sides, size):
         if charged > budget:  # the ceiling is read once; _budgeted phrases the refusal
             core._budgeted("partial-class realizer table", charged)
         table.update(layer)
+        if width == 1 << most:
+            break
         grown = {}
         for subset, patterns in layer.items():
             for i in range(subset.bit_length(), len(sides)):

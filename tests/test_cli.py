@@ -1409,14 +1409,39 @@ class TestParseBoundary:
         err = capsys.readouterr().err
         assert "point list with range '1..1000000'" in err and _one_line_refusal(err)
 
-    def test_explicit_pool_past_the_candidate_budget_exits_3(self, tmp_path, capsys):
+    def test_explicit_pool_of_a_thousand_points_is_searched(self, tmp_path, capsys):
         path = tmp_path / "cantor_1_5.json"
         path.write_text(json.dumps({**_CANTOR, "d": 1}))
-        # 1,000 points pass, 499,500 two-point candidate sets do not
+        # 5 members on 1,000 points: each member's realizer table holds the
+        # few sets it shatters, not the 499,500 two-point sets of the pool
         argv = ["dims", str(path), "--gamma", "1/2", "--pool", "1..1000"]
-        assert _within(10, cli.main, argv) == 3
-        err = capsys.readouterr().err
-        assert "candidate 2-point sets" in err and _one_line_refusal(err)
+        assert _within(10, cli.main, argv) == 0
+        assert capsys.readouterr().out.startswith("graph_dim: 1\n")
+
+    def test_small_pool_on_a_large_class_is_searched_at_once(self, tmp_path, capsys):
+        # 780 members on 10 points: one realizer table per witness, of at most 25 bitsets
+        path = tmp_path / "cantor_2_40.json"
+        path.write_text(json.dumps({**_CANTOR, "universe": 40}))
+        argv = ["dims", str(path), "--gamma", "1/2", "--pool", "1..10", "--json"]
+        assert _within(2, cli.main, argv) == 0
+        assert json.loads(capsys.readouterr().out)["graph_dim"] == 2
+
+    def test_realizer_table_past_the_budget_exits_3(self, tmp_path, monkeypatch, capsys):
+        # the 64 0/1 tables on 6 points: 384 values pass a budget of 400, and
+        # the first witness's realizer table, which holds every subset with
+        # its patterns, reaches 473 pattern bitsets at its 4-point sets
+        points = [core.Point.nat(i) for i in range(1, 7)]
+        cube = core.FiniteClass(tuple(
+            helpers.table_hypothesis(dict(zip(points, values)))
+            for values in itertools.product((0, 1), repeat=len(points))
+        ))
+        path = tmp_path / "cube.json"
+        serialize.dump_json(serialize.class_to_json(cube), path)
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "400")
+        assert _within(10, cli.main, ["dims", str(path), "--gamma", "1/2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_refusal(captured.err)
+        assert "partial-class realizer table of size 473 exceeds budget 400" in captured.err
 
     @pytest.mark.parametrize(
         "config",

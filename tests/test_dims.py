@@ -387,7 +387,7 @@ class TestGraphDimension:
             d_big = dims.gamma_graph_dimension(table_class(big, pool), pool, HALF)
             assert d_small <= d_big
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_colex_last_construction_has_dimension_d(self, d):
         # the matching upper bound for the thm4 construction's shattered set
         cls = adversaries.thm4_instance(core.CantorClass(HALF, d, 3 * d), d).cls
@@ -415,6 +415,17 @@ class TestGraphDimension:
                 dims.gamma_graph_dimension(cls, pool, HALF)
             monkeypatch.setenv("CUTOFFLAB_BUDGET", "30")
             assert dims.gamma_graph_dimension(cls, pool, HALF) == 2
+
+    def test_side_bitsets_of_the_pool_are_budgeted(self, monkeypatch):
+        # 2,048 members with distinct values at one point: a bitset per value
+        # and one more, 2 units each as they span 2,048 members, is 4,098
+        pool = (NAT(1),)
+        cls = table_class([(F(k, 2048),) for k in range(2048)], pool)
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "4097")
+        with pytest.raises(BudgetExceededError, match="side bitsets of the pool of size 4098"):
+            dims.gamma_graph_dimension(cls, pool, HALF)
+        monkeypatch.setenv("CUTOFFLAB_BUDGET", "4098")
+        assert dims.gamma_graph_dimension(cls, pool, HALF) == 1
 
     def test_class_size_times_points_is_budgeted_in_the_check(self, monkeypatch):
         # 10 members on 3 points: 30 against the budget, before any value is read

@@ -311,7 +311,9 @@ class TestLossPatternReduction:
         # The bound is attained: a set is gamma-graph shattered with witness w
         # exactly when it is VC shattered by the loss patterns on w's labels,
         # so the best witness labelling of the pool gives the graph dimension.
-        # This cross-checks partial's layered search against dims' bitmask one.
+        # dims searches the same realizer tables, so this is no independent
+        # check of that search: test_dims.py's brute_find and brute_dimension,
+        # read from the Fraction definition, are.
         classes = [core.CantorClass(HALF, d, u) for d, u in ((2, 5), (2, 6), (3, 7))]
         classes.append(core.SplitCantorClass(HALF, core.SQRT_SIZE, None, 9))
         for cls in classes:
