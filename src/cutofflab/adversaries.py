@@ -11,7 +11,6 @@ are re-verified by exact rational inequalities at construction time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional
@@ -26,21 +25,19 @@ DIST_CONSTANT = 16
 SAMPLE_DENOM = 128
 
 
-@dataclass(frozen=True)
-class HardInstance:
-    theorem: str
-    cls: object
-    distribution: core.FiniteDistribution
-    witness: core.Hypothesis
-    gamma: Fraction
-    epsilon: Optional[Fraction] = None
-    d: Optional[int] = None
-    universe: Optional[int] = None
-    n_max: Optional[int] = None
+class HardInstance(core.Record):
+    _fields = ("theorem", "cls", "distribution", "witness", "gamma", "epsilon", "d", "universe",
+               "n_max")
+
+    def __init__(self, theorem: str, cls: object, distribution: core.FiniteDistribution,
+                 witness: core.Hypothesis, gamma: Fraction, epsilon: Optional[Fraction] = None,
+                 d: Optional[int] = None, universe: Optional[int] = None,
+                 n_max: Optional[int] = None):
+        self._set(theorem=theorem, cls=cls, distribution=distribution, witness=witness,
+                  gamma=gamma, epsilon=epsilon, d=d, universe=universe, n_max=n_max)
 
 
-@dataclass(frozen=True)
-class InstanceFamily:
+class InstanceFamily(core.Record):
     """Seeded generator over hard instances indexed by a random support.
 
     Every drawn instance shares the family's ``law``, whose i-th mass it puts
@@ -55,24 +52,20 @@ class InstanceFamily:
     `instance_for` adds the witness, for callers that read it.
     """
 
-    theorem: str
-    cls: object
-    epsilon: Optional[Fraction]
-    d: Optional[int]
-    universe: int
-    n_max: Optional[int]
-    law: core.IntegerLaw
-    pinned_first: bool
-    point: Callable[[int], core.Point]
-    witness: Callable[[tuple[int, ...]], core.Hypothesis]
+    _fields = ("theorem", "cls", "epsilon", "d", "universe", "n_max", "law", "pinned_first",
+               "point", "witness")
 
-    def __post_init__(self):
-        core._budgeted("family universe", self.universe)
-        examples = tuple(core.LabeledExample(self.point(a), core.ZERO)
-                         for a in range(1, self.universe + 1))
-        first = 2 if self.pinned_first else 1
-        object.__setattr__(self, "_examples", examples)
-        object.__setattr__(self, "_pool", tuple(range(first, self.universe + 1)))
+    def __init__(self, theorem: str, cls: object, epsilon: Optional[Fraction], d: Optional[int],
+                 universe: int, n_max: Optional[int], law: core.IntegerLaw, pinned_first: bool,
+                 point: Callable[[int], core.Point],
+                 witness: Callable[[tuple[int, ...]], core.Hypothesis]):
+        core._budgeted("family universe", universe)
+        self._set(
+            theorem=theorem, cls=cls, epsilon=epsilon, d=d, universe=universe, n_max=n_max,
+            law=law, pinned_first=pinned_first, point=point, witness=witness,
+            _examples=tuple(core.LabeledExample(point(a), core.ZERO)
+                            for a in range(1, universe + 1)),
+            _pool=tuple(range(2 if pinned_first else 1, universe + 1)))
 
     def draw_support(self, seed: int) -> tuple[int, ...]:
         """The pinned heavy index, if any, then distinct entries drawn
@@ -99,7 +92,7 @@ class InstanceFamily:
         return HardInstance(
             theorem=self.theorem,
             cls=self.cls,
-            distribution=replace(distribution, witness=witness),
+            distribution=core.FiniteDistribution(distribution.atoms, distribution.law, witness),
             witness=witness,
             gamma=self.cls.gamma,
             epsilon=self.epsilon,

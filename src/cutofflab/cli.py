@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import inspect
 import json
 import random
@@ -196,13 +195,16 @@ def _partition_from_config(spec):
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if not isinstance(kind, str) or kind not in _PARTITIONS:
         raise ParseError(f"unknown partition {spec!r}")
+    partitioner = _PARTITIONS[kind]
+    # the fields past the first `required` take their `__init__` defaults
+    required = len(partitioner._fields) - len(partitioner.__init__.__defaults__ or ())
     values = {}
-    for field in dataclasses.fields(_PARTITIONS[kind]):
-        if field.name in spec:
-            values[field.name] = serialize.coerce(0, spec[field.name], field.name)
-        elif field.default is dataclasses.MISSING:
-            raise ParseError(f"{kind} partition needs {field.name!r}")
-    return _PARTITIONS[kind](**values)
+    for i, name in enumerate(partitioner._fields):
+        if name in spec:
+            values[name] = serialize.coerce(0, spec[name], name)
+        elif i < required:
+            raise ParseError(f"{kind} partition needs {name!r}")
+    return partitioner(**values)
 
 
 def _learner_from_config(config, cls):

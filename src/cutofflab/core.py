@@ -16,6 +16,17 @@ seeds a Mersenne Twister in C (`bits_for`), as `random.Random` seeds it.
 tuple of indices into the distribution's `atoms`.  A `Point` hashes once,
 when it is built, so label maps and the distinct-point check of every
 family trial hash no point again.
+
+The package's value types are `Record`s, not dataclasses: a record is
+frozen, equal to a record of its own class whose `_fields` are equal, hashed
+as the tuple of those fields, and shown as ``Name(field=value, ...)``, as a
+frozen dataclass is.  Each record's `__init__` is written out and stores
+its fields with ``object.__setattr__``, as a frozen dataclass's does.  The
+dataclass decorator compiles its generated methods afresh in every process,
+and no bytecode cache keeps them: for the package's 25 record classes that
+took 13.5 to 15.8 ms of every start (Python 3.11.7 on a shared 2-core VM),
+and importing `cutofflab.cli` took a median 29.9 ms with them, 14.8 ms
+without.
 """
 
 from __future__ import annotations
@@ -26,7 +37,6 @@ import itertools
 import math
 import os
 from _random import Random as _CRandom
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -98,26 +108,73 @@ def read_gamma(value) -> Fraction:
     return gamma
 
 
+#: The store a record's `__init__` makes.  It keeps the attributes in the
+#: instance's inline values; a write through ``self.__dict__`` builds a dict
+#: instead, and on CPython 3.11 each later attribute read then takes about
+#: twice as long.
+_setattr = object.__setattr__
+
+
+class Record:
+    """A frozen record of the attributes named in its class's `_fields`:
+    equal to a record of the same class with equal fields, hashed as the
+    tuple of its fields, and shown as ``Name(field=value, ...)``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **values):
+        """Store attributes, as `__init__` does, past the refusing `__setattr__`."""
+        for name, value in values.items():
+            _setattr(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # Points and examples
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class Point:
+@functools.total_ordering
+class Point(Record):
     """Domain point: ``nat(n)`` for single-index domains, ``pair(k, x)`` with
     1 <= x <= k for split domains.  Total order is (kind, coords)."""
 
-    kind: str
-    coords: tuple[int, ...]
+    _fields = ("kind", "coords")
 
-    def __post_init__(self):
-        # the dataclass's own hash, computed once: label maps and the
+    def __init__(self, kind: str, coords: tuple[int, ...]):
+        _setattr(self, "kind", kind)
+        _setattr(self, "coords", coords)
+        # the record hash, computed once: label maps and the
         # distinct-point check hash every atom's point on every trial
-        object.__setattr__(self, "_hash", hash((self.kind, self.coords)))
+        _setattr(self, "_hash", hash((kind, coords)))
 
     def __hash__(self):
         return self._hash
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() < other._values()
+        return NotImplemented
 
     def __reduce__(self):
         # rebuilt, not restored: a str hash differs from process to process
@@ -159,13 +216,12 @@ class Point:
         return f"Pair{self.coords}"
 
 
-@dataclass(frozen=True)
-class LabeledExample:
-    point: Point
-    label: Fraction
+class LabeledExample(Record):
+    _fields = ("point", "label")
 
-    def __post_init__(self):
-        object.__setattr__(self, "label", ensure_unit(self.label, "label"))
+    def __init__(self, point: Point, label: Fraction):
+        _setattr(self, "point", point)
+        _setattr(self, "label", ensure_unit(label, "label"))
 
 
 #: Ordered training sequence; duplicates allowed.
@@ -237,12 +293,14 @@ def colex_min_superset(base: set[int], size: int, universe: int) -> tuple[int, .
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableHypothesis:
+class TableHypothesis(Record):
     """Finite lookup table with a default value off the table."""
 
-    table: tuple[tuple[Point, Fraction], ...]
-    default: Fraction = ZERO
+    _fields = ("table", "default")
+
+    def __init__(self, table: tuple[tuple[Point, Fraction], ...], default: Fraction = ZERO):
+        _setattr(self, "table", table)
+        _setattr(self, "default", default)
 
     def value_at(self, point: Point) -> Fraction:
         for p, v in self.table:
@@ -253,12 +311,14 @@ class TableHypothesis:
     __call__ = value_at
 
 
-@dataclass(frozen=True)
-class CantorHypothesis:
+class CantorHypothesis(Record):
     """Zero on a size-d set of naturals, a unique value > gamma elsewhere."""
 
-    members: frozenset[int]
-    value: Fraction
+    _fields = ("members", "value")
+
+    def __init__(self, members: frozenset[int], value: Fraction):
+        _setattr(self, "members", members)
+        _setattr(self, "value", value)
 
     def value_at(self, point: Point) -> Fraction:
         if point.kind != "nat":
@@ -268,8 +328,7 @@ class CantorHypothesis:
     __call__ = value_at
 
 
-@dataclass(frozen=True)
-class SplitCantorHypothesis:
+class SplitCantorHypothesis(Record):
     """Block hypothesis on pair points.
 
     With ``zero_on == "members"`` it is 0 on {(k, x): x in members} and its
@@ -277,10 +336,13 @@ class SplitCantorHypothesis:
     {(k, x): x in [k] \\ members} and its unique value elsewhere.
     """
 
-    k: int
-    members: frozenset[int]
-    zero_on: str
-    value: Fraction
+    _fields = ("k", "members", "zero_on", "value")
+
+    def __init__(self, k: int, members: frozenset[int], zero_on: str, value: Fraction):
+        _setattr(self, "k", k)
+        _setattr(self, "members", members)
+        _setattr(self, "zero_on", zero_on)
+        _setattr(self, "value", value)
 
     def value_at(self, point: Point) -> Fraction:
         if point.kind != "pair":
@@ -384,9 +446,11 @@ def _consistent(h, sample: TrainingSequence) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class FiniteClass:
-    hypotheses: tuple[Hypothesis, ...]
+class FiniteClass(Record):
+    _fields = ("hypotheses",)
+
+    def __init__(self, hypotheses: tuple[Hypothesis, ...]):
+        self._set(hypotheses=hypotheses)
 
     def size(self) -> int:
         return len(self.hypotheses)
@@ -405,19 +469,16 @@ class FiniteClass:
         return tuple(sorted(points))
 
 
-@dataclass(frozen=True)
-class CantorClass:
+class CantorClass(Record):
     """All h_A for A a size-d subset of {1..universe}: h_A is 0 on A and a
     unique value gamma + (1-gamma)/rank(A) elsewhere, rank(A) the 1-based
     colex rank of A.  `hypotheses` lists them once, in ascending colex order."""
 
-    gamma: Fraction
-    d: int
-    universe: int
+    _fields = ("gamma", "d", "universe")
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", read_gamma(self.gamma))
-        if self.d < 1 or self.universe < self.d:
+    def __init__(self, gamma: Fraction, d: int, universe: int):
+        self._set(gamma=read_gamma(gamma), d=d, universe=universe)
+        if d < 1 or universe < d:
             raise PreconditionError("need universe >= d >= 1")
 
     def size(self) -> int:
@@ -463,8 +524,7 @@ class CantorClass:
         return tuple(Point.nat(i) for i in range(1, self.universe + 1))
 
 
-@dataclass(frozen=True)
-class SplitCantorClass:
+class SplitCantorClass(Record):
     """Block classes over pair points, listed once in `hypotheses` by block then colex.
 
     ``sqrt_size``: blocks k = i*i <= universe_cap, zero sets A with
@@ -474,21 +534,18 @@ class SplitCantorClass:
     in the block-then-colex enumeration, hence distinct across the class.
     """
 
-    gamma: Fraction
-    variant: str
-    size_param: int | None
-    universe_cap: int
+    _fields = ("gamma", "variant", "size_param", "universe_cap")
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", read_gamma(self.gamma))
-        if self.variant not in (SQRT_SIZE, D_MINUS_ONE_COMPLEMENT):
-            raise PreconditionError(f"unknown split variant {self.variant!r}")
-        if self.variant == D_MINUS_ONE_COMPLEMENT:
-            if self.size_param is None or self.size_param < 2:
+    def __init__(self, gamma: Fraction, variant: str, size_param: int | None, universe_cap: int):
+        self._set(gamma=read_gamma(gamma), variant=variant, size_param=size_param,
+                  universe_cap=universe_cap, _sqrt_prefix=[0])
+        if variant not in (SQRT_SIZE, D_MINUS_ONE_COMPLEMENT):
+            raise PreconditionError(f"unknown split variant {variant!r}")
+        if variant == D_MINUS_ONE_COMPLEMENT:
+            if size_param is None or size_param < 2:
                 raise PreconditionError("complement variant needs size_param d >= 2")
         if next(self.blocks(), None) is None:
             raise PreconditionError("universe_cap below the first block")
-        object.__setattr__(self, "_sqrt_prefix", [0])
 
     def blocks(self) -> Iterator[tuple[int, int]]:
         """(block k, zero/member set size within the block) pairs, ascending."""
@@ -608,8 +665,7 @@ class SplitCantorClass:
 _FALLBACK = 255
 
 
-@dataclass(frozen=True)
-class IntegerLaw:
+class IntegerLaw(Record):
     """Masses summing to one, held once more as integers over one common
     denominator: mass k is weights[k] / denominator, the lcm of the masses'
     denominators, so sums of masses are integer sums.  Validated once when
@@ -619,10 +675,10 @@ class IntegerLaw:
     `sample_iid`), are built on first use.
     """
 
-    masses: tuple[Fraction, ...]
+    _fields = ("masses",)
 
-    def __post_init__(self):
-        masses = tuple(_exact(m) for m in self.masses)
+    def __init__(self, masses: tuple[Fraction, ...]):
+        masses = tuple(_exact(m) for m in masses)
         for mass in masses:
             if mass.numerator < 0:
                 raise PreconditionError(f"mass must be >= 0, got {mass}")
@@ -630,9 +686,9 @@ class IntegerLaw:
         weights = tuple(m.numerator * (denominator // m.denominator) for m in masses)
         if sum(weights) != denominator:
             raise PreconditionError("atom masses must sum exactly to 1")
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "weights", weights)
+        _setattr(self, "masses", masses)
+        _setattr(self, "denominator", denominator)
+        _setattr(self, "weights", weights)
 
     @functools.cached_property
     def thresholds(self) -> list[int]:
@@ -659,8 +715,7 @@ class IntegerLaw:
         return bytes(table)
 
 
-@dataclass(frozen=True)
-class FiniteDistribution:
+class FiniteDistribution(Record):
     """Finite support of distinct-point examples with masses summing to one.
 
     The k-th atom is the example atoms[k] with mass law.masses[k].  A sample
@@ -668,18 +723,19 @@ class FiniteDistribution:
     from its `law`, which the distributions drawn from one family share.
     """
 
-    atoms: tuple[LabeledExample, ...]
-    law: IntegerLaw
-    witness: Optional[Hypothesis] = None
+    _fields = ("atoms", "law", "witness")
 
-    def __post_init__(self):
-        atoms, masses = tuple(self.atoms), self.law.masses
+    def __init__(self, atoms: tuple[LabeledExample, ...], law: IntegerLaw,
+                 witness: Optional[Hypothesis] = None):
+        atoms, masses = tuple(atoms), law.masses
         if len(masses) != len(atoms):
             raise PreconditionError(f"need one mass per atom, got {len(masses)} for {len(atoms)}")
-        object.__setattr__(self, "atoms", atoms)
         points = [ex.point for ex in atoms]
         if len(set(points)) != len(points):
             raise PreconditionError("atom points must be distinct")
+        _setattr(self, "atoms", atoms)
+        _setattr(self, "law", law)
+        _setattr(self, "witness", witness)
 
     @property
     def masses(self) -> tuple[Fraction, ...]:

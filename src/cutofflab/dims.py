@@ -25,7 +25,6 @@ import collections
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -35,17 +34,18 @@ from .errors import BudgetExceededError, PreconditionError
 DEFAULT_POINT_CAP = 12
 
 
-@dataclass(frozen=True)
-class ShatterCertificate:
+class ShatterCertificate(core.Record):
     """Witnessed shattering of a point sequence.
 
     For every bit pattern b over the points, ``pattern_witnesses[b]`` agrees
     with the witness where b_i = 0 and is strictly gamma-far where b_i = 1.
     """
 
-    points: tuple[core.Point, ...]
-    witness: core.Hypothesis
-    pattern_witnesses: dict[tuple[int, ...], core.Hypothesis]
+    _fields = ("points", "witness", "pattern_witnesses")
+
+    def __init__(self, points: tuple[core.Point, ...], witness: core.Hypothesis,
+                 pattern_witnesses: dict[tuple[int, ...], core.Hypothesis]):
+        self._set(points=points, witness=witness, pattern_witnesses=pattern_witnesses)
 
     def verify(self, gamma: Fraction) -> bool:
         gamma = Fraction(gamma)
@@ -156,12 +156,15 @@ def _witness_tables(cls, pool, gamma: Fraction, most: int):
     """The class's members defined on the pool, in enumeration order, and an
     iterator of each one's `partial._realizer_table` up to sets of `most`
     points, from its sides at each pool point.  The `_sides` bitsets are
-    charged as realizer tables are, each once per 1,024 members."""
+    charged as realizer tables are, each once per 1,024 members, and on the
+    unscaled values, before any is scaled: scaling is one-to-one, so the
+    count is the same, and a refused pool builds no scaled cell."""
     core._budgeted("class restricted to the pool", cls.size() * len(pool))
     rows = _value_vectors(cls, pool)
-    table, scale = _scaled([vec for _, vec in rows], len(pool))
-    bitsets = sum(len(set(column)) + 1 for column in zip(*table))
-    core._budgeted("side bitsets of the pool", -(-len(table) // 1024) * bitsets)
+    vectors = [vec for _, vec in rows]
+    bitsets = sum(len(set(column)) + 1 for column in zip(*vectors))
+    core._budgeted("side bitsets of the pool", -(-len(vectors) // 1024) * bitsets)
+    table, scale = _scaled(vectors, len(pool))
     columns = [_sides(column, _threshold(scale, gamma)) for column in zip(*table)]
     tables = (
         partial._realizer_table([side(v) for side, v in zip(columns, row)], len(table), most)
@@ -227,8 +230,7 @@ Vertex = tuple[int, ...]  # a restriction times the graph's scale
 EdgeKey = tuple[int, Vertex]  # (free coordinate, scaled values elsewhere)
 
 
-@dataclass(frozen=True)
-class OneInclusionGraph:
+class OneInclusionGraph(core.Record):
     """Hypergraph on class restrictions: edge (f, i) groups the vertices that
     agree with f on every coordinate except i.
 
@@ -239,10 +241,11 @@ class OneInclusionGraph:
     edge.
     """
 
-    points: tuple[core.Point, ...]
-    scale: int
-    vertices: tuple[Vertex, ...]
-    edges: dict[EdgeKey, tuple[Vertex, ...]]
+    _fields = ("points", "scale", "vertices", "edges")
+
+    def __init__(self, points: tuple[core.Point, ...], scale: int, vertices: tuple[Vertex, ...],
+                 edges: dict[EdgeKey, tuple[Vertex, ...]]):
+        self._set(points=points, scale=scale, vertices=vertices, edges=edges)
 
 
 Orientation = dict[EdgeKey, Vertex]

@@ -12,7 +12,6 @@ import inspect
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -36,14 +35,18 @@ CSV_HEADER = (
 )
 
 
-@dataclass
-class Report:
-    tag: str
-    config: dict
-    rows: list[dict[str, str]] = field(default_factory=list)
-    verdicts: list[tuple[str, bool, str]] = field(default_factory=list)
-    wall_clock_s: float = 0.0
-    seed: int = 0
+class Report(core.Record):
+    """A check's record, filled in as the check runs: mutable and unhashable."""
+
+    _fields = ("tag", "config", "rows", "verdicts", "wall_clock_s", "seed")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, tag: str, config: dict, rows: list[dict[str, str]] | None = None,
+                 verdicts: list[tuple[str, bool, str]] | None = None, wall_clock_s: float = 0.0,
+                 seed: int = 0):
+        self.tag, self.config, self.wall_clock_s, self.seed = tag, config, wall_clock_s, seed
+        self.rows = [] if rows is None else rows
+        self.verdicts = [] if verdicts is None else verdicts
 
     @property
     def passed(self) -> bool:

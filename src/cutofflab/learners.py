@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -58,27 +57,27 @@ def _select(values: Sequence[Fraction], index: int) -> Fraction:
     return ordered[index][2]
 
 
-@dataclass(frozen=True)
-class OrderStatistic:
+class OrderStatistic(core.Record):
     """j-th smallest input (1-based); proper.  `_check_arity` refuses a rank
     outside 1..m when a learner or `aggregate` is built."""
 
-    rank: int
+    _fields = ("rank",)
+
+    def __init__(self, rank: int):
+        self._set(rank=rank)
 
     def combine(self, values: Sequence[Fraction]) -> Fraction:
         return _select(values, self.rank - 1)
 
 
-@dataclass(frozen=True)
-class Median:
+class Median(core.Record):
     """Middle value of the sorted inputs; proper, requires odd arity."""
 
     def combine(self, values: Sequence[Fraction]) -> Fraction:
         return _select(values, len(values) // 2)
 
 
-@dataclass(frozen=True)
-class Mean:
+class Mean(core.Record):
     """Arithmetic mean; interpolating but not proper."""
 
     def combine(self, values: Sequence[Fraction]) -> Fraction:
@@ -156,16 +155,16 @@ def aggregate(rule: AggregationRule, hypotheses: Sequence) -> core.Predictor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DisjointBlocks:
+class DisjointBlocks(core.Record):
     """m contiguous blocks; earlier blocks take the leftover examples."""
 
-    m: int
+    _fields = ("m",)
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int):
+        self._set(m=m)
+        if m < 1:
             raise PreconditionError("need at least one block")
-        core._budgeted("partition", self.m)
+        core._budgeted("partition", m)
 
     def split(self, sample: tuple):
         n = len(sample)
@@ -178,17 +177,16 @@ class DisjointBlocks:
         return blocks
 
 
-@dataclass(frozen=True)
-class OverlappingWindows:
+class OverlappingWindows(core.Record):
     """m windows of a fixed width, evenly spread (and clipped) over the sample."""
 
-    m: int
-    width: int
+    _fields = ("m", "width")
 
-    def __post_init__(self):
-        if self.m < 1 or self.width < 1:
+    def __init__(self, m: int, width: int):
+        self._set(m=m, width=width)
+        if m < 1 or width < 1:
             raise PreconditionError("windows need m >= 1 and width >= 1")
-        core._budgeted("partition", self.m)
+        core._budgeted("partition", m)
 
     def split(self, sample: tuple):
         n = len(sample)
@@ -202,19 +200,17 @@ class OverlappingWindows:
         return [tuple(sample[s : s + width]) for s in starts]
 
 
-@dataclass(frozen=True)
-class Bootstrap:
+class Bootstrap(core.Record):
     """m blocks of `size` examples drawn with replacement, seeded."""
 
-    m: int
-    size: int
-    seed: int = 0
+    _fields = ("m", "size", "seed")
 
-    def __post_init__(self):
-        if self.m < 1 or self.size < 0:
+    def __init__(self, m: int, size: int, seed: int = 0):
+        self._set(m=m, size=size, seed=seed)
+        if m < 1 or size < 0:
             raise PreconditionError("bootstrap needs m >= 1 and size >= 0")
-        core._budgeted("partition", self.m)
-        core._budgeted("bootstrap draws", self.m * self.size)
+        core._budgeted("partition", m)
+        core._budgeted("bootstrap draws", m * size)
 
     def split(self, sample: tuple):
         n = len(sample)
@@ -292,20 +288,21 @@ class FitTable(core.BoundedTable):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InterpolatorAggregation:
+class InterpolatorAggregation(core.Record):
     """Partition each of `sample_arity` samples, interpolate per block,
-    aggregate pointwise over the blocks of all the samples."""
+    aggregate pointwise over the blocks of all the samples.  The partitioner
+    defaults to ``DisjointBlocks(3)``."""
 
-    interpolator: Interpolator
-    # built per learner, so that importing the module reads no budget
-    partitioner: Partitioner = field(default_factory=lambda: DisjointBlocks(3))
-    rule: AggregationRule = Median()
-    sample_arity: int = 1
+    _fields = ("interpolator", "partitioner", "rule", "sample_arity")
 
-    def __post_init__(self):
+    def __init__(self, interpolator: Interpolator, partitioner: Partitioner | None = None,
+                 rule: AggregationRule = Median(), sample_arity: int = 1):
+        if partitioner is None:  # built per learner, so that importing the module reads no budget
+            partitioner = DisjointBlocks(3)
+        self._set(interpolator=interpolator, partitioner=partitioner, rule=rule,
+                  sample_arity=sample_arity)
         # every partitioner splits a sample into exactly m blocks
-        _check_arity(self.rule, self.partitioner.m * self.sample_arity)
+        _check_arity(rule, partitioner.m * sample_arity)
 
     def seen_blocks(self, samples):
         return [block for sample in samples for block in self.partitioner.split(tuple(sample))]

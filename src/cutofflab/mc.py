@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -31,14 +30,13 @@ from .adversaries import HardInstance, InstanceFamily
 from .errors import PreconditionError
 
 
-@dataclass(frozen=True)
-class LossEstimate:
-    mean: float
-    stderr: float
-    ci_lo: float
-    ci_hi: float
-    trials: int
-    losses: tuple[Fraction, ...]
+class LossEstimate(core.Record):
+    _fields = ("mean", "stderr", "ci_lo", "ci_hi", "trials", "losses")
+
+    def __init__(self, mean: float, stderr: float, ci_lo: float, ci_hi: float, trials: int,
+                 losses: tuple[Fraction, ...]):
+        self._set(mean=mean, stderr=stderr, ci_lo=ci_lo, ci_hi=ci_hi, trials=trials,
+                  losses=losses)
 
     @property
     def ci_halfwidth(self) -> float:
@@ -50,10 +48,11 @@ class LossEstimate:
         return Fraction(sum(1 for l in self.losses if l > threshold), len(self.losses))
 
 
-@dataclass(frozen=True)
-class ScalingFit:
-    slope: float
-    r_squared: float
+class ScalingFit(core.Record):
+    _fields = ("slope", "r_squared")
+
+    def __init__(self, slope: float, r_squared: float):
+        self._set(slope=slope, r_squared=r_squared)
 
 
 def exact_loss_distribution(learner, instance: HardInstance, n: int) -> list[tuple[Fraction, Fraction]]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from . import core
 from .errors import BudgetExceededError, PreconditionError
@@ -27,20 +26,18 @@ _ONE = str.maketrans("01*", "010")
 _STARS = str.maketrans("01*", "001")
 
 
-@dataclass(frozen=True)
-class PartialClass:
+class PartialClass(core.Record):
     """Deduplicated set of partial concepts over a shared indexed domain.
     A star-free class is total; `disambiguate` returns one."""
 
-    domain_size: int
-    concepts: tuple[str, ...]
+    _fields = ("domain_size", "concepts")
 
-    def __post_init__(self):
-        concepts = tuple(sorted(set(self.concepts)))
-        object.__setattr__(self, "concepts", concepts)
+    def __init__(self, domain_size: int, concepts: tuple[str, ...]):
+        concepts = tuple(sorted(set(concepts)))
+        self._set(domain_size=domain_size, concepts=concepts)
         for c in concepts:
-            if len(c) != self.domain_size or c.strip("01*"):
-                raise PreconditionError(f"bad concept row {c!r} for domain size {self.domain_size}")
+            if len(c) != domain_size or c.strip("01*"):
+                raise PreconditionError(f"bad concept row {c!r} for domain size {domain_size}")
 
     def size(self) -> int:
         return len(self.concepts)
@@ -154,12 +151,16 @@ def disambiguate(cls: PartialClass) -> PartialClass:
     concept is defined.
 
     A working class is a concept bitset, and its children at a coordinate are
-    its ANDs with that coordinate's two sides.  A working class's family holds
-    each set it shatters as the set's pattern bitsets in the class's realizer
-    table.  Restriction can only shrink the family, so a child keeps the sets
-    of its parent's family whose every pattern bitset it meets, and each
-    working class is split at each coordinate once, however many concepts
-    pass through it.
+    its ANDs with that coordinate's two sides.  All concepts walk the domain
+    together, as one bitset per working class: at each coordinate each
+    working class is split once, its walkers whose label there disagrees
+    with its majority label move to that child as one bitset, and the output
+    column is the OR of the bitsets that write 1.  A working class's family
+    holds each set it shatters as the set's pattern bitsets in the class's
+    realizer table.  Restriction can only shrink the family, so a child keeps
+    the sets of its parent's family whose every pattern bitset it meets.  A
+    class of fewer than 4 concepts shatters no two points, so its strength is
+    counted from its sides alone.
     """
     check_domain_size(cls.domain_size)
     if not cls.concepts:
@@ -168,31 +169,32 @@ def disambiguate(cls: PartialClass) -> PartialClass:
     root = (1 << len(cls.concepts)) - 1
     families = {root: tuple(cls.realizers.values())}
 
-    @functools.cache
-    def split(kept, coord):
-        """The majority label at coord (ties toward 1), and the bitsets of
-        the concepts of `kept` labelled 0 and 1 there."""
-        zero, one = (kept & side for side in sides[coord])
-        for sub in (zero, one):
-            if sub not in families:
-                families[sub] = [p for p in families[kept] if all(map(sub.__and__, p))]
-        return int(len(families[one]) >= len(families[zero])), (zero, one)
+    def strength(kept, sub):
+        """The number of sets that `sub`, a child of working class `kept`, shatters."""
+        if sub.bit_count() < 4:  # the empty set, if any, and the points labelled both ways
+            return 1 + sum(1 for zero, one in sides if sub & zero and sub & one) if sub else 0
+        if sub not in families:
+            families[sub] = [p for p in families[kept] if all(map(sub.__and__, p))]
+        return len(families[sub])
 
-    out = []
-    for concept, (star, value) in zip(cls.concepts, cls.masks):
-        kept = root
-        bar = 0
-        written = []
-        for coord, ch in enumerate(concept):
-            label, branches = split(kept, coord)
-            if ch != STAR and int(ch) != label:
-                label = int(ch)
-                kept = branches[label]
-            bar |= label << coord
-            written.append("01"[label])
-        if (value ^ bar) & ~star:  # pragma: no cover - internal check
+    groups = {root: root}  # working class -> the concepts walking in it
+    columns = []
+    for zero, one in sides:
+        grown = {}
+        column = 0
+        for kept, walkers in groups.items():
+            label = strength(kept, kept & one) >= strength(kept, kept & zero)  # ties toward 1
+            other = zero if label else one
+            moved, stay = walkers & other, walkers & ~other
+            column |= stay if label else moved
+            for key, bits in ((kept & other, moved), (kept, stay)):
+                if bits:
+                    grown[key] = grown.get(key, 0) | bits
+        if column & zero or one & ~column:  # pragma: no cover - internal check
             raise AssertionError("greedy disambiguation violated agreement")
-        out.append("".join(written))
+        columns.append(column)
+        groups = grown
+    out = ("".join("01"[column >> k & 1] for column in columns) for k in range(len(cls.concepts)))
     return PartialClass(cls.domain_size, tuple(out))
 
 

@@ -4,6 +4,7 @@ Nothing in ``cutofflab`` calls these; the tests use them to build inputs and
 to check the package against plain, independent computations.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -96,6 +97,37 @@ def reference_disambiguate(cls: pc.PartialClass) -> pc.PartialClass:
                 kept = branches[int(ch)]
         out.append(written)
     return pc.PartialClass(n, tuple(out))
+
+
+def per_concept_disambiguate(cls: pc.PartialClass) -> pc.PartialClass:
+    """The greedy disambiguation one concept at a time: each concept walks
+    the domain from the whole class, and each (working class, coordinate)
+    split is memoized, with the working classes' families filtered from
+    their parents' as `pc.disambiguate` filters them."""
+    sides = cls.sides
+    root = (1 << len(cls.concepts)) - 1
+    families = {root: tuple(cls.realizers.values())}
+
+    @functools.cache
+    def split(kept, coord):
+        zero, one = (kept & side for side in sides[coord])
+        for sub in (zero, one):
+            if sub not in families:
+                families[sub] = [p for p in families[kept] if all(map(sub.__and__, p))]
+        return int(len(families[one]) >= len(families[zero])), (zero, one)
+
+    out = []
+    for concept in cls.concepts:
+        kept = root
+        written = ""
+        for coord, ch in enumerate(concept):
+            label, branches = split(kept, coord)
+            if ch != pc.STAR and int(ch) != label:
+                label = int(ch)
+                kept = branches[label]
+            written += "01"[label]
+        out.append(written)
+    return pc.PartialClass(cls.domain_size, tuple(out))
 
 
 def loss_pattern_reduction(cls, examples, gamma) -> pc.PartialClass:

@@ -235,6 +235,17 @@ class TestPointBudgets:
         assert captured.out == "" and _one_line_refusal(captured.err)
         assert "class restricted to the pool" in captured.err
 
+    def test_dims_past_the_side_bitset_budget_exits_3_at_once(self, tmp_path, capsys):
+        # 19,900 members on 10 points: refused before any value is scaled,
+        # where scaling them took over 3 s and 770 MB
+        path = tmp_path / "cantor_2_200.json"
+        path.write_text(json.dumps({"kind": "cantor", "gamma": "1/2", "d": 2, "universe": 200}))
+        argv = ["dims", str(path), "--gamma", "1/2", "--pool", "1..10"]
+        assert _within(2, cli.main, argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_refusal(captured.err)
+        assert "side bitsets of the pool" in captured.err
+
     @pytest.mark.parametrize(
         "argv",
         [["dims", "--gamma", "1/2", "--pool", "1..100000000"],

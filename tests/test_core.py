@@ -507,8 +507,8 @@ class TestSampling:
 
 
 class TestPointHash:
-    """A point hashes once, when built, to the value the dataclass's own
-    hash gives: the hash of (kind, coords)."""
+    """A point hashes once, when built, to the value the record hash
+    gives: the hash of (kind, coords)."""
 
     @given(k=st.integers(1, 2**70), x=st.integers(1, 2**70))
     @settings(max_examples=60, deadline=None)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -426,6 +427,18 @@ class TestGraphDimension:
             dims.gamma_graph_dimension(cls, pool, HALF)
         monkeypatch.setenv("CUTOFFLAB_BUDGET", "4098")
         assert dims.gamma_graph_dimension(cls, pool, HALF) == 1
+
+    def test_side_bitsets_are_charged_before_values_are_scaled(self, monkeypatch):
+        # 19,900 members on 10 points: 199,000 cells pass the class-by-pool
+        # charge; the side bitsets, counted on the unscaled values, do not
+        cls = core.CantorClass(HALF, 2, 200)
+        pool = [NAT(i) for i in range(1, 11)]
+        monkeypatch.setattr(dims, "_scaled", None)  # a refused pool scales no value
+        start = time.monotonic()
+        with pytest.raises(BudgetExceededError) as err:
+            dims.gamma_graph_dimension(cls, pool, HALF, 3)
+        assert time.monotonic() - start < 1
+        assert str(err.value) == "side bitsets of the pool of size 3940600 exceeds budget 200000"
 
     def test_class_size_times_points_is_budgeted_in_the_check(self, monkeypatch):
         # 10 members on 3 points: 30 against the budget, before any value is read

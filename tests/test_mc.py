@@ -1,7 +1,6 @@
 """Exact oracles, Monte Carlo estimation, scaling fits, envelope checks."""
 
 import collections
-import dataclasses
 import itertools
 import math
 from fractions import Fraction as F
@@ -910,12 +909,17 @@ class TestThm5FamilyLaw:
     def test_other_families_and_sizes_are_refused(self, monkeypatch):
         family = _complement_family(6, 2)
         two_tier = core.IntegerLaw(adversaries.two_tier_masses(5, F(1, 6)))
+
+        def variant(**changed):
+            fields = {name: getattr(family, name) for name in family._fields}
+            return adversaries.InstanceFamily(**{**fields, **changed})
+
         for other in (
             adversaries.thm2_family(HALF, 2, F(1, 64), 3),
-            dataclasses.replace(family, law=two_tier),
-            dataclasses.replace(family, pinned_first=True),
+            variant(law=two_tier),
+            variant(pinned_first=True),
             # a uniform law on one atom too many for d = 2
-            dataclasses.replace(family, law=core.IntegerLaw((F(1, 6),) * 6)),
+            variant(law=core.IntegerLaw((F(1, 6),) * 6)),
             fixed_instance(),
         ):
             with pytest.raises(PreconditionError, match="complement family"):

@@ -286,6 +286,23 @@ class TestDisambiguate:
         cls = pc.PartialClass(len(rows[0]), tuple(rows))
         assert pc.disambiguate(cls) == helpers.reference_disambiguate(cls)
 
+    @given(
+        st.integers(min_value=0, max_value=16).flatmap(
+            lambda n: st.lists(
+                st.one_of(
+                    st.text(alphabet="01*", min_size=n, max_size=n),
+                    st.text(alphabet="01", min_size=n, max_size=n),
+                    st.just(pc.STAR * n),
+                ),
+                min_size=1,
+                max_size=24,
+            ).map(lambda rows: pc.PartialClass(n, tuple(rows)))
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_walk_one_concept_at_a_time(self, cls):
+        assert pc.disambiguate(cls) == helpers.per_concept_disambiguate(cls)
+
 
 class TestLossPatternReduction:
     def test_exact_labeling_gives_all_zeros(self):
